@@ -307,9 +307,14 @@ def _simultaneous_eigenvectors(mats, p: int) -> list[list[int]]:
 
 class CharacterTable:
     """Exact irreducible character values of a finite group, one row per
-    character and one column per conjugacy class (canonical class order)."""
+    character and one column per conjugacy class (canonical class order).
 
-    __slots__ = ("group", "classes", "reps", "sizes", "degrees", "values", "exponent", "_memo")
+    `validation` holds the `validate_table` report made when the table was
+    computed or ingested (None for a table built directly).
+    """
+
+    __slots__ = ("group", "classes", "reps", "sizes", "degrees", "values", "exponent",
+                 "validation", "_memo")
 
     def __init__(self, group: GroupTable, values, exponent: int):
         classes = conjugacy_classes(group)
@@ -323,6 +328,7 @@ class CharacterTable:
         for row in self.values:
             degrees.append(row[0].integer_value())
         self.degrees = tuple(degrees)
+        self.validation: CheckReport | None = None
         self._memo = {}
 
     @property
@@ -489,14 +495,14 @@ def dixon_character_table(
 
     order_keys = sorted(
         range(r),
-        key=lambda t: (degrees[t], tuple(tuple(-c for c in v.coeffs) for v in rows[t])),
+        key=lambda t: (degrees[t], tuple(tuple(-c for c in v.num) for v in rows[t])),
     )
     rows = [rows[t] for t in order_keys]
     table = CharacterTable(G, rows, e)
     one = Cyclotomic.one(e)
     if not all(v == one for v in table.values[0]):
         raise ConsistencyError("canonical ordering did not place the principal character first")
-    report = validate_table(table)
+    table.validation = report = validate_table(table)
     if not report.ok:
         raise ConsistencyError(
             "modular lifting produced an invalid table: "
@@ -567,7 +573,7 @@ def ingest_table(text: str, G: GroupTable) -> CharacterTable:
         if rows[-1][0].rational_value().denominator != 1:
             raise CharacterTableError(f"character row {idx} has a fractional degree")
     table = CharacterTable(G, rows, e)
-    report = validate_table(table)
+    table.validation = report = validate_table(table)
     if not report.ok:
         raise CharacterTableError(
             "orthogonality failure: " + "; ".join(f"{c.name} ({c.detail})" if c.detail else c.name for c in report.failures)

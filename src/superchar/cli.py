@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .chartab import character_table_of, ingest_table, validate_table
+from .chartab import character_table_of, ingest_table
 from .errors import CharacterTableError, GroupConstructionError, SuperTheoryError
 from .groups import GroupTable, build_group, derived_subgroup, group_center
 from .structure import (
@@ -40,6 +40,16 @@ from .vanishing import (
 from .verifier import DEFAULT_CATALOG, corpus_json_bytes, failing_reports, run_corpus
 
 _USER_ERRORS = (GroupConstructionError, CharacterTableError, SuperTheoryError, OSError)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid positive integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _subgroup_names(G: GroupTable) -> dict[frozenset[int], str]:
@@ -97,7 +107,7 @@ def _cmd_chartab(args) -> int:
         table = character_table_of(G)
     if args.format == "json":
         payload = table.to_json()
-        payload["validation"] = validate_table(table).to_json()
+        payload["validation"] = table.validation.to_json()
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
     else:
         _emit(table.to_text(), args.out)
@@ -286,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extremes-only", dest="all_scts", action="store_false",
                    help="only the finest and coarsest theories")
     p.add_argument("--max-order", type=int, help="skip catalog groups above this order")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel worker processes")
     common(p)
     p.set_defaults(fn=_cmd_verify)
     return parser

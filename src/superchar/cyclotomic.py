@@ -1,11 +1,16 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_e).
 
 A value of order e is stored by its coordinates in the power basis
-{zeta_e^k : 0 <= k < phi(e)}, with rational coefficients reduced modulo the
-e-th cyclotomic polynomial.  The reduced coordinate vector is a normal form,
-so equality and zero tests are exact; no floating arithmetic enters any
-logic path.  Values of different orders are lifted to the lcm order before
-they are combined.
+{zeta_e^k : 0 <= k < phi(e)}, reduced modulo the e-th cyclotomic
+polynomial, as an integer numerator vector `num` over one positive common
+denominator `den`, with gcd(den, *num) == 1.  That pair is a normal form,
+so equality and zero tests are exact tuple comparisons.  Character values
+are algebraic integers and have den == 1, so sums, products and
+conjugates of them run on ints alone; `Fraction` appears only at the
+edges: rational construction and extraction, division by a rational, and
+the display and JSON forms.  No floating arithmetic enters any logic path.
+Values of different orders are lifted to the lcm order before they are
+combined.
 """
 
 from __future__ import annotations
@@ -15,9 +20,6 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @lru_cache(maxsize=None)
@@ -58,66 +60,72 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _reduce(dense: list, e: int) -> list:
-    # Polynomial remainder modulo the e-th cyclotomic polynomial; entries may
-    # be ints or Fractions and keep their type (the divisor is integral).
-    phi = euler_phi(e)
+@lru_cache(maxsize=None)
+def _reducer(e: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     cyc = cyclotomic_polynomial(e)
+    phi = len(cyc) - 1
+    return phi, tuple((j, c) for j, c in enumerate(cyc[:phi]) if c)
+
+
+def _reduce(dense, e: int) -> tuple[int, ...]:
+    # Remainder modulo the (monic, integral) e-th cyclotomic polynomial.
+    phi, terms = _reducer(e)
+    if len(dense) <= phi:
+        return tuple(dense) + (0,) * (phi - len(dense))
     poly = list(dense)
-    if len(poly) < phi:
-        poly += [0] * (phi - len(poly))
     for k in range(len(poly) - 1, phi - 1, -1):
         c = poly[k]
         if c:
             base = k - phi
-            for j in range(phi):
-                cj = cyc[j]
-                if cj:
-                    poly[base + j] -= c * cj
-            poly[k] = 0
-    return poly[:phi]
+            for j, cj in terms:
+                poly[base + j] -= c * cj
+    return tuple(poly[:phi])
 
 
-def _int_vector(coeffs) -> tuple[list[int], int]:
-    # common-denominator form: coeffs == ints / den
-    den = 1
-    for c in coeffs:
-        den = lcm(den, c.denominator)
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+def _lowest(num: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
+    g = gcd(den, *num)
+    return (num, den) if g == 1 else (tuple(x // g for x in num), den // g)
+
+
+def _value(order: int, num: tuple[int, ...], den: int = 1) -> "Cyclotomic":
+    # num is reduced and den > 0; stores num/den in lowest terms.
+    if den != 1:
+        num, den = _lowest(num, den)
+    v = object.__new__(Cyclotomic)
+    v.order, v.num, v.den = order, num, den
+    return v
 
 
 _TERM_RE = re.compile(r"^(?P<coef>-?\d+(?:/\d+)?)?(?P<star>\*)?(?P<z>z(?:\^(?P<exp>\d+))?)?$")
 
 
 class Cyclotomic:
-    """An exact element of Q(zeta_order) in reduced power-basis form."""
+    """An exact element of Q(zeta_order): num / den in the reduced power basis."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
-    def __init__(self, order: int, coeffs, _normal: bool = False):
+    def __init__(self, order: int, coeffs):
+        """sum_k coeffs[k] * zeta_order^k, for int or rational coefficients."""
         if order < 1:
             raise ValueError("order must be a positive integer")
-        self.order = order
-        if _normal:
-            self.coeffs = coeffs
-            return
-        dense = [_ZERO] * order
+        coeffs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
+        dense = [0] * order
         for k, c in enumerate(coeffs):
-            if c:
-                dense[k % order] += Fraction(c)
-        self.coeffs = tuple(Fraction(c) for c in _reduce(dense, order))
+            dense[k % order] += c.numerator * (den // c.denominator)
+        self.order = order
+        self.num, self.den = _lowest(_reduce(dense, order), den)
 
     # construction
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> "Cyclotomic":
-        phi = euler_phi(order)
-        coeffs = (Fraction(value),) + (_ZERO,) * (phi - 1)
-        return cls(order, coeffs, _normal=True)
+        q = Fraction(value)
+        return _value(order, (q.numerator,) + (0,) * (euler_phi(order) - 1), q.denominator)
 
     @classmethod
     def zero(cls, order: int = 1) -> "Cyclotomic":
-        return cls.from_rational(0, order)
+        return _value(order, (0,) * euler_phi(order))
 
     @classmethod
     def one(cls, order: int = 1) -> "Cyclotomic":
@@ -127,9 +135,7 @@ class Cyclotomic:
     def root(cls, order: int, k: int = 1) -> "Cyclotomic":
         """zeta_order^k."""
         k %= order
-        dense = [_ZERO] * (k + 1)
-        dense[k] = _ONE
-        return cls(order, dense)
+        return _value(order, _reduce([0] * k + [1], order))
 
     # coercion helpers
 
@@ -148,16 +154,17 @@ class Cyclotomic:
         if new_order % self.order:
             raise ValueError(f"cannot lift order {self.order} into order {new_order}")
         step = new_order // self.order
-        dense = [_ZERO] * new_order
-        for k, c in enumerate(self.coeffs):
-            if c:
-                dense[k * step] += c
-        return Cyclotomic(new_order, dense)
+        dense = [0] * new_order
+        for k, c in enumerate(self.num):
+            dense[k * step] = c
+        return _value(new_order, _reduce(dense, new_order), self.den)
 
     def _pair(self, other):
         other = self._coerce(other, self.order)
         if other is NotImplemented:
             return None, None
+        if other.order == self.order:
+            return self, other
         e = lcm(self.order, other.order)
         return self.lifted(e), other.lifted(e)
 
@@ -167,69 +174,70 @@ class Cyclotomic:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        return Cyclotomic(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)), _normal=True)
+        if a.den == b.den:
+            return _value(a.order, tuple(x + y for x, y in zip(a.num, b.num)), a.den)
+        da, db = a.den, b.den
+        return _value(a.order, tuple(x * db + y * da for x, y in zip(a.num, b.num)), da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, tuple(-c for c in self.coeffs), _normal=True)
+        return _value(self.order, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is None:
+        other = self._coerce(other, self.order)
+        if other is NotImplemented:
             return NotImplemented
-        return Cyclotomic(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)), _normal=True)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return Cyclotomic(self.order, tuple(c * q for c in self.coeffs), _normal=True)
+        if isinstance(other, int):
+            return _value(self.order, tuple(c * other for c in self.num), self.den)
+        if isinstance(other, Fraction):
+            n = other.numerator
+            return _value(self.order, tuple(c * n for c in self.num), self.den * other.denominator)
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        # convolve in common-denominator integer form; the reduction then
-        # runs entirely on ints, which matters for large orders
-        na, da = _int_vector(a.coeffs)
-        nb, db = _int_vector(b.coeffs)
-        out = [0] * (len(na) + len(nb) - 1)
-        for i, ai in enumerate(na):
+        nb = b.num
+        out = [0] * (len(a.num) + len(nb) - 1)
+        for i, ai in enumerate(a.num):
             if ai:
                 for j, bj in enumerate(nb):
                     if bj:
                         out[i + j] += ai * bj
-        den = da * db
-        coeffs = tuple(Fraction(n, den) for n in _reduce(out, a.order))
-        return Cyclotomic(a.order, coeffs, _normal=True)
+        return _value(a.order, _reduce(out, a.order), a.den * b.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * (1 / q)
         if isinstance(other, Cyclotomic) and other.is_rational():
-            return self / other.rational_value()
-        raise TypeError("division is only supported by nonzero rationals")
+            other = other.rational_value()
+        if not isinstance(other, (int, Fraction)):
+            raise TypeError("division is only supported by nonzero rationals")
+        if not other:
+            raise ZeroDivisionError("division by zero")
+        n, d = other.numerator, other.denominator
+        if n < 0:
+            n, d = -n, -d
+        return _value(self.order, tuple(c * d for c in self.num), self.den * n)
 
     # Galois action
 
     def galois(self, t: int) -> "Cyclotomic":
         """Image under zeta |-> zeta^t, for t coprime to the order."""
-        t %= self.order
-        if gcd(t, self.order) != 1:
-            raise ValueError(f"{t} is not invertible modulo {self.order}")
-        ints, den = _int_vector(self.coeffs)
-        dense = [0] * self.order
-        for k, c in enumerate(ints):
+        e = self.order
+        t %= e
+        if gcd(t, e) != 1:
+            raise ValueError(f"{t} is not invertible modulo {e}")
+        dense = [0] * e
+        for k, c in enumerate(self.num):
             if c:
-                dense[(k * t) % self.order] += c
-        coeffs = tuple(Fraction(n, den) for n in _reduce(dense, self.order))
-        return Cyclotomic(self.order, coeffs, _normal=True)
+                dense[(k * t) % e] += c
+        return _value(e, _reduce(dense, e), self.den)
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugate (zeta |-> zeta^-1)."""
@@ -238,19 +246,19 @@ class Cyclotomic:
     # predicates and extraction
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def is_integral(self) -> bool:
         """True when every power-basis coordinate is an integer."""
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def integer_value(self) -> int:
         q = self.rational_value()
@@ -262,28 +270,34 @@ class Cyclotomic:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def key(self) -> tuple:
         """Hashable canonical key; comparable within a fixed order."""
-        return (self.order, tuple((c.numerator, c.denominator) for c in self.coeffs))
+        return (self.order, self.num, self.den)
 
     def __hash__(self):
         return hash(self.key())
 
     # display / serialization / numerics
 
+    def _coeffs(self) -> list:
+        # the power-basis coordinates as ints (den == 1) or Fractions
+        if self.den == 1:
+            return list(self.num)
+        return [Fraction(n, self.den) for n in self.num]
+
     def approx(self) -> complex:
         """Floating approximation; for display and sanity checks only."""
         tau = 2 * cmath.pi / self.order
-        return sum(float(c) * cmath.exp(1j * tau * k) for k, c in enumerate(self.coeffs))
+        return sum(n / self.den * cmath.exp(1j * tau * k) for k, n in enumerate(self.num))
 
     def __str__(self) -> str:
         parts = []
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(self._coeffs()):
             if not c:
                 continue
             if k == 0:
@@ -315,7 +329,7 @@ class Cyclotomic:
         s = s.replace("-", "+-")
         if s.startswith("+"):
             s = s[1:]
-        dense: dict[int, Fraction] = {}
+        dense = [Fraction(0)] * order
         for token in s.split("+"):
             if not token:
                 raise ValueError(f"malformed cyclotomic literal: {text!r}")
@@ -331,28 +345,20 @@ class Cyclotomic:
                 sign = 1
             coef = m.group("coef")
             c = Fraction(coef) if coef is not None else Fraction(1)
-            c *= sign
-            if m.group("z"):
-                k = int(m.group("exp") or 1)
-            else:
-                k = 0
-            dense[k % order] = dense.get(k % order, _ZERO) + c
-        top = max(dense) if dense else 0
-        vec = [_ZERO] * (top + 1)
-        for k, c in dense.items():
-            vec[k] = c
-        return cls(order, vec)
+            k = int(m.group("exp") or 1) if m.group("z") else 0
+            dense[k % order] += sign * c
+        return cls(order, dense)
 
     def to_json(self):
-        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
+        return {"order": self.order, "coeffs": [str(c) for c in self._coeffs()]}
 
     @classmethod
     def from_json(cls, payload) -> "Cyclotomic":
         order = int(payload["order"])
-        coeffs = tuple(Fraction(c) for c in payload["coeffs"])
+        coeffs = [Fraction(c) for c in payload["coeffs"]]
         if len(coeffs) != euler_phi(order):
             raise ValueError("coefficient vector has the wrong length")
-        return cls(order, coeffs, _normal=True)
+        return cls(order, coeffs)
 
 
 def hermitian_term(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:

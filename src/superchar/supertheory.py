@@ -80,7 +80,8 @@ class SuperTheory:
         return all(b <= H.members for b in self.yparts.blocks if b & H.members)
 
     def validate(self) -> CheckReport:
-        """Re-check the defining conditions from scratch."""
+        """Re-check the defining conditions; sigma against the table's values
+        of each sigma_X on every class."""
         rep = CheckReport(f"supercharacter theory of {self.group.label}")
         m = len(self.table.values)
         seen: set[int] = set()
@@ -92,22 +93,15 @@ class SuperTheory:
         rep.add("x-partition", disjoint and seen == set(range(m)))
         rep.add("identity-block", frozenset({0}) in self.yparts.blocks)
         rep.add("equal-counts", len(self.xparts) == len(self.yparts.blocks))
-        ok = True
         detail = ""
         for xi, part in enumerate(self.xparts):
             vals = _sigma_class_values(self.table, part)
-            for yi, classes in enumerate(self.ypart_classes):
-                expected = self.sigma[xi][yi]
-                for c in classes:
-                    if vals[c] != expected:
-                        ok = False
-                        detail = f"sigma_{xi} is not constant on block {yi}"
-                        break
-                if not ok:
-                    break
-            if not ok:
+            bad = [yi for yi, classes in enumerate(self.ypart_classes)
+                   if any(vals[c] != self.sigma[xi][yi] for c in classes)]
+            if bad:
+                detail = f"sigma_{xi} is not constant on block {bad[0]}"
                 break
-        rep.add("sigma-constant", ok, detail)
+        rep.add("sigma-constant", not detail, detail)
         ok = all(
             self.sigma[xi][0] == sum(self.table.degrees[t] ** 2 for t in part)
             for xi, part in enumerate(self.xparts)
@@ -204,39 +198,28 @@ def _canonical_xparts(xparts, n_chars: int) -> tuple[frozenset[int], ...]:
 
 
 def _sigma_class_values(table: CharacterTable, part) -> tuple[Cyclotomic, ...]:
-    out = []
-    for k in range(table.n_classes):
-        acc = Cyclotomic.zero(table.exponent)
-        for t in part:
-            acc = acc + table.degrees[t] * table.values[t][k]
-        out.append(acc)
-    return tuple(out)
+    """sigma_X on every conjugacy class, computed once per (table, part)."""
+    key = ("sigma", frozenset(part))
+    if key not in table._memo:
+        out = []
+        for k in range(table.n_classes):
+            acc = Cyclotomic.zero(table.exponent)
+            for t in part:
+                acc = acc + table.degrees[t] * table.values[t][k]
+            out.append(acc)
+        table._memo[key] = tuple(out)
+    return table._memo[key]
 
 
-def _assemble(table, xparts, class_blocks) -> SuperTheory:
-    # class_blocks: list of sets of class indices, identity class alone first
-    element_blocks = []
-    for cls_set in class_blocks:
-        members = set()
-        for c in cls_set:
-            members |= table.classes.blocks[c]
-        element_blocks.append(members)
-    yparts = ElementPartition(table.group.order, element_blocks)
-    ypart_classes = tuple(
-        tuple(sorted({table.classes.block_of[x] for x in b})) for b in yparts.blocks
+def _theory(table, xparts, yparts, block_classes) -> SuperTheory | None:
+    """The pair (xparts, yparts) with sigma read off the first class of each
+    block, or None when it fails validate(), which checks the constancy."""
+    sigma = tuple(
+        tuple(vals[classes[0]] for classes in block_classes)
+        for vals in (_sigma_class_values(table, p) for p in xparts)
     )
-    sigma = []
-    for part in xparts:
-        vals = _sigma_class_values(table, part)
-        row = []
-        for classes in ypart_classes:
-            v = vals[classes[0]]
-            for c in classes[1:]:
-                if vals[c] != v:
-                    raise ConsistencyError("sigma not constant on an assembled block")
-            row.append(v)
-        sigma.append(tuple(row))
-    return SuperTheory(table, xparts, yparts, ypart_classes, tuple(sigma))
+    theory = SuperTheory(table, xparts, yparts, tuple(block_classes), sigma)
+    return theory if theory.validate().ok else None
 
 
 def sct_from_character_partition(table: CharacterTable, xparts) -> SuperTheory | None:
@@ -256,7 +239,17 @@ def sct_from_character_partition(table: CharacterTable, xparts) -> SuperTheory |
         return None
     if len(groups[signatures[0]]) != 1:
         return None
-    return _assemble(table, parts, list(groups.values()))
+    yparts = ElementPartition(
+        table.group.order,
+        [set().union(*(table.classes.blocks[c] for c in cls)) for cls in groups.values()],
+    )
+    block_classes = [
+        tuple(sorted({table.classes.block_of[x] for x in b})) for b in yparts.blocks
+    ]
+    theory = _theory(table, parts, yparts, block_classes)
+    if theory is None:
+        raise ConsistencyError("the level sets of the sigma_X failed validation")
+    return theory
 
 
 def sct_from_class_partition(table: CharacterTable, yparts: ElementPartition) -> SuperTheory | None:
@@ -264,7 +257,8 @@ def sct_from_class_partition(table: CharacterTable, yparts: ElementPartition) ->
 
     Irreducible characters are grouped by their central-character values on
     the block sums; the resulting pair is then validated in full, so the
-    grouping rule is only a candidate generator.
+    grouping rule is only a candidate generator.  Each (table, partition)
+    is derived once: the result, None included, is cached on the table.
     """
     if yparts.n != table.group.order:
         raise SuperTheoryError("partition is over the wrong element set")
@@ -276,6 +270,9 @@ def sct_from_class_partition(table: CharacterTable, yparts: ElementPartition) ->
         if any(not table.classes.blocks[c] <= b for c in classes):
             raise SuperTheoryError("blocks must be unions of conjugacy classes")
         block_classes.append(tuple(sorted(classes)))
+    cache_key = ("theory", yparts)
+    if cache_key in table._memo:
+        return table._memo[cache_key]
     fibers: dict[tuple, list[int]] = {}
     for t in range(len(table.values)):
         key = []
@@ -285,29 +282,12 @@ def sct_from_class_partition(table: CharacterTable, yparts: ElementPartition) ->
                 acc = acc + table.sizes[c] * table.values[t][c]
             key.append((acc / table.degrees[t]).key())
         fibers.setdefault(tuple(key), []).append(t)
-    if len(fibers) != len(yparts.blocks):
-        return None
-    xparts = tuple(sorted((frozenset(ts) for ts in fibers.values()), key=min))
-    candidate = _assemble_from_yparts(table, xparts, yparts, block_classes)
-    if candidate is None:
-        return None
-    report = candidate.validate()
-    return candidate if report.ok else None
-
-
-def _assemble_from_yparts(table, xparts, yparts, block_classes) -> SuperTheory | None:
-    sigma = []
-    for part in xparts:
-        vals = _sigma_class_values(table, part)
-        row = []
-        for classes in block_classes:
-            v = vals[classes[0]]
-            for c in classes[1:]:
-                if vals[c] != v:
-                    return None
-            row.append(v)
-        sigma.append(tuple(row))
-    return SuperTheory(table, xparts, yparts, tuple(block_classes), tuple(sigma))
+    theory = None
+    if len(fibers) == len(yparts.blocks):
+        xparts = tuple(sorted((frozenset(ts) for ts in fibers.values()), key=min))
+        theory = _theory(table, xparts, yparts, block_classes)
+    table._memo[cache_key] = theory
+    return theory
 
 
 def finest(table: CharacterTable) -> SuperTheory:
@@ -357,7 +337,16 @@ def _iter_set_partitions(m: int, first_singleton: bool = False):
 def _max_parts_guard(override: int | None) -> int:
     if override is not None:
         return override
-    return int(os.environ.get(MAX_PARTS_ENV, DEFAULT_MAX_PARTS))
+    raw = os.environ.get(MAX_PARTS_ENV)
+    if raw is None:
+        return DEFAULT_MAX_PARTS
+    try:
+        guard = int(raw)
+    except ValueError:
+        guard = 0
+    if guard < 1:
+        raise SuperTheoryError(f"{MAX_PARTS_ENV} must be a positive integer, got {raw!r}")
+    return guard
 
 
 def enumerate_scts(
@@ -389,13 +378,10 @@ def enumerate_scts(
         row = []
         for k in range(r):
             scaled = table.degrees[t] * table.values[t][k]
-            ints = []
-            for c in scaled.coeffs:
-                if c.denominator != 1:
-                    raise ConsistencyError("character values must be algebraic integers")
-                ints.append(c.numerator)
-                maxc = max(maxc, abs(c.numerator))
-            row.append(ints)
+            if scaled.den != 1:
+                raise ConsistencyError("character values must be algebraic integers")
+            maxc = max(maxc, *map(abs, scaled.num))
+            row.append(scaled.num)
         raw.append(row)
     base = 2 * m * maxc + 3
     enc = [

@@ -174,3 +174,18 @@ def test_usage_error_exits_2(capsys):
 
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
+
+
+def test_bad_enumeration_guard_env_exits_2(capsys, monkeypatch):
+    for raw in ("abc", "0", "-4", ""):
+        monkeypatch.setenv("SUPERCHAR_MAX_BELL", raw)
+        code, _, err = run_cli(capsys, "enumerate", "--group", "C3")
+        assert code == 2 and "SUPERCHAR_MAX_BELL" in err
+        code, _, err = run_cli(capsys, "verify", "--group", "C3")
+        assert code == 2 and "SUPERCHAR_MAX_BELL" in err
+
+
+def test_verify_rejects_nonpositive_jobs(capsys):
+    for jobs in ("0", "-3", "two"):
+        code, out, err = run_cli(capsys, "verify", "--group", "C2", "--jobs", jobs)
+        assert code == 2 and not out and "--jobs" in err

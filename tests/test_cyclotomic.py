@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -123,3 +124,134 @@ def test_division_by_rationals():
     assert z / Fraction(1, 3) == 3 * z
     with pytest.raises(TypeError):
         z / z
+
+
+# ---------------------------------------------------------------------------
+# slow oracle: the integer normal form against plain Fraction coordinates
+
+
+def _ref_reduce(dense, e):
+    cyc = cyclotomic_polynomial(e)
+    phi = len(cyc) - 1
+    poly = list(dense) + [Fraction(0)] * max(0, phi - len(dense))
+    for k in range(len(poly) - 1, phi - 1, -1):
+        c = poly[k]
+        if c:
+            for j, cj in enumerate(cyc):
+                poly[k - phi + j] -= c * cj
+    return tuple(poly[:phi])
+
+
+class _Ref:
+    """A value of Q(zeta_order) as a tuple of Fraction power-basis coordinates."""
+
+    def __init__(self, order, dense):
+        self.order = order
+        folded = [Fraction(0)] * order
+        for k, c in enumerate(dense):
+            folded[k % order] += Fraction(c)
+        self.coeffs = _ref_reduce(folded, order)
+
+    def lift(self, e):
+        dense = [Fraction(0)] * e
+        for k, c in enumerate(self.coeffs):
+            dense[k * (e // self.order)] += c
+        return _Ref(e, dense)
+
+    def pair(self, other):
+        e = self.order * other.order // gcd(self.order, other.order)
+        return self.lift(e), other.lift(e)
+
+    def __add__(self, other):
+        a, b = self.pair(other)
+        return _Ref(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+    def __sub__(self, other):
+        a, b = self.pair(other)
+        return _Ref(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+
+    def __mul__(self, other):
+        a, b = self.pair(other)
+        out = [Fraction(0)] * (2 * len(a.coeffs))
+        for i, x in enumerate(a.coeffs):
+            for j, y in enumerate(b.coeffs):
+                if x and y:
+                    out[i + j] += x * y
+        return _Ref(a.order, out)
+
+    def scale(self, q):
+        return _Ref(self.order, [c * q for c in self.coeffs])
+
+    def galois(self, t):
+        dense = [Fraction(0)] * self.order
+        for k, c in enumerate(self.coeffs):
+            dense[k * t % self.order] += c
+        return _Ref(self.order, dense)
+
+    def __eq__(self, other):
+        a, b = self.pair(other)
+        return a.coeffs == b.coeffs
+
+    def text(self):
+        terms = []
+        for k, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            z = "z" if k == 1 else f"z^{k}"
+            if k == 0:
+                terms.append(str(c))
+            elif abs(c) == 1:
+                terms.append(("-" if c < 0 else "") + z)
+            else:
+                terms.append(f"{c}*{z}")
+        out = terms[0] if terms else "0"
+        for term in terms[1:]:
+            out += " - " + term[1:] if term.startswith("-") else " + " + term
+        return out
+
+
+def _agree(v, r):
+    return (
+        v.order == r.order
+        and v.to_json() == {"order": r.order, "coeffs": [str(c) for c in r.coeffs]}
+        and str(v) == r.text()
+    )
+
+
+def test_integer_normal_form_against_fraction_reference():
+    rng = random.Random(20251003)
+    orders = (1, 4, 8, 12, 15, 32)
+
+    def rand_pair(order=None):
+        order = order or rng.choice(orders)
+        den = rng.choice((1, 1, 2, 3, 6, 35))
+        coeffs = [Fraction(rng.randint(-6, 6), den) for _ in range(rng.randint(1, order + 2))]
+        return Cyclotomic(order, coeffs), _Ref(order, coeffs)
+
+    for _ in range(80):
+        (v, r), (w, s) = rand_pair(), rand_pair()
+        u, _ = rand_pair(v.order)
+        assert _agree(v, r) and _agree(w, s)
+        assert _agree(v + w, r + s)
+        assert _agree(v - w, r - s)
+        assert _agree(v * w, r * s)
+        assert _agree(-v, r.scale(-1))
+        assert _agree(v.conjugate(), r.galois(-1 % r.order))
+        t = rng.choice([t for t in range(1, 2 * v.order + 1) if gcd(t, v.order) == 1])
+        assert _agree(v.galois(t), r.galois(t % r.order))
+        q = Fraction(rng.choice((-5, -2, 1, 3, 7)), rng.choice((1, 2, 9)))
+        assert _agree(v / q, r.scale(1 / q))
+        assert (v / q).key() == (v * (1 / q)).key() and v / q == v * (1 / q)
+        assert _agree(v / Cyclotomic.from_rational(q, 4), r.scale(1 / q))
+        assert _agree(v * q, r.scale(q))
+        assert (v == w) == (r == s)
+        # the same value reached along another path has the same normal form
+        again = (v + u) - u
+        assert again == v and again.key() == v.key() and hash(again) == hash(v)
+        if v.order == w.order:
+            assert (v.key() == w.key()) == (r == s)
+        assert v.is_rational() == all(c == 0 for c in r.coeffs[1:])
+        assert v.is_integral() == all(c.denominator == 1 for c in r.coeffs)
+        if v.is_rational():
+            assert v == r.coeffs[0] and v.rational_value() == r.coeffs[0]
+        assert Cyclotomic.parse(str(v), v.order) == v

@@ -157,6 +157,31 @@ def test_sct_from_class_partition_examples():
         sct_from_class_partition(T4, ElementPartition(4, [{0, 1}, {2, 3}]))
 
 
+def test_class_partition_derivation_is_cached():
+    from superchar.chartab import dixon_character_table
+    from superchar.groups import ElementPartition
+
+    for name in ("D4", "S3", "C6"):
+        G, T = theory_of(name)
+        fresh_table = dixon_character_table(catalog_group(name))
+        for S in enumerate_scts(T):
+            blocks = [set(b) for b in S.yparts.blocks]
+            first = sct_from_class_partition(T, ElementPartition(G.order, blocks))
+            again = sct_from_class_partition(T, ElementPartition(G.order, blocks))
+            assert first is not None and again is first
+            fresh = sct_from_class_partition(fresh_table, ElementPartition(G.order, blocks))
+            assert fresh is not first and fresh.to_json() == first.to_json()
+    _, T4 = theory_of("C4")
+    not_a_theory = ElementPartition(4, [{0}, {1}, {2, 3}])
+    assert sct_from_class_partition(T4, not_a_theory) is None
+    assert sct_from_class_partition(T4, not_a_theory) is None
+    _, T3 = theory_of("S3")
+    splits_a_class = ElementPartition(6, [{0}, {1}, {2, 3, 4, 5}])
+    for _ in range(2):
+        with pytest.raises(SuperTheoryError):
+            sct_from_class_partition(T3, splits_a_class)
+
+
 def test_restriction_to_a3():
     G, T = theory_of("S3")
     A3 = generated_subgroup(G, [3])
