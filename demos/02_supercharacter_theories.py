@@ -2,9 +2,9 @@
 
 A supercharacter theory is a pair of partitions: one of the irreducible
 characters, one of the group elements, with the sigma-characters constant
-on every element block.  Enumeration walks every set partition of the
-characters; the element partition is forced by level sets, so the search
-is exhaustive and exact.
+on every element block.  Enumeration searches the partitions of the
+conjugacy classes that form central Schur rings, which correspond one to
+one with the theories; each one found is derived and validated exactly.
 """
 
 from superchar import (

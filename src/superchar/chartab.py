@@ -32,8 +32,10 @@ def class_mult_coefficients(G: GroupTable):
     """a[i][j][k] = #{(x, y) in K_i x K_j : x*y = rep_k}.
 
     Verified against the counting identity
-    sum_k a[i][j][k] |K_k| = |K_i| |K_j|.
+    sum_k a[i][j][k] |K_k| = |K_i| |K_j|.  Computed once per group.
     """
+    if "class_mult" in G._memo:
+        return G._memo["class_mult"]
     classes = conjugacy_classes(G)
     r = len(classes)
     block_of = classes.block_of
@@ -59,7 +61,8 @@ def class_mult_coefficients(G: GroupTable):
                 raise ConsistencyError("class multiplication counting identity fails")
             plane.append(tuple(line))
         out.append(tuple(plane))
-    return tuple(out)
+    G._memo["class_mult"] = tuple(out)
+    return G._memo["class_mult"]
 
 
 # ---------------------------------------------------------------------------

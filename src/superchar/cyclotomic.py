@@ -96,6 +96,40 @@ def _value(order: int, num: tuple[int, ...], den: int = 1) -> "Cyclotomic":
     return v
 
 
+def _lower(e: int, num: tuple[int, ...], p: int) -> tuple[int, ...] | None:
+    # The coordinates in Q(zeta_(e/p)) of num in Q(zeta_e), or None when the
+    # value does not lie in that subfield; p is a prime factor of e.
+    m = e // p
+    if m % p == 0:
+        # Phi_e(x) = Phi_m(x^p): the subfield holds exactly the powers zeta_e^(pk)
+        return None if any(num[k] for k in range(len(num)) if k % p) else num[::p]
+    # zeta_e^k = zeta_p^u zeta_m^v by the Chinese remainder theorem, so the
+    # value is sum_u zeta_p^u c_u with c_u in Q(zeta_m); since the zeta_p^u,
+    # u >= 1, are a basis over Q(zeta_m) and sum to -1, it lies in Q(zeta_m)
+    # exactly when every c_u - c_0 (u >= 1) is equal, and then it is c_0 - c_1
+    up, vp = pow(m, -1, p), pow(p, -1, m)
+    dense = [[0] * m for _ in range(p)]
+    for k, c in enumerate(num):
+        dense[k * up % p][k * vp % m] += c
+    c0, *rest = (_reduce(d, m) for d in dense)
+    diffs = {tuple(a - b for a, b in zip(cu, c0)) for cu in rest}
+    return tuple(-x for x in diffs.pop()) if len(diffs) == 1 else None
+
+
+def _lowest_order(e: int, num: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    # (f, coordinates) in the smallest Q(zeta_f) that holds the value; f
+    # divides every order that holds it, so the pair depends on the value only.
+    # A prime that fails once fails for every later, smaller order too.
+    p = 2
+    while p <= e:
+        low = _lower(e, num, p) if e % p == 0 and all(p % r for r in range(2, p)) else None
+        if low is None:
+            p += 1
+        else:
+            e, num = e // p, low
+    return e, num
+
+
 _TERM_RE = re.compile(r"^(?P<coef>-?\d+(?:/\d+)?)?(?P<star>\*)?(?P<z>z(?:\^(?P<exp>\d+))?)?$")
 
 
@@ -280,7 +314,9 @@ class Cyclotomic:
         return (self.order, self.num, self.den)
 
     def __hash__(self):
-        return hash(self.key())
+        # equal values of different orders must hash alike, so hash the value
+        # in the smallest cyclotomic field that holds it
+        return hash((_lowest_order(self.order, self.num), self.den))
 
     # display / serialization / numerics
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from itertools import combinations
 
-from .chartab import CharacterTable, character_table_of
+from .chartab import CharacterTable, character_table_of, class_mult_coefficients
 from .cyclotomic import Cyclotomic, hermitian_term
 from .errors import ConsistencyError, GroupConstructionError, SuperTheoryError
 from .groups import (
@@ -24,7 +25,7 @@ from .groups import (
 )
 from .reports import CheckReport
 
-DEFAULT_MAX_PARTS = 12
+DEFAULT_MAX_PARTS = 12  # bound on the conjugacy classes (= |Irr(G)|) enumerate_scts takes
 MAX_PARTS_ENV = "SUPERCHAR_MAX_BELL"
 
 
@@ -312,28 +313,6 @@ def coarsest(table: CharacterTable) -> SuperTheory:
     return theory
 
 
-def _iter_set_partitions(m: int, first_singleton: bool = False):
-    if m == 0:
-        yield ()
-        return
-    blocks: list[list[int]] = [[0]]
-
-    def rec(i: int):
-        if i == m:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        start = 1 if first_singleton else 0
-        for b in blocks[start:]:
-            b.append(i)
-            yield from rec(i + 1)
-            b.pop()
-        blocks.append([i])
-        yield from rec(i + 1)
-        blocks.pop()
-
-    yield from rec(1)
-
-
 def _max_parts_guard(override: int | None) -> int:
     if override is not None:
         return override
@@ -349,59 +328,69 @@ def _max_parts_guard(override: int | None) -> int:
     return guard
 
 
-def enumerate_scts(
-    table: CharacterTable,
-    max_parts: int | None = None,
-    assume_principal_singleton: bool = False,
-) -> list[SuperTheory]:
-    """All supercharacter theories of the group, by exhaustive search over
-    set partitions of the irreducible characters.
-
-    The search space is Bell(m), so m is guarded (default 12, override via
-    the SUPERCHAR_MAX_BELL environment variable or `max_parts`).  With
-    `assume_principal_singleton` the principal character is pinned to a
-    singleton part; this prune is not used by default and is validated
-    against the full search in the test suite.
+def _central_schur_rings(table: CharacterTable):
+    """Every central Schur ring of the group, as a list of class-index blocks:
+    the partitions of the conjugacy classes with {0} a block, closed under
+    inversion, where every product of two block sums has integer class
+    coefficients constant on each block.  Blocks are placed whole, each with
+    the smallest class not yet placed and together with its inverse block;
+    its other classes must agree with that class in every product so far.
     """
-    m = len(table.values)
+    a = class_mult_coefficients(table.group)
+    inv = [table.classes.block_of[table.group.inv[rep]] for rep in table.reps]
+
+    def product(B, C):
+        return [sum(a[i][j][k] for i in B for j in C) for k in range(len(a))]
+
+    def constant(P, blocks):
+        return all(P[k] == P[b[0]] for b in blocks for k in b[1:])
+
+    def search(blocks, products, free):
+        if not free:
+            yield blocks
+            return
+        c = free[0]
+        rest = [u for u in free[1:] if all(P[u] == P[c] for P in products)]
+        for n in range(len(rest) + 1):
+            for extra in combinations(rest, n):
+                B = (c,) + extra
+                Bi = tuple(sorted(inv[x] for x in B))
+                if Bi != B and not set(Bi).isdisjoint(B):
+                    continue
+                new = [B] if Bi == B else [B, Bi]
+                grown = blocks + new
+                # the new blocks times every placed block, each unordered pair once
+                fresh = [product(X, Y) for i, X in enumerate(new) for Y in grown[:len(blocks) + i + 1]]
+                if all(constant(P, new) for P in products) and all(constant(P, grown) for P in fresh):
+                    placed = set(B).union(Bi)
+                    yield from search(grown, products + fresh, [u for u in free if u not in placed])
+
+    yield from search([(0,)], [product((0,), (0,))], list(range(1, len(a))))
+
+
+def enumerate_scts(table: CharacterTable, max_parts: int | None = None) -> list[SuperTheory]:
+    """All supercharacter theories of the group, found from the class side.
+
+    They correspond one to one with central Schur rings (Hendrickson, Comm.
+    Algebra 2012), which `_central_schur_rings` lists from the integer class
+    constants; each is derived and validated in full by
+    `sct_from_class_partition`.  The number of conjugacy classes, which
+    equals |Irr(G)|, is guarded (default 12, override via the
+    SUPERCHAR_MAX_BELL environment variable or `max_parts`).
+    """
+    m = table.n_classes
     guard = _max_parts_guard(max_parts)
     if m > guard:
-        raise SuperTheoryError(
-            f"{m} irreducible characters exceed the enumeration guard {guard}"
-        )
-    r = table.n_classes
-    # integer encodings of the scaled rows: exact, injective for sums of
-    # up to m values since the base exceeds twice any achievable magnitude
-    raw = []
-    maxc = 1
-    for t in range(m):
-        row = []
-        for k in range(r):
-            scaled = table.degrees[t] * table.values[t][k]
-            if scaled.den != 1:
-                raise ConsistencyError("character values must be algebraic integers")
-            maxc = max(maxc, *map(abs, scaled.num))
-            row.append(scaled.num)
-        raw.append(row)
-    base = 2 * m * maxc + 3
-    enc = [
-        [sum(c * base**i for i, c in enumerate(vals)) for vals in row]
-        for row in raw
-    ]
+        raise SuperTheoryError(f"{m} irreducible characters exceed the enumeration guard {guard}")
     found = []
-    for parts in _iter_set_partitions(m, first_singleton=assume_principal_singleton):
-        part_sums = [
-            [sum(enc[t][k] for t in part) for k in range(r)] for part in parts
-        ]
-        sigs = [tuple(ps[k] for ps in part_sums) for k in range(r)]
-        distinct = set(sigs)
-        if len(distinct) != len(parts):
-            continue
-        if sigs.count(sigs[0]) != 1:
-            continue
-        theory = sct_from_character_partition(table, [set(p) for p in parts])
+    for blocks in _central_schur_rings(table):
+        yparts = ElementPartition(
+            table.group.order,
+            [set().union(*(table.classes.blocks[c] for c in b)) for b in blocks],
+        )
+        theory = sct_from_class_partition(table, yparts)
         if theory is None:
-            raise ConsistencyError("integer screening disagreed with exact derivation")
+            raise ConsistencyError("a central Schur ring failed to derive a theory")
         found.append(theory)
     found.sort(key=lambda s: (-s.n_parts, tuple(tuple(sorted(p)) for p in s.xparts)))
     return found
@@ -433,11 +422,17 @@ def check_row_orthogonality(S: SuperTheory) -> CheckReport:
 
 
 def check_column_orthogonality(S: SuperTheory, g: int, h: int):
-    """Exact column relation at (g, h): returns (value, expected, ok)."""
+    """Exact column relation at (g, h): returns (value, expected, ok).
+    The rows conjugate(sigma_i) / sigma_i(1) are computed once per theory."""
+    if "colorth" not in S._memo:
+        S._memo["colorth"] = tuple(
+            tuple(v.conjugate() / row[0].rational_value() for v in row) for row in S.sigma
+        )
+    scaled = S._memo["colorth"]
     acc = Cyclotomic.zero(S.table.exponent)
     kg, kh = S.class_of(g), S.class_of(h)
     for i in range(S.n_parts):
-        acc = acc + hermitian_term(S.sigma[i][kg], S.sigma[i][kh]) / S.sigma[i][0].rational_value()
+        acc = acc + S.sigma[i][kg] * scaled[i][kh]
     if kg == kh:
         expected = Cyclotomic.from_rational(
             Fraction(S.group.order, len(S.yparts.blocks[kg])), S.table.exponent

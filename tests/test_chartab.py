@@ -53,6 +53,12 @@ def test_class_mult_coefficients_abelian_are_boolean():
     assert all(x in (0, 1) for p in a for row in p for x in row)
 
 
+def test_class_mult_coefficients_are_computed_once_per_group():
+    G = catalog_group("S4")
+    dixon_character_table(G)
+    assert class_mult_coefficients(G) is class_mult_coefficients(G) is G._memo["class_mult"]
+
+
 def test_dixon_c2():
     T = dixon_character_table(catalog_group("C2"))
     assert [[str(v) for v in row] for row in T.values] == [["1", "1"], ["1", "-1"]]

@@ -255,3 +255,21 @@ def test_integer_normal_form_against_fraction_reference():
         if v.is_rational():
             assert v == r.coeffs[0] and v.rational_value() == r.coeffs[0]
         assert Cyclotomic.parse(str(v), v.order) == v
+
+
+def test_hash_agrees_with_equality_across_orders():
+    assert Cyclotomic.one(4) in {Cyclotomic.one(2)}
+    assert hash(Cyclotomic.root(12, 3)) == hash(Cyclotomic.root(4))
+    assert hash(Cyclotomic.root(12, 2)) == hash(-Cyclotomic.root(3, 2))
+    rng = random.Random(12)
+    orders = (1, 2, 4, 8, 12)
+    for d in orders:
+        for _ in range(40):
+            v = Cyclotomic(d, [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)])
+            for e in orders:
+                if e % d == 0:
+                    w = v.lifted(e)
+                    assert w == v and hash(w) == hash(v) and w in {v}
+    # the twelve 12th roots of unity are distinct values, whatever order holds them
+    roots = {Cyclotomic.root(12, k) for k in range(12)}
+    assert len(roots) == 12 and Cyclotomic.root(4, 1) in roots and Cyclotomic.root(2, 1) in roots

@@ -29,6 +29,9 @@ from superchar.supertheory import (
     star_construct,
     subquotient,
 )
+from superchar.verifier import DEFAULT_CATALOG
+
+from bell_oracle import bell_scts
 
 
 def theory_of(name):
@@ -95,9 +98,35 @@ def test_enumeration_is_sorted_and_deterministic():
 def test_principal_singleton_prune_is_equivalent():
     for name in ("S3", "C4", "Q8", "D4", "C6"):
         _, T = theory_of(name)
-        full = enumerate_scts(T)
-        pruned = enumerate_scts(T, assume_principal_singleton=True)
+        full = bell_scts(T)
+        pruned = bell_scts(T, assume_principal_singleton=True)
         assert [s.xparts for s in full] == [s.xparts for s in pruned]
+        assert [s.xparts for s in enumerate_scts(T)] == [s.xparts for s in full]
+
+
+def _pairs(theories):
+    return [(s.xparts, s.yparts) for s in theories]
+
+
+@pytest.mark.parametrize(
+    "name",
+    DEFAULT_CATALOG + ("D12", "S3xS3")
+    + tuple(pytest.param(n, marks=pytest.mark.slow) for n in ("C10", "D4xC2", "S4xC2")),
+)
+def test_class_side_enumeration_matches_bell_oracle(name):
+    _, T = theory_of(name)
+    assert _pairs(enumerate_scts(T)) == _pairs(bell_scts(T))
+
+
+# counts from the central Schur ring search of perfbench/oracle.py, which
+# shares no code with superchar
+@pytest.mark.parametrize("name,count", [("Q32", 47), ("D16", 47), ("S4xC2", 52), ("C12", 32)])
+def test_enumeration_counts_beyond_the_oracle(name, count):
+    _, T = theory_of(name)
+    theories = enumerate_scts(T)
+    assert len(theories) == count
+    assert theories[0] == finest(T) and coarsest(T) in theories
+    assert len(set(_pairs(theories))) == count
 
 
 def test_enumeration_guard():
@@ -140,6 +169,23 @@ def test_column_orthogonality_examples():
         for g in range(G.order):
             for h in range(G.order):
                 assert check_column_orthogonality(S, g, h)[2]
+
+
+def test_column_orthogonality_values_match_the_direct_sum():
+    from superchar.cyclotomic import hermitian_term
+
+    for name in ("D4", "Q8", "C6"):
+        _, T = theory_of(name)
+        for S in enumerate_scts(T):
+            for bg in S.yparts.blocks:
+                for bh in S.yparts.blocks:
+                    g, h = min(bg), min(bh)
+                    kg, kh = S.class_of(g), S.class_of(h)
+                    direct = sum(
+                        (hermitian_term(row[kg], row[kh]) / row[0].rational_value() for row in S.sigma),
+                        Cyclotomic.zero(T.exponent),
+                    )
+                    assert check_column_orthogonality(S, g, h)[0] == direct
 
 
 def test_sct_from_class_partition_examples():
