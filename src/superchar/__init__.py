@@ -14,6 +14,7 @@ from .chartab import (
     class_mult_coefficients,
     dixon_character_table,
     ingest_table,
+    quotient_character_table,
     validate_table,
 )
 from .cyclotomic import Cyclotomic, cyclotomic_polynomial, euler_phi, hermitian_term
@@ -52,6 +53,7 @@ from .structure import (
     is_s_abelian,
     is_s_normal,
     lower_series,
+    normal_subgroups,
     s_center,
     s_commutator,
     s_commutator_full,

@@ -4,9 +4,16 @@ Tables are computed by the modular method: the class-sum matrices are
 simultaneously diagonalized over a prime field F_p with p = 1 (mod e) and
 p^2 > 4|G|, degrees are recovered from the second orthogonality relation,
 and values are lifted to Z[zeta_e] by discrete Fourier inversion over the
-e-th roots of unity mod p.  Every table is validated against both
-orthogonality relations in exact cyclotomic arithmetic before it is
-returned.
+e-th roots of unity mod p.  Every Dixon table and every ingested table is
+validated in full, against both orthogonality relations in exact
+cyclotomic arithmetic, before it is returned.
+
+The table of a quotient G/N is not recomputed: its irreducible characters
+are exactly the rows of the table of G whose kernel contains N, read on
+cosets (Isaacs, Character Theory of Finite Groups, Lemma 2.22).
+Inflation preserves inner products and the parent table was validated in
+full, so the quotient table is proven by count alone: as many rows as
+classes of G/N, squared degrees summing to |G/N|, principal row first.
 """
 
 from __future__ import annotations
@@ -15,9 +22,9 @@ import re
 from fractions import Fraction
 from math import isqrt
 
-from .cyclotomic import Cyclotomic, hermitian_term
+from .cyclotomic import Cyclotomic
 from .errors import CharacterTableError, ConsistencyError
-from .groups import GroupTable, SubgroupSet, conjugacy_classes
+from .groups import GroupTable, SubgroupSet, conjugacy_classes, quotient_group
 from .reports import CheckReport
 
 DEFAULT_MAX_ORDER = 64
@@ -395,13 +402,14 @@ def validate_table(T: CharacterTable) -> CheckReport:
         f"sum of squared degrees = {sum(d * d for d in T.degrees)}, |G| = {order}",
     )
     rep.add("integrality", all(v.is_integral() for row in T.values for v in row))
+    conj = [[v.conjugate() for v in row] for row in T.values]
     ok = True
     detail = ""
     for i in range(r):
         for j in range(i, r):
             acc = Cyclotomic.zero(T.exponent)
             for k in range(r):
-                acc = acc + T.sizes[k] * hermitian_term(T.values[i][k], T.values[j][k])
+                acc = acc + T.sizes[k] * (T.values[i][k] * conj[j][k])
             expected = Fraction(order if i == j else 0)
             if acc != Cyclotomic.from_rational(expected, T.exponent):
                 ok = False
@@ -416,7 +424,7 @@ def validate_table(T: CharacterTable) -> CheckReport:
         for l in range(k, r):
             acc = Cyclotomic.zero(T.exponent)
             for t in range(len(T.values)):
-                acc = acc + hermitian_term(T.values[t][k], T.values[t][l])
+                acc = acc + T.values[t][k] * conj[t][l]
             expected = Fraction(order, T.sizes[k]) if k == l else Fraction(0)
             if acc != Cyclotomic.from_rational(expected, T.exponent):
                 ok = False
@@ -429,7 +437,12 @@ def validate_table(T: CharacterTable) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# Dixon's method
+# Dixon's method and inflation
+
+
+def _canonical_row_key(row):
+    # rows by degree, then by descending power-basis coordinates
+    return (row[0].num[0], tuple(tuple(-c for c in v.num) for v in row))
 
 
 def dixon_character_table(
@@ -474,7 +487,6 @@ def dixon_character_table(
     e_inv = pinv(e % p)
 
     rows = []
-    degrees = []
     for v in omegas:
         s = sum(v[k] * v[inv_class[k]] % p * size_inv[k] for k in range(r)) % p
         d2 = G.order % p * pinv(s) % p
@@ -494,13 +506,8 @@ def dixon_character_table(
                 )
             row.append(Cyclotomic(e, mults))
         rows.append(tuple(row))
-        degrees.append(d)
 
-    order_keys = sorted(
-        range(r),
-        key=lambda t: (degrees[t], tuple(tuple(-c for c in v.num) for v in rows[t])),
-    )
-    rows = [rows[t] for t in order_keys]
+    rows.sort(key=_canonical_row_key)
     table = CharacterTable(G, rows, e)
     one = Cyclotomic.one(e)
     if not all(v == one for v in table.values[0]):
@@ -511,6 +518,48 @@ def dixon_character_table(
             "modular lifting produced an invalid table: "
             + "; ".join(c.name for c in report.failures)
         )
+    return table
+
+
+def quotient_character_table(T: CharacterTable, N: SubgroupSet) -> CharacterTable:
+    """The table of G/N inflated from the table T of G, cached as the
+    character table of the quotient group.
+
+    The rows of T whose kernel contains N are read at one preimage of each
+    class representative of G/N, lowered to the exponent of G/N and put in
+    Dixon's canonical order.  Inflation preserves inner products, so with T
+    valid the table is proven by its row count, its degree sum and its
+    principal row, which make up its `validation` report.
+    """
+    G = T.group
+    Q, proj = quotient_group(G, N)
+    if "character_table" in Q._memo:
+        return Q._memo["character_table"]
+    reps = [proj.index(min(b)) for b in conjugacy_classes(Q).blocks]
+    e = Q.exponent()
+    rows = [
+        tuple(T.value_at_element(t, g).lowered(e) for g in reps)
+        for t in range(len(T.values))
+        if N.members <= T.char_kernel(t).members
+    ]
+    rows.sort(key=_canonical_row_key)
+    table = CharacterTable(Q, rows, e)
+    report = CheckReport(f"character table of {Q.label}, inflated from {G.label}")
+    report.add("shape", len(rows) == table.n_classes, f"{len(rows)} rows for {table.n_classes} classes")
+    report.add(
+        "degree-sum",
+        sum(d * d for d in table.degrees) == Q.order,
+        f"sum of squared degrees = {sum(d * d for d in table.degrees)}, |G/N| = {Q.order}",
+    )
+    one = Cyclotomic.one(e)
+    report.add("principal-row", all(v == one for v in table.values[0]))
+    if not report.ok:
+        raise ConsistencyError(
+            "inflation produced an invalid quotient table: "
+            + "; ".join(c.name for c in report.failures)
+        )
+    table.validation = report
+    Q._memo["character_table"] = table
     return table
 
 

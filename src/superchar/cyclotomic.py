@@ -193,6 +193,25 @@ class Cyclotomic:
             dense[k * step] = c
         return _value(new_order, _reduce(dense, new_order), self.den)
 
+    def lowered(self, new_order: int) -> "Cyclotomic":
+        """The same value viewed in Q(zeta_new_order), the inverse of `lifted`;
+        requires new_order | order and the value to lie in that subfield."""
+        if new_order == self.order:
+            return self
+        if self.order % new_order:
+            raise ValueError(f"cannot lower order {self.order} into order {new_order}")
+        e, num = self.order, self.num
+        p = 2
+        while e != new_order:
+            if (e // new_order) % p:
+                p += 1
+                continue
+            num = _lower(e, num, p)
+            if num is None:
+                raise ValueError(f"{self} does not lie in Q(zeta_{new_order})")
+            e //= p
+        return _value(e, num, self.den)
+
     def _pair(self, other):
         other = self._coerce(other, self.order)
         if other is NotImplemented:

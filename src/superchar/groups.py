@@ -182,11 +182,17 @@ class SubgroupSet:
 
 
 def trivial_subgroup(G: GroupTable) -> SubgroupSet:
-    return SubgroupSet(G, (0,))
+    """{1}, built once per group."""
+    if "trivial_subgroup" not in G._memo:
+        G._memo["trivial_subgroup"] = SubgroupSet(G, (0,))
+    return G._memo["trivial_subgroup"]
 
 
 def full_subgroup(G: GroupTable) -> SubgroupSet:
-    return SubgroupSet(G, range(G.order))
+    """G itself, built once per group."""
+    if "full_subgroup" not in G._memo:
+        G._memo["full_subgroup"] = SubgroupSet(G, range(G.order))
+    return G._memo["full_subgroup"]
 
 
 class ElementPartition:

@@ -1,20 +1,23 @@
 """Structural apparatus on top of a supercharacter theory.
 
-S-normal subgroups, the center Z(S) and commutator [H,S], supercharacter
-kernels, the upper and lower central series, nilpotence, hypercenter, and
-normal closure.  Cross-checkable identities (the kernel-intersection form
-of [G,S], kernels as intersections of classical kernels) are verified on
-every call; a mismatch raises ConsistencyError because it would falsify
-the theory these constructions rest on.
+S-normal subgroups (read off the group's normal-subgroup lattice), the
+center Z(S) and commutator [H,S], supercharacter kernels, the upper and
+lower central series, nilpotence, hypercenter, and normal closure.
+Cross-checkable identities (the kernel-intersection form of [G,S],
+kernels as intersections of classical kernels) are verified on every
+call; a mismatch raises ConsistencyError because it would falsify the
+theory these constructions rest on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, GroupConstructionError, SuperTheoryError
+from .errors import ConsistencyError, GroupConstructionError
 from .groups import (
+    GroupTable,
     SubgroupSet,
+    conjugacy_classes,
     full_subgroup,
     generated_subgroup,
     quotient_group,
@@ -24,7 +27,34 @@ from .groups import (
 from .reports import CheckReport
 from .supertheory import SuperCharacter, SuperTheory, deflation, require_s_normal
 
-_MAX_BLOCKS_FOR_ENUMERATION = 16
+
+def normal_subgroups(G: GroupTable) -> tuple[SubgroupSet, ...]:
+    """Every normal subgroup of G, smallest first, computed once per group.
+
+    A normal subgroup is the product of the normal closures of the
+    conjugacy classes it contains, so the lattice is the set of products
+    of those closures, grown one closure at a time from {1}.
+    """
+    if "normal_subgroups" in G._memo:
+        return G._memo["normal_subgroups"]
+    closures = {}
+    for b in conjugacy_classes(G).blocks[1:]:
+        C = generated_subgroup(G, b)
+        closures.setdefault(C.members, C)
+    found = {frozenset({0}): trivial_subgroup(G)}
+    frontier = [trivial_subgroup(G)]
+    while frontier:
+        H = frontier.pop()
+        for C in closures.values():
+            if C.members <= H.members:
+                continue
+            members = frozenset(G.mul[h][c] for h in H.members for c in C.members)
+            if members not in found:
+                found[members] = SubgroupSet(G, members)
+                frontier.append(found[members])
+    result = tuple(sorted(found.values(), key=lambda H: (len(H), H.sorted_members())))
+    G._memo["normal_subgroups"] = result
+    return result
 
 
 def is_s_normal(S: SuperTheory, H: SubgroupSet) -> bool:
@@ -34,41 +64,13 @@ def is_s_normal(S: SuperTheory, H: SubgroupSet) -> bool:
 def s_normal_subgroups(S: SuperTheory) -> tuple[SubgroupSet, ...]:
     """All subgroups that are unions of superclasses, smallest first.
 
-    Walks subsets of the nonidentity superclasses, using the fact that
-    products of superclasses are unions of superclasses to test closure
-    blockwise.
+    Such a subgroup is normal, since superclasses are unions of conjugacy
+    classes (Diaconis-Isaacs, Trans. AMS 2008), so these are the members
+    of the group's normal-subgroup lattice that the theory saturates.
     """
-    if "s_normal" in S._memo:
-        return S._memo["s_normal"]
-    blocks = S.yparts.blocks
-    b = len(blocks)
-    if b > _MAX_BLOCKS_FOR_ENUMERATION:
-        raise SuperTheoryError(f"{b} superclasses exceed the subgroup-walk bound")
-    G = S.group
-    products: list[list[frozenset[int]]] = []
-    for bi in blocks:
-        row = []
-        for bj in blocks:
-            hit = {S.yparts.block_of[G.mul[x][y]] for x in bi for y in bj}
-            row.append(frozenset(hit))
-        products.append(row)
-    sizes = [len(bk) for bk in blocks]
-    found = []
-    for mask in range(1 << (b - 1)):
-        chosen = [0] + [i + 1 for i in range(b - 1) if mask >> i & 1]
-        total = sum(sizes[i] for i in chosen)
-        if G.order % total:
-            continue
-        chosen_set = frozenset(chosen)
-        if all(products[i][j] <= chosen_set for i in chosen for j in chosen):
-            members = set()
-            for i in chosen:
-                members |= blocks[i]
-            found.append(SubgroupSet(G, members))
-    found.sort(key=lambda H: (len(H), H.sorted_members()))
-    result = tuple(found)
-    S._memo["s_normal"] = result
-    return result
+    if "s_normal" not in S._memo:
+        S._memo["s_normal"] = tuple(H for H in normal_subgroups(S.group) if S.is_s_normal(H))
+    return S._memo["s_normal"]
 
 
 def s_center(S: SuperTheory) -> SubgroupSet:

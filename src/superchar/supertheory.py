@@ -13,8 +13,13 @@ import os
 from fractions import Fraction
 from itertools import combinations
 
-from .chartab import CharacterTable, character_table_of, class_mult_coefficients
-from .cyclotomic import Cyclotomic, hermitian_term
+from .chartab import (
+    CharacterTable,
+    character_table_of,
+    class_mult_coefficients,
+    quotient_character_table,
+)
+from .cyclotomic import Cyclotomic
 from .errors import ConsistencyError, GroupConstructionError, SuperTheoryError
 from .groups import (
     ElementPartition,
@@ -75,10 +80,13 @@ class SuperTheory:
         return self._memo["supercharacters"]
 
     def is_s_normal(self, H: SubgroupSet) -> bool:
-        """True when H is a union of superclasses."""
+        """True when H is a union of superclasses; cached per subgroup."""
         if H.parent is not self.group:
             raise SuperTheoryError("subgroup belongs to a different group")
-        return all(b <= H.members for b in self.yparts.blocks if b & H.members)
+        key = ("is_s_normal", H.members)
+        if key not in self._memo:
+            self._memo[key] = all(b <= H.members for b in self.yparts.blocks if b & H.members)
+        return self._memo[key]
 
     def validate(self) -> CheckReport:
         """Re-check the defining conditions; sigma against the table's values
@@ -405,12 +413,13 @@ def check_row_orthogonality(S: SuperTheory) -> CheckReport:
     rep = CheckReport(f"row orthogonality for a theory of {S.group.label}")
     order = S.group.order
     sizes = S.block_sizes()
+    conj = [[v.conjugate() for v in row] for row in S.sigma]
     for i in range(S.n_parts):
         norm2 = sum(S.table.degrees[t] ** 2 for t in S.xparts[i])
         for j in range(i, S.n_parts):
             acc = Cyclotomic.zero(S.table.exponent)
             for k in range(S.n_parts):
-                acc = acc + sizes[k] * hermitian_term(S.sigma[i][k], S.sigma[j][k])
+                acc = acc + sizes[k] * (S.sigma[i][k] * conj[j][k])
             acc = acc / order
             expected = Fraction(norm2 if i == j else 0)
             rep.add(
@@ -476,7 +485,8 @@ def restriction(S: SuperTheory, N: SubgroupSet) -> SuperTheory:
 
 def deflation(S: SuperTheory, N: SubgroupSet) -> SuperTheory:
     """The induced theory on G/N; its superclasses are the images of the
-    S-classes under the projection."""
+    S-classes under the projection.  The table of G/N is inflated from the
+    table of G (`quotient_character_table`), not recomputed."""
     require_s_normal(S, N)
     key = ("deflation", N.members)
     if key in S._memo:
@@ -493,7 +503,7 @@ def deflation(S: SuperTheory, N: SubgroupSet) -> SuperTheory:
         part = ElementPartition(Q.order, images)
     except GroupConstructionError as exc:
         raise ConsistencyError("projected superclasses do not form a partition") from exc
-    theory = sct_from_class_partition(character_table_of(Q), part)
+    theory = sct_from_class_partition(quotient_character_table(S.table, N), part)
     if theory is None:
         raise ConsistencyError("deflation produced an invalid theory")
     S._memo[key] = theory

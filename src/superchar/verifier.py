@@ -15,7 +15,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .chartab import character_table_of
-from .errors import ConsistencyError
 from .groups import SubgroupSet, build_group, subgroup_product, trivial_subgroup
 from .structure import (
     irr_over,
@@ -666,15 +665,16 @@ _CHECKERS = {
 def run_suite(S: SuperTheory) -> list[TheoremReport]:
     """Run every theorem over all applicable scopes of the theory.
 
-    Every theorem id appears at least once; internal consistency errors are
-    converted into fail reports rather than aborting the suite.
+    Every theorem id appears at least once; an exception raised by a
+    checker becomes a fail report carrying its type and message rather than
+    aborting the suite.
     """
     reports: list[TheoremReport] = []
     for tid in THEOREM_IDS:
         try:
             batch = _CHECKERS[tid](S)
-        except ConsistencyError as exc:
-            batch = [TheoremReport(tid, {"error": str(exc)}, "fail")]
+        except Exception as exc:
+            batch = [TheoremReport(tid, {"error": str(exc), "exception": type(exc).__name__}, "fail")]
         if not batch:
             batch = [TheoremReport(tid, {}, "not-applicable")]
         reports.extend(batch)

@@ -11,10 +11,18 @@ from superchar.chartab import (
     class_mult_coefficients,
     dixon_character_table,
     ingest_table,
+    quotient_character_table,
     validate_table,
 )
-from superchar.errors import CharacterTableError
-from superchar.groups import catalog_group, conjugacy_classes
+from superchar.errors import CharacterTableError, ConsistencyError
+from superchar.groups import (
+    GroupTable,
+    catalog_group,
+    conjugacy_classes,
+    quotient_group,
+    trivial_subgroup,
+)
+from superchar.structure import normal_subgroups
 
 DATA = Path(__file__).parent / "data"
 
@@ -206,3 +214,35 @@ def test_dixon_matches_direct_abelian_characters(name):
     )
     computed = sorted(tuple(v.key() for v in row) for row in T.values)
     assert computed == reference
+
+
+@pytest.mark.parametrize(
+    "name", CATALOG + ["C2xC2xC2xC2", "S3xQ8", "D24", "Q32", "C17", "C4xC5"]
+)
+def test_quotient_tables_equal_fresh_dixon_tables(name):
+    # every normal subgroup N: the table inflated from G's table equals the
+    # Dixon table of a fresh copy of G/N, value for value and in class order
+    G = catalog_group(name)
+    T = character_table_of(G)
+    for N in normal_subgroups(G):
+        Q, _ = quotient_group(G, N)
+        inflated = quotient_character_table(T, N)
+        fresh = dixon_character_table(GroupTable(Q.mul, label=Q.label))
+        assert inflated.exponent == fresh.exponent == Q.exponent()
+        assert (inflated.reps, inflated.sizes) == (fresh.reps, fresh.sizes)
+        assert [[v.key() for v in row] for row in inflated.values] == [
+            [v.key() for v in row] for row in fresh.values
+        ]
+        assert inflated.validation.ok
+        assert [c.name for c in inflated.validation.checks] == ["shape", "degree-sum", "principal-row"]
+        assert character_table_of(Q) is inflated is quotient_character_table(T, N)
+
+
+def test_quotient_table_rejects_an_inconsistent_parent_table():
+    # a table that lost a row lacks a character of the quotient: the count
+    # proof fails instead of returning a short table
+    G = catalog_group("S3")
+    T = character_table_of(G)
+    broken = CharacterTable(G, T.values[:-1], T.exponent)
+    with pytest.raises(ConsistencyError, match="shape"):
+        quotient_character_table(broken, trivial_subgroup(G))

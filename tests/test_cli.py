@@ -189,3 +189,16 @@ def test_verify_rejects_nonpositive_jobs(capsys):
     for jobs in ("0", "-3", "two"):
         code, out, err = run_cli(capsys, "verify", "--group", "C2", "--jobs", jobs)
         assert code == 2 and not out and "--jobs" in err
+
+
+def test_verify_extremes_beyond_sixteen_superclasses(capsys):
+    # 17 and 20 conjugacy classes: the finest theory has that many
+    # superclasses, and its S-normal subgroups come from the lattice
+    for name in ("C17", "C4xC5"):
+        code, out, err = run_cli(
+            capsys, "verify", "--extremes-only", "--group", name, "--format", "json"
+        )
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["summary"]["fail"] == 0 and payload["summary"]["pass"] > 0
+        assert payload["groups"][0]["theory_count"] == 2

@@ -273,3 +273,30 @@ def test_hash_agrees_with_equality_across_orders():
     # the twelve 12th roots of unity are distinct values, whatever order holds them
     roots = {Cyclotomic.root(12, k) for k in range(12)}
     assert len(roots) == 12 and Cyclotomic.root(4, 1) in roots and Cyclotomic.root(2, 1) in roots
+
+
+def test_lowered_inverts_lifted():
+    rng = random.Random(13)
+    orders = (1, 2, 3, 4, 6, 8, 12, 24, 30)
+    for d in orders:
+        for _ in range(25):
+            v = Cyclotomic(d, [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)])
+            for e in orders:
+                if e % d == 0:
+                    low = v.lifted(e).lowered(d)
+                    assert low.key() == v.key()
+                    # any order between d and e holds the value too
+                    for m in orders:
+                        if e % m == 0 and m % d == 0:
+                            assert v.lifted(e).lowered(m).key() == v.lifted(m).key()
+
+
+def test_lowered_rejects_values_outside_the_subfield():
+    with pytest.raises(ValueError, match="does not lie"):
+        Cyclotomic.root(4).lowered(2)
+    with pytest.raises(ValueError, match="does not lie"):
+        Cyclotomic.root(12, 1).lowered(6)
+    with pytest.raises(ValueError, match="cannot lower"):
+        Cyclotomic.root(12).lowered(5)
+    assert Cyclotomic.root(12, 4).lowered(3).key() == Cyclotomic.root(3).key()
+    assert Cyclotomic.root(12, 6).lowered(1).key() == Cyclotomic.from_rational(-1).key()

@@ -132,6 +132,15 @@ def test_generated_subgroup_monotone_and_idempotent():
         assert generated_subgroup(G, H.members) == H
 
 
+def test_trivial_and_full_subgroups_are_built_once_per_group():
+    G = catalog_group("S4")
+    assert trivial_subgroup(G) is trivial_subgroup(G)
+    assert full_subgroup(G) is full_subgroup(G)
+    assert trivial_subgroup(G).sorted_members() == (0,)
+    assert len(full_subgroup(G)) == 24
+    assert full_subgroup(catalog_group("S4")) is not full_subgroup(G)
+
+
 def test_subgroupset_validation():
     G = catalog_group("S3")
     with pytest.raises(GroupConstructionError):

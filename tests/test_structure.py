@@ -22,6 +22,7 @@ from superchar.structure import (
     is_s_abelian,
     is_s_normal,
     lower_series,
+    normal_subgroups,
     s_center,
     s_commutator,
     s_commutator_full,
@@ -32,6 +33,8 @@ from superchar.structure import (
     upper_series,
 )
 from superchar.supertheory import coarsest, deflation, enumerate_scts, finest
+from superchar.verifier import DEFAULT_CATALOG
+from walk_oracle import walked_s_normal_subgroups
 
 
 def theory_of(name, kind="finest"):
@@ -50,7 +53,7 @@ def all_subgroups_brute(G):
     return found
 
 
-@pytest.mark.parametrize("name", ["S3", "Q8", "D4", "C6", "A4"])
+@pytest.mark.parametrize("name", ["S3", "Q8", "D4", "C6", "A4", "C2xC2xC2xC2"])
 def test_s_normal_enumeration_against_brute_force(name):
     G, S = theory_of(name)
     walked = {H.members for H in s_normal_subgroups(S)}
@@ -60,6 +63,33 @@ def test_s_normal_enumeration_against_brute_force(name):
         if is_s_normal(S, SubgroupSet(G, members))
     }
     assert walked == brute
+
+
+@pytest.mark.parametrize("name", ["C2xC2xC2xC2", "S4", "D8", "Q16", "A4", "C3xC3", "D6"])
+def test_normal_subgroups_against_brute_force(name):
+    G = catalog_group(name)
+    lattice = normal_subgroups(G)
+    brute = {members for members in all_subgroups_brute(G) if SubgroupSet(G, members).is_normal()}
+    assert {H.members for H in lattice} == brute
+    assert list(lattice) == sorted(lattice, key=lambda H: (len(H), H.sorted_members()))
+    assert normal_subgroups(G) is lattice is G._memo["normal_subgroups"]
+
+
+@pytest.mark.parametrize("name", DEFAULT_CATALOG)
+def test_lattice_filter_matches_the_superclass_walk(name):
+    # every theory of the group: the same S-normal subgroups in the same order
+    for S in enumerate_scts(character_table_of(catalog_group(name))):
+        assert s_normal_subgroups(S) == walked_s_normal_subgroups(S)
+
+
+def test_s_normal_subgroups_beyond_sixteen_superclasses():
+    # C17 and C4xC5 have 17 and 20 classes; the finest theory keeps every
+    # normal subgroup, the coarsest only the two trivial ones
+    for name, count in (("C17", 2), ("C4xC5", 6)):
+        G, S = theory_of(name)
+        assert len(s_normal_subgroups(S)) == count
+        G, S = theory_of(name, "coarsest")
+        assert [len(H) for H in s_normal_subgroups(S)] == [1, G.order]
 
 
 def test_s_normal_examples():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from superchar.chartab import character_table_of
+from superchar.chartab import character_table_of, quotient_character_table
 from superchar.cyclotomic import Cyclotomic
 from superchar.errors import SuperTheoryError
 from superchar.groups import (
@@ -254,6 +254,28 @@ def test_deflation_q8_center_gives_finest_v4():
     D = deflation(finest(T), SubgroupSet(G, [0, 1]))
     assert D.group.order == 4
     assert all(len(b) == 1 for b in D.yparts.blocks)
+
+
+def test_deflation_reads_the_inflated_quotient_table():
+    G, T = theory_of("D4")
+    S = finest(T)
+    Z = SubgroupSet(G, [0, 2])
+    D = deflation(S, Z)
+    assert D.table is quotient_character_table(T, Z) is character_table_of(D.group)
+    assert [c.name for c in D.table.validation.checks] == ["shape", "degree-sum", "principal-row"]
+
+
+def test_s_normality_is_cached_per_subgroup():
+    G, T = theory_of("S3")
+    S = finest(T)
+    A3, C2 = generated_subgroup(G, [3]), generated_subgroup(G, [1])
+    assert S.is_s_normal(A3) and not S.is_s_normal(C2)
+    assert S._memo[("is_s_normal", A3.members)] is True
+    assert S._memo[("is_s_normal", C2.members)] is False
+    # the cached answer is the answer for an equal subgroup built anew
+    assert S.is_s_normal(SubgroupSet(G, A3.members))
+    with pytest.raises(SuperTheoryError):
+        S.is_s_normal(trivial_subgroup(catalog_group("S3")))
 
 
 def test_subquotient_composes():

@@ -134,3 +134,18 @@ def test_guard_fallback_to_extreme_theories():
     assert entry["theory_count"] == 2
     assert entry["enumerated"] is False
     assert corpus["summary"]["fail"] == 0
+
+
+def test_any_checker_exception_becomes_a_fail_report(monkeypatch):
+    import superchar.verifier as verifier
+
+    def broken(S):
+        raise KeyError("missing scope")
+
+    monkeypatch.setitem(verifier._CHECKERS, "L-vs", broken)
+    reports = run_suite(finest(character_table_of(catalog_group("S3"))))
+    failed = [r for r in reports if r.status == "fail"]
+    assert [(r.theorem_id, r.scope) for r in failed] == [
+        ("L-vs", {"error": "'missing scope'", "exception": "KeyError"})
+    ]
+    assert {r.theorem_id for r in reports} == set(THEOREM_IDS)
