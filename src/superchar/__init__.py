@@ -31,7 +31,6 @@ from .groups import (
     build_group,
     catalog_group,
     conjugacy_classes,
-    coset_saturation,
     derived_subgroup,
     full_subgroup,
     generated_subgroup,
@@ -46,19 +45,15 @@ from .groups import (
 from .reports import Check, CheckReport
 from .structure import (
     SeriesResult,
-    deflated_gamma_check,
     hypercenter,
     irr_over,
-    irr_quotient,
     is_s_abelian,
-    is_s_normal,
     lower_series,
     normal_subgroups,
     s_center,
     s_commutator,
     s_commutator_full,
     s_nilpotence_class,
-    s_normal_closure,
     s_normal_subgroups,
     super_kernel,
     upper_series,
@@ -70,16 +65,12 @@ from .supertheory import (
     check_row_orthogonality,
     coarsest,
     deflation,
-    delta_coarsen,
     enumerate_scts,
     finest,
     is_delta_product,
-    is_star_product,
     restriction,
-    sct_from_character_partition,
     sct_from_class_partition,
     star_construct,
-    subquotient,
 )
 from .vanishing import (
     CaminaVerdict,
@@ -92,7 +83,6 @@ from .vanishing import (
     scd_check,
     u_chain,
     u_kernel_check,
-    u_membership_check,
     u_quotient_check,
     u_rel,
     u_theory,

@@ -345,9 +345,6 @@ class CharacterTable:
     def n_classes(self) -> int:
         return len(self.reps)
 
-    def value(self, t: int, class_index: int) -> Cyclotomic:
-        return self.values[t][class_index]
-
     def value_at_element(self, t: int, g: int) -> Cyclotomic:
         return self.values[t][self.classes.block_of[g]]
 

@@ -15,7 +15,6 @@ combined.
 
 from __future__ import annotations
 
-import cmath
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -164,12 +163,6 @@ class Cyclotomic:
     @classmethod
     def one(cls, order: int = 1) -> "Cyclotomic":
         return cls.from_rational(1, order)
-
-    @classmethod
-    def root(cls, order: int, k: int = 1) -> "Cyclotomic":
-        """zeta_order^k."""
-        k %= order
-        return _value(order, _reduce([0] * k + [1], order))
 
     # coercion helpers
 
@@ -337,18 +330,13 @@ class Cyclotomic:
         # in the smallest cyclotomic field that holds it
         return hash((_lowest_order(self.order, self.num), self.den))
 
-    # display / serialization / numerics
+    # display / serialization
 
     def _coeffs(self) -> list:
         # the power-basis coordinates as ints (den == 1) or Fractions
         if self.den == 1:
             return list(self.num)
         return [Fraction(n, self.den) for n in self.num]
-
-    def approx(self) -> complex:
-        """Floating approximation; for display and sanity checks only."""
-        tau = 2 * cmath.pi / self.order
-        return sum(n / self.den * cmath.exp(1j * tau * k) for k, n in enumerate(self.num))
 
     def __str__(self) -> str:
         parts = []
@@ -406,15 +394,6 @@ class Cyclotomic:
 
     def to_json(self):
         return {"order": self.order, "coeffs": [str(c) for c in self._coeffs()]}
-
-    @classmethod
-    def from_json(cls, payload) -> "Cyclotomic":
-        order = int(payload["order"])
-        coeffs = [Fraction(c) for c in payload["coeffs"]]
-        if len(coeffs) != euler_phi(order):
-            raise ValueError("coefficient vector has the wrong length")
-        return cls(order, coeffs)
-
 
 def hermitian_term(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
     """a * conjugate(b), the summand of the Hermitian inner product."""

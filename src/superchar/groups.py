@@ -82,12 +82,6 @@ class GroupTable:
 
     # basic operations
 
-    def multiply(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
-
     def conjugate(self, g: int, h: int) -> int:
         """h g h^-1."""
         return self.mul[self.mul[h][g]][self.inv[h]]
@@ -104,9 +98,6 @@ class GroupTable:
         if "exponent" not in self._memo:
             self._memo["exponent"] = lcm(*(self.element_order(g) for g in range(self.order)))
         return self._memo["exponent"]
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def __len__(self) -> int:
         return self.order
@@ -301,15 +292,6 @@ def subgroup_product(G: GroupTable, A: SubgroupSet, B: SubgroupSet) -> SubgroupS
         raise GroupConstructionError(
             f"product of subgroups is not a subgroup ({len(prod)} elements)"
         ) from exc
-
-
-def coset_saturation(G: GroupTable, M: SubgroupSet, block) -> frozenset[int]:
-    """Union of the cosets gM over g in block; idempotent."""
-    out = set()
-    for g in block:
-        row = G.mul[g]
-        out.update(row[m] for m in M.members)
-    return frozenset(out)
 
 
 def quotient_group(G: GroupTable, N: SubgroupSet) -> tuple[GroupTable, tuple[int, ...]]:

@@ -2,7 +2,7 @@
 
 S-normal subgroups (read off the group's normal-subgroup lattice), the
 center Z(S) and commutator [H,S], supercharacter kernels, the upper and
-lower central series, nilpotence, hypercenter, and normal closure.
+lower central series, nilpotence, and hypercenter.
 Cross-checkable identities (the kernel-intersection form of [G,S],
 kernels as intersections of classical kernels) are verified on every
 call; a mismatch raises ConsistencyError because it would falsify the
@@ -21,10 +21,8 @@ from .groups import (
     full_subgroup,
     generated_subgroup,
     quotient_group,
-    subgroup_product,
     trivial_subgroup,
 )
-from .reports import CheckReport
 from .supertheory import SuperCharacter, SuperTheory, deflation, require_s_normal
 
 
@@ -55,10 +53,6 @@ def normal_subgroups(G: GroupTable) -> tuple[SubgroupSet, ...]:
     result = tuple(sorted(found.values(), key=lambda H: (len(H), H.sorted_members())))
     G._memo["normal_subgroups"] = result
     return result
-
-
-def is_s_normal(S: SuperTheory, H: SubgroupSet) -> bool:
-    return S.is_s_normal(H)
 
 
 def s_normal_subgroups(S: SuperTheory) -> tuple[SubgroupSet, ...]:
@@ -155,14 +149,6 @@ def irr_over(S: SuperTheory, N: SubgroupSet) -> tuple[SuperCharacter, ...]:
     require_s_normal(S, N)
     return tuple(
         sigma for sigma in S.supercharacters() if not N.members <= super_kernel(sigma).members
-    )
-
-
-def irr_quotient(S: SuperTheory, N: SubgroupSet) -> tuple[SuperCharacter, ...]:
-    """Irr(S/N): supercharacters whose kernel contains N."""
-    require_s_normal(S, N)
-    return tuple(
-        sigma for sigma in S.supercharacters() if N.members <= super_kernel(sigma).members
     )
 
 
@@ -264,38 +250,3 @@ def s_nilpotence_class(S: SuperTheory) -> int | None:
     if S.group.order == 1:
         return 0
     return upper_class
-
-
-def s_normal_closure(S: SuperTheory, seed) -> SubgroupSet:
-    """Smallest S-normal subgroup containing the seed: alternate subgroup
-    generation with superclass saturation until a fixpoint."""
-    G = S.group
-    current = generated_subgroup(G, seed).members
-    while True:
-        saturated = set()
-        for g in current:
-            saturated |= S.superclass(g)
-        if saturated == current:
-            return SubgroupSet(G, current)
-        current = generated_subgroup(G, saturated).members
-
-
-def deflated_gamma_check(S: SuperTheory, N: SubgroupSet) -> CheckReport:
-    """Verify gamma_i(S^{G/N}) = image of gamma_i(S) N, for all i up to
-    stabilization of both series."""
-    require_s_normal(S, N)
-    rep = CheckReport(f"deflated lower series against {sorted(N.members)}")
-    defl = deflation(S, N)
-    _, proj = quotient_group(S.group, N)
-    low = lower_series(S)
-    low_q = lower_series(defl)
-    top = max(len(low.terms), len(low_q.terms)) + 1
-    for i in range(1, top + 1):
-        lifted = subgroup_product(S.group, low.term(i), N)
-        image = frozenset(proj[g] for g in lifted.members)
-        rep.add(
-            f"gamma_{i}",
-            image == low_q.term(i).members,
-            f"projected {sorted(image)}, deflated {low_q.term(i).sorted_members()}",
-        )
-    return rep

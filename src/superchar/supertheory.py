@@ -181,29 +181,12 @@ class SuperCharacter:
     def value_on(self, g: int) -> Cyclotomic:
         return self.values[self.theory.class_of(g)]
 
-    def is_principal(self) -> bool:
-        return self.part == frozenset({0})
-
     def __repr__(self) -> str:
         return f"SuperCharacter(part={sorted(self.part)}, degree={self.degree})"
 
 
 # ---------------------------------------------------------------------------
 # derivations
-
-
-def _canonical_xparts(xparts, n_chars: int) -> tuple[frozenset[int], ...]:
-    parts = [frozenset(int(t) for t in p) for p in xparts]
-    seen: set[int] = set()
-    for p in parts:
-        if not p:
-            raise SuperTheoryError("empty character part")
-        if p & seen:
-            raise SuperTheoryError("character parts overlap")
-        seen |= p
-    if seen != set(range(n_chars)):
-        raise SuperTheoryError("character parts must cover all irreducible characters")
-    return tuple(sorted(parts, key=min))
 
 
 def _sigma_class_values(table: CharacterTable, part) -> tuple[Cyclotomic, ...]:
@@ -231,36 +214,6 @@ def _theory(table, xparts, yparts, block_classes) -> SuperTheory | None:
     return theory if theory.validate().ok else None
 
 
-def sct_from_character_partition(table: CharacterTable, xparts) -> SuperTheory | None:
-    """Derive the unique candidate theory with the given character partition.
-
-    The superclass partition must refine the common level sets of the
-    sigma_X, and equal cardinality forces equality, so the level sets are
-    the only candidate.  Returns None when they fail the axioms.
-    """
-    parts = _canonical_xparts(xparts, len(table.values))
-    rows = [_sigma_class_values(table, p) for p in parts]
-    signatures = [tuple(rows[x][k].key() for x in range(len(parts))) for k in range(table.n_classes)]
-    groups: dict[tuple, list[int]] = {}
-    for k, sig in enumerate(signatures):
-        groups.setdefault(sig, []).append(k)
-    if len(groups) != len(parts):
-        return None
-    if len(groups[signatures[0]]) != 1:
-        return None
-    yparts = ElementPartition(
-        table.group.order,
-        [set().union(*(table.classes.blocks[c] for c in cls)) for cls in groups.values()],
-    )
-    block_classes = [
-        tuple(sorted({table.classes.block_of[x] for x in b})) for b in yparts.blocks
-    ]
-    theory = _theory(table, parts, yparts, block_classes)
-    if theory is None:
-        raise ConsistencyError("the level sets of the sigma_X failed validation")
-    return theory
-
-
 def sct_from_class_partition(table: CharacterTable, yparts: ElementPartition) -> SuperTheory | None:
     """Derive the candidate character partition for a given class partition.
 
@@ -269,6 +222,9 @@ def sct_from_class_partition(table: CharacterTable, yparts: ElementPartition) ->
     grouping rule is only a candidate generator.  Each (table, partition)
     is derived once: the result, None included, is cached on the table.
     """
+    cache_key = ("theory", yparts)
+    if cache_key in table._memo:  # only partitions that passed the checks below
+        return table._memo[cache_key]
     if yparts.n != table.group.order:
         raise SuperTheoryError("partition is over the wrong element set")
     if frozenset({0}) not in yparts.blocks:
@@ -279,9 +235,6 @@ def sct_from_class_partition(table: CharacterTable, yparts: ElementPartition) ->
         if any(not table.classes.blocks[c] <= b for c in classes):
             raise SuperTheoryError("blocks must be unions of conjugacy classes")
         block_classes.append(tuple(sorted(classes)))
-    cache_key = ("theory", yparts)
-    if cache_key in table._memo:
-        return table._memo[cache_key]
     fibers: dict[tuple, list[int]] = {}
     for t in range(len(table.values)):
         key = []
@@ -301,21 +254,19 @@ def sct_from_class_partition(table: CharacterTable, yparts: ElementPartition) ->
 
 def finest(table: CharacterTable) -> SuperTheory:
     """m(G): singleton character parts, conjugacy classes as superclasses."""
-    theory = sct_from_character_partition(
-        table, [{t} for t in range(len(table.values))]
-    )
+    theory = sct_from_class_partition(table, table.classes)
     if theory is None:
         raise ConsistencyError("the finest partition must always be a theory")
     return theory
 
 
 def coarsest(table: CharacterTable) -> SuperTheory:
-    """The two-part theory ({principal}, rest); needs |G| >= 2."""
-    if table.group.order < 2:
+    """The two-part theory ({principal}, rest), superclasses {1} and G - {1};
+    needs |G| >= 2."""
+    order = table.group.order
+    if order < 2:
         raise SuperTheoryError("the coarsest theory needs a nontrivial group")
-    theory = sct_from_character_partition(
-        table, [{0}, set(range(1, len(table.values)))]
-    )
+    theory = sct_from_class_partition(table, ElementPartition(order, [{0}, set(range(1, order))]))
     if theory is None:
         raise ConsistencyError("the coarsest partition must always be a theory")
     return theory
@@ -510,39 +461,13 @@ def deflation(S: SuperTheory, N: SubgroupSet) -> SuperTheory:
     return theory
 
 
-def subquotient(S: SuperTheory, N: SubgroupSet, H: SubgroupSet) -> SuperTheory:
-    """The induced theory on N/H for S-normal H <= N: deflate by H, then
-    restrict to the image of N."""
-    require_s_normal(S, N)
-    require_s_normal(S, H)
-    if not H.members <= N.members:
-        raise SuperTheoryError("subquotient needs H <= N")
-    defl = deflation(S, H)
-    _, proj = quotient_group(S.group, H)
-    image = SubgroupSet(defl.group, {proj[g] for g in N.members})
-    return restriction(defl, image)
-
-
 # ---------------------------------------------------------------------------
 # products
 
 
-def is_star_product(S: SuperTheory, N: SubgroupSet) -> bool:
-    """True when every superclass outside N is a union of full N-cosets."""
-    require_s_normal(S, N)
-    mul = S.group.mul
-    for b in S.yparts.blocks:
-        if b & N.members:
-            continue
-        for g in b:
-            row = mul[g]
-            if any(row[n] not in b for n in N.members):
-                return False
-    return True
-
-
-def is_delta_product(S: SuperTheory, M: SubgroupSet, N: SubgroupSet) -> bool:
-    """True when every superclass outside N is a union of M-cosets (M <= N)."""
+def non_coset_union(S: SuperTheory, M: SubgroupSet, N: SubgroupSet) -> frozenset[int] | None:
+    """The first superclass outside N that is not a union of M-cosets, or
+    None when every one is (the coset-product condition; M <= N)."""
     require_s_normal(S, N)
     require_s_normal(S, M)
     if not M.members <= N.members:
@@ -554,8 +479,14 @@ def is_delta_product(S: SuperTheory, M: SubgroupSet, N: SubgroupSet) -> bool:
         for g in b:
             row = mul[g]
             if any(row[m] not in b for m in M.members):
-                return False
-    return True
+                return b
+    return None
+
+
+def is_delta_product(S: SuperTheory, M: SubgroupSet, N: SubgroupSet) -> bool:
+    """True when every superclass outside N is a union of M-cosets (M <= N);
+    at M = N this is the star-product condition over N."""
+    return non_coset_union(S, M, N) is None
 
 
 def star_construct(S: SuperTheory, N: SubgroupSet) -> SuperTheory:
@@ -581,28 +512,3 @@ def star_construct(S: SuperTheory, N: SubgroupSet) -> SuperTheory:
         raise ConsistencyError("the coset-product construction must validate")
     S._memo[key] = theory
     return theory
-
-
-def delta_coarsen(S: SuperTheory, M: SubgroupSet, N: SubgroupSet) -> SuperTheory | None:
-    """Candidate coarsening by M-coset saturation outside N; None when the
-    saturated blocks fail to form a theory."""
-    require_s_normal(S, N)
-    require_s_normal(S, M)
-    if not M.members <= N.members:
-        raise SuperTheoryError("delta coarsening needs M <= N")
-    mul = S.group.mul
-    blocks: list[frozenset[int]] = [b for b in S.yparts.blocks if b & N.members]
-    seen: set[frozenset[int]] = set()
-    saturated: list[frozenset[int]] = []
-    for b in S.yparts.blocks:
-        if b & N.members:
-            continue
-        sat = frozenset(mul[g][m] for g in b for m in M.members)
-        if sat not in seen:
-            seen.add(sat)
-            saturated.append(sat)
-    try:
-        part = ElementPartition(S.group.order, blocks + saturated)
-    except GroupConstructionError:
-        return None
-    return sct_from_class_partition(S.table, part)

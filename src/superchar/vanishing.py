@@ -40,7 +40,7 @@ from .supertheory import (
     SuperTheory,
     deflation,
     is_delta_product,
-    is_star_product,
+    non_coset_union,
     require_s_normal,
     star_construct,
 )
@@ -268,13 +268,9 @@ def is_camina_triple(S: SuperTheory, N: SubgroupSet, M: SubgroupSet) -> CaminaVe
     outside = [g for g in range(G.order) if g not in N.members]
     witnesses: dict[str, object] = {}
 
-    coset = is_delta_product(S, M, N)
+    bad = non_coset_union(S, M, N)
+    coset = bad is None
     if not coset:
-        bad = next(
-            b for b in S.yparts.blocks
-            if not b & N.members
-            and any(G.mul[g][m] not in b for g in b for m in M.members)
-        )
         witnesses["coset-union"] = f"superclass {sorted(bad)} is not a union of M-cosets"
     defl = deflation(S, M)
     _, proj = quotient_group(G, M)
@@ -325,9 +321,9 @@ def is_camina_triple(S: SuperTheory, N: SubgroupSet, M: SubgroupSet) -> CaminaVe
 
 
 def is_camina_pair(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
-    """S-Camina pair (G, N): the triple conditions at M = N, the star
-    construction actually reproducing S, V(S|N) = N, and the two-clause
-    character condition.
+    """S-Camina pair (G, N): the coset-product condition of
+    `is_delta_product` at M = N, the star construction actually reproducing
+    S, V(S|N) = N, and the two-clause character condition.
 
     The two-clause condition degenerates at N = 1 (no character lies over
     the trivial subgroup), so there it is recorded but not asserted.
@@ -339,14 +335,9 @@ def is_camina_pair(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
     outside = [g for g in range(S.group.order) if g not in N.members]
     witnesses: dict[str, object] = {}
 
-    coset = is_star_product(S, N)
+    bad = non_coset_union(S, N, N)
+    coset = bad is None
     if not coset:
-        mul = S.group.mul
-        bad = next(
-            b for b in S.yparts.blocks
-            if not b & N.members
-            and any(mul[g][n] not in b for g in b for n in N.members)
-        )
         witnesses["coset-union"] = f"superclass {sorted(bad)} is not a union of N-cosets"
     construction = star_construct(S, N) == S
     if not construction:
@@ -461,27 +452,6 @@ def u_theory(S: SuperTheory) -> SubgroupSet:
     return U
 
 
-def u_membership_check(S: SuperTheory, N: SubgroupSet, g: int) -> bool:
-    """Membership of g in U(S|N) via the character-kernel test: every
-    supercharacter whose kernel misses g must vanish off N.  The two routes
-    are compared and a mismatch raises."""
-    require_s_normal(S, N)
-    outside = [x for x in range(S.group.order) if x not in N.members]
-    rhs = True
-    for sigma in S.supercharacters():
-        if g in super_kernel(sigma).members:
-            continue
-        if any(not sigma.value_on(x).is_zero() for x in outside):
-            rhs = False
-            break
-    direct = g in u_rel(S, N).members
-    if rhs != direct:
-        raise ConsistencyError(
-            f"membership characterization fails for g={g}, N={sorted(N.members)}"
-        )
-    return direct
-
-
 def u_quotient_check(S: SuperTheory, N: SubgroupSet, H: SubgroupSet) -> CheckReport:
     """Verify U(S^{G/N} | H/N) = U(S|H)/N, under the hypothesis
     V(S|N) <= H; otherwise the report is marked not applicable."""
@@ -542,8 +512,8 @@ def is_vz(S: SuperTheory) -> CaminaVerdict:
 
     For non-S-abelian theories this is asserted equivalent to
     V(S) <= Z(S), Z(S) = V(S), and U(S) = [G,S]; when additionally
-    [G,S] <= Z(S), the coset-product, class-size and transversal forms
-    join the asserted set.
+    [G,S] <= Z(S), the coset-product, class-size and transversal forms of
+    the Camina triple (G, Z(S), [G,S]) join the asserted set.
     """
     if "vz" in S._memo:
         return S._memo["vz"]
@@ -572,21 +542,10 @@ def is_vz(S: SuperTheory) -> CaminaVerdict:
         if not conditions["u-equals-commutator"]:
             witnesses["u-equals-commutator"] = f"U(S) = {sorted(U.members)}, [G,S] = {sorted(com.members)}"
     if com.members <= center.members:
-        conditions["coset-product"] = is_delta_product(S, com, center)
-        defl = deflation(S, com)
-        _, proj = quotient_group(G, com)
-        size_ok = all(
-            len(S.superclass(g)) == len(defl.superclass(proj[g])) * len(com)
-            for g in outside
-        )
-        conditions["class-size-product"] = size_ok
-        transversal = True
-        for g in outside:
-            differences = {G.mul[G.inv[g]][k] for k in S.superclass(g)}
-            if not com.members <= differences:
-                transversal = False
-                break
-        conditions["transversal"] = transversal
+        triple = is_camina_triple(S, center, com).conditions
+        conditions["coset-product"] = triple["coset-union"]
+        conditions["class-size-product"] = triple["class-size-product"]
+        conditions["transversal"] = triple["transversal"]
     verdict = CaminaVerdict(
         "VZ",
         holds=definition,

@@ -1,11 +1,12 @@
 """Theorem suite: run every structural result against a corpus of theories.
 
-Each theorem has a stable identifier and a checker that evaluates both
-sides of every claimed equivalence independently, then emits one report
-per scope (subgroup, subgroup pair, or element).  Failures are data, not
-exceptions; a corpus run over the default catalog is expected to produce
-zero fail-status reports, and any fail is either an implementation bug or
-a genuine counterexample worth looking at.
+Each theorem is a checker registered with `@theorem(id, description)`; it
+evaluates both sides of every claimed equivalence independently and yields
+one (scope, status[, witness]) row per scope (subgroup, subgroup pair, or
+element), which `run_suite` stamps with the theorem id.  Failures are data,
+not exceptions; a corpus run over the default catalog is expected to
+produce zero fail-status reports, and any fail is either an implementation
+bug or a genuine counterexample worth looking at.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .chartab import character_table_of
-from .groups import SubgroupSet, build_group, subgroup_product, trivial_subgroup
+from .groups import SubgroupSet, build_group, quotient_group, subgroup_product, trivial_subgroup
 from .structure import (
     irr_over,
     is_s_abelian,
@@ -35,10 +36,8 @@ from .supertheory import (
     enumerate_scts,
     finest,
     is_delta_product,
-    is_star_product,
     _max_parts_guard,
 )
-from .groups import quotient_group
 from .vanishing import (
     is_camina_element,
     is_camina_pair,
@@ -58,74 +57,6 @@ from .vanishing import (
     v_theory,
     vanish_off,
 )
-
-THEOREM_IDS = (
-    "T-celt",
-    "T-corgcp",
-    "L-cp",
-    "L-vs",
-    "T-zeta",
-    "C-class",
-    "C-hyper",
-    "L-vsn",
-    "T-vseries",
-    "C-vterm",
-    "L-vzs",
-    "T-zs",
-    "T-vznilp",
-    "L-scd",
-    "L-unormal",
-    "L-irr",
-    "L-uorder",
-    "L-ugroup",
-    "C-ucorr",
-    "C-ucor",
-    "T-ugroupp",
-    "L-ucap",
-    "T-udelta",
-    "L-uchain",
-    "L-uquot",
-    "L-ukernel",
-    "T-final",
-    "L-sabelian-gcp",
-    "P-roworth",
-    "P-colorth",
-    "P-prop42",
-)
-
-THEOREM_DESCRIPTIONS = {
-    "T-celt": "four characterizations of Camina elements agree",
-    "T-corgcp": "characterizations of generalized Camina pairs agree",
-    "L-cp": "Camina pairs close upward, pass to quotients, and bound the center",
-    "L-vs": "basic properties of the vanishing-off subgroup V(S)",
-    "T-zeta": "upper central terms above a non-central commutator land in V(S)",
-    "C-class": "nilpotence class c forces zeta_(c-1) inside V(S)",
-    "C-hyper": "non-nilpotent theories have their hypercenter inside V(S)",
-    "L-vsn": "non-abelian quotients force N into V(S) and bound the deflated V",
-    "T-vseries": "the V-series interleaves the lower central series",
-    "C-vterm": "S-nilpotency is equivalent to the V-series reaching 1",
-    "L-vzs": "VZ characterizations through the coset-product condition",
-    "T-zs": "VZ holds exactly when V(S) sits between [G,S] and Z(S)",
-    "T-vznilp": "non-abelian VZ theories are nilpotent of class 2",
-    "L-scd": "supercharacter degrees of VZ theories",
-    "L-unormal": "U(S|N) is S-normal",
-    "L-irr": "character-set containment mirrors subgroup containment",
-    "L-uorder": "U(S|.) is monotone",
-    "L-ugroup": "H lies in U(S|N) exactly when V(S|H) lies in N",
-    "C-ucorr": "membership in U(S|N) matches the coset-product factorization",
-    "C-ucor": "N = U(S|N) exactly at star factorizations",
-    "T-ugroupp": "U(S|N) is the largest subgroup with the vanishing property",
-    "L-ucap": "U(S|N) is bounded by N and the commutator",
-    "T-udelta": "U(S|N) > 1 detects nontrivial coset-product factors",
-    "L-uchain": "the iterated U-chain bottoms out above 1 iff a star factor exists",
-    "L-uquot": "U commutes with deflation above V(S|N)",
-    "L-ukernel": "U(S|N) as a kernel intersection",
-    "T-final": "VZ, Z(S) = V(S), and U(S) = [G,S] are equivalent",
-    "L-sabelian-gcp": "S-abelian groups are exactly those with (G,1) a Camina pair",
-    "P-roworth": "supercharacter row orthogonality",
-    "P-colorth": "supercharacter column orthogonality",
-    "P-prop42": "V(S|N) is S-normal and is the product of the V(sigma) over N",
-}
 
 DEFAULT_CATALOG = (
     "C2",
@@ -164,6 +95,23 @@ class TheoremReport:
         return out
 
 
+_CHECKERS: dict = {}  # theorem id -> checker, in registration order
+
+
+def theorem(tid: str, description: str):
+    """Register the decorated checker as theorem `tid`; an id registered
+    twice raises.  The suite runs the checkers in registration order."""
+
+    def register(check):
+        if tid in _CHECKERS:
+            raise ValueError(f"theorem id {tid!r} is registered twice")
+        check.description = description
+        _CHECKERS[tid] = check
+        return check
+
+    return register
+
+
 def _sub(H: SubgroupSet) -> list[int]:
     return list(H.sorted_members())
 
@@ -174,32 +122,29 @@ def _status(ok: bool, vacuous: bool = False) -> str:
     return "vacuous" if vacuous else "pass"
 
 
-def _verdict_report(tid: str, scope: dict, verdict) -> TheoremReport:
+def _verdict_row(scope: dict, verdict):
     ok = verdict.agreement
-    witness = None if ok else verdict.to_json()
-    return TheoremReport(tid, scope, _status(ok, verdict.vacuous), witness)
+    return scope, _status(ok, verdict.vacuous), None if ok else verdict.to_json()
 
 
 # ---------------------------------------------------------------------------
 # individual checkers
 
 
+@theorem("T-celt", "four characterizations of Camina elements agree")
 def _check_celt(S: SuperTheory):
-    return [
-        _verdict_report("T-celt", {"element": g}, is_camina_element(S, g))
-        for g in range(S.group.order)
-    ]
+    for g in range(S.group.order):
+        yield _verdict_row({"element": g}, is_camina_element(S, g))
 
 
+@theorem("T-corgcp", "characterizations of generalized Camina pairs agree")
 def _check_corgcp(S: SuperTheory):
-    return [
-        _verdict_report("T-corgcp", {"n": _sub(N)}, is_s_gcp(S, N))
-        for N in s_normal_subgroups(S)
-    ]
+    for N in s_normal_subgroups(S):
+        yield _verdict_row({"n": _sub(N)}, is_s_gcp(S, N))
 
 
+@theorem("L-cp", "Camina pairs close upward, pass to quotients, and bound the center")
 def _check_cp(S: SuperTheory):
-    out = []
     subs = s_normal_subgroups(S)
     com = s_commutator_full(S)
     center = s_center(S)
@@ -225,14 +170,10 @@ def _check_cp(S: SuperTheory):
         if not abelian and not center.members <= N.members:
             fails.append("center-below")
         witness = {"failing": fails} if fails else None
-        out.append(
-            TheoremReport(
-                "L-cp", {"n": _sub(N)}, _status(not fails, verdict.vacuous), witness
-            )
-        )
-    return out
+        yield {"n": _sub(N)}, _status(not fails, verdict.vacuous), witness
 
 
+@theorem("L-vs", "basic properties of the vanishing-off subgroup V(S)")
 def _check_vs(S: SuperTheory):
     subs = s_normal_subgroups(S)
     V = v_theory(S)
@@ -253,80 +194,85 @@ def _check_vs(S: SuperTheory):
     if frozenset(meet) != V.members:
         fails.append("v-as-intersection")
     witness = {"failing": fails, "v": _sub(V)} if fails else None
-    return [TheoremReport("L-vs", {}, _status(not fails), witness)]
+    yield {}, _status(not fails), witness
 
 
+@theorem("T-zeta", "upper central terms above a non-central commutator land in V(S)")
 def _check_zeta(S: SuperTheory):
-    out = []
     up = upper_series(S)
     com = s_commutator_full(S)
     V = v_theory(S)
     top = max(1, len(up.terms) - 1)
     for m in range(1, top + 1):
         if com.members <= up.term(m).members:
-            out.append(TheoremReport("T-zeta", {"m": m}, "not-applicable"))
+            yield {"m": m}, "not-applicable"
             continue
         ok = up.term(m + 1).members <= V.members
         witness = None if ok else {"zeta": _sub(up.term(m + 1)), "v": _sub(V)}
-        out.append(TheoremReport("T-zeta", {"m": m}, _status(ok), witness))
-    return out
+        yield {"m": m}, _status(ok), witness
 
 
+@theorem("C-class", "nilpotence class c forces zeta_(c-1) inside V(S)")
 def _check_cclass(S: SuperTheory):
     c = s_nilpotence_class(S)
     if c is None or c < 1:
-        return [TheoremReport("C-class", {}, "not-applicable")]
-    ok = upper_series(S).term(c - 1).members <= v_theory(S).members
-    return [TheoremReport("C-class", {"class": c}, _status(ok))]
+        yield {}, "not-applicable"
+    else:
+        ok = upper_series(S).term(c - 1).members <= v_theory(S).members
+        yield {"class": c}, _status(ok)
 
 
+@theorem("C-hyper", "non-nilpotent theories have their hypercenter inside V(S)")
 def _check_chyper(S: SuperTheory):
     if s_nilpotence_class(S) is not None:
-        return [TheoremReport("C-hyper", {}, "not-applicable")]
-    ok = upper_series(S).last.members <= v_theory(S).members
-    return [TheoremReport("C-hyper", {}, _status(ok))]
+        yield {}, "not-applicable"
+    else:
+        yield {}, _status(upper_series(S).last.members <= v_theory(S).members)
 
 
+@theorem("L-vsn", "non-abelian quotients force N into V(S) and bound the deflated V")
 def _check_vsn(S: SuperTheory):
-    out = []
     V = v_theory(S)
     for N in s_normal_subgroups(S):
         defl = deflation(S, N)
         scope = {"n": _sub(N)}
         if is_s_abelian(defl):
-            out.append(TheoremReport("L-vsn", scope, "not-applicable"))
+            yield scope, "not-applicable"
             continue
         _, proj = quotient_group(S.group, N)
         image = frozenset(proj[g] for g in V.members)
         ok = N.members <= V.members and v_theory(defl).members <= image
         witness = None if ok else {"v": _sub(V), "deflated-v": _sub(v_theory(defl))}
-        out.append(TheoremReport("L-vsn", scope, _status(ok), witness))
-    return out
+        yield scope, _status(ok), witness
 
 
+@theorem("T-vseries", "the V-series interleaves the lower central series")
 def _check_vseries(S: SuperTheory):
     rep = v_series_checks(S)
     witness = None if rep.ok else {"failing": [c.name for c in rep.failures]}
-    return [TheoremReport("T-vseries", {}, _status(rep.ok), witness)]
+    yield {}, _status(rep.ok), witness
 
 
+@theorem("C-vterm", "S-nilpotency is equivalent to the V-series reaching 1")
 def _check_vterm(S: SuperTheory):
     nilpotent = s_nilpotence_class(S) is not None
     terminates = len(v_series(S).last) == 1
     ok = nilpotent == terminates
     witness = None if ok else {"nilpotent": nilpotent, "v-series-last": _sub(v_series(S).last)}
-    return [TheoremReport("C-vterm", {}, _status(ok), witness)]
+    yield {}, _status(ok), witness
 
 
+@theorem("L-vzs", "VZ characterizations through the coset-product condition")
 def _check_vzs(S: SuperTheory):
     verdict = is_vz(S)
     keys = ("definition", "v-inside-center", "coset-product", "class-size-product", "transversal")
     values = [verdict.conditions[k] for k in keys if k in verdict.conditions]
     ok = len(set(values)) == 1
     witness = None if ok else verdict.to_json()
-    return [TheoremReport("L-vzs", {}, _status(ok, verdict.vacuous), witness)]
+    yield {}, _status(ok, verdict.vacuous), witness
 
 
+@theorem("T-zs", "VZ holds exactly when V(S) sits between [G,S] and Z(S)")
 def _check_zs(S: SuperTheory):
     vz = is_vz(S).holds
     com = s_commutator_full(S)
@@ -334,82 +280,71 @@ def _check_zs(S: SuperTheory):
     squeezed = com.members <= V.members and V.members <= s_center(S).members
     ok = vz == squeezed
     witness = None if ok else {"vz": vz, "v": _sub(V)}
-    return [TheoremReport("T-zs", {}, _status(ok), witness)]
+    yield {}, _status(ok), witness
 
 
+@theorem("T-vznilp", "non-abelian VZ theories are nilpotent of class 2")
 def _check_vznilp(S: SuperTheory):
     if is_s_abelian(S) or not is_vz(S).holds:
-        return [TheoremReport("T-vznilp", {}, "not-applicable")]
-    c = s_nilpotence_class(S)
-    return [TheoremReport("T-vznilp", {}, _status(c == 2), None if c == 2 else {"class": c})]
+        yield {}, "not-applicable"
+    else:
+        c = s_nilpotence_class(S)
+        yield {}, _status(c == 2), None if c == 2 else {"class": c}
 
 
+@theorem("L-scd", "supercharacter degrees of VZ theories")
 def _check_scd(S: SuperTheory):
     rep = scd_check(S)
     if not rep.checks:
-        return [TheoremReport("L-scd", {}, "not-applicable")]
-    witness = None if rep.ok else {"failing": [c.name for c in rep.failures]}
-    return [TheoremReport("L-scd", {}, _status(rep.ok), witness)]
+        yield {}, "not-applicable"
+    else:
+        witness = None if rep.ok else {"failing": [c.name for c in rep.failures]}
+        yield {}, _status(rep.ok), witness
 
 
+@theorem("L-unormal", "U(S|N) is S-normal")
 def _check_unormal(S: SuperTheory):
-    out = []
     for N in s_normal_subgroups(S):
-        ok = S.is_s_normal(u_rel(S, N))
-        out.append(TheoremReport("L-unormal", {"n": _sub(N)}, _status(ok)))
-    return out
+        yield {"n": _sub(N)}, _status(S.is_s_normal(u_rel(S, N)))
 
 
+@theorem("L-irr", "character-set containment mirrors subgroup containment")
 def _check_irr(S: SuperTheory):
     subs = s_normal_subgroups(S)
     over = {
         N.members: frozenset(sigma.index for sigma in irr_over(S, N)) for N in subs
     }
-    out = []
     for M in subs:
         for N in subs:
             contained = over[M.members] <= over[N.members]
             ok = contained == (M.members <= N.members)
-            out.append(
-                TheoremReport(
-                    "L-irr", {"m": _sub(M), "n": _sub(N)}, _status(ok)
-                )
-            )
-    return out
+            yield {"m": _sub(M), "n": _sub(N)}, _status(ok)
 
 
+@theorem("L-uorder", "U(S|.) is monotone")
 def _check_uorder(S: SuperTheory):
     subs = s_normal_subgroups(S)
-    out = []
     for H in subs:
         for N in subs:
             if not H.members <= N.members:
                 continue
             ok = u_rel(S, H).members <= u_rel(S, N).members
-            out.append(
-                TheoremReport("L-uorder", {"h": _sub(H), "n": _sub(N)}, _status(ok))
-            )
-    return out
+            yield {"h": _sub(H), "n": _sub(N)}, _status(ok)
 
 
+@theorem("L-ugroup", "H lies in U(S|N) exactly when V(S|H) lies in N")
 def _check_ugroup(S: SuperTheory):
     subs = s_normal_subgroups(S)
-    out = []
     for H in subs:
         for N in subs:
             lhs = H.members <= u_rel(S, N).members
             rhs = v_rel(S, H).members <= N.members
-            out.append(
-                TheoremReport(
-                    "L-ugroup", {"h": _sub(H), "n": _sub(N)}, _status(lhs == rhs)
-                )
-            )
-    return out
+            yield {"h": _sub(H), "n": _sub(N)}, _status(lhs == rhs)
 
 
+@theorem("C-ucorr", "membership in U(S|N) matches the coset-product factorization")
 def _check_ucorr(S: SuperTheory):
     subs = s_normal_subgroups(S)
-    out = []
     for H in subs:
         for N in subs:
             if not H.members <= N.members:
@@ -418,33 +353,24 @@ def _check_ucorr(S: SuperTheory):
             membership = H.members <= u_rel(S, N).members
             ok = triple.agreement and membership == triple.holds
             witness = None if ok else triple.to_json()
-            out.append(
-                TheoremReport(
-                    "C-ucorr",
-                    {"h": _sub(H), "n": _sub(N)},
-                    _status(ok, triple.vacuous),
-                    witness,
-                )
-            )
-    return out
+            yield {"h": _sub(H), "n": _sub(N)}, _status(ok, triple.vacuous), witness
 
 
+@theorem("C-ucor", "N = U(S|N) exactly at star factorizations")
 def _check_ucor(S: SuperTheory):
-    out = []
     for N in s_normal_subgroups(S):
         pair = is_camina_pair(S, N)
         fixed = N.members == u_rel(S, N).members
         ok = pair.agreement and fixed == pair.holds
         witness = None if ok else pair.to_json()
-        out.append(
-            TheoremReport("C-ucor", {"n": _sub(N)}, _status(ok, pair.vacuous), witness)
-        )
-    return out
+        yield {"n": _sub(N)}, _status(ok, pair.vacuous), witness
 
 
+@theorem("T-ugroupp", "U(S|N) is the largest subgroup with the vanishing property")
 def _check_ugroupp(S: SuperTheory):
     if is_s_abelian(S):
-        return [TheoremReport("T-ugroupp", {}, "not-applicable")]
+        yield {}, "not-applicable"
+        return
     subs = s_normal_subgroups(S)
     sigmas = S.supercharacters()
     zeroset = {
@@ -453,7 +379,6 @@ def _check_ugroupp(S: SuperTheory):
     }
     kernels = {sigma.index: super_kernel(sigma).members for sigma in sigmas}
     over = {N.members: [sigma.index for sigma in irr_over(S, N)] for N in subs}
-    out = []
     for N in subs:
         outside = frozenset(range(S.group.order)) - N.members
 
@@ -472,31 +397,28 @@ def _check_ugroupp(S: SuperTheory):
             if rhs != (g in U.members):
                 fails.append(f"membership-{g}")
         witness = {"failing": fails} if fails else None
-        out.append(TheoremReport("T-ugroupp", {"n": _sub(N)}, _status(not fails), witness))
-    return out
+        yield {"n": _sub(N)}, _status(not fails), witness
 
 
+@theorem("L-ucap", "U(S|N) is bounded by N and the commutator")
 def _check_ucap(S: SuperTheory):
-    out = []
     abelian = is_s_abelian(S)
     com = s_commutator_full(S)
     for N in s_normal_subgroups(S):
         scope = {"n": _sub(N)}
         if abelian:
-            out.append(TheoremReport("L-ucap", scope, "not-applicable"))
+            yield scope, "not-applicable"
             continue
         if len(N) == S.group.order:
             # U(S|G) = G by the product definition, so the bound needs N < G
-            out.append(TheoremReport("L-ucap", scope, "not-applicable"))
+            yield scope, "not-applicable"
             continue
-        ok = u_rel(S, N).members <= (N.members & com.members)
-        out.append(TheoremReport("L-ucap", scope, _status(ok)))
-    return out
+        yield scope, _status(u_rel(S, N).members <= (N.members & com.members))
 
 
+@theorem("T-udelta", "U(S|N) > 1 detects nontrivial coset-product factors")
 def _check_udelta(S: SuperTheory):
     subs = s_normal_subgroups(S)
-    out = []
     for N in subs:
         if len(N) == 1:
             continue
@@ -507,48 +429,41 @@ def _check_udelta(S: SuperTheory):
         nontrivial = len(u_rel(S, N)) > 1
         ok = exists == nontrivial
         witness = None if ok else {"exists-factor": exists, "u": _sub(u_rel(S, N))}
-        out.append(TheoremReport("T-udelta", {"n": _sub(N)}, _status(ok), witness))
-    if not out:
-        out.append(TheoremReport("T-udelta", {}, "not-applicable"))
-    return out
+        yield {"n": _sub(N)}, _status(ok), witness
 
 
+@theorem("L-uchain", "the iterated U-chain bottoms out above 1 iff a star factor exists")
 def _check_uchain(S: SuperTheory):
     subs = s_normal_subgroups(S)
-    out = []
     for N in subs:
         if len(N) == 1 or len(N) == S.group.order:
             continue
         last = u_chain(S, N).last
         exists = any(
-            1 < len(H) and H.members <= N.members and is_star_product(S, H)
+            1 < len(H) and H.members <= N.members and is_delta_product(S, H, H)
             for H in subs
         )
         ok = (len(last) > 1) == exists
         witness = None if ok else {"chain-last": _sub(last), "exists-star": exists}
-        out.append(TheoremReport("L-uchain", {"n": _sub(N)}, _status(ok), witness))
-    if not out:
-        out.append(TheoremReport("L-uchain", {}, "not-applicable"))
-    return out
+        yield {"n": _sub(N)}, _status(ok), witness
 
 
+@theorem("L-uquot", "U commutes with deflation above V(S|N)")
 def _check_uquot(S: SuperTheory):
     subs = s_normal_subgroups(S)
-    out = []
     for N in subs:
         for H in subs:
             scope = {"n": _sub(N), "h": _sub(H)}
             if not v_rel(S, N).members <= H.members:
-                out.append(TheoremReport("L-uquot", scope, "not-applicable"))
+                yield scope, "not-applicable"
                 continue
             rep = u_quotient_check(S, N, H)
             witness = None if rep.ok else {"failing": [c.detail for c in rep.failures]}
-            out.append(TheoremReport("L-uquot", scope, _status(rep.ok), witness))
-    return out
+            yield scope, _status(rep.ok), witness
 
 
+@theorem("L-ukernel", "U(S|N) as a kernel intersection")
 def _check_ukernel(S: SuperTheory):
-    out = []
     for N in s_normal_subgroups(S):
         rep = u_kernel_check(S, N)
         witness = None
@@ -556,34 +471,38 @@ def _check_ukernel(S: SuperTheory):
             witness = {"failing": [c.detail for c in rep.failures]}
         elif rep.notes:
             witness = {"notes": rep.notes}
-        out.append(TheoremReport("L-ukernel", {"n": _sub(N)}, _status(rep.ok), witness))
-    return out
+        yield {"n": _sub(N)}, _status(rep.ok), witness
 
 
+@theorem("T-final", "VZ, Z(S) = V(S), and U(S) = [G,S] are equivalent")
 def _check_final(S: SuperTheory):
     if is_s_abelian(S):
-        return [TheoremReport("T-final", {}, "not-applicable")]
+        yield {}, "not-applicable"
+        return
     vz = is_vz(S).holds
     z_eq_v = s_center(S).members == v_theory(S).members
     u_eq_com = u_theory(S).members == s_commutator_full(S).members
     ok = vz == z_eq_v == u_eq_com
     witness = None if ok else {"vz": vz, "z=v": z_eq_v, "u=[G,S]": u_eq_com}
-    return [TheoremReport("T-final", {}, _status(ok), witness)]
+    yield {}, _status(ok), witness
 
 
+@theorem("L-sabelian-gcp", "S-abelian groups are exactly those with (G,1) a Camina pair")
 def _check_sabelian_gcp(S: SuperTheory):
     lhs = is_s_abelian(S)
     rhs = is_s_gcp(S, trivial_subgroup(S.group)).holds
     witness = None if lhs == rhs else {"s-abelian": lhs, "gcp-at-1": rhs}
-    return [TheoremReport("L-sabelian-gcp", {}, _status(lhs == rhs), witness)]
+    yield {}, _status(lhs == rhs), witness
 
 
+@theorem("P-roworth", "supercharacter row orthogonality")
 def _check_roworth(S: SuperTheory):
     rep = check_row_orthogonality(S)
     witness = None if rep.ok else {"failing": [c.name for c in rep.failures]}
-    return [TheoremReport("P-roworth", {}, _status(rep.ok), witness)]
+    yield {}, _status(rep.ok), witness
 
 
+@theorem("P-colorth", "supercharacter column orthogonality")
 def _check_colorth(S: SuperTheory):
     ok = True
     witness = None
@@ -597,11 +516,11 @@ def _check_colorth(S: SuperTheory):
                 break
         if not ok:
             break
-    return [TheoremReport("P-colorth", {}, _status(ok), witness)]
+    yield {}, _status(ok), witness
 
 
+@theorem("P-prop42", "V(S|N) is S-normal and is the product of the V(sigma) over N")
 def _check_prop42(S: SuperTheory):
-    out = []
     for N in s_normal_subgroups(S):
         V = v_rel(S, N)
         product = trivial_subgroup(S.group)
@@ -619,65 +538,28 @@ def _check_prop42(S: SuperTheory):
         witness = {"failing": fails} if fails else None
         if witness is None and raw_subgroup_flags and not all(raw_subgroup_flags):
             witness = {"note": "some nonvanishing sets needed closure to become subgroups"}
-        out.append(
-            TheoremReport(
-                "P-prop42", {"n": _sub(N)}, _status(not fails), witness
-            )
-        )
-    return out
+        yield {"n": _sub(N)}, _status(not fails), witness
 
 
-_CHECKERS = {
-    "T-celt": _check_celt,
-    "T-corgcp": _check_corgcp,
-    "L-cp": _check_cp,
-    "L-vs": _check_vs,
-    "T-zeta": _check_zeta,
-    "C-class": _check_cclass,
-    "C-hyper": _check_chyper,
-    "L-vsn": _check_vsn,
-    "T-vseries": _check_vseries,
-    "C-vterm": _check_vterm,
-    "L-vzs": _check_vzs,
-    "T-zs": _check_zs,
-    "T-vznilp": _check_vznilp,
-    "L-scd": _check_scd,
-    "L-unormal": _check_unormal,
-    "L-irr": _check_irr,
-    "L-uorder": _check_uorder,
-    "L-ugroup": _check_ugroup,
-    "C-ucorr": _check_ucorr,
-    "C-ucor": _check_ucor,
-    "T-ugroupp": _check_ugroupp,
-    "L-ucap": _check_ucap,
-    "T-udelta": _check_udelta,
-    "L-uchain": _check_uchain,
-    "L-uquot": _check_uquot,
-    "L-ukernel": _check_ukernel,
-    "T-final": _check_final,
-    "L-sabelian-gcp": _check_sabelian_gcp,
-    "P-roworth": _check_roworth,
-    "P-colorth": _check_colorth,
-    "P-prop42": _check_prop42,
-}
+THEOREM_IDS = tuple(_CHECKERS)
+THEOREM_DESCRIPTIONS = {tid: check.description for tid, check in _CHECKERS.items()}
 
 
 def run_suite(S: SuperTheory) -> list[TheoremReport]:
     """Run every theorem over all applicable scopes of the theory.
 
-    Every theorem id appears at least once; an exception raised by a
-    checker becomes a fail report carrying its type and message rather than
+    Every theorem id appears at least once: a checker that yields no row
+    gives one not-applicable report, and an exception raised by a checker
+    becomes a fail report carrying its type and message rather than
     aborting the suite.
     """
     reports: list[TheoremReport] = []
     for tid in THEOREM_IDS:
         try:
-            batch = _CHECKERS[tid](S)
+            batch = [TheoremReport(tid, *row) for row in _CHECKERS[tid](S)]
         except Exception as exc:
             batch = [TheoremReport(tid, {"error": str(exc), "exception": type(exc).__name__}, "fail")]
-        if not batch:
-            batch = [TheoremReport(tid, {}, "not-applicable")]
-        reports.extend(batch)
+        reports.extend(batch or [TheoremReport(tid, {}, "not-applicable")])
     return reports
 
 

@@ -4,11 +4,57 @@ Every one of the Bell(m) partitions of the m irreducible characters is
 screened with exact integer encodings of the scaled character rows; the
 survivors are derived with `sct_from_character_partition`.  This is the
 search `enumerate_scts` ran before it moved to the class side, kept here
-as a slow reference for it.
+as a slow reference for it, together with the character-side derivation
+that `finest` and `coarsest` used before they moved to the class side.
 """
 
-from superchar.errors import ConsistencyError
-from superchar.supertheory import sct_from_character_partition
+from superchar.errors import ConsistencyError, SuperTheoryError
+from superchar.groups import ElementPartition
+from superchar.supertheory import _sigma_class_values, _theory
+
+
+def _canonical_xparts(xparts, n_chars: int) -> tuple[frozenset[int], ...]:
+    parts = [frozenset(int(t) for t in p) for p in xparts]
+    seen: set[int] = set()
+    for p in parts:
+        if not p:
+            raise SuperTheoryError("empty character part")
+        if p & seen:
+            raise SuperTheoryError("character parts overlap")
+        seen |= p
+    if seen != set(range(n_chars)):
+        raise SuperTheoryError("character parts must cover all irreducible characters")
+    return tuple(sorted(parts, key=min))
+
+
+def sct_from_character_partition(table, xparts):
+    """Derive the unique candidate theory with the given character partition.
+
+    The superclass partition must refine the common level sets of the
+    sigma_X, and equal cardinality forces equality, so the level sets are
+    the only candidate.  Returns None when they fail the axioms.
+    """
+    parts = _canonical_xparts(xparts, len(table.values))
+    rows = [_sigma_class_values(table, p) for p in parts]
+    signatures = [tuple(rows[x][k].key() for x in range(len(parts))) for k in range(table.n_classes)]
+    groups: dict[tuple, list[int]] = {}
+    for k, sig in enumerate(signatures):
+        groups.setdefault(sig, []).append(k)
+    if len(groups) != len(parts):
+        return None
+    if len(groups[signatures[0]]) != 1:
+        return None
+    yparts = ElementPartition(
+        table.group.order,
+        [set().union(*(table.classes.blocks[c] for c in cls)) for cls in groups.values()],
+    )
+    block_classes = [
+        tuple(sorted({table.classes.block_of[x] for x in b})) for b in yparts.blocks
+    ]
+    theory = _theory(table, parts, yparts, block_classes)
+    if theory is None:
+        raise ConsistencyError("the level sets of the sigma_X failed validation")
+    return theory
 
 
 def iter_set_partitions(m: int, first_singleton: bool = False):

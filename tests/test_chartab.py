@@ -199,7 +199,7 @@ def _abelian_reference_rows(name):
         for g in range(order):
             gs = decode(g)
             k = sum((e // n) * a * b for n, a, b in zip(factors, ts, gs))
-            row.append(Cyclotomic.root(e, k))
+            row.append(Cyclotomic(e, [0] * k + [1]))
         rows.append(tuple(row))
     return rows
 

@@ -1,3 +1,4 @@
+import cmath
 import random
 from fractions import Fraction
 from math import gcd
@@ -7,15 +8,20 @@ import pytest
 from superchar.cyclotomic import Cyclotomic, cyclotomic_polynomial, euler_phi, hermitian_term
 
 
+def zeta(order, k=1):
+    """zeta_order^k."""
+    return Cyclotomic(order, [0] * k + [1])
+
+
 def test_basic_root_identities():
-    i = Cyclotomic.root(4)
+    i = zeta(4)
     assert i * i == -1
-    z3 = Cyclotomic.root(3)
+    z3 = zeta(3)
     assert (1 + z3 + z3 * z3).is_zero()
-    z8 = Cyclotomic.root(8)
-    assert z8.conjugate() == Cyclotomic.root(8, 7)
-    assert Cyclotomic.root(6, 3) == -1
-    assert Cyclotomic.root(5, 7) == Cyclotomic.root(5, 2)
+    z8 = zeta(8)
+    assert z8.conjugate() == zeta(8, 7)
+    assert zeta(6, 3) == -1
+    assert zeta(5, 7) == zeta(5, 2)
 
 
 def test_cyclotomic_polynomials():
@@ -29,9 +35,9 @@ def test_cyclotomic_polynomials():
 
 
 def test_hermitian_term_examples():
-    i = Cyclotomic.root(4)
+    i = zeta(4)
     assert hermitian_term(i, i) == 1
-    a = 1 + Cyclotomic.root(3)
+    a = 1 + zeta(3)
     assert hermitian_term(a, a) == 1
     zero = Cyclotomic.zero(3)
     assert hermitian_term(zero, a).is_zero()
@@ -41,14 +47,18 @@ def test_order_lifting_and_equality():
     one2 = Cyclotomic.one(2)
     one4 = Cyclotomic.one(4)
     assert one2 == one4
-    z4 = Cyclotomic.root(4)
-    z8sq = Cyclotomic.root(8) * Cyclotomic.root(8)
+    z4 = zeta(4)
+    z8sq = zeta(8) * zeta(8)
     assert z4 == z8sq
-    assert z4 + Cyclotomic.root(6, 3) == z4 - 1
+    assert z4 + zeta(6, 3) == z4 - 1
 
 
 def test_ring_axioms_on_random_values():
     rng = random.Random(7)
+
+    def approx(v):
+        tau = 2 * cmath.pi / v.order
+        return sum(n / v.den * cmath.exp(1j * tau * k) for k, n in enumerate(v.num))
 
     def rand_value(order):
         coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(order)]
@@ -63,7 +73,7 @@ def test_ring_axioms_on_random_values():
             assert a + b == b + a
             assert a * b == b * a
             assert (a - a).is_zero()
-            assert abs((a * b).approx() - a.approx() * b.approx()) < 1e-9
+            assert abs(approx(a * b) - approx(a) * approx(b)) < 1e-9
 
 
 def test_conjugation_is_an_automorphism():
@@ -78,7 +88,7 @@ def test_conjugation_is_an_automorphism():
 
 
 def test_galois_requires_coprime_exponent():
-    z6 = Cyclotomic.root(6)
+    z6 = zeta(6)
     with pytest.raises(ValueError):
         z6.galois(2)
     assert z6.galois(5) == z6.conjugate()
@@ -94,8 +104,8 @@ def test_display_and_parse_round_trip():
             )
             assert Cyclotomic.parse(str(v), order) == v
     assert Cyclotomic.parse("0", 4).is_zero()
-    assert Cyclotomic.parse("-z", 4) == -Cyclotomic.root(4)
-    assert Cyclotomic.parse("1 - z^2", 8) == 1 - Cyclotomic.root(8, 2)
+    assert Cyclotomic.parse("-z", 4) == -zeta(4)
+    assert Cyclotomic.parse("1 - z^2", 8) == 1 - zeta(8, 2)
 
 
 def test_parse_rejects_garbage():
@@ -104,22 +114,17 @@ def test_parse_rejects_garbage():
             Cyclotomic.parse(bad, 4)
 
 
-def test_json_round_trip():
-    v = Fraction(2, 3) * Cyclotomic.root(8) - 1
-    assert Cyclotomic.from_json(v.to_json()) == v
-
-
 def test_rational_extraction():
     v = Cyclotomic.from_rational(Fraction(7, 2), 12)
     assert v.is_rational() and v.rational_value() == Fraction(7, 2)
     with pytest.raises(ValueError):
         v.integer_value()
     with pytest.raises(ValueError):
-        Cyclotomic.root(8).rational_value()
+        zeta(8).rational_value()
 
 
 def test_division_by_rationals():
-    z = Cyclotomic.root(4)
+    z = zeta(4)
     assert (z + z) / 2 == z
     assert z / Fraction(1, 3) == 3 * z
     with pytest.raises(TypeError):
@@ -259,8 +264,8 @@ def test_integer_normal_form_against_fraction_reference():
 
 def test_hash_agrees_with_equality_across_orders():
     assert Cyclotomic.one(4) in {Cyclotomic.one(2)}
-    assert hash(Cyclotomic.root(12, 3)) == hash(Cyclotomic.root(4))
-    assert hash(Cyclotomic.root(12, 2)) == hash(-Cyclotomic.root(3, 2))
+    assert hash(zeta(12, 3)) == hash(zeta(4))
+    assert hash(zeta(12, 2)) == hash(-zeta(3, 2))
     rng = random.Random(12)
     orders = (1, 2, 4, 8, 12)
     for d in orders:
@@ -271,8 +276,8 @@ def test_hash_agrees_with_equality_across_orders():
                     w = v.lifted(e)
                     assert w == v and hash(w) == hash(v) and w in {v}
     # the twelve 12th roots of unity are distinct values, whatever order holds them
-    roots = {Cyclotomic.root(12, k) for k in range(12)}
-    assert len(roots) == 12 and Cyclotomic.root(4, 1) in roots and Cyclotomic.root(2, 1) in roots
+    roots = {zeta(12, k) for k in range(12)}
+    assert len(roots) == 12 and zeta(4, 1) in roots and zeta(2, 1) in roots
 
 
 def test_lowered_inverts_lifted():
@@ -293,10 +298,10 @@ def test_lowered_inverts_lifted():
 
 def test_lowered_rejects_values_outside_the_subfield():
     with pytest.raises(ValueError, match="does not lie"):
-        Cyclotomic.root(4).lowered(2)
+        zeta(4).lowered(2)
     with pytest.raises(ValueError, match="does not lie"):
-        Cyclotomic.root(12, 1).lowered(6)
+        zeta(12, 1).lowered(6)
     with pytest.raises(ValueError, match="cannot lower"):
-        Cyclotomic.root(12).lowered(5)
-    assert Cyclotomic.root(12, 4).lowered(3).key() == Cyclotomic.root(3).key()
-    assert Cyclotomic.root(12, 6).lowered(1).key() == Cyclotomic.from_rational(-1).key()
+        zeta(12).lowered(5)
+    assert zeta(12, 4).lowered(3).key() == zeta(3).key()
+    assert zeta(12, 6).lowered(1).key() == Cyclotomic.from_rational(-1).key()

@@ -11,7 +11,6 @@ from superchar.groups import (
     build_group,
     catalog_group,
     conjugacy_classes,
-    coset_saturation,
     derived_subgroup,
     full_subgroup,
     generated_subgroup,
@@ -188,15 +187,6 @@ def test_subgroup_product():
     assert subgroup_product(q8, i_sub, j_sub) == full_subgroup(q8)
     with pytest.raises(GroupConstructionError):
         subgroup_product(G, generated_subgroup(G, [1]), generated_subgroup(G, [2]))
-
-
-def test_coset_saturation():
-    G = catalog_group("S3")
-    A3 = generated_subgroup(G, [3])
-    assert coset_saturation(G, trivial_subgroup(G), {1, 3}) == frozenset({1, 3})
-    sat = coset_saturation(G, A3, {1})
-    assert sat == frozenset({1, 2, 5})
-    assert coset_saturation(G, A3, sat) == sat
 
 
 def test_subgroup_group_reindexing():

@@ -12,22 +12,19 @@ from superchar.groups import (
     generated_subgroup,
     group_center,
     quotient_group,
+    subgroup_product,
     trivial_subgroup,
 )
 from superchar.structure import (
-    deflated_gamma_check,
     hypercenter,
     irr_over,
-    irr_quotient,
     is_s_abelian,
-    is_s_normal,
     lower_series,
     normal_subgroups,
     s_center,
     s_commutator,
     s_commutator_full,
     s_nilpotence_class,
-    s_normal_closure,
     s_normal_subgroups,
     super_kernel,
     upper_series,
@@ -60,7 +57,7 @@ def test_s_normal_enumeration_against_brute_force(name):
     brute = {
         members
         for members in all_subgroups_brute(G)
-        if is_s_normal(S, SubgroupSet(G, members))
+        if S.is_s_normal(SubgroupSet(G, members))
     }
     assert walked == brute
 
@@ -105,17 +102,17 @@ def test_s_normal_examples():
 
 def test_is_s_normal():
     G, S = theory_of("S3")
-    assert is_s_normal(S, trivial_subgroup(G))
-    assert is_s_normal(S, full_subgroup(G))
-    assert is_s_normal(S, generated_subgroup(G, [3]))
-    assert not is_s_normal(S, generated_subgroup(G, [1]))
+    assert S.is_s_normal(trivial_subgroup(G))
+    assert S.is_s_normal(full_subgroup(G))
+    assert S.is_s_normal(generated_subgroup(G, [3]))
+    assert not S.is_s_normal(generated_subgroup(G, [1]))
 
 
 def test_center_is_s_normal_everywhere():
     for name in ("S3", "Q8", "D4", "C6"):
         G = catalog_group(name)
         for S in enumerate_scts(character_table_of(G)):
-            assert is_s_normal(S, s_center(S))
+            assert S.is_s_normal(s_center(S))
 
 
 def test_center_examples():
@@ -168,8 +165,9 @@ def test_irr_over_and_quotient_partition():
     over = irr_over(S, A3)
     assert [sigma.index for sigma in over] == [2]
     assert irr_over(S, trivial_subgroup(G)) == ()
-    quot = irr_quotient(S, A3)
-    assert {s.index for s in quot} | {s.index for s in over} == {0, 1, 2}
+    # Irr(S/A3), the supercharacters whose kernel contains A3, is the rest
+    quot = [sigma for sigma in S.supercharacters() if A3.members <= super_kernel(sigma).members]
+    assert [s.index for s in quot] == [0, 1]
 
 
 def test_irr_monotonicity_both_directions():
@@ -244,31 +242,18 @@ def test_trivial_group_class_is_zero():
     assert s_nilpotence_class(S) == 0
 
 
-def test_s_normal_closure():
-    G, S = theory_of("S3")
-    assert s_normal_closure(S, []).sorted_members() == (0,)
-    assert s_normal_closure(S, [1]) == full_subgroup(G)
-    assert s_normal_closure(S, [3]).sorted_members() == (0, 3, 4)
-    q8, Sq = theory_of("Q8")
-    assert s_normal_closure(Sq, [2]) == generated_subgroup(q8, [2])
-
-
-def test_s_normal_closure_is_smallest():
-    for name in ("S3", "Q8", "D4"):
-        G, S = theory_of(name)
-        subs = s_normal_subgroups(S)
-        for seed in ([1], [2], [1, 2]):
-            closure = s_normal_closure(S, seed)
-            containing = [N for N in subs if set(seed) <= N.members]
-            smallest = min(containing, key=len)
-            assert closure == smallest
-
-
 def test_deflated_gamma_identity():
+    # gamma_i(S^{G/N}) is the image of gamma_i(S) N, for all i up to
+    # stabilization of both series
     for name in ("S3", "Q8", "D4", "A4"):
         G, S = theory_of(name)
+        low = lower_series(S)
         for N in s_normal_subgroups(S):
-            assert deflated_gamma_check(S, N).ok
+            _, proj = quotient_group(G, N)
+            low_q = lower_series(deflation(S, N))
+            for i in range(1, max(len(low.terms), len(low_q.terms)) + 2):
+                lifted = subgroup_product(G, low.term(i), N)
+                assert frozenset(proj[g] for g in lifted.members) == low_q.term(i).members
 
 
 def test_upper_series_rejects_bad_input():

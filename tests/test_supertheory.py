@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from superchar.chartab import character_table_of, quotient_character_table
+from superchar.chartab import character_table_of, dixon_character_table, quotient_character_table
 from superchar.cyclotomic import Cyclotomic
 from superchar.errors import SuperTheoryError
 from superchar.groups import (
@@ -12,26 +12,22 @@ from superchar.groups import (
     generated_subgroup,
     trivial_subgroup,
 )
-from superchar.structure import irr_quotient, s_commutator_full, s_normal_subgroups
+from superchar.structure import irr_over, s_commutator_full, s_normal_subgroups
 from superchar.supertheory import (
     check_column_orthogonality,
     check_row_orthogonality,
     coarsest,
     deflation,
-    delta_coarsen,
     enumerate_scts,
     finest,
     is_delta_product,
-    is_star_product,
     restriction,
-    sct_from_character_partition,
     sct_from_class_partition,
     star_construct,
-    subquotient,
 )
 from superchar.verifier import DEFAULT_CATALOG
 
-from bell_oracle import bell_scts
+from bell_oracle import bell_scts, sct_from_character_partition
 
 
 def theory_of(name):
@@ -50,6 +46,24 @@ def test_finest_is_conjugacy_classes():
 def test_finest_equals_coarsest_for_c2():
     _, T = theory_of("C2")
     assert finest(T) == coarsest(T)
+
+
+@pytest.mark.parametrize(
+    "name",
+    DEFAULT_CATALOG + ("C1", "C2xC2xC2xC2", "S3xQ8", "D24", "Q32", "C17", "C4xC5"),
+)
+def test_class_side_extremes_match_the_character_side_oracle(name):
+    # finest and coarsest are derived from their class partitions; the
+    # oracle derives them from the character partitions {chi} and
+    # {1}, Irr(G) - {1} on a fresh table
+    G = catalog_group(name)
+    T = character_table_of(G)
+    fresh = dixon_character_table(G)
+    m = len(fresh.values)
+    assert finest(T).to_json() == sct_from_character_partition(fresh, [{t} for t in range(m)]).to_json()
+    if G.order > 1:
+        oracle = sct_from_character_partition(fresh, [{0}, set(range(1, m))])
+        assert coarsest(T).to_json() == oracle.to_json()
 
 
 def test_coarsest_s3_sigma_values():
@@ -278,21 +292,12 @@ def test_s_normality_is_cached_per_subgroup():
         S.is_s_normal(trivial_subgroup(catalog_group("S3")))
 
 
-def test_subquotient_composes():
-    G, T = theory_of("Q8")
-    S = finest(T)
-    Z = SubgroupSet(G, [0, 1])
-    i_sub = generated_subgroup(G, [2])
-    Sq = subquotient(S, i_sub, Z)
-    assert Sq.group.order == 2 and Sq.n_parts == 2
-
-
 def test_star_product_predicate_and_construction():
     G, T = theory_of("S3")
     S = finest(T)
     A3 = generated_subgroup(G, [3])
-    assert is_star_product(S, trivial_subgroup(G))
-    assert is_star_product(S, A3)
+    assert is_delta_product(S, trivial_subgroup(G), trivial_subgroup(G))
+    assert is_delta_product(S, A3, A3)
     assert star_construct(S, A3) == S
     assert star_construct(S, trivial_subgroup(G)) == S
     # the construction is coarser-or-equal and made of unions of S-classes
@@ -303,7 +308,7 @@ def test_star_product_predicate_and_construction():
                 built = star_construct(S2, N)
                 for b in S2.yparts.blocks:
                     assert b <= built.yparts.block_containing(min(b))
-                assert is_star_product(S2, N) == (built == S2)
+                assert is_delta_product(S2, N, N) == (built == S2)
 
 
 def test_delta_product_predicate():
@@ -314,33 +319,6 @@ def test_delta_product_predicate():
     assert is_delta_product(S, Z, i_sub)
     with pytest.raises(SuperTheoryError):
         is_delta_product(S, i_sub, Z)  # needs M <= N
-
-
-def test_delta_coarsen_trivial_m_is_identity():
-    G, T = theory_of("S3")
-    S = finest(T)
-    A3 = generated_subgroup(G, [3])
-    assert delta_coarsen(S, trivial_subgroup(G), A3) == S
-    assert delta_coarsen(S, trivial_subgroup(G), full_subgroup(G)) == S
-
-
-def test_delta_coarsen_produces_known_coarser_theories():
-    # saturating the finest theory of C4 by its order-2 subgroup gives the
-    # middle three-part theory
-    G, T = theory_of("C4")
-    S = finest(T)
-    half = generated_subgroup(G, [2])
-    mid = delta_coarsen(S, half, half)
-    assert mid is not None
-    assert sorted(map(sorted, mid.yparts.to_json())) == [[0], [1, 3], [2]]
-    # saturating Q8's finest theory by <i> merges the j and k classes
-    q8, Tq = theory_of("Q8")
-    Sq = finest(Tq)
-    i_sub = generated_subgroup(q8, [2])
-    built = delta_coarsen(Sq, i_sub, i_sub)
-    assert built is not None
-    assert sorted(map(sorted, built.yparts.to_json())) == [[0], [1], [2, 3], [4, 5, 6, 7]]
-    assert built.validate().ok
 
 
 def test_induced_theory_class_characterizations():
@@ -374,7 +352,8 @@ def test_linear_parts_match_the_quotient_characters():
         G, T = theory_of(name)
         for S in enumerate_scts(T):
             com = s_commutator_full(S)
-            quotient_chars = irr_quotient(S, com)
+            over = {sigma.index for sigma in irr_over(S, com)}
+            quotient_chars = [sigma for sigma in S.supercharacters() if sigma.index not in over]
             for sigma in quotient_chars:
                 assert len(sigma.part) == 1
                 t = next(iter(sigma.part))

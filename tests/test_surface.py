@@ -1,0 +1,63 @@
+"""Every public function and method of the package is used by the package.
+
+A public name that only its own tests call is surface that neither the
+verifier nor the CLI keeps honest: delete it, or make the suite check it.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "superchar"
+
+# called from outside the package and never from inside it
+ENTRY_POINTS = {
+    "cli.main",  # the `superchar` console script
+    "supertheory.restriction",  # the induced theory on an S-normal subgroup, shown in demos/
+}
+
+
+def _public_definitions(module: str, tree: ast.Module):
+    """(qualified name, short name, node, is_method) of each public def."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node.name, node, False
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield f"{module}.{node.name}.{sub.name}", sub.name, sub, True
+
+
+def test_every_public_function_is_referenced_inside_the_package():
+    definitions = []
+    references = []  # (name, module, line, is_attribute)
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = path.stem
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        definitions += [(module, *d) for d in _public_definitions(module, tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.append((node.id, module, node.lineno, False))
+            elif isinstance(node, ast.Attribute):
+                references.append((node.attr, module, node.lineno, True))
+    assert definitions
+
+    def referenced(module, name, node, is_method):
+        # a function is called by name, a method as an attribute; uses inside
+        # the definition itself do not count
+        return any(
+            ref == name
+            and attribute == is_method
+            and not (where == module and node.lineno <= line <= node.end_lineno)
+            for ref, where, line, attribute in references
+        )
+
+    defined = {qualified for _, qualified, *_ in definitions}
+    assert ENTRY_POINTS <= defined
+    unused = [
+        qualified
+        for module, qualified, name, node, is_method in definitions
+        if qualified not in ENTRY_POINTS and not referenced(module, name, node, is_method)
+    ]
+    assert unused == []

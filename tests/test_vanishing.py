@@ -13,6 +13,7 @@ from superchar.structure import (
     s_commutator_full,
     s_nilpotence_class,
     s_normal_subgroups,
+    super_kernel,
 )
 from superchar.supertheory import coarsest, enumerate_scts, finest
 from superchar.vanishing import (
@@ -25,7 +26,6 @@ from superchar.vanishing import (
     scd_check,
     u_chain,
     u_kernel_check,
-    u_membership_check,
     u_quotient_check,
     u_rel,
     u_theory,
@@ -203,11 +203,21 @@ def test_u_theory_examples():
 
 
 def test_u_membership_characterization():
+    # g lies in U(S|N) exactly when every supercharacter whose kernel misses
+    # g vanishes off N
     G, S = theory_of("S3")
     A3 = generated_subgroup(G, [3])
-    assert u_membership_check(S, A3, 0)
-    assert u_membership_check(S, A3, 3)
-    assert not u_membership_check(S, A3, 1)
+    U = u_rel(S, A3)
+    assert 0 in U.members and 3 in U.members and 1 not in U.members
+    outside = [x for x in range(G.order) if x not in A3.members]
+    for g in range(G.order):
+        vanish = all(
+            sigma.value_on(x).is_zero()
+            for sigma in S.supercharacters()
+            if g not in super_kernel(sigma).members
+            for x in outside
+        )
+        assert vanish == (g in U.members)
 
 
 def test_u_chain():

@@ -1,3 +1,5 @@
+import pytest
+
 from superchar.chartab import character_table_of
 from superchar.groups import catalog_group
 from superchar.supertheory import enumerate_scts, finest
@@ -13,8 +15,51 @@ from superchar.verifier import (
 
 
 def test_theorem_registry_is_complete():
-    assert len(THEOREM_IDS) == 31
-    assert set(THEOREM_DESCRIPTIONS) == set(THEOREM_IDS)
+    # the report order of every theory follows this tuple
+    assert THEOREM_IDS == (
+        "T-celt",
+        "T-corgcp",
+        "L-cp",
+        "L-vs",
+        "T-zeta",
+        "C-class",
+        "C-hyper",
+        "L-vsn",
+        "T-vseries",
+        "C-vterm",
+        "L-vzs",
+        "T-zs",
+        "T-vznilp",
+        "L-scd",
+        "L-unormal",
+        "L-irr",
+        "L-uorder",
+        "L-ugroup",
+        "C-ucorr",
+        "C-ucor",
+        "T-ugroupp",
+        "L-ucap",
+        "T-udelta",
+        "L-uchain",
+        "L-uquot",
+        "L-ukernel",
+        "T-final",
+        "L-sabelian-gcp",
+        "P-roworth",
+        "P-colorth",
+        "P-prop42",
+    )
+    assert list(THEOREM_DESCRIPTIONS) == list(THEOREM_IDS)
+    assert all(THEOREM_DESCRIPTIONS.values())
+
+
+def test_registering_an_existing_theorem_id_raises():
+    import superchar.verifier as verifier
+
+    before = dict(verifier._CHECKERS)
+    with pytest.raises(ValueError, match="L-vs"):
+        verifier.theorem("L-vs", "a second checker")(lambda S: [])
+    assert verifier._CHECKERS == before
 
 
 def test_every_theorem_id_appears_for_c2():
