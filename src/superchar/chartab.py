@@ -24,7 +24,7 @@ from math import isqrt
 
 from .cyclotomic import Cyclotomic
 from .errors import CharacterTableError, ConsistencyError
-from .groups import GroupTable, SubgroupSet, conjugacy_classes, quotient_group
+from .groups import GroupTable, SubgroupSet, cached, conjugacy_classes, quotient_group
 from .reports import CheckReport
 
 DEFAULT_MAX_ORDER = 64
@@ -35,14 +35,13 @@ DEFAULT_PRIME_BOUND = 10**6
 # class multiplication coefficients
 
 
+@cached
 def class_mult_coefficients(G: GroupTable):
     """a[i][j][k] = #{(x, y) in K_i x K_j : x*y = rep_k}.
 
     Verified against the counting identity
     sum_k a[i][j][k] |K_k| = |K_i| |K_j|.  Computed once per group.
     """
-    if "class_mult" in G._memo:
-        return G._memo["class_mult"]
     classes = conjugacy_classes(G)
     r = len(classes)
     block_of = classes.block_of
@@ -68,8 +67,7 @@ def class_mult_coefficients(G: GroupTable):
                 raise ConsistencyError("class multiplication counting identity fails")
             plane.append(tuple(line))
         out.append(tuple(plane))
-    G._memo["class_mult"] = tuple(out)
-    return G._memo["class_mult"]
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -348,17 +346,15 @@ class CharacterTable:
     def value_at_element(self, t: int, g: int) -> Cyclotomic:
         return self.values[t][self.classes.block_of[g]]
 
+    @cached
     def char_kernel(self, t: int) -> SubgroupSet:
         """ker(chi_t) = {g : chi_t(g) = chi_t(1)}."""
-        key = ("kernel", t)
-        if key not in self._memo:
-            deg = self.values[t][0]
-            members = set()
-            for k, block in enumerate(self.classes.blocks):
-                if self.values[t][k] == deg:
-                    members.update(block)
-            self._memo[key] = SubgroupSet(self.group, members)
-        return self._memo[key]
+        deg = self.values[t][0]
+        members = set()
+        for k, block in enumerate(self.classes.blocks):
+            if self.values[t][k] == deg:
+                members.update(block)
+        return SubgroupSet(self.group, members)
 
     def to_text(self) -> str:
         lines = [f"chartab {self.group.label} classes={self.n_classes} exponent={self.exponent}"]
@@ -530,6 +526,7 @@ def quotient_character_table(T: CharacterTable, N: SubgroupSet) -> CharacterTabl
     """
     G = T.group
     Q, proj = quotient_group(G, N)
+    # hand-kept, not @cached: character_table_of(Q) reads this slot, so Dixon never runs on Q
     if "character_table" in Q._memo:
         return Q._memo["character_table"]
     reps = [proj.index(min(b)) for b in conjugacy_classes(Q).blocks]
@@ -561,7 +558,8 @@ def quotient_character_table(T: CharacterTable, N: SubgroupSet) -> CharacterTabl
 
 
 def character_table_of(G: GroupTable) -> CharacterTable:
-    """The group's character table, computed once and cached on the group."""
+    """The group's character table, computed once and cached on the group;
+    for a quotient, `quotient_character_table` fills the same slot."""
     if "character_table" not in G._memo:
         G._memo["character_table"] = dixon_character_table(G)
     return G._memo["character_table"]

@@ -291,8 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the theorem suite over a corpus")
     p.add_argument("--group", help="verify a single group instead of the catalog")
     p.add_argument("--catalog", help="catalog name (default)")
-    p.add_argument("--all-scts", action="store_true", default=True,
-                   help="run every enumerated theory (default)")
     p.add_argument("--extremes-only", dest="all_scts", action="store_false",
                    help="only the finest and coarsest theories")
     p.add_argument("--max-order", type=int, help="skip catalog groups above this order")

@@ -9,11 +9,35 @@ operations are pure.
 from __future__ import annotations
 
 import re
+from functools import wraps
 from math import lcm
 
 from .errors import GroupConstructionError
 
 _FULL_ASSOCIATIVITY_BOUND = 512
+
+
+def cached(fn):
+    """Cache `fn(owner, *args)` in `owner._memo` under the key `(fn, *args)`.
+
+    This is the package's one cache rule.  Arguments are positional and
+    hashable, and equal arguments share an entry.  A call that raises stores
+    nothing, so the checks inside `fn` run on every miss and a hit only ever
+    repeats a call that passed them.
+    """
+
+    @wraps(fn)
+    def lookup(owner, *args):
+        key = (fn, *args)
+        memo = owner._memo
+        try:
+            return memo[key]
+        except KeyError:
+            pass
+        value = memo[key] = fn(owner, *args)
+        return value
+
+    return lookup
 
 
 class GroupTable:
@@ -93,11 +117,10 @@ class GroupTable:
             k += 1
         return k
 
+    @cached
     def exponent(self) -> int:
         """lcm of the element orders."""
-        if "exponent" not in self._memo:
-            self._memo["exponent"] = lcm(*(self.element_order(g) for g in range(self.order)))
-        return self._memo["exponent"]
+        return lcm(*(self.element_order(g) for g in range(self.order)))
 
     def __len__(self) -> int:
         return self.order
@@ -172,18 +195,16 @@ class SubgroupSet:
         return f"SubgroupSet({self.parent.label}, {sorted(self.members)})"
 
 
+@cached
 def trivial_subgroup(G: GroupTable) -> SubgroupSet:
     """{1}, built once per group."""
-    if "trivial_subgroup" not in G._memo:
-        G._memo["trivial_subgroup"] = SubgroupSet(G, (0,))
-    return G._memo["trivial_subgroup"]
+    return SubgroupSet(G, (0,))
 
 
+@cached
 def full_subgroup(G: GroupTable) -> SubgroupSet:
     """G itself, built once per group."""
-    if "full_subgroup" not in G._memo:
-        G._memo["full_subgroup"] = SubgroupSet(G, range(G.order))
-    return G._memo["full_subgroup"]
+    return SubgroupSet(G, range(G.order))
 
 
 class ElementPartition:
@@ -245,10 +266,9 @@ class ElementPartition:
 # derived structure
 
 
+@cached
 def conjugacy_classes(G: GroupTable) -> ElementPartition:
     """Orbits of the conjugation action, identity class first."""
-    if "classes" in G._memo:
-        return G._memo["classes"]
     seen = [False] * G.order
     blocks = []
     for g in range(G.order):
@@ -258,9 +278,7 @@ def conjugacy_classes(G: GroupTable) -> ElementPartition:
         for x in orbit:
             seen[x] = True
         blocks.append(orbit)
-    part = ElementPartition(G.order, blocks)
-    G._memo["classes"] = part
-    return part
+    return ElementPartition(G.order, blocks)
 
 
 def generated_subgroup(G: GroupTable, seed) -> SubgroupSet:
@@ -294,6 +312,7 @@ def subgroup_product(G: GroupTable, A: SubgroupSet, B: SubgroupSet) -> SubgroupS
         ) from exc
 
 
+@cached
 def quotient_group(G: GroupTable, N: SubgroupSet) -> tuple[GroupTable, tuple[int, ...]]:
     """The quotient G/N with its projection map; N must be normal.
 
@@ -303,9 +322,6 @@ def quotient_group(G: GroupTable, N: SubgroupSet) -> tuple[GroupTable, tuple[int
     """
     if N.parent is not G:
         raise GroupConstructionError("subgroup belongs to a different group")
-    key = ("quotient", N.members)
-    if key in G._memo:
-        return G._memo[key]
     if not N.is_normal():
         raise GroupConstructionError("cannot form a quotient by a non-normal subgroup")
     coset_of = [-1] * G.order
@@ -330,25 +346,19 @@ def quotient_group(G: GroupTable, N: SubgroupSet) -> tuple[GroupTable, tuple[int
         for b in range(G.order):
             if proj[G.mul[a][b]] != Q.mul[proj[a]][proj[b]]:
                 raise GroupConstructionError("projection is not a homomorphism")
-    result = (Q, proj)
-    G._memo[key] = result
-    return result
+    return Q, proj
 
 
+@cached
 def subgroup_group(G: GroupTable, N: SubgroupSet) -> tuple[GroupTable, tuple[int, ...], dict[int, int]]:
     """N as a group in its own right: (table, local->global, global->local)."""
     if N.parent is not G:
         raise GroupConstructionError("subgroup belongs to a different group")
-    key = ("subgroup", N.members)
-    if key in G._memo:
-        return G._memo[key]
     to_global = tuple(sorted(N.members))
     to_local = {g: i for i, g in enumerate(to_global)}
     table = [[to_local[G.mul[a][b]] for b in to_global] for a in to_global]
     H = GroupTable(table, label=f"{G.label}|H{len(N)}")
-    result = (H, to_global, to_local)
-    G._memo[key] = result
-    return result
+    return H, to_global, to_local
 
 
 def group_center(G: GroupTable) -> SubgroupSet:

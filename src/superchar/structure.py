@@ -17,6 +17,7 @@ from .errors import ConsistencyError, GroupConstructionError
 from .groups import (
     GroupTable,
     SubgroupSet,
+    cached,
     conjugacy_classes,
     full_subgroup,
     generated_subgroup,
@@ -26,6 +27,7 @@ from .groups import (
 from .supertheory import SuperCharacter, SuperTheory, deflation, require_s_normal
 
 
+@cached
 def normal_subgroups(G: GroupTable) -> tuple[SubgroupSet, ...]:
     """Every normal subgroup of G, smallest first, computed once per group.
 
@@ -33,8 +35,6 @@ def normal_subgroups(G: GroupTable) -> tuple[SubgroupSet, ...]:
     conjugacy classes it contains, so the lattice is the set of products
     of those closures, grown one closure at a time from {1}.
     """
-    if "normal_subgroups" in G._memo:
-        return G._memo["normal_subgroups"]
     closures = {}
     for b in conjugacy_classes(G).blocks[1:]:
         C = generated_subgroup(G, b)
@@ -50,11 +50,10 @@ def normal_subgroups(G: GroupTable) -> tuple[SubgroupSet, ...]:
             if members not in found:
                 found[members] = SubgroupSet(G, members)
                 frontier.append(found[members])
-    result = tuple(sorted(found.values(), key=lambda H: (len(H), H.sorted_members())))
-    G._memo["normal_subgroups"] = result
-    return result
+    return tuple(sorted(found.values(), key=lambda H: (len(H), H.sorted_members())))
 
 
+@cached
 def s_normal_subgroups(S: SuperTheory) -> tuple[SubgroupSet, ...]:
     """All subgroups that are unions of superclasses, smallest first.
 
@@ -62,38 +61,33 @@ def s_normal_subgroups(S: SuperTheory) -> tuple[SubgroupSet, ...]:
     classes (Diaconis-Isaacs, Trans. AMS 2008), so these are the members
     of the group's normal-subgroup lattice that the theory saturates.
     """
-    if "s_normal" not in S._memo:
-        S._memo["s_normal"] = tuple(H for H in normal_subgroups(S.group) if S.is_s_normal(H))
-    return S._memo["s_normal"]
+    return tuple(H for H in normal_subgroups(S.group) if S.is_s_normal(H))
 
 
+@cached
 def s_center(S: SuperTheory) -> SubgroupSet:
     """Z(S): the union of the singleton superclasses."""
-    if "center" not in S._memo:
-        members = set()
-        for b in S.yparts.blocks:
-            if len(b) == 1:
-                members |= b
-        try:
-            S._memo["center"] = SubgroupSet(S.group, members)
-        except GroupConstructionError as exc:
-            raise ConsistencyError("Z(S) is not a subgroup; the theory is invalid") from exc
-    return S._memo["center"]
+    members = set()
+    for b in S.yparts.blocks:
+        if len(b) == 1:
+            members |= b
+    try:
+        return SubgroupSet(S.group, members)
+    except GroupConstructionError as exc:
+        raise ConsistencyError("Z(S) is not a subgroup; the theory is invalid") from exc
 
 
 def is_s_abelian(S: SuperTheory) -> bool:
     return len(s_center(S)) == S.group.order
 
 
+@cached
 def s_commutator(S: SuperTheory, H: SubgroupSet) -> SubgroupSet:
     """[H,S] = <g^-1 k : g in H, k in Cl_S(g)>.
 
     For H = G the result is cross-checked against the intersection of the
     kernels of the supercharacters that factor through G/[G,S].
     """
-    key = ("commutator", H.members)
-    if key in S._memo:
-        return S._memo[key]
     G = S.group
     gens = set()
     for g in H.members:
@@ -108,7 +102,6 @@ def s_commutator(S: SuperTheory, H: SubgroupSet) -> SubgroupSet:
                 acc &= ker.members
         if frozenset(acc) != W.members:
             raise ConsistencyError("[G,S] disagrees with its kernel-intersection form")
-    S._memo[key] = W
     return W
 
 
@@ -117,13 +110,11 @@ def s_commutator_full(S: SuperTheory) -> SubgroupSet:
     return s_commutator(S, full_subgroup(S.group))
 
 
+@cached
 def super_kernel(sigma: SuperCharacter) -> SubgroupSet:
     """ker(sigma) = {g : sigma(g) = sigma(1)}; S-normal by construction and
     equal to the intersection of the classical kernels of its part."""
     S = sigma.theory
-    key = ("kernel", sigma.index)
-    if key in S._memo:
-        return S._memo[key]
     degree = sigma.values[0]
     members = set()
     for yi, b in enumerate(S.yparts.blocks):
@@ -140,10 +131,10 @@ def super_kernel(sigma: SuperCharacter) -> SubgroupSet:
         raise ConsistencyError(
             "supercharacter kernel disagrees with the classical kernel intersection"
         )
-    S._memo[key] = ker
     return ker
 
 
+@cached
 def irr_over(S: SuperTheory, N: SubgroupSet) -> tuple[SuperCharacter, ...]:
     """Irr(S|N): supercharacters whose kernel does not contain N."""
     require_s_normal(S, N)
@@ -162,7 +153,6 @@ class SeriesResult:
 
     kind: str
     terms: tuple[SubgroupSet, ...]
-    stabilized: bool
     start_index: int
     class_index: int | None = None
 
@@ -185,10 +175,9 @@ class SeriesResult:
         }
 
 
+@cached
 def lower_series(S: SuperTheory) -> SeriesResult:
     """gamma_1 = G, gamma_{i+1} = [gamma_i, S], until stabilization."""
-    if "lower_series" in S._memo:
-        return S._memo["lower_series"]
     terms = [full_subgroup(S.group)]
     while True:
         nxt = s_commutator(S, terms[-1])
@@ -197,16 +186,13 @@ def lower_series(S: SuperTheory) -> SeriesResult:
         if nxt == terms[-1]:
             break
         terms.append(nxt)
-    result = SeriesResult("lower", tuple(terms), True, 1)
-    S._memo["lower_series"] = result
-    return result
+    return SeriesResult("lower", tuple(terms), 1)
 
 
+@cached
 def upper_series(S: SuperTheory) -> SeriesResult:
     """zeta_0 = 1 and zeta_i / zeta_{i-1} = Z(S^{G/zeta_{i-1}}), pulled back
     through the projection, until stabilization."""
-    if "upper_series" in S._memo:
-        return S._memo["upper_series"]
     G = S.group
     terms = [trivial_subgroup(G)]
     while True:
@@ -223,9 +209,7 @@ def upper_series(S: SuperTheory) -> SeriesResult:
     class_index = None
     if len(terms[-1]) == G.order:
         class_index = next(i for i, H in enumerate(terms) if len(H) == G.order)
-    result = SeriesResult("upper", tuple(terms), True, 0, class_index)
-    S._memo["upper_series"] = result
-    return result
+    return SeriesResult("upper", tuple(terms), 0, class_index)
 
 
 def hypercenter(S: SuperTheory) -> SubgroupSet:

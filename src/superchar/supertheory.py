@@ -25,6 +25,7 @@ from .groups import (
     ElementPartition,
     GroupTable,
     SubgroupSet,
+    cached,
     quotient_group,
     subgroup_group,
 )
@@ -38,9 +39,9 @@ class SuperTheory:
     """A validated supercharacter theory of a finite group.
 
     Instances are immutable; build them through the derivation functions
-    below rather than directly.  The `_memo` dict caches derived data
-    (S-normal subgroups, deflations, vanishing subgroups, ...) and is an
-    implementation detail.
+    below rather than directly.  The `_memo` dict holds what the
+    `groups.cached` functions derive from the theory (S-normal subgroups,
+    deflations, vanishing subgroups, ...); failed calls are never stored.
     """
 
     __slots__ = ("table", "xparts", "yparts", "ypart_classes", "sigma", "_memo")
@@ -72,21 +73,16 @@ class SuperTheory:
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.yparts.blocks)
 
+    @cached
     def supercharacters(self) -> tuple["SuperCharacter", ...]:
-        if "supercharacters" not in self._memo:
-            self._memo["supercharacters"] = tuple(
-                SuperCharacter(self, i) for i in range(self.n_parts)
-            )
-        return self._memo["supercharacters"]
+        return tuple(SuperCharacter(self, i) for i in range(self.n_parts))
 
+    @cached
     def is_s_normal(self, H: SubgroupSet) -> bool:
         """True when H is a union of superclasses; cached per subgroup."""
         if H.parent is not self.group:
             raise SuperTheoryError("subgroup belongs to a different group")
-        key = ("is_s_normal", H.members)
-        if key not in self._memo:
-            self._memo[key] = all(b <= H.members for b in self.yparts.blocks if b & H.members)
-        return self._memo[key]
+        return all(b <= H.members for b in self.yparts.blocks if b & H.members)
 
     def validate(self) -> CheckReport:
         """Re-check the defining conditions; sigma against the table's values
@@ -160,11 +156,12 @@ class SuperTheory:
 class SuperCharacter:
     """One supercharacter sigma_X of a theory, with its exact values."""
 
-    __slots__ = ("theory", "index")
+    __slots__ = ("theory", "index", "_memo")
 
     def __init__(self, theory: SuperTheory, index: int):
         self.theory = theory
         self.index = index
+        self._memo = {}
 
     @property
     def part(self) -> frozenset[int]:
@@ -189,18 +186,16 @@ class SuperCharacter:
 # derivations
 
 
-def _sigma_class_values(table: CharacterTable, part) -> tuple[Cyclotomic, ...]:
+@cached
+def _sigma_class_values(table: CharacterTable, part: frozenset[int]) -> tuple[Cyclotomic, ...]:
     """sigma_X on every conjugacy class, computed once per (table, part)."""
-    key = ("sigma", frozenset(part))
-    if key not in table._memo:
-        out = []
-        for k in range(table.n_classes):
-            acc = Cyclotomic.zero(table.exponent)
-            for t in part:
-                acc = acc + table.degrees[t] * table.values[t][k]
-            out.append(acc)
-        table._memo[key] = tuple(out)
-    return table._memo[key]
+    out = []
+    for k in range(table.n_classes):
+        acc = Cyclotomic.zero(table.exponent)
+        for t in part:
+            acc = acc + table.degrees[t] * table.values[t][k]
+        out.append(acc)
+    return tuple(out)
 
 
 def _theory(table, xparts, yparts, block_classes) -> SuperTheory | None:
@@ -214,6 +209,7 @@ def _theory(table, xparts, yparts, block_classes) -> SuperTheory | None:
     return theory if theory.validate().ok else None
 
 
+@cached
 def sct_from_class_partition(table: CharacterTable, yparts: ElementPartition) -> SuperTheory | None:
     """Derive the candidate character partition for a given class partition.
 
@@ -222,9 +218,6 @@ def sct_from_class_partition(table: CharacterTable, yparts: ElementPartition) ->
     grouping rule is only a candidate generator.  Each (table, partition)
     is derived once: the result, None included, is cached on the table.
     """
-    cache_key = ("theory", yparts)
-    if cache_key in table._memo:  # only partitions that passed the checks below
-        return table._memo[cache_key]
     if yparts.n != table.group.order:
         raise SuperTheoryError("partition is over the wrong element set")
     if frozenset({0}) not in yparts.blocks:
@@ -244,12 +237,10 @@ def sct_from_class_partition(table: CharacterTable, yparts: ElementPartition) ->
                 acc = acc + table.sizes[c] * table.values[t][c]
             key.append((acc / table.degrees[t]).key())
         fibers.setdefault(tuple(key), []).append(t)
-    theory = None
-    if len(fibers) == len(yparts.blocks):
-        xparts = tuple(sorted((frozenset(ts) for ts in fibers.values()), key=min))
-        theory = _theory(table, xparts, yparts, block_classes)
-    table._memo[cache_key] = theory
-    return theory
+    if len(fibers) != len(yparts.blocks):
+        return None
+    xparts = tuple(sorted((frozenset(ts) for ts in fibers.values()), key=min))
+    return _theory(table, xparts, yparts, block_classes)
 
 
 def finest(table: CharacterTable) -> SuperTheory:
@@ -381,14 +372,15 @@ def check_row_orthogonality(S: SuperTheory) -> CheckReport:
     return rep
 
 
+@cached
+def _scaled_conjugate_rows(S: SuperTheory) -> tuple[tuple[Cyclotomic, ...], ...]:
+    """The rows conjugate(sigma_i) / sigma_i(1), computed once per theory."""
+    return tuple(tuple(v.conjugate() / row[0].rational_value() for v in row) for row in S.sigma)
+
+
 def check_column_orthogonality(S: SuperTheory, g: int, h: int):
-    """Exact column relation at (g, h): returns (value, expected, ok).
-    The rows conjugate(sigma_i) / sigma_i(1) are computed once per theory."""
-    if "colorth" not in S._memo:
-        S._memo["colorth"] = tuple(
-            tuple(v.conjugate() / row[0].rational_value() for v in row) for row in S.sigma
-        )
-    scaled = S._memo["colorth"]
+    """Exact column relation at (g, h): returns (value, expected, ok)."""
+    scaled = _scaled_conjugate_rows(S)
     acc = Cyclotomic.zero(S.table.exponent)
     kg, kh = S.class_of(g), S.class_of(h)
     for i in range(S.n_parts):
@@ -413,13 +405,11 @@ def require_s_normal(S: SuperTheory, H: SubgroupSet) -> None:
         )
 
 
+@cached
 def restriction(S: SuperTheory, N: SubgroupSet) -> SuperTheory:
     """The induced theory on an S-normal subgroup N; its superclasses are
     exactly the S-classes inside N."""
     require_s_normal(S, N)
-    key = ("restriction", N.members)
-    if key in S._memo:
-        return S._memo[key]
     H, _, to_local = subgroup_group(S.group, N)
     blocks = [
         frozenset(to_local[g] for g in b)
@@ -430,18 +420,15 @@ def restriction(S: SuperTheory, N: SubgroupSet) -> SuperTheory:
     theory = sct_from_class_partition(character_table_of(H), part)
     if theory is None:
         raise ConsistencyError("restriction produced an invalid theory")
-    S._memo[key] = theory
     return theory
 
 
+@cached
 def deflation(S: SuperTheory, N: SubgroupSet) -> SuperTheory:
     """The induced theory on G/N; its superclasses are the images of the
     S-classes under the projection.  The table of G/N is inflated from the
     table of G (`quotient_character_table`), not recomputed."""
     require_s_normal(S, N)
-    key = ("deflation", N.members)
-    if key in S._memo:
-        return S._memo[key]
     Q, proj = quotient_group(S.group, N)
     images: list[frozenset[int]] = []
     seen: set[frozenset[int]] = set()
@@ -457,7 +444,6 @@ def deflation(S: SuperTheory, N: SubgroupSet) -> SuperTheory:
     theory = sct_from_class_partition(quotient_character_table(S.table, N), part)
     if theory is None:
         raise ConsistencyError("deflation produced an invalid theory")
-    S._memo[key] = theory
     return theory
 
 
@@ -465,6 +451,7 @@ def deflation(S: SuperTheory, N: SubgroupSet) -> SuperTheory:
 # products
 
 
+@cached
 def non_coset_union(S: SuperTheory, M: SubgroupSet, N: SubgroupSet) -> frozenset[int] | None:
     """The first superclass outside N that is not a union of M-cosets, or
     None when every one is (the coset-product condition; M <= N)."""
@@ -489,13 +476,11 @@ def is_delta_product(S: SuperTheory, M: SubgroupSet, N: SubgroupSet) -> bool:
     return non_coset_union(S, M, N) is None
 
 
+@cached
 def star_construct(S: SuperTheory, N: SubgroupSet) -> SuperTheory:
     """The coarsening whose superclasses are the S-classes inside N together
     with the full preimages of the nonidentity deflated classes."""
     require_s_normal(S, N)
-    key = ("star", N.members)
-    if key in S._memo:
-        return S._memo[key]
     defl = deflation(S, N)
     _, proj = quotient_group(S.group, N)
     blocks = [b for b in S.yparts.blocks if b <= N.members]
@@ -510,5 +495,4 @@ def star_construct(S: SuperTheory, N: SubgroupSet) -> SuperTheory:
     theory = sct_from_class_partition(S.table, part)
     if theory is None:
         raise ConsistencyError("the coset-product construction must validate")
-    S._memo[key] = theory
     return theory

@@ -16,6 +16,7 @@ from .cyclotomic import hermitian_term
 from .errors import ConsistencyError
 from .groups import (
     SubgroupSet,
+    cached,
     full_subgroup,
     generated_subgroup,
     quotient_group,
@@ -94,24 +95,19 @@ def nonvanishing_set(sigma: SuperCharacter) -> frozenset[int]:
     return frozenset(out)
 
 
+@cached
 def vanish_off(sigma: SuperCharacter) -> SubgroupSet:
     """V(sigma): the subgroup generated by the nonvanishing set, i.e. the
     smallest subgroup off which sigma vanishes."""
-    S = sigma.theory
-    key = ("vanish_off", sigma.index)
-    if key not in S._memo:
-        S._memo[key] = generated_subgroup(S.group, nonvanishing_set(sigma))
-    return S._memo[key]
+    return generated_subgroup(sigma.theory.group, nonvanishing_set(sigma))
 
 
+@cached
 def v_rel(S: SuperTheory, N: SubgroupSet) -> SubgroupSet:
     """V(S|N): generated by the elements where some member of Irr(S|N) is
     nonzero.  S-normal, and contains N (trivially {1} when Irr(S|N) is
     empty, which happens exactly at N = 1)."""
     require_s_normal(S, N)
-    key = ("v_rel", N.members)
-    if key in S._memo:
-        return S._memo[key]
     gens: set[int] = set()
     for sigma in irr_over(S, N):
         gens |= nonvanishing_set(sigma)
@@ -120,7 +116,6 @@ def v_rel(S: SuperTheory, N: SubgroupSet) -> SubgroupSet:
         raise ConsistencyError("V(S|N) is not S-normal")
     if not N.members <= V.members:
         raise ConsistencyError("V(S|N) does not contain N")
-    S._memo[key] = V
     return V
 
 
@@ -134,13 +129,11 @@ def v_theory(S: SuperTheory) -> SubgroupSet:
 # Camina conditions
 
 
+@cached
 def is_camina_element(S: SuperTheory, g: int) -> CaminaVerdict:
     """Four independent characterizations of an S-Camina element:
     all of Irr(S|[G,S]) vanish at g; Cl_S(g) = g[G,S]; |Cl_S(g)| = |[G,S]|;
     and every commutator-coset difference is realized inside Cl_S(g)."""
-    key = ("camina_element", g)
-    if key in S._memo:
-        return S._memo[key]
     G = S.group
     com = s_commutator_full(S)
     cls = S.superclass(g)
@@ -172,17 +165,16 @@ def is_camina_element(S: SuperTheory, g: int) -> CaminaVerdict:
         "class-size": size_match,
         "transversal": transversal,
     }
-    verdict = CaminaVerdict(
+    return CaminaVerdict(
         f"element {g}",
         holds=vanishing,
         conditions=conditions,
         agreement=len(set(conditions.values())) == 1,
         witnesses=witnesses,
     )
-    S._memo[key] = verdict
-    return verdict
 
 
+@cached
 def is_s_gcp(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
     """Generalized S-Camina pair (G, N): every element outside N is an
     S-Camina element, with the equivalent vanishing, class-size and
@@ -194,9 +186,6 @@ def is_s_gcp(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
     asserted when N = [G,S], where the two coincide.
     """
     require_s_normal(S, N)
-    key = ("gcp", N.members)
-    if key in S._memo:
-        return S._memo[key]
     G = S.group
     com = s_commutator_full(S)
     outside = [g for g in range(G.order) if g not in N.members]
@@ -242,7 +231,7 @@ def is_s_gcp(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
         extras["coset-product-literal"] = literal
         if N.members == com.members:
             conditions["coset-product-literal"] = literal
-    verdict = CaminaVerdict(
+    return CaminaVerdict(
         f"pair (G, {sorted(N.members)})",
         holds=camina_all,
         conditions=conditions,
@@ -251,19 +240,15 @@ def is_s_gcp(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
         witnesses=witnesses,
         extras=extras,
     )
-    S._memo[key] = verdict
-    return verdict
 
 
+@cached
 def is_camina_triple(S: SuperTheory, N: SubgroupSet, M: SubgroupSet) -> CaminaVerdict:
     """S-Camina triple (G, N, M) with M <= N: five independent conditions,
     led by the defining one (superclasses outside N are unions of
     M-cosets)."""
     require_s_normal(S, N)
     require_s_normal(S, M)
-    key = ("triple", N.members, M.members)
-    if key in S._memo:
-        return S._memo[key]
     G = S.group
     outside = [g for g in range(G.order) if g not in N.members]
     witnesses: dict[str, object] = {}
@@ -308,7 +293,7 @@ def is_camina_triple(S: SuperTheory, N: SubgroupSet, M: SubgroupSet) -> CaminaVe
         "vanishing-bound": bound,
         "vanishing": vanish,
     }
-    verdict = CaminaVerdict(
+    return CaminaVerdict(
         f"triple (G, {sorted(N.members)}, {sorted(M.members)})",
         holds=coset,
         conditions=conditions,
@@ -316,10 +301,9 @@ def is_camina_triple(S: SuperTheory, N: SubgroupSet, M: SubgroupSet) -> CaminaVe
         vacuous=not outside,
         witnesses=witnesses,
     )
-    S._memo[key] = verdict
-    return verdict
 
 
+@cached
 def is_camina_pair(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
     """S-Camina pair (G, N): the coset-product condition of
     `is_delta_product` at M = N, the star construction actually reproducing
@@ -329,9 +313,6 @@ def is_camina_pair(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
     the trivial subgroup), so there it is recorded but not asserted.
     """
     require_s_normal(S, N)
-    key = ("pair", N.members)
-    if key in S._memo:
-        return S._memo[key]
     outside = [g for g in range(S.group.order) if g not in N.members]
     witnesses: dict[str, object] = {}
 
@@ -342,7 +323,7 @@ def is_camina_pair(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
     construction = star_construct(S, N) == S
     if not construction:
         witnesses["construction"] = "the star construction over N differs from S"
-    vsub = v_rel(S, N) == SubgroupSet(S.group, N.members)
+    vsub = v_rel(S, N).members == N.members
     if not vsub:
         witnesses["vanishing-off"] = f"V(S|N) = {sorted(v_rel(S, N).members)}"
     over = irr_over(S, N)
@@ -364,7 +345,7 @@ def is_camina_pair(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
         conditions["two-clause"] = two_clause
     else:
         extras["two-clause-at-trivial-n"] = two_clause
-    verdict = CaminaVerdict(
+    return CaminaVerdict(
         f"pair (G, {sorted(N.members)})",
         holds=coset,
         conditions=conditions,
@@ -373,18 +354,15 @@ def is_camina_pair(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
         witnesses=witnesses,
         extras=extras,
     )
-    S._memo[key] = verdict
-    return verdict
 
 
 # ---------------------------------------------------------------------------
 # the V- and U-series
 
 
+@cached
 def v_series(S: SuperTheory) -> SeriesResult:
     """V_1 = V(S), V_i = [V_{i-1}, S], until stabilization."""
-    if "v_series" in S._memo:
-        return S._memo["v_series"]
     terms = [v_theory(S)]
     while True:
         nxt = s_commutator(S, terms[-1])
@@ -393,11 +371,10 @@ def v_series(S: SuperTheory) -> SeriesResult:
         if nxt == terms[-1]:
             break
         terms.append(nxt)
-    result = SeriesResult("v-series", tuple(terms), True, 1)
-    S._memo["v_series"] = result
-    return result
+    return SeriesResult("v-series", tuple(terms), 1)
 
 
+@cached
 def u_rel(S: SuperTheory, N: SubgroupSet) -> SubgroupSet:
     """U(S|N): the product of every S-normal H with V(S|H) <= N.
 
@@ -406,9 +383,6 @@ def u_rel(S: SuperTheory, N: SubgroupSet) -> SubgroupSet:
     holds (and is verified) only for proper N.
     """
     require_s_normal(S, N)
-    key = ("u_rel", N.members)
-    if key in S._memo:
-        return S._memo[key]
     total = trivial_subgroup(S.group)
     for H in s_normal_subgroups(S):
         if v_rel(S, H).members <= N.members:
@@ -419,7 +393,6 @@ def u_rel(S: SuperTheory, N: SubgroupSet) -> SubgroupSet:
         cap = N.members & s_commutator_full(S).members
         if not total.members <= cap:
             raise ConsistencyError("U(S|N) escapes N n [G,S]")
-    S._memo[key] = total
     return total
 
 
@@ -432,7 +405,7 @@ def u_chain(S: SuperTheory, N: SubgroupSet) -> SeriesResult:
         if nxt == terms[-1]:
             break
         terms.append(nxt)
-    return SeriesResult("u-chain", tuple(terms), True, 1)
+    return SeriesResult("u-chain", tuple(terms), 1)
 
 
 def u_theory(S: SuperTheory) -> SubgroupSet:
@@ -507,6 +480,7 @@ def u_kernel_check(S: SuperTheory, N: SubgroupSet) -> CheckReport:
 # VZ theories
 
 
+@cached
 def is_vz(S: SuperTheory) -> CaminaVerdict:
     """VZ: every supercharacter over [G,S] vanishes off Z(S).
 
@@ -515,8 +489,6 @@ def is_vz(S: SuperTheory) -> CaminaVerdict:
     [G,S] <= Z(S), the coset-product, class-size and transversal forms of
     the Camina triple (G, Z(S), [G,S]) join the asserted set.
     """
-    if "vz" in S._memo:
-        return S._memo["vz"]
     G = S.group
     center = s_center(S)
     com = s_commutator_full(S)
@@ -546,7 +518,7 @@ def is_vz(S: SuperTheory) -> CaminaVerdict:
         conditions["coset-product"] = triple["coset-union"]
         conditions["class-size-product"] = triple["class-size-product"]
         conditions["transversal"] = triple["transversal"]
-    verdict = CaminaVerdict(
+    return CaminaVerdict(
         "VZ",
         holds=definition,
         conditions=conditions,
@@ -554,8 +526,6 @@ def is_vz(S: SuperTheory) -> CaminaVerdict:
         vacuous=not outside,
         witnesses=witnesses,
     )
-    S._memo["vz"] = verdict
-    return verdict
 
 
 def scd_check(S: SuperTheory) -> CheckReport:

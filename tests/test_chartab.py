@@ -61,10 +61,11 @@ def test_class_mult_coefficients_abelian_are_boolean():
     assert all(x in (0, 1) for p in a for row in p for x in row)
 
 
-def test_class_mult_coefficients_are_computed_once_per_group():
+def test_class_mult_coefficients_are_computed_once_per_group(body_runs):
     G = catalog_group("S4")
-    dixon_character_table(G)
-    assert class_mult_coefficients(G) is class_mult_coefficients(G) is G._memo["class_mult"]
+    build = lambda: (dixon_character_table(G), class_mult_coefficients(G))
+    assert body_runs(class_mult_coefficients, build) == 1
+    assert class_mult_coefficients(G) is class_mult_coefficients(G)
 
 
 def test_dixon_c2():

@@ -14,6 +14,7 @@ from superchar.groups import (
 )
 from superchar.structure import irr_over, s_commutator_full, s_normal_subgroups
 from superchar.supertheory import (
+    SuperTheory,
     check_column_orthogonality,
     check_row_orthogonality,
     coarsest,
@@ -279,17 +280,41 @@ def test_deflation_reads_the_inflated_quotient_table():
     assert [c.name for c in D.table.validation.checks] == ["shape", "degree-sum", "principal-row"]
 
 
-def test_s_normality_is_cached_per_subgroup():
+def test_s_normality_is_cached_per_subgroup(body_runs):
     G, T = theory_of("S3")
     S = finest(T)
     A3, C2 = generated_subgroup(G, [3]), generated_subgroup(G, [1])
     assert S.is_s_normal(A3) and not S.is_s_normal(C2)
-    assert S._memo[("is_s_normal", A3.members)] is True
-    assert S._memo[("is_s_normal", C2.members)] is False
     # the cached answer is the answer for an equal subgroup built anew
-    assert S.is_s_normal(SubgroupSet(G, A3.members))
+    assert body_runs(SuperTheory.is_s_normal, lambda: S.is_s_normal(SubgroupSet(G, A3.members))) == 0
+    assert S.is_s_normal(SubgroupSet(G, A3.members)) and not S.is_s_normal(C2)
     with pytest.raises(SuperTheoryError):
         S.is_s_normal(trivial_subgroup(catalog_group("S3")))
+
+
+def test_cache_rule_stores_no_failure_and_keys_by_group(body_runs):
+    G, T = theory_of("D4")
+    S = finest(T)
+    not_s_normal = generated_subgroup(G, [4])  # <s> is not normal in D4
+
+    def deflate_twice():
+        for _ in range(2):
+            with pytest.raises(SuperTheoryError):
+                deflation(S, not_s_normal)
+
+    # a call that raises stores nothing, so the check runs on every call
+    assert body_runs(deflation, deflate_twice) == 2
+    # an equal subgroup built anew hits the entry of the first one
+    D = deflation(S, SubgroupSet(G, [0, 2]))
+    assert body_runs(deflation, lambda: deflation(S, SubgroupSet(G, [0, 2]))) == 0
+    assert deflation(S, SubgroupSet(G, [0, 2])) is D
+
+    # the same members in another group miss it and fail the parent check
+    def foreign():
+        with pytest.raises(SuperTheoryError, match="different group"):
+            deflation(S, SubgroupSet(catalog_group("D4"), [0, 2]))
+
+    assert body_runs(deflation, foreign) == 1
 
 
 def test_star_product_predicate_and_construction():
