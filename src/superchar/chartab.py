@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 from math import isqrt
+from operator import mul
 
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, Packing
 from .errors import CharacterTableError, ConsistencyError
 from .groups import GroupTable, SubgroupSet, cached, conjugacy_classes, quotient_group
 from .reports import CheckReport
@@ -396,37 +398,27 @@ def validate_table(T: CharacterTable) -> CheckReport:
     )
     rep.add("integrality", all(v.is_integral() for row in T.values for v in row))
     conj = [[v.conjugate() for v in row] for row in T.values]
-    ok = True
-    detail = ""
-    for i in range(r):
-        for j in range(i, r):
-            acc = Cyclotomic.zero(T.exponent)
-            for k in range(r):
-                acc = acc + T.sizes[k] * (T.values[i][k] * conj[j][k])
-            expected = Fraction(order if i == j else 0)
-            if acc != Cyclotomic.from_rational(expected, T.exponent):
-                ok = False
-                detail = f"<chi_{i}, chi_{j}> != {'1' if i == j else '0'}"
-                break
-        if not ok:
-            break
-    rep.add("row-orthogonality", ok, detail)
-    ok = True
-    detail = ""
-    for k in range(r):
-        for l in range(k, r):
-            acc = Cyclotomic.zero(T.exponent)
-            for t in range(len(T.values)):
-                acc = acc + T.values[t][k] * conj[t][l]
-            expected = Fraction(order, T.sizes[k]) if k == l else Fraction(0)
-            if acc != Cyclotomic.from_rational(expected, T.exponent):
-                ok = False
-                detail = f"columns {k},{l} fail"
-                break
-        if not ok:
-            break
-    rep.add("column-orthogonality", ok, detail)
+    # sum |weights| of a row sum is sum(sizes), of a column sum the row count
+    pk = Packing(T.exponent, chain(*T.values, *conj), max(sum(T.sizes), len(T.values)), products=True)
+    rows = [list(map(pk.pack, row)) for row in T.values]
+    conj = [list(map(pk.pack, row)) for row in conj]
+    sized = [list(map(mul, T.sizes, row)) for row in rows]
+    bad = _first_unexpected(pk, r, sized, conj, lambda i, j: order if i == j else 0)
+    rep.add("row-orthogonality", not bad, f"<chi_{bad[0]}, chi_{bad[1]}> != {int(bad[0] == bad[1])}" if bad else "")
+    bad = _first_unexpected(pk, r, list(zip(*rows)), list(zip(*conj)),
+                            lambda k, l: Fraction(order, T.sizes[k]) if k == l else 0)
+    rep.add("column-orthogonality", not bad, f"columns {bad[0]},{bad[1]} fail" if bad else "")
     return rep
+
+
+def _first_unexpected(pk: Packing, n: int, left, right, expected) -> tuple[int, int] | None:
+    """The first pair a <= b < n whose packed dot product of left[a] and
+    right[b] is not the rational expected(a, b), or None."""
+    for a in range(n):
+        for b in range(a, n):
+            if pk.unpack(sum(map(mul, left[a], right[b]))) != Cyclotomic.from_rational(expected(a, b), pk.order):
+                return a, b
+    return None
 
 
 # ---------------------------------------------------------------------------

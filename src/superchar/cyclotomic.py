@@ -11,6 +11,13 @@ edges: rational construction and extraction, division by a rational, and
 the display and JSON forms.  No floating arithmetic enters any logic path.
 Values of different orders are lifted to the lcm order before they are
 combined.
+
+Long exact sums run on `Packing`: a value becomes one int whose base-2^w
+digits are its coordinates (Kronecker substitution), so a weighted sum of
+products of values is one sum of big-int products.  A proven bound on
+every coordinate of the unreduced sum sets w, so the digits read back are
+exact, and the sum is reduced once.  No float and no reduction modulo a
+prime enters.
 """
 
 from __future__ import annotations
@@ -398,3 +405,46 @@ class Cyclotomic:
 def hermitian_term(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
     """a * conjugate(b), the summand of the Hermitian inner product."""
     return a * b.conjugate()
+
+
+class Packing:
+    """Values of Q(zeta_order) as ints, for exact weighted sums of values or,
+    with `products`, of products of two values.
+
+    `pack(v)` is sum_i c_i 2^(w*i) over the coordinates c_i of v scaled to
+    the common denominator D of `values`, which must hold every value to be
+    packed, conjugates included.  `unpack(total, d)` reads a sum of packed
+    ints, or of products of two, with integer weights, back as its exact
+    value divided by the positive int d.  With A the largest |c_i| and
+    `weight` at least the sum of |weights| of any such sum, every
+    coordinate of the unreduced sum is at most the bound weight * A, or
+    weight * phi * A^2 for products (a coordinate of one product of two
+    polynomials of degree < phi has at most phi terms).  w =
+    bit_length(bound) + 1 puts each in (-2^(w-1), 2^(w-1)): adding 2^(w-1)
+    to every digit leaves no carry, so the digits read back are exact.
+    """
+
+    __slots__ = ("order", "_den", "_sum_den", "_digits", "_offset", "_half", "_mask")
+
+    def __init__(self, order: int, values, weight: int, products: bool = False):
+        values = [v.lifted(order) for v in values]
+        phi = euler_phi(order)
+        self._den = den = lcm(1, *(v.den for v in values))
+        top = max((abs(c) * (den // v.den) for v in values for c in v.num), default=0)
+        bound = weight * phi * top * top if products else weight * top
+        w = bound.bit_length() + 1
+        self.order = order
+        self._sum_den = den * den if products else den
+        self._digits = range(0, w * (2 * phi - 1 if products else phi), w)
+        self._half, self._mask = 1 << (w - 1), (1 << w) - 1
+        self._offset = sum(self._half << s for s in self._digits)
+
+    def pack(self, v: Cyclotomic) -> int:
+        v = v.lifted(self.order)
+        return sum(c * (self._den // v.den) << s for c, s in zip(v.num, self._digits))
+
+    def unpack(self, total: int, divisor: int = 1) -> Cyclotomic:
+        total += self._offset
+        mask, half = self._mask, self._half
+        dense = [(total >> s & mask) - half for s in self._digits]
+        return _value(self.order, _reduce(dense, self.order), self._sum_den * divisor)

@@ -137,7 +137,7 @@ class SubgroupSet:
     finiteness).
     """
 
-    __slots__ = ("parent", "members")
+    __slots__ = ("parent", "members", "_hash")
 
     def __init__(self, parent: GroupTable, members):
         mem = frozenset(int(x) for x in members)
@@ -152,6 +152,7 @@ class SubgroupSet:
                     )
         self.parent = parent
         self.members = mem
+        self._hash = hash((id(parent), mem))
 
     def __contains__(self, g: int) -> bool:
         return g in self.members
@@ -182,7 +183,7 @@ class SubgroupSet:
             raise GroupConstructionError("subgroups of different groups are not comparable")
 
     def __hash__(self):
-        return hash((id(self.parent), self.members))
+        return self._hash
 
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from math import lcm
+from operator import mul
 
 from .chartab import (
     CharacterTable,
@@ -19,7 +21,7 @@ from .chartab import (
     class_mult_coefficients,
     quotient_character_table,
 )
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, Packing
 from .errors import ConsistencyError, GroupConstructionError, SuperTheoryError
 from .groups import (
     ElementPartition,
@@ -187,15 +189,20 @@ class SuperCharacter:
 
 
 @cached
+def _packed_values(table: CharacterTable) -> tuple[Packing, list[list[int]]]:
+    """The table's values packed once for the linear sums of derivation:
+    sigma_X weighs chi(1), at most sum(degrees) in all, and a block sum
+    weighs class sizes, at most |G| in all."""
+    pk = Packing(table.exponent, chain(*table.values), max(sum(map(abs, table.degrees)), sum(table.sizes)))
+    return pk, [list(map(pk.pack, row)) for row in table.values]
+
+
+@cached
 def _sigma_class_values(table: CharacterTable, part: frozenset[int]) -> tuple[Cyclotomic, ...]:
     """sigma_X on every conjugacy class, computed once per (table, part)."""
-    out = []
-    for k in range(table.n_classes):
-        acc = Cyclotomic.zero(table.exponent)
-        for t in part:
-            acc = acc + table.degrees[t] * table.values[t][k]
-        out.append(acc)
-    return tuple(out)
+    pk, packed = _packed_values(table)
+    rows = [[table.degrees[t] * v for v in packed[t]] for t in part]
+    return tuple(pk.unpack(sum(col)) for col in zip(*rows))
 
 
 def _theory(table, xparts, yparts, block_classes) -> SuperTheory | None:
@@ -207,6 +214,16 @@ def _theory(table, xparts, yparts, block_classes) -> SuperTheory | None:
     )
     theory = SuperTheory(table, xparts, yparts, tuple(block_classes), sigma)
     return theory if theory.validate().ok else None
+
+
+def _central_character_keys(table: CharacterTable, block_classes) -> list[tuple]:
+    """Per character chi, the keys of sum_{c in B} |c| chi(c) / chi(1) over the blocks B."""
+    pk, packed = _packed_values(table)
+    keys = []
+    for row, deg in zip(packed, table.degrees):
+        sized = list(map(mul, table.sizes, row))
+        keys.append(tuple(pk.unpack(sum(sized[c] for c in classes), deg).key() for classes in block_classes))
+    return keys
 
 
 @cached
@@ -229,14 +246,8 @@ def sct_from_class_partition(table: CharacterTable, yparts: ElementPartition) ->
             raise SuperTheoryError("blocks must be unions of conjugacy classes")
         block_classes.append(tuple(sorted(classes)))
     fibers: dict[tuple, list[int]] = {}
-    for t in range(len(table.values)):
-        key = []
-        for classes in block_classes:
-            acc = Cyclotomic.zero(table.exponent)
-            for c in classes:
-                acc = acc + table.sizes[c] * table.values[t][c]
-            key.append((acc / table.degrees[t]).key())
-        fibers.setdefault(tuple(key), []).append(t)
+    for t, key in enumerate(_central_character_keys(table, block_classes)):
+        fibers.setdefault(key, []).append(t)
     if len(fibers) != len(yparts.blocks):
         return None
     xparts = tuple(sorted((frozenset(ts) for ts in fibers.values()), key=min))
@@ -350,19 +361,32 @@ def enumerate_scts(table: CharacterTable, max_parts: int | None = None) -> list[
 # orthogonality
 
 
+@cached
+def _packed_sigma(S: SuperTheory):
+    """(packing, columns of sigma, columns of its conjugate, weights, L),
+    packed once per theory for both orthogonality relations.  A row sum
+    weighs the block sizes, |G| in all; a column sum weighs row i by the
+    integer weights[i] = L / sigma_i(1), L the lcm of the sigma_i(1)."""
+    degrees = [row[0].integer_value() for row in S.sigma]
+    L = lcm(*degrees)
+    weights = [L // d for d in degrees]
+    conj = [[v.conjugate() for v in row] for row in S.sigma]
+    pk = Packing(S.table.exponent, chain(*S.sigma, *conj), max(S.group.order, sum(weights)), products=True)
+    cols = list(zip(*(map(pk.pack, row) for row in S.sigma)))
+    return pk, cols, list(zip(*(map(pk.pack, row) for row in conj))), weights, L
+
+
 def check_row_orthogonality(S: SuperTheory) -> CheckReport:
     """<sigma_i, sigma_j> = delta_ij * ||X_i||^2, exactly, for all pairs."""
     rep = CheckReport(f"row orthogonality for a theory of {S.group.label}")
     order = S.group.order
-    sizes = S.block_sizes()
-    conj = [[v.conjugate() for v in row] for row in S.sigma]
+    pk, cols, conj_cols, _, _ = _packed_sigma(S)
+    sized = [list(map(mul, S.block_sizes(), row)) for row in zip(*cols)]
+    conj = list(zip(*conj_cols))
     for i in range(S.n_parts):
         norm2 = sum(S.table.degrees[t] ** 2 for t in S.xparts[i])
         for j in range(i, S.n_parts):
-            acc = Cyclotomic.zero(S.table.exponent)
-            for k in range(S.n_parts):
-                acc = acc + sizes[k] * (S.sigma[i][k] * conj[j][k])
-            acc = acc / order
+            acc = pk.unpack(sum(map(mul, sized[i], conj[j])), order)
             expected = Fraction(norm2 if i == j else 0)
             rep.add(
                 f"pair-{i}-{j}",
@@ -372,19 +396,11 @@ def check_row_orthogonality(S: SuperTheory) -> CheckReport:
     return rep
 
 
-@cached
-def _scaled_conjugate_rows(S: SuperTheory) -> tuple[tuple[Cyclotomic, ...], ...]:
-    """The rows conjugate(sigma_i) / sigma_i(1), computed once per theory."""
-    return tuple(tuple(v.conjugate() / row[0].rational_value() for v in row) for row in S.sigma)
-
-
 def check_column_orthogonality(S: SuperTheory, g: int, h: int):
     """Exact column relation at (g, h): returns (value, expected, ok)."""
-    scaled = _scaled_conjugate_rows(S)
-    acc = Cyclotomic.zero(S.table.exponent)
+    pk, cols, conj_cols, weights, L = _packed_sigma(S)
     kg, kh = S.class_of(g), S.class_of(h)
-    for i in range(S.n_parts):
-        acc = acc + S.sigma[i][kg] * scaled[i][kh]
+    acc = pk.unpack(sum(map(mul, map(mul, weights, cols[kg]), conj_cols[kh])), L)
     if kg == kh:
         expected = Cyclotomic.from_rational(
             Fraction(S.group.order, len(S.yparts.blocks[kg])), S.table.exponent
@@ -476,7 +492,6 @@ def is_delta_product(S: SuperTheory, M: SubgroupSet, N: SubgroupSet) -> bool:
     return non_coset_union(S, M, N) is None
 
 
-@cached
 def star_construct(S: SuperTheory, N: SubgroupSet) -> SuperTheory:
     """The coarsening whose superclasses are the S-classes inside N together
     with the full preimages of the nonidentity deflated classes."""

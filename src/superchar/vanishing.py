@@ -242,7 +242,6 @@ def is_s_gcp(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
     )
 
 
-@cached
 def is_camina_triple(S: SuperTheory, N: SubgroupSet, M: SubgroupSet) -> CaminaVerdict:
     """S-Camina triple (G, N, M) with M <= N: five independent conditions,
     led by the defining one (superclasses outside N are unions of
@@ -303,7 +302,6 @@ def is_camina_triple(S: SuperTheory, N: SubgroupSet, M: SubgroupSet) -> CaminaVe
     )
 
 
-@cached
 def is_camina_pair(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
     """S-Camina pair (G, N): the coset-product condition of
     `is_delta_product` at M = N, the star construction actually reproducing

@@ -5,7 +5,13 @@ from math import gcd
 
 import pytest
 
-from superchar.cyclotomic import Cyclotomic, cyclotomic_polynomial, euler_phi, hermitian_term
+from superchar.cyclotomic import (
+    Cyclotomic,
+    Packing,
+    cyclotomic_polynomial,
+    euler_phi,
+    hermitian_term,
+)
 
 
 def zeta(order, k=1):
@@ -305,3 +311,52 @@ def test_lowered_rejects_values_outside_the_subfield():
         zeta(12).lowered(5)
     assert zeta(12, 4).lowered(3).key() == zeta(3).key()
     assert zeta(12, 6).lowered(1).key() == Cyclotomic.from_rational(-1).key()
+
+
+# ---------------------------------------------------------------------------
+# the packed sums against object arithmetic
+
+
+def test_packed_sums_match_object_arithmetic():
+    rng = random.Random(20261018)
+
+    def rand_value(order):
+        # a value of a random divisor order, lifted when packed
+        d = rng.choice([d for d in range(1, order + 1) if order % d == 0])
+        den = rng.choice((1, 1, 2, 3, 10))
+        return Cyclotomic(d, [Fraction(rng.randint(-9, 9), den) for _ in range(rng.randint(1, d + 2))])
+
+    for order in (1, 2, 4, 8, 12, 15, 32):
+        zero = Cyclotomic.zero(order)
+        for _ in range(8):
+            n = rng.randint(1, 7)
+            a = [rand_value(order) for _ in range(n)]
+            b = [rand_value(order).conjugate() for _ in range(n)]
+            weights = [rng.randint(-6, 6) for _ in range(n)]
+            weight = sum(map(abs, weights))
+            linear = Packing(order, a, weight)
+            got = linear.unpack(sum(w * linear.pack(x) for w, x in zip(weights, a)))
+            assert got.key() == sum((w * x for w, x in zip(weights, a)), zero).key()
+            products = Packing(order, a + b, weight, products=True)
+            got = products.unpack(
+                sum(w * products.pack(x) * products.pack(y) for w, x, y in zip(weights, a, b))
+            )
+            assert got.key() == sum((w * (x * y) for w, x, y in zip(weights, a, b)), zero).key()
+
+
+def test_packed_sums_at_the_proven_bound():
+    # all coordinates A and weights summing to W: a linear sum has every
+    # coordinate at W*A, and coordinate phi-1 of a product sum sits at
+    # W*phi*A^2, exactly the bound the width is taken from
+    A, W = 7, 5
+    for order in (1, 4, 12, 15, 32):
+        top = Cyclotomic(order, [A] * euler_phi(order))
+        assert top.num == (A,) * euler_phi(order)
+        linear = Packing(order, [top, -top], W)
+        total = sum(linear.pack(top) for _ in range(W))
+        assert linear.unpack(total).key() == (W * top).key()
+        assert linear.unpack(-total).key() == (-W * top).key()
+        products = Packing(order, [top, -top], W, products=True)
+        total = W * products.pack(top) * products.pack(top)
+        assert products.unpack(total).key() == (W * (top * top)).key()
+        assert products.unpack(-total).key() == (-W * (top * top)).key()

@@ -1,0 +1,25 @@
+"""The JSON that the packed sums feed is pinned: `chartab` on the large
+tables and `enumerate` on the widest enumerations must print exactly these
+bytes, as `tests/test_corpus_digest.py` pins the corpus."""
+
+import hashlib
+
+import pytest
+
+from superchar.cli import main
+
+OUTPUT_SHA256 = {
+    ("chartab", "D32"): "c8b964b0455ce457f3af849401d0732ee607dd6c829b06a9933b7219adabf453",
+    ("chartab", "Q64"): "1fa519402493d3f06cb57ffe9f01a003aeb39d43e8f64d4d05f1219dd979d469",
+    ("chartab", "C5xC5"): "925503f7ba4701261180ea7fc481f671896239187fa0dc4e7dcef38edd89c4ff",
+    ("enumerate", "D12"): "b96e0c5c15e2de3857531604b3a6167cd4d75cef6a86bbc0f8342c5ad373ca4d",
+    ("enumerate", "C10"): "4493c1082e100a16e37b3d87503efc41b169ef6ef784b91e0ece67a2547ac1a4",
+    ("enumerate", "D4xC2"): "d0b6a5d35b57d2dc4021aa8db868084194870b2990c673df7a235960a8d21775",
+}
+
+
+@pytest.mark.parametrize("command, group", sorted(OUTPUT_SHA256))
+def test_json_output_digest(command, group, capsys):
+    assert main([command, "--group", group, "--format", "json"]) == 0
+    data = capsys.readouterr().out.encode("ascii")
+    assert hashlib.sha256(data).hexdigest() == OUTPUT_SHA256[command, group]
