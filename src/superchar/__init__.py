@@ -36,8 +36,10 @@ from .groups import (
     generated_subgroup,
     group_center,
     group_from_table_text,
+    normal_subgroups,
     permutation_group,
     quotient_group,
+    quotient_image,
     subgroup_group,
     subgroup_product,
     trivial_subgroup,
@@ -49,7 +51,6 @@ from .structure import (
     irr_over,
     is_s_abelian,
     lower_series,
-    normal_subgroups,
     s_center,
     s_commutator,
     s_commutator_full,

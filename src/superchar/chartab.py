@@ -26,7 +26,7 @@ from operator import mul
 
 from .cyclotomic import Cyclotomic, Packing
 from .errors import CharacterTableError, ConsistencyError
-from .groups import GroupTable, SubgroupSet, cached, conjugacy_classes, quotient_group
+from .groups import GroupTable, SubgroupSet, cached, conjugacy_classes, element_mask, normal_subgroup, quotient_group
 from .reports import CheckReport
 
 DEFAULT_MAX_ORDER = 64
@@ -320,11 +320,13 @@ class CharacterTable:
     character and one column per conjugacy class (canonical class order).
 
     `validation` holds the `validate_table` report made when the table was
-    computed or ingested (None for a table built directly).
+    computed or ingested (None for a table built directly).  `inflates`,
+    for a quotient table, holds the row of the parent table each row
+    inflates (None otherwise).
     """
 
     __slots__ = ("group", "classes", "reps", "sizes", "degrees", "values", "exponent",
-                 "validation", "_memo")
+                 "validation", "inflates", "_memo")
 
     def __init__(self, group: GroupTable, values, exponent: int):
         classes = conjugacy_classes(group)
@@ -339,6 +341,7 @@ class CharacterTable:
             degrees.append(row[0].integer_value())
         self.degrees = tuple(degrees)
         self.validation: CheckReport | None = None
+        self.inflates: tuple[int, ...] | None = None
         self._memo = {}
 
     @property
@@ -350,13 +353,11 @@ class CharacterTable:
 
     @cached
     def char_kernel(self, t: int) -> SubgroupSet:
-        """ker(chi_t) = {g : chi_t(g) = chi_t(1)}."""
-        deg = self.values[t][0]
-        members = set()
-        for k, block in enumerate(self.classes.blocks):
-            if self.values[t][k] == deg:
-                members.update(block)
-        return SubgroupSet(self.group, members)
+        """ker(chi_t) = {g : chi_t(g) = chi_t(1)}, a member of the group's
+        normal-subgroup lattice."""
+        deg, blocks = self.values[t][0], self.classes.blocks
+        mask = element_mask(g for k, v in enumerate(self.values[t]) if v == deg for g in blocks[k])
+        return normal_subgroup(self.group, mask)
 
     def to_text(self) -> str:
         lines = [f"chartab {self.group.label} classes={self.n_classes} exponent={self.exponent}"]
@@ -454,22 +455,27 @@ def dixon_character_table(
     inv_class = [classes.block_of[G.inv[rep]] for rep in reps]
     size_inv = [pinv(s % p) for s in sizes]
 
-    # power map: pm[j][s] = class of rep_j^s
-    pm = []
-    for rep in reps:
-        row = []
-        x = 0
-        for _ in range(e):
-            row.append(classes.block_of[x])
-            x = G.mul[x][rep]
-        pm.append(row)
-
     z = pow(_primitive_root(p), (p - 1) // e, p)
     zinv_pow = [1]
     zinv = pinv(z)
     for _ in range(e - 1):
         zinv_pow.append(zinv_pow[-1] * zinv % p)
     e_inv = pinv(e % p)
+
+    # lift[j]: each class c that a power of rep_j falls in, with the sums
+    # W[l] = sum over t < e with rep_j^t in c of zeta^(-l t) / e (mod p),
+    # made once per table; the multiplicity of zeta^l as an eigenvalue of
+    # rep_j under chi is sum over c of chi(c) W[l]
+    lift = []
+    for rep in reps:
+        sums = {}
+        x = 0
+        for t in range(e):
+            w = sums.setdefault(classes.block_of[x], [0] * e)
+            for l in range(e):
+                w[l] += zinv_pow[l * t % e]
+            x = G.mul[x][rep]
+        lift.append([(c, [a * e_inv % p for a in w]) for c, w in sums.items()])
 
     rows = []
     for v in omegas:
@@ -478,13 +484,12 @@ def dixon_character_table(
         d = _sqrt_mod(d2, p)
         chi_mod = [d * v[k] % p * size_inv[k] % p for k in range(r)]
         row = []
-        for j in range(r):
-            mults = []
-            for l in range(e):
-                acc = 0
-                for t in range(e):
-                    acc += chi_mod[pm[j][t]] * zinv_pow[(l * t) % e]
-                mults.append(acc % p * e_inv % p)
+        for terms in lift:
+            acc = [0] * e
+            for c, w in terms:
+                chi = chi_mod[c]
+                acc = [a + chi * b for a, b in zip(acc, w)]
+            mults = [a % p for a in acc]
             if sum(mults) != d:
                 raise ConsistencyError(
                     "eigenvalue multiplicities do not sum to the character degree"
@@ -506,30 +511,30 @@ def dixon_character_table(
     return table
 
 
+@cached
 def quotient_character_table(T: CharacterTable, N: SubgroupSet) -> CharacterTable:
-    """The table of G/N inflated from the table T of G, cached as the
-    character table of the quotient group.
+    """The table of G/N inflated from the table T of G, computed once per
+    (T, N); the first one for a quotient is also its character table.
 
     The rows of T whose kernel contains N are read at one preimage of each
     class representative of G/N, lowered to the exponent of G/N and put in
-    Dixon's canonical order.  Inflation preserves inner products, so with T
-    valid the table is proven by its row count, its degree sum and its
-    principal row, which make up its `validation` report.
+    Dixon's canonical order; `inflates` records the row of T each row came
+    from.  Inflation preserves inner products, so with T valid the table is
+    proven by its row count, its degree sum and its principal row, which
+    make up its `validation` report.
     """
     G = T.group
     Q, proj = quotient_group(G, N)
-    # hand-kept, not @cached: character_table_of(Q) reads this slot, so Dixon never runs on Q
-    if "character_table" in Q._memo:
-        return Q._memo["character_table"]
     reps = [proj.index(min(b)) for b in conjugacy_classes(Q).blocks]
     e = Q.exponent()
-    rows = [
-        tuple(T.value_at_element(t, g).lowered(e) for g in reps)
+    rows = {
+        t: tuple(T.value_at_element(t, g).lowered(e) for g in reps)
         for t in range(len(T.values))
-        if N.members <= T.char_kernel(t).members
-    ]
-    rows.sort(key=_canonical_row_key)
-    table = CharacterTable(Q, rows, e)
+        if not N.mask & ~T.char_kernel(t).mask
+    }
+    inflates = sorted(rows, key=lambda t: _canonical_row_key(rows[t]))
+    table = CharacterTable(Q, [rows[t] for t in inflates], e)
+    table.inflates = tuple(inflates)
     report = CheckReport(f"character table of {Q.label}, inflated from {G.label}")
     report.add("shape", len(rows) == table.n_classes, f"{len(rows)} rows for {table.n_classes} classes")
     report.add(
@@ -545,7 +550,9 @@ def quotient_character_table(T: CharacterTable, N: SubgroupSet) -> CharacterTabl
             + "; ".join(c.name for c in report.failures)
         )
     table.validation = report
-    Q._memo["character_table"] = table
+    # hand-kept, not @cached: character_table_of(Q) reads this slot, so Dixon never runs on Q
+    if "character_table" not in Q._memo:
+        Q._memo["character_table"] = table
     return table
 
 

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .chartab import character_table_of, ingest_table
+from .chartab import DEFAULT_MAX_ORDER, character_table_of, ingest_table
 from .errors import CharacterTableError, GroupConstructionError, SuperTheoryError
 from .groups import GroupTable, build_group, derived_subgroup, group_center
 from .structure import (
@@ -98,7 +98,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _cmd_chartab(args) -> int:
-    G = build_group(args.group)
+    G = build_group(args.group, None if args.ingest else DEFAULT_MAX_ORDER)
     if args.ingest:
         with open(args.ingest, encoding="utf-8") as fh:
             table = ingest_table(fh.read(), G)
@@ -115,7 +115,7 @@ def _cmd_chartab(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    G = build_group(args.group)
+    G = build_group(args.group, DEFAULT_MAX_ORDER)
     table = character_table_of(G)
     theories = enumerate_scts(table)
     if args.format == "json":
@@ -207,7 +207,7 @@ def _analysis_text(G: GroupTable, S: SuperTheory, data: dict) -> str:
 
 
 def _cmd_analyze(args) -> int:
-    G = build_group(args.group)
+    G = build_group(args.group, DEFAULT_MAX_ORDER)
     table = character_table_of(G)
     S = _select_theory(table, args.sct)
     data = _analysis(G, S)

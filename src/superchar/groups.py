@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import re
 from functools import wraps
-from math import lcm
+from math import factorial, lcm, prod
 
-from .errors import GroupConstructionError
+from .errors import ConsistencyError, GroupConstructionError
 
 _FULL_ASSOCIATIVITY_BOUND = 512
 
@@ -75,29 +75,15 @@ class GroupTable:
             inv[g] = h
         if check_associativity is None:
             check_associativity = n <= _FULL_ASSOCIATIVITY_BOUND
-        if check_associativity:
-            for a in range(n):
-                ra = rows[a]
-                for b in range(n):
-                    ab = ra[b]
-                    rb = rows[b]
-                    rab = rows[ab]
-                    for c in range(n):
-                        if rab[c] != ra[rb[c]]:
-                            raise GroupConstructionError(
-                                f"associativity fails at ({a},{b},{c})"
-                            )
-        else:
-            # spot checks on a fixed deterministic sample
-            step = max(1, n // 7)
-            sample = range(0, n, step)
-            for a in sample:
-                for b in sample:
-                    for c in sample:
-                        if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
-                            raise GroupConstructionError(
-                                f"associativity fails at ({a},{b},{c})"
-                            )
+        # every triple, or spot checks on a fixed deterministic sample
+        sample = range(n) if check_associativity else range(0, n, max(1, n // 7))
+        for a in sample:
+            ra = rows[a]
+            for b in sample:
+                rb, rab = rows[b], rows[ra[b]]
+                for c in sample:
+                    if rab[c] != ra[rb[c]]:
+                        raise GroupConstructionError(f"associativity fails at ({a},{b},{c})")
         self.order = n
         self.mul = rows
         self.inv = tuple(inv)
@@ -134,10 +120,10 @@ class SubgroupSet:
 
     Construction verifies that the set actually is a subgroup (contains the
     identity and is closed under multiplication; inverses follow by
-    finiteness).
+    finiteness).  `mask` has bit g set for each member g.
     """
 
-    __slots__ = ("parent", "members", "_hash")
+    __slots__ = ("parent", "members", "mask", "_hash")
 
     def __init__(self, parent: GroupTable, members):
         mem = frozenset(int(x) for x in members)
@@ -152,16 +138,11 @@ class SubgroupSet:
                     )
         self.parent = parent
         self.members = mem
+        self.mask = element_mask(mem)
         self._hash = hash((id(parent), mem))
-
-    def __contains__(self, g: int) -> bool:
-        return g in self.members
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __iter__(self):
-        return iter(sorted(self.members))
 
     def __eq__(self, other) -> bool:
         return (
@@ -169,18 +150,6 @@ class SubgroupSet:
             and other.parent is self.parent
             and other.members == self.members
         )
-
-    def __le__(self, other: "SubgroupSet") -> bool:
-        self._same_parent(other)
-        return self.members <= other.members
-
-    def __lt__(self, other: "SubgroupSet") -> bool:
-        self._same_parent(other)
-        return self.members < other.members
-
-    def _same_parent(self, other):
-        if other.parent is not self.parent:
-            raise GroupConstructionError("subgroups of different groups are not comparable")
 
     def __hash__(self):
         return self._hash
@@ -221,23 +190,19 @@ class ElementPartition:
         blks = [frozenset(int(x) for x in b) for b in blocks]
         if any(not b for b in blks):
             raise GroupConstructionError("partition blocks must be nonempty")
-        cover = [-1] * n
+        blks.sort(key=lambda b: (0 not in b, min(b)))
+        block_of = [-1] * n
         for idx, b in enumerate(blks):
             for x in b:
                 if x < 0 or x >= n:
                     raise GroupConstructionError(f"element {x} outside 0..{n - 1}")
-                if cover[x] != -1:
+                if block_of[x] != -1:
                     raise GroupConstructionError(f"element {x} appears in two blocks")
-                cover[x] = idx
-        if -1 in cover:
+                block_of[x] = idx
+        if -1 in block_of:
             raise GroupConstructionError("partition does not cover every element")
-        blks.sort(key=lambda b: (0 not in b, min(b)))
         self.n = n
         self.blocks = tuple(blks)
-        block_of = [-1] * n
-        for idx, b in enumerate(self.blocks):
-            for x in b:
-                block_of[x] = idx
         self.block_of = tuple(block_of)
 
     def __len__(self) -> int:
@@ -284,33 +249,93 @@ def conjugacy_classes(G: GroupTable) -> ElementPartition:
 
 def generated_subgroup(G: GroupTable, seed) -> SubgroupSet:
     """Smallest subgroup containing seed; the empty seed gives {1}."""
-    members = {0}
-    frontier = [0]
-    gens = sorted({int(x) for x in seed})
-    for g in gens:
-        if g not in members:
-            members.add(g)
-            frontier.append(g)
+    members = {0, *map(int, seed)}
+    frontier = list(members)
     while frontier:
         a = frontier.pop()
         row = G.mul[a]
         for b in tuple(members):
-            for prod in (row[b], G.mul[b][a]):
-                if prod not in members:
-                    members.add(prod)
-                    frontier.append(prod)
+            for ab in (row[b], G.mul[b][a]):
+                if ab not in members:
+                    members.add(ab)
+                    frontier.append(ab)
     return SubgroupSet(G, members)
 
 
+def element_mask(elements) -> int:
+    """The bitmask with bit g set for each g in elements."""
+    mask = 0
+    for g in elements:
+        mask |= 1 << g
+    return mask
+
+
+@cached
+def normal_subgroups(G: GroupTable) -> tuple[SubgroupSet, ...]:
+    """The lattice of normal subgroups of G, smallest first, computed once
+    per group; every normal subgroup used later is one of these objects.
+
+    A normal subgroup is the product of the normal closures of the
+    conjugacy classes it contains, so the lattice is the set of products
+    of those closures, grown one closure at a time from {1}.
+    """
+    closures = {C.members: C for C in (generated_subgroup(G, b) for b in conjugacy_classes(G).blocks[1:])}
+    found = {frozenset({0}): trivial_subgroup(G)}
+    frontier = [trivial_subgroup(G)]
+    while frontier:
+        H = frontier.pop()
+        for C in closures.values():
+            if C.members <= H.members:
+                continue
+            members = frozenset(G.mul[h][c] for h in H.members for c in C.members)
+            if members not in found:
+                found[members] = SubgroupSet(G, members)
+                frontier.append(found[members])
+    return tuple(sorted(found.values(), key=lambda H: (len(H), H.sorted_members())))
+
+
+@cached
+def normal_subgroup(G: GroupTable, mask: int) -> SubgroupSet:
+    """The member of the lattice whose elements are the bits of mask."""
+    for H in normal_subgroups(G):
+        if H.mask == mask:
+            return H
+    raise GroupConstructionError(f"{mask:#x} is not the mask of a normal subgroup")
+
+
+@cached
+def class_masks(G: GroupTable) -> tuple[int, ...]:
+    """The mask of the conjugacy class of each element."""
+    classes = conjugacy_classes(G)
+    masks = [element_mask(b) for b in classes.blocks]
+    return tuple(masks[b] for b in classes.block_of)
+
+
+@cached
+def normal_closure(G: GroupTable, mask: int) -> SubgroupSet:
+    """The subgroup generated by a set closed under conjugation: the
+    smallest member of the lattice containing it, which is the meet of
+    every member containing it.  A set that is not closed raises."""
+    cls, rest = class_masks(G), mask
+    while rest:
+        c = cls[(rest & -rest).bit_length() - 1]
+        if c & ~mask:
+            raise ConsistencyError(f"{mask:#x} is not closed under conjugation")
+        rest &= ~c
+    return next(H for H in normal_subgroups(G) if not mask & ~H.mask)
+
+
 def subgroup_product(G: GroupTable, A: SubgroupSet, B: SubgroupSet) -> SubgroupSet:
-    """The product set AB, which must again be a subgroup."""
-    prod = {G.mul[a][b] for a in A.members for b in B.members}
-    try:
-        return SubgroupSet(G, prod)
-    except GroupConstructionError as exc:
-        raise GroupConstructionError(
-            f"product of subgroups is not a subgroup ({len(prod)} elements)"
-        ) from exc
+    """AB for normal subgroups A and B: their join in the lattice."""
+    return normal_closure(G, normal_subgroup(G, A.mask).mask | normal_subgroup(G, B.mask).mask)
+
+
+@cached
+def quotient_image(G: GroupTable, N: SubgroupSet, H: SubgroupSet) -> SubgroupSet:
+    """HN/N, the image of the normal subgroup H in G/N, looked up in the
+    lattice of G/N."""
+    Q, proj = quotient_group(G, N)
+    return normal_subgroup(Q, element_mask(proj[g] for g in H.members))
 
 
 @cached
@@ -326,20 +351,13 @@ def quotient_group(G: GroupTable, N: SubgroupSet) -> tuple[GroupTable, tuple[int
     if not N.is_normal():
         raise GroupConstructionError("cannot form a quotient by a non-normal subgroup")
     coset_of = [-1] * G.order
-    cosets = []
+    reps = []  # an element first met is the smallest of its coset
     for g in range(G.order):
-        if coset_of[g] != -1:
-            continue
-        coset = frozenset(G.mul[g][n] for n in N.members)
-        idx = len(cosets)
-        cosets.append(coset)
-        for x in coset:
-            coset_of[x] = idx
-    order = [i for i, _ in sorted(enumerate(cosets), key=lambda t: min(t[1]))]
-    rank = {old: new for new, old in enumerate(order)}
-    cosets = [cosets[i] for i in order]
-    proj = tuple(rank[coset_of[g]] for g in range(G.order))
-    reps = [min(c) for c in cosets]
+        if coset_of[g] == -1:
+            for n in N.members:
+                coset_of[G.mul[g][n]] = len(reps)
+            reps.append(g)
+    proj = tuple(coset_of)
     table = [[proj[G.mul[a][b]] for b in reps] for a in reps]
     label = f"{G.label}/H{len(N)}"
     Q = GroupTable(table, label=label)
@@ -482,31 +500,37 @@ def _product_table(A: GroupTable, B: GroupTable, label: str) -> GroupTable:
     return GroupTable([[mul(x, y) for y in range(size)] for x in range(size)], label=label)
 
 
-def _catalog_factor(name: str) -> GroupTable:
+def _catalog_factor(name: str):
+    """(order, build) for one catalog factor; build() makes its table."""
     m = _FACTOR_RE.match(name)
     if not m:
         raise GroupConstructionError(f"unrecognized catalog name {name!r}")
     kind, digits = m.group(1), m.group(2)
     n = int(digits) if digits else None
     if kind == "C" and n and n >= 1:
-        return GroupTable(_cyclic_table(n), label=name)
+        return n, lambda: GroupTable(_cyclic_table(n), label=name)
     if kind == "D" and n and n >= 1:
-        return GroupTable(_dihedral_table(n), label=name)
+        return 2 * n, lambda: GroupTable(_dihedral_table(n), label=name)
     if kind == "Q" and n == 8:
-        return GroupTable(_quaternion8_table(), label=name)
+        return 8, lambda: GroupTable(_quaternion8_table(), label=name)
     if kind == "Q" and n and n >= 8 and n % 4 == 0:
-        return GroupTable(_generalized_quaternion_table(n), label=name)
+        return n, lambda: GroupTable(_generalized_quaternion_table(n), label=name)
     if kind == "S" and n and 1 <= n <= 4:
-        return _perm_table(_symmetric_elements(n), label=name)
+        return factorial(n), lambda: _perm_table(_symmetric_elements(n), label=name)
     if kind == "A" and n == 4:
-        evens = [p for p in _symmetric_elements(4) if _parity(p) == 0]
-        return _perm_table(evens, label=name)
+        return 12, lambda: _perm_table([p for p in _symmetric_elements(4) if _parity(p) == 0], label=name)
     raise GroupConstructionError(f"unrecognized catalog name {name!r}")
 
 
-def catalog_group(name: str) -> GroupTable:
+def _check_order(order: int, max_order: int | None) -> None:
+    if max_order is not None and order > max_order:
+        raise GroupConstructionError(f"group order {order} exceeds the bound {max_order}")
+
+
+def catalog_group(name: str, max_order: int | None = None) -> GroupTable:
     """Build a named group: Cn, Dn (order 2n), Q8/Q16, Sn (n<=4), A4, and
-    x-separated direct products such as C2xC2.
+    x-separated direct products such as C2xC2.  An order above max_order,
+    read off the name, is refused before any table is built.
 
     Element numbering is fixed and documented so that derived objects are
     reproducible:
@@ -521,8 +545,9 @@ def catalog_group(name: str) -> GroupTable:
       p*q acts as "apply q, then p".
     * AxB: a*|B| + b, factors combined left to right.
     """
-    factors = name.split("x")
-    tables = [_catalog_factor(f.strip()) for f in factors]
+    factors = [_catalog_factor(f.strip()) for f in name.split("x")]
+    _check_order(prod(order for order, _ in factors), max_order)
+    tables = [build() for _, build in factors]
     out = tables[0]
     for t in tables[1:]:
         out = _product_table(out, t, label=name)
@@ -559,8 +584,9 @@ def _parse_cycles(line: str) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def permutation_group(lines, label: str = "perm") -> GroupTable:
-    """Closure of permutation generators given in cycle notation, one per line."""
+def permutation_group(lines, label: str = "perm", max_order: int | None = None) -> GroupTable:
+    """Closure of permutation generators given in cycle notation, one per
+    line; the closure stops as soon as it passes max_order elements."""
     raw = [ln for ln in (str(x).strip() for x in lines) if ln and not ln.startswith("#")]
     if not raw:
         raise GroupConstructionError("no permutation generators given")
@@ -573,15 +599,18 @@ def permutation_group(lines, label: str = "perm") -> GroupTable:
     while frontier:
         p = frontier.pop()
         for q in gens:
-            prod = tuple(p[q[x]] for x in range(n))
-            if prod not in elems:
-                elems.add(prod)
-                frontier.append(prod)
+            pq = tuple(p[q[x]] for x in range(n))
+            if pq not in elems:
+                elems.add(pq)
+                frontier.append(pq)
+        if max_order is not None and len(elems) > max_order:
+            raise GroupConstructionError(f"the generators give more than {max_order} elements, above the bound")
     return _perm_table(sorted(elems), label=label)
 
 
-def group_from_table_text(text: str, label: str = "file") -> GroupTable:
-    """Parse the text format: `order n` then n rows of n integers."""
+def group_from_table_text(text: str, label: str = "file", max_order: int | None = None) -> GroupTable:
+    """Parse the text format: `order n` then n rows of n integers; an n
+    above max_order is refused before the rows are read."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("order"):
@@ -590,6 +619,7 @@ def group_from_table_text(text: str, label: str = "file") -> GroupTable:
         n = int(lines[0].split()[1])
     except (IndexError, ValueError) as exc:
         raise GroupConstructionError("malformed 'order n' header") from exc
+    _check_order(n, max_order)
     if len(lines) != n + 1:
         raise GroupConstructionError(f"expected {n} table rows, found {len(lines) - 1}")
     rows = []
@@ -601,19 +631,19 @@ def group_from_table_text(text: str, label: str = "file") -> GroupTable:
     return GroupTable(rows, label=label)
 
 
-def build_group(spec: str) -> GroupTable:
+def build_group(spec: str, max_order: int | None = None) -> GroupTable:
     """Build a group from a spec string.
 
     `file:<path>` reads a multiplication-table file, `perm:<path>` reads
     permutation generators in cycle notation, anything else is a catalog
-    name.
+    name.  A group above max_order is refused before its table is built.
     """
     if spec.startswith("file:"):
         path = spec[len("file:"):]
         with open(path, encoding="utf-8") as fh:
-            return group_from_table_text(fh.read(), label=path)
+            return group_from_table_text(fh.read(), label=path, max_order=max_order)
     if spec.startswith("perm:"):
         path = spec[len("perm:"):]
         with open(path, encoding="utf-8") as fh:
-            return permutation_group(fh.read().splitlines(), label=path)
-    return catalog_group(spec)
+            return permutation_group(fh.read().splitlines(), label=path, max_order=max_order)
+    return catalog_group(spec, max_order)

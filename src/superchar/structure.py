@@ -1,8 +1,9 @@
 """Structural apparatus on top of a supercharacter theory.
 
-S-normal subgroups (read off the group's normal-subgroup lattice), the
-center Z(S) and commutator [H,S], supercharacter kernels, the upper and
-lower central series, nilpotence, and hypercenter.
+S-normal subgroups, the center Z(S) and commutator [H,S], supercharacter
+kernels, the upper and lower central series, nilpotence, and hypercenter.
+Every subgroup here is normal, so none is built: each is looked up in the
+group's normal-subgroup lattice by its bitmask or as a closure.
 Cross-checkable identities (the kernel-intersection form of [G,S],
 kernels as intersections of classical kernels) are verified on every
 call; a mismatch raises ConsistencyError because it would falsify the
@@ -15,42 +16,17 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError, GroupConstructionError
 from .groups import (
-    GroupTable,
     SubgroupSet,
     cached,
-    conjugacy_classes,
+    element_mask,
     full_subgroup,
-    generated_subgroup,
+    normal_closure,
+    normal_subgroup,
+    normal_subgroups,
     quotient_group,
     trivial_subgroup,
 )
 from .supertheory import SuperCharacter, SuperTheory, deflation, require_s_normal
-
-
-@cached
-def normal_subgroups(G: GroupTable) -> tuple[SubgroupSet, ...]:
-    """Every normal subgroup of G, smallest first, computed once per group.
-
-    A normal subgroup is the product of the normal closures of the
-    conjugacy classes it contains, so the lattice is the set of products
-    of those closures, grown one closure at a time from {1}.
-    """
-    closures = {}
-    for b in conjugacy_classes(G).blocks[1:]:
-        C = generated_subgroup(G, b)
-        closures.setdefault(C.members, C)
-    found = {frozenset({0}): trivial_subgroup(G)}
-    frontier = [trivial_subgroup(G)]
-    while frontier:
-        H = frontier.pop()
-        for C in closures.values():
-            if C.members <= H.members:
-                continue
-            members = frozenset(G.mul[h][c] for h in H.members for c in C.members)
-            if members not in found:
-                found[members] = SubgroupSet(G, members)
-                frontier.append(found[members])
-    return tuple(sorted(found.values(), key=lambda H: (len(H), H.sorted_members())))
 
 
 @cached
@@ -67,12 +43,9 @@ def s_normal_subgroups(S: SuperTheory) -> tuple[SubgroupSet, ...]:
 @cached
 def s_center(S: SuperTheory) -> SubgroupSet:
     """Z(S): the union of the singleton superclasses."""
-    members = set()
-    for b in S.yparts.blocks:
-        if len(b) == 1:
-            members |= b
+    mask = sum(m for m, b in zip(S.block_masks(), S.yparts.blocks) if len(b) == 1)
     try:
-        return SubgroupSet(S.group, members)
+        return normal_subgroup(S.group, mask)
     except GroupConstructionError as exc:
         raise ConsistencyError("Z(S) is not a subgroup; the theory is invalid") from exc
 
@@ -83,24 +56,22 @@ def is_s_abelian(S: SuperTheory) -> bool:
 
 @cached
 def s_commutator(S: SuperTheory, H: SubgroupSet) -> SubgroupSet:
-    """[H,S] = <g^-1 k : g in H, k in Cl_S(g)>.
+    """[H,S] = <g^-1 k : g in H, k in Cl_S(g)> for normal H, whose
+    generators are then closed under conjugation.
 
     For H = G the result is cross-checked against the intersection of the
     kernels of the supercharacters that factor through G/[G,S].
     """
     G = S.group
-    gens = set()
-    for g in H.members:
-        row = G.mul[G.inv[g]]
-        gens.update(row[k] for k in S.superclass(g))
-    W = generated_subgroup(G, gens)
+    gens = element_mask(G.mul[G.inv[g]][k] for g in H.members for k in S.superclass(g))
+    W = normal_closure(G, gens)
     if len(H) == G.order:
-        acc = set(range(G.order))
+        acc = H.mask
         for sigma in S.supercharacters():
-            ker = super_kernel(sigma)
-            if W.members <= ker.members:
-                acc &= ker.members
-        if frozenset(acc) != W.members:
+            ker = super_kernel(sigma).mask
+            if not W.mask & ~ker:
+                acc &= ker
+        if acc != W.mask:
             raise ConsistencyError("[G,S] disagrees with its kernel-intersection form")
     return W
 
@@ -116,18 +87,15 @@ def super_kernel(sigma: SuperCharacter) -> SubgroupSet:
     equal to the intersection of the classical kernels of its part."""
     S = sigma.theory
     degree = sigma.values[0]
-    members = set()
-    for yi, b in enumerate(S.yparts.blocks):
-        if sigma.values[yi] == degree:
-            members |= b
+    mask = sum(m for m, v in zip(S.block_masks(), sigma.values) if v == degree)
     try:
-        ker = SubgroupSet(S.group, members)
+        ker = normal_subgroup(S.group, mask)
     except GroupConstructionError as exc:
         raise ConsistencyError("supercharacter kernel is not a subgroup") from exc
-    classical = set(range(S.group.order))
+    classical = (1 << S.group.order) - 1
     for t in sigma.part:
-        classical &= S.table.char_kernel(t).members
-    if frozenset(classical) != ker.members:
+        classical &= S.table.char_kernel(t).mask
+    if classical != mask:
         raise ConsistencyError(
             "supercharacter kernel disagrees with the classical kernel intersection"
         )
@@ -138,9 +106,7 @@ def super_kernel(sigma: SuperCharacter) -> SubgroupSet:
 def irr_over(S: SuperTheory, N: SubgroupSet) -> tuple[SuperCharacter, ...]:
     """Irr(S|N): supercharacters whose kernel does not contain N."""
     require_s_normal(S, N)
-    return tuple(
-        sigma for sigma in S.supercharacters() if not N.members <= super_kernel(sigma).members
-    )
+    return tuple(sigma for sigma in S.supercharacters() if N.mask & ~super_kernel(sigma).mask)
 
 
 # ---------------------------------------------------------------------------
@@ -175,18 +141,23 @@ class SeriesResult:
         }
 
 
-@cached
-def lower_series(S: SuperTheory) -> SeriesResult:
-    """gamma_1 = G, gamma_{i+1} = [gamma_i, S], until stabilization."""
-    terms = [full_subgroup(S.group)]
+def commutator_series(S: SuperTheory, first: SubgroupSet, kind: str) -> SeriesResult:
+    """first, [first, S], [[first, S], S], ... until stabilization."""
+    terms = [first]
     while True:
         nxt = s_commutator(S, terms[-1])
         if not nxt.members <= terms[-1].members:
-            raise ConsistencyError("lower series failed to descend")
+            raise ConsistencyError(f"{kind} series failed to descend")
         if nxt == terms[-1]:
             break
         terms.append(nxt)
-    return SeriesResult("lower", tuple(terms), 1)
+    return SeriesResult(kind, tuple(terms), 1)
+
+
+@cached
+def lower_series(S: SuperTheory) -> SeriesResult:
+    """gamma_1 = G, gamma_{i+1} = [gamma_i, S], until stabilization."""
+    return commutator_series(S, full_subgroup(S.group), "lower")
 
 
 @cached
@@ -197,10 +168,9 @@ def upper_series(S: SuperTheory) -> SeriesResult:
     terms = [trivial_subgroup(G)]
     while True:
         prev = terms[-1]
-        defl = deflation(S, prev)
+        zq = s_center(deflation(S, prev)).mask
         _, proj = quotient_group(G, prev)
-        zq = s_center(defl)
-        nxt = SubgroupSet(G, {g for g in range(G.order) if proj[g] in zq.members})
+        nxt = normal_subgroup(G, element_mask(g for g in range(G.order) if zq >> proj[g] & 1))
         if not S.is_s_normal(nxt):
             raise ConsistencyError("upper series term is not S-normal")
         if nxt == prev:

@@ -4,7 +4,9 @@ A supercharacter theory of G is a pair (X, Y) where X partitions the
 irreducible characters, Y partitions the elements, {1} is a Y-block,
 |X| = |Y|, and each sigma_X = sum_{chi in X} chi(1) chi is constant on
 every Y-block.  Everything here works with exact cyclotomic values, so
-"constant" and "zero" are never tolerance tests.
+"constant" and "zero" are never tolerance tests.  A theory is derived from
+its class partition and validated in full; a deflation is built from a
+theory already validated, which proves it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .groups import (
     GroupTable,
     SubgroupSet,
     cached,
+    conjugacy_classes,
+    element_mask,
     quotient_group,
     subgroup_group,
 )
@@ -41,7 +45,7 @@ class SuperTheory:
     """A validated supercharacter theory of a finite group.
 
     Instances are immutable; build them through the derivation functions
-    below rather than directly.  The `_memo` dict holds what the
+    and `deflation` below rather than directly.  The `_memo` dict holds what the
     `groups.cached` functions derive from the theory (S-normal subgroups,
     deflations, vanishing subgroups, ...); failed calls are never stored.
     """
@@ -80,11 +84,16 @@ class SuperTheory:
         return tuple(SuperCharacter(self, i) for i in range(self.n_parts))
 
     @cached
+    def block_masks(self) -> tuple[int, ...]:
+        """The superclasses as bitmasks of their elements."""
+        return tuple(map(element_mask, self.yparts.blocks))
+
+    @cached
     def is_s_normal(self, H: SubgroupSet) -> bool:
         """True when H is a union of superclasses; cached per subgroup."""
         if H.parent is not self.group:
             raise SuperTheoryError("subgroup belongs to a different group")
-        return all(b <= H.members for b in self.yparts.blocks if b & H.members)
+        return all((b & H.mask) in (0, b) for b in self.block_masks())
 
     def validate(self) -> CheckReport:
         """Re-check the defining conditions; sigma against the table's values
@@ -441,25 +450,44 @@ def restriction(S: SuperTheory, N: SubgroupSet) -> SuperTheory:
 
 @cached
 def deflation(S: SuperTheory, N: SubgroupSet) -> SuperTheory:
-    """The induced theory on G/N; its superclasses are the images of the
-    S-classes under the projection.  The table of G/N is inflated from the
-    table of G (`quotient_character_table`), not recomputed."""
+    """S^{G/N}, the induced theory on G/N, built rather than derived.
+
+    Its parts are the parts of S inside Irr(G/N), renumbered by the rows of
+    the inflated quotient table; its superclasses are the images of those
+    of S; its values are those of S at preimages, lowered to exp(G/N).  For
+    S-normal N this pair is a theory of G/N (Hendrickson, Comm. Algebra
+    2012), so it is not derived or validated again: only its counts are
+    checked.  Equal deflations of different theories are one object.
+    """
     require_s_normal(S, N)
+    table = quotient_character_table(S.table, N)
     Q, proj = quotient_group(S.group, N)
-    images: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
-    for b in S.yparts.blocks:
-        img = frozenset(proj[g] for g in b)
-        if img not in seen:
-            seen.add(img)
-            images.append(img)
+    row_of = {t: i for i, t in enumerate(table.inflates)}
+    inside = [xi for xi, part in enumerate(S.xparts) if row_of.keys() >= part]
+    images: dict[frozenset[int], int] = {}
+    for yi, b in enumerate(S.yparts.blocks):
+        images.setdefault(frozenset(proj[g] for g in b), yi)
     try:
-        part = ElementPartition(Q.order, images)
+        yparts = ElementPartition(Q.order, images)
     except GroupConstructionError as exc:
         raise ConsistencyError("projected superclasses do not form a partition") from exc
-    theory = sct_from_class_partition(quotient_character_table(S.table, N), part)
-    if theory is None:
-        raise ConsistencyError("deflation produced an invalid theory")
+    if len(inside) != len(yparts) or sum(len(S.xparts[xi]) for xi in inside) != len(row_of):
+        raise ConsistencyError("the parts inside Irr(G/N) do not match the projected superclasses")
+    inside.sort(key=lambda xi: min(row_of[t] for t in S.xparts[xi]))
+    block_of = conjugacy_classes(Q).block_of
+    theory = SuperTheory(
+        table,
+        tuple(frozenset(row_of[t] for t in S.xparts[xi]) for xi in inside),
+        yparts,
+        tuple(tuple(sorted({block_of[x] for x in b})) for b in yparts.blocks),
+        tuple(tuple(S.sigma[xi][images[b]].lowered(table.exponent) for b in yparts.blocks) for xi in inside),
+    )
+    return _interned(table, theory)
+
+
+@cached
+def _interned(table: CharacterTable, theory: SuperTheory) -> SuperTheory:
+    """The first theory built on the table equal to this one."""
     return theory
 
 

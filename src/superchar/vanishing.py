@@ -11,6 +11,8 @@ encodes, never a shortcut artifact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from .cyclotomic import hermitian_term
 from .errors import ConsistencyError
@@ -18,19 +20,19 @@ from .groups import (
     SubgroupSet,
     cached,
     full_subgroup,
-    generated_subgroup,
+    normal_closure,
     quotient_group,
+    quotient_image,
     subgroup_product,
-    trivial_subgroup,
 )
 from .reports import CheckReport
 from .structure import (
     SeriesResult,
+    commutator_series,
     irr_over,
     is_s_abelian,
     lower_series,
     s_center,
-    s_commutator,
     s_commutator_full,
     s_nilpotence_class,
     s_normal_subgroups,
@@ -87,19 +89,42 @@ class CaminaVerdict:
 
 def nonvanishing_set(sigma: SuperCharacter) -> frozenset[int]:
     """The elements where sigma is nonzero (exact test)."""
-    S = sigma.theory
-    out = set()
-    for yi, b in enumerate(S.yparts.blocks):
-        if not sigma.values[yi].is_zero():
-            out |= b
-    return frozenset(out)
+    return frozenset().union(*(b for b, v in zip(sigma.theory.yparts.blocks, sigma.values) if not v.is_zero()))
+
+
+@cached
+def _nonvanishing_mask(sigma: SuperCharacter) -> int:
+    return sum(m for m, v in zip(sigma.theory.block_masks(), sigma.values) if not v.is_zero())
+
+
+def escaping_character(sigmas, N: SubgroupSet) -> SuperCharacter | None:
+    """The first of sigmas that is nonzero somewhere outside N, or None
+    when all of them vanish off N."""
+    return next((sigma for sigma in sigmas if _nonvanishing_mask(sigma) & ~N.mask), None)
 
 
 @cached
 def vanish_off(sigma: SuperCharacter) -> SubgroupSet:
     """V(sigma): the subgroup generated by the nonvanishing set, i.e. the
-    smallest subgroup off which sigma vanishes."""
-    return generated_subgroup(sigma.theory.group, nonvanishing_set(sigma))
+    smallest subgroup off which sigma vanishes: a union of superclasses, so
+    its closure in the normal-subgroup lattice."""
+    return normal_closure(sigma.theory.group, _nonvanishing_mask(sigma))
+
+
+@cached
+def _v_table(S: SuperTheory) -> dict[int, SubgroupSet]:
+    """V(S|H) for every S-normal H, keyed by the mask of H: the closure of
+    the elements where some member of Irr(S|H) is nonzero, checked S-normal
+    and containing H."""
+    table = {}
+    for H in s_normal_subgroups(S):
+        gens = reduce(or_, map(_nonvanishing_mask, irr_over(S, H)), 0)
+        V = table[H.mask] = normal_closure(S.group, gens)
+        if not S.is_s_normal(V):
+            raise ConsistencyError("V(S|N) is not S-normal")
+        if H.mask & ~V.mask:
+            raise ConsistencyError("V(S|N) does not contain N")
+    return table
 
 
 @cached
@@ -108,15 +133,7 @@ def v_rel(S: SuperTheory, N: SubgroupSet) -> SubgroupSet:
     nonzero.  S-normal, and contains N (trivially {1} when Irr(S|N) is
     empty, which happens exactly at N = 1)."""
     require_s_normal(S, N)
-    gens: set[int] = set()
-    for sigma in irr_over(S, N):
-        gens |= nonvanishing_set(sigma)
-    V = generated_subgroup(S.group, gens)
-    if not S.is_s_normal(V):
-        raise ConsistencyError("V(S|N) is not S-normal")
-    if not N.members <= V.members:
-        raise ConsistencyError("V(S|N) does not contain N")
-    return V
+    return _v_table(S)[N.mask]
 
 
 def v_theory(S: SuperTheory) -> SubgroupSet:
@@ -208,18 +225,15 @@ def is_s_gcp(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
             transversal_ok = False
             witnesses["transversal"] = f"element {g} misses a commutator-coset difference"
             break
-    vanishing_ok = True
-    for sigma in irr_over(S, com):
-        if any(not sigma.value_on(g).is_zero() for g in outside):
-            vanishing_ok = False
-            witnesses["vanishing"] = f"sigma_{sigma.index} does not vanish off N"
-            break
+    escaping = escaping_character(irr_over(S, com), N)
+    if escaping:
+        witnesses["vanishing"] = f"sigma_{escaping.index} does not vanish off N"
 
     conditions = {
         "camina-elements": camina_all,
         "class-sizes": sizes_ok,
         "transversal": transversal_ok,
-        "vanishing": vanishing_ok,
+        "vanishing": escaping is None,
     }
     extras: dict[str, object] = {}
     if com.members <= N.members:
@@ -279,18 +293,15 @@ def is_camina_triple(S: SuperTheory, N: SubgroupSet, M: SubgroupSet) -> CaminaVe
         witnesses["vanishing-bound"] = (
             f"V(S|M) = {sorted(v_rel(S, M).members)} escapes {sorted(N.members)}"
         )
-    vanish = True
-    for sigma in irr_over(S, M):
-        if any(not sigma.value_on(g).is_zero() for g in outside):
-            vanish = False
-            witnesses["vanishing"] = f"sigma_{sigma.index} does not vanish outside N"
-            break
+    escaping = escaping_character(irr_over(S, M), N)
+    if escaping:
+        witnesses["vanishing"] = f"sigma_{escaping.index} does not vanish outside N"
     conditions = {
         "coset-union": coset,
         "class-size-product": size_product,
         "transversal": transversal,
         "vanishing-bound": bound,
-        "vanishing": vanish,
+        "vanishing": escaping is None,
     }
     return CaminaVerdict(
         f"triple (G, {sorted(N.members)}, {sorted(M.members)})",
@@ -361,30 +372,21 @@ def is_camina_pair(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
 @cached
 def v_series(S: SuperTheory) -> SeriesResult:
     """V_1 = V(S), V_i = [V_{i-1}, S], until stabilization."""
-    terms = [v_theory(S)]
-    while True:
-        nxt = s_commutator(S, terms[-1])
-        if not nxt.members <= terms[-1].members:
-            raise ConsistencyError("V-series failed to descend")
-        if nxt == terms[-1]:
-            break
-        terms.append(nxt)
-    return SeriesResult("v-series", tuple(terms), 1)
+    return commutator_series(S, v_theory(S), "v-series")
 
 
 @cached
 def u_rel(S: SuperTheory, N: SubgroupSet) -> SubgroupSet:
-    """U(S|N): the product of every S-normal H with V(S|H) <= N.
+    """U(S|N): the product of every S-normal H with V(S|H) <= N, their
+    join in the lattice, read off the theory's table of V(S|H).
 
     By the definition this includes H = G when N = G, so U(S|G) = G; the
     containment U(S|N) <= N n [G,S] for non-S-abelian theories therefore
     holds (and is verified) only for proper N.
     """
     require_s_normal(S, N)
-    total = trivial_subgroup(S.group)
-    for H in s_normal_subgroups(S):
-        if v_rel(S, H).members <= N.members:
-            total = subgroup_product(S.group, total, H)
+    below = (h for h, V in _v_table(S).items() if not V.mask & ~N.mask)
+    total = normal_closure(S.group, reduce(or_, below, 0))
     if not S.is_s_normal(total):
         raise ConsistencyError("U(S|N) is not S-normal")
     if not is_s_abelian(S) and len(N) < S.group.order:
@@ -435,16 +437,15 @@ def u_quotient_check(S: SuperTheory, N: SubgroupSet, H: SubgroupSet) -> CheckRep
         rep.note("hypothesis V(S|N) <= H fails; not applicable")
         return rep
     defl = deflation(S, N)
-    _, proj = quotient_group(S.group, N)
-    image_h = SubgroupSet(defl.group, {proj[x] for x in H.members})
+    image_h = quotient_image(S.group, N, H)
     if not defl.is_s_normal(image_h):
         raise ConsistencyError("projected subgroup is not S-normal in the deflation")
     lhs = u_rel(defl, image_h)
-    rhs = frozenset(proj[x] for x in u_rel(S, H).members)
+    rhs = quotient_image(S.group, N, u_rel(S, H))
     rep.add(
         "quotient-identity",
-        lhs.members == rhs,
-        f"deflated U = {lhs.sorted_members()}, projected U = {sorted(rhs)}",
+        lhs.members == rhs.members,
+        f"deflated U = {lhs.sorted_members()}, projected U = {sorted(rhs.members)}",
     )
     return rep
 
@@ -460,12 +461,7 @@ def u_kernel_check(S: SuperTheory, N: SubgroupSet) -> CheckReport:
     ]
     if not family:
         rep.note("the character family is empty; the intersection defaults to G")
-        intersection = frozenset(range(S.group.order))
-    else:
-        acc = set(range(S.group.order))
-        for sigma in family:
-            acc &= super_kernel(sigma).members
-        intersection = frozenset(acc)
+    intersection = frozenset(range(S.group.order)).intersection(*(super_kernel(s).members for s in family))
     rep.add(
         "kernel-intersection",
         intersection == u_rel(S, N).members,
@@ -494,12 +490,10 @@ def is_vz(S: SuperTheory) -> CaminaVerdict:
     outside = [g for g in range(G.order) if g not in center.members]
     witnesses: dict[str, object] = {}
 
-    definition = True
-    for sigma in irr_over(S, com):
-        if any(not sigma.value_on(g).is_zero() for g in outside):
-            definition = False
-            witnesses["definition"] = f"sigma_{sigma.index} does not vanish off Z(S)"
-            break
+    escaping = escaping_character(irr_over(S, com), center)
+    definition = escaping is None
+    if escaping:
+        witnesses["definition"] = f"sigma_{escaping.index} does not vanish off Z(S)"
     v_below_z = V.members <= center.members
     if not v_below_z:
         witnesses["v-inside-center"] = f"V(S) = {sorted(V.members)}, Z(S) = {sorted(center.members)}"
@@ -586,7 +580,6 @@ def v_series_checks(S: SuperTheory) -> CheckReport:
         if not len(vn) < len(low.term(n)):
             continue
         defl = deflation(S, vn)
-        _, proj = quotient_group(S.group, vn)
         cls = s_nilpotence_class(defl)
         rep.add(
             f"deflated-class-{n}",
@@ -595,10 +588,10 @@ def v_series_checks(S: SuperTheory) -> CheckReport:
         )
         dvs = v_series(defl)
         for i in range(1, n + 1):
-            image = frozenset(proj[g] for g in vs.term(i).members)
+            image = quotient_image(S.group, vn, vs.term(i))
             rep.add(
                 f"deflated-v-{n}-{i}",
-                dvs.term(i).members == image,
+                dvs.term(i).members == image.members,
                 f"V_{i} of the deflation differs from the projected V_{i}",
             )
     return rep

@@ -15,8 +15,8 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .chartab import character_table_of
-from .groups import SubgroupSet, build_group, quotient_group, subgroup_product, trivial_subgroup
+from .chartab import DEFAULT_MAX_ORDER, character_table_of
+from .groups import SubgroupSet, build_group, quotient_image, subgroup_product, trivial_subgroup
 from .structure import (
     irr_over,
     is_s_abelian,
@@ -39,6 +39,7 @@ from .supertheory import (
     _max_parts_guard,
 )
 from .vanishing import (
+    escaping_character,
     is_camina_element,
     is_camina_pair,
     is_camina_triple,
@@ -162,10 +163,7 @@ def _check_cp(S: SuperTheory):
                 fails.append(f"upward-{_sub(M)}")
         for K in subs:
             if K.members <= N.members:
-                defl = deflation(S, K)
-                _, proj = quotient_group(S.group, K)
-                image = SubgroupSet(defl.group, {proj[g] for g in N.members})
-                if not is_s_gcp(defl, image).holds:
+                if not is_s_gcp(deflation(S, K), quotient_image(S.group, K, N)).holds:
                     fails.append(f"quotient-{_sub(K)}")
         if not abelian and not center.members <= N.members:
             fails.append("center-below")
@@ -188,10 +186,7 @@ def _check_vs(S: SuperTheory):
         fails.append("center-inside-v")
     if any(not V.members <= N.members for N in gcp_subs):
         fails.append("v-minimal")
-    meet = set(range(S.group.order))
-    for N in gcp_subs:
-        meet &= N.members
-    if frozenset(meet) != V.members:
+    if frozenset(range(S.group.order)).intersection(*(N.members for N in gcp_subs)) != V.members:
         fails.append("v-as-intersection")
     witness = {"failing": fails, "v": _sub(V)} if fails else None
     yield {}, _status(not fails), witness
@@ -239,8 +234,7 @@ def _check_vsn(S: SuperTheory):
         if is_s_abelian(defl):
             yield scope, "not-applicable"
             continue
-        _, proj = quotient_group(S.group, N)
-        image = frozenset(proj[g] for g in V.members)
+        image = quotient_image(S.group, N, V).members
         ok = N.members <= V.members and v_theory(defl).members <= image
         witness = None if ok else {"v": _sub(V), "deflated-v": _sub(v_theory(defl))}
         yield scope, _status(ok), witness
@@ -372,28 +366,18 @@ def _check_ugroupp(S: SuperTheory):
         yield {}, "not-applicable"
         return
     subs = s_normal_subgroups(S)
-    sigmas = S.supercharacters()
-    zeroset = {
-        sigma.index: frozenset(range(S.group.order)) - nonvanishing_set(sigma)
-        for sigma in sigmas
-    }
-    kernels = {sigma.index: super_kernel(sigma).members for sigma in sigmas}
-    over = {N.members: [sigma.index for sigma in irr_over(S, N)] for N in subs}
+    kernels = [(sigma, super_kernel(sigma).members) for sigma in S.supercharacters()]
     for N in subs:
-        outside = frozenset(range(S.group.order)) - N.members
-
-        def vanishing_property(W: SubgroupSet) -> bool:
-            return all(outside <= zeroset[i] for i in over[W.members])
-
+        # the vanishing property of W: every member of Irr(S|W) vanishes off N
         U = u_rel(S, N)
         fails = []
-        if not vanishing_property(U):
+        if escaping_character(irr_over(S, U), N):
             fails.append("u-has-property")
         for W in subs:
-            if vanishing_property(W) and not W.members <= U.members:
+            if not escaping_character(irr_over(S, W), N) and not W.members <= U.members:
                 fails.append(f"maximality-{_sub(W)}")
         for g in range(S.group.order):
-            rhs = all(outside <= zeroset[i] for i in zeroset if g not in kernels[i])
+            rhs = not escaping_character((sigma for sigma, ker in kernels if g not in ker), N)
             if rhs != (g in U.members):
                 fails.append(f"membership-{g}")
         witness = {"failing": fails} if fails else None
@@ -524,19 +508,16 @@ def _check_prop42(S: SuperTheory):
     for N in s_normal_subgroups(S):
         V = v_rel(S, N)
         product = trivial_subgroup(S.group)
-        raw_subgroup_flags = []
         for sigma in irr_over(S, N):
             product = subgroup_product(S.group, product, vanish_off(sigma))
-            raw = nonvanishing_set(sigma)
-            is_sub = raw == vanish_off(sigma).members
-            raw_subgroup_flags.append(is_sub)
+        raw_subgroups = all(nonvanishing_set(s) == vanish_off(s).members for s in irr_over(S, N))
         fails = []
         if not S.is_s_normal(V):
             fails.append("s-normal")
         if product.members != V.members:
             fails.append("product-formula")
         witness = {"failing": fails} if fails else None
-        if witness is None and raw_subgroup_flags and not all(raw_subgroup_flags):
+        if witness is None and not raw_subgroups:
             witness = {"note": "some nonvanishing sets needed closure to become subgroups"}
         yield {"n": _sub(N)}, _status(not fails), witness
 
@@ -581,7 +562,7 @@ def _theories_for(table, all_scts: bool, max_parts: int | None):
 
 
 def _group_entry(spec: str, all_scts: bool, max_parts: int | None) -> dict:
-    G = build_group(spec)
+    G = build_group(spec, DEFAULT_MAX_ORDER)
     table = character_table_of(G)
     theories, enumerated = _theories_for(table, all_scts, max_parts)
     entries = []

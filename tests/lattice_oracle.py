@@ -1,0 +1,58 @@
+"""Test-only oracles: subgroup work one element set at a time.
+
+The package reads V(S|N), U(S|N), products of normal subgroups and
+deflations off the normal-subgroup lattice of the group and the inflation
+record of the quotient table.  These are the bodies it ran before, kept
+here as slow references: subgroups are generated or multiplied element by
+element, and a deflation is derived from its class partition and
+validated in full.
+"""
+
+from superchar.chartab import quotient_character_table
+from superchar.errors import ConsistencyError, GroupConstructionError
+from superchar.groups import ElementPartition, SubgroupSet, generated_subgroup, quotient_group
+from superchar.structure import irr_over, s_normal_subgroups
+from superchar.supertheory import sct_from_class_partition
+from superchar.vanishing import nonvanishing_set
+
+
+def element_product(G, A, B) -> SubgroupSet:
+    """The product set AB, which must again be a subgroup."""
+    prod = {G.mul[a][b] for a in A.members for b in B.members}
+    try:
+        return SubgroupSet(G, prod)
+    except GroupConstructionError as exc:
+        raise GroupConstructionError(
+            f"product of subgroups is not a subgroup ({len(prod)} elements)"
+        ) from exc
+
+
+def oracle_v_rel(S, N) -> SubgroupSet:
+    """V(S|N), generated from the nonvanishing sets of Irr(S|N)."""
+    gens = set()
+    for sigma in irr_over(S, N):
+        gens |= nonvanishing_set(sigma)
+    return generated_subgroup(S.group, gens)
+
+
+def oracle_u_rel(S, N) -> SubgroupSet:
+    """U(S|N) by its definition: the product of every S-normal H with
+    V(S|H) <= N, asking for V(S|H) once per H."""
+    total = SubgroupSet(S.group, [0])
+    for H in s_normal_subgroups(S):
+        if oracle_v_rel(S, H).members <= N.members:
+            total = element_product(S.group, total, H)
+    return total
+
+
+def derived_deflation(S, N):
+    """S^{G/N} derived from the images of the superclasses on the inflated
+    quotient table, then validated in full."""
+    Q, proj = quotient_group(S.group, N)
+    images = {frozenset(proj[g] for g in b) for b in S.yparts.blocks}
+    theory = sct_from_class_partition(
+        quotient_character_table(S.table, N), ElementPartition(Q.order, images)
+    )
+    if theory is None or not theory.validate().ok:
+        raise ConsistencyError("deflation produced an invalid theory")
+    return theory

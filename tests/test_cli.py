@@ -1,5 +1,8 @@
 import json
+import time
 from pathlib import Path
+
+import pytest
 
 from superchar.cli import main
 
@@ -202,3 +205,28 @@ def test_verify_extremes_beyond_sixteen_superclasses(capsys):
         payload = json.loads(out)
         assert payload["summary"]["fail"] == 0 and payload["summary"]["pass"] > 0
         assert payload["groups"][0]["theory_count"] == 2
+
+
+@pytest.mark.parametrize(
+    "spec, text",
+    [
+        ("C3000", None),
+        ("C30000xD100", None),
+        ("perm:s10.txt", "(1 2 3 4 5 6 7 8 9 10)\n(1 2)\n"),
+        ("file:big.txt", "order 100000\n" + "0 1\n" * 1000),
+    ],
+)
+def test_oversized_groups_fail_fast(spec, text, capsys, tmp_path, monkeypatch):
+    # the order bound of the Dixon tables is checked before any table is
+    # built: from the catalog name, during the permutation closure, and on
+    # the header of a table file
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / spec.split(":", 1)[1]).write_text(text)
+    for command in ("chartab", "enumerate", "verify"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--group", spec)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+        assert "exceeds the bound 64" in err or "above the bound" in err

