@@ -293,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", help="catalog name (default)")
     p.add_argument("--extremes-only", dest="all_scts", action="store_false",
                    help="only the finest and coarsest theories")
-    p.add_argument("--max-order", type=int, help="skip catalog groups above this order")
+    p.add_argument("--max-order", type=_positive_int, help="skip catalog groups above this order")
     p.add_argument("--jobs", type=_positive_int, default=1, help="parallel worker processes")
     common(p)
     p.set_defaults(fn=_cmd_verify)

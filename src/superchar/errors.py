@@ -5,6 +5,10 @@ class GroupConstructionError(ValueError):
     """A multiplication table, subgroup, or partition is not what it claims to be."""
 
 
+class OrderBoundError(GroupConstructionError):
+    """A group is larger than the order bound it was asked to respect."""
+
+
 class CharacterTableError(ValueError):
     """A character table failed validation or could not be built/parsed."""
 

@@ -12,7 +12,7 @@ import re
 from functools import wraps
 from math import factorial, lcm, prod
 
-from .errors import ConsistencyError, GroupConstructionError
+from .errors import ConsistencyError, GroupConstructionError, OrderBoundError
 
 _FULL_ASSOCIATIVITY_BOUND = 512
 
@@ -524,7 +524,7 @@ def _catalog_factor(name: str):
 
 def _check_order(order: int, max_order: int | None) -> None:
     if max_order is not None and order > max_order:
-        raise GroupConstructionError(f"group order {order} exceeds the bound {max_order}")
+        raise OrderBoundError(f"group order {order} exceeds the bound {max_order}")
 
 
 def catalog_group(name: str, max_order: int | None = None) -> GroupTable:
@@ -604,7 +604,7 @@ def permutation_group(lines, label: str = "perm", max_order: int | None = None) 
                 elems.add(pq)
                 frontier.append(pq)
         if max_order is not None and len(elems) > max_order:
-            raise GroupConstructionError(f"the generators give more than {max_order} elements, above the bound")
+            raise OrderBoundError(f"the generators give more than {max_order} elements, above the bound")
     return _perm_table(sorted(elems), label=label)
 
 

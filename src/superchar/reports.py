@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass(frozen=True)
 class Check:
-    name: str
-    ok: bool
-    detail: str = ""
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        self.name, self.ok, self.detail = name, ok, detail
 
     def to_json(self):
         out = {"name": self.name, "ok": self.ok}
@@ -18,13 +16,15 @@ class Check:
         return out
 
 
-@dataclass
 class CheckReport:
     """An ordered list of named checks; carries failures instead of raising."""
 
-    subject: str
-    checks: list[Check] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("subject", "checks", "notes")
+
+    def __init__(self, subject: str, checks: list[Check] | None = None, notes: list[str] | None = None):
+        self.subject = subject
+        self.checks = [] if checks is None else checks
+        self.notes = [] if notes is None else notes
 
     def add(self, name: str, ok: bool, detail: str = "") -> bool:
         self.checks.append(Check(name, bool(ok), detail))

@@ -12,8 +12,6 @@ theory these constructions rest on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ConsistencyError, GroupConstructionError
 from .groups import (
     SubgroupSet,
@@ -113,14 +111,14 @@ def irr_over(S: SuperTheory, N: SubgroupSet) -> tuple[SuperCharacter, ...]:
 # series
 
 
-@dataclass(frozen=True)
 class SeriesResult:
     """A stabilized subgroup series; `term(i)` clamps past stabilization."""
 
-    kind: str
-    terms: tuple[SubgroupSet, ...]
-    start_index: int
-    class_index: int | None = None
+    __slots__ = ("kind", "terms", "start_index", "class_index")
+
+    def __init__(self, kind: str, terms: tuple[SubgroupSet, ...], start_index: int,
+                 class_index: int | None = None):
+        self.kind, self.terms, self.start_index, self.class_index = kind, terms, start_index, class_index
 
     def term(self, i: int) -> SubgroupSet:
         idx = i - self.start_index

@@ -10,7 +10,6 @@ encodes, never a shortcut artifact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
 
@@ -49,7 +48,6 @@ from .supertheory import (
 )
 
 
-@dataclass
 class CaminaVerdict:
     """Outcome of a multi-characterization predicate.
 
@@ -59,13 +57,14 @@ class CaminaVerdict:
     false conditions.
     """
 
-    subject: str
-    holds: bool
-    conditions: dict[str, bool]
-    agreement: bool
-    vacuous: bool = False
-    witnesses: dict[str, object] = field(default_factory=dict)
-    extras: dict[str, object] = field(default_factory=dict)
+    __slots__ = ("subject", "holds", "conditions", "agreement", "vacuous", "witnesses", "extras")
+
+    def __init__(self, subject: str, holds: bool, conditions: dict[str, bool], agreement: bool,
+                 vacuous: bool = False, witnesses: dict | None = None, extras: dict | None = None):
+        self.subject, self.holds, self.conditions, self.agreement = subject, holds, conditions, agreement
+        self.vacuous = vacuous
+        self.witnesses = {} if witnesses is None else witnesses
+        self.extras = {} if extras is None else extras
 
     def to_json(self):
         out = {

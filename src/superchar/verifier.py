@@ -12,10 +12,9 @@ bug or a genuine counterexample worth looking at.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from .chartab import DEFAULT_MAX_ORDER, character_table_of
+from .errors import OrderBoundError
 from .groups import SubgroupSet, build_group, quotient_image, subgroup_product, trivial_subgroup
 from .structure import (
     irr_over,
@@ -82,12 +81,12 @@ DEFAULT_CATALOG = (
 )
 
 
-@dataclass(frozen=True)
 class TheoremReport:
-    theorem_id: str
-    scope: dict
-    status: str  # pass | fail | not-applicable | vacuous
-    witness: dict | None = None
+    __slots__ = ("theorem_id", "scope", "status", "witness")
+
+    def __init__(self, theorem_id: str, scope: dict, status: str, witness: dict | None = None):
+        # status: pass | fail | not-applicable | vacuous
+        self.theorem_id, self.scope, self.status, self.witness = theorem_id, scope, status, witness
 
     def to_json(self):
         out = {"theorem_id": self.theorem_id, "scope": self.scope, "status": self.status}
@@ -605,18 +604,23 @@ def run_corpus(
     change a byte of it.
     """
     specs = list(specs)
+    skipped = []
     if max_order is not None:
         kept = []
-        skipped = []
         for spec in specs:
-            G = build_group(spec)
-            (kept if G.order <= max_order else skipped).append(spec)
+            try:
+                build_group(spec, max_order)
+            except OrderBoundError:
+                skipped.append(spec)
+            else:
+                kept.append(spec)
         specs = kept
-    else:
-        skipped = []
     args = [(spec, all_scts, max_parts) for spec in specs]
     if jobs > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # imported here: multiprocessing and the rest cost every serial run ~30 ms of start-up
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
             groups = list(pool.map(_group_entry_worker, args))
     else:
         groups = [_group_entry_worker(a) for a in args]

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -170,6 +173,30 @@ def test_verify_max_order_flag(capsys):
     assert "S4" in payload["skipped"]
 
 
+@pytest.mark.parametrize(
+    "spec, text",
+    [("C3000", None), ("perm:s10.txt", "(1 2 3 4 5 6 7 8 9 10)\n(1 2)\n")],
+)
+def test_verify_max_order_skips_before_building(spec, text, capsys, tmp_path, monkeypatch):
+    # the order is read off the name, or the closure stops past the bound:
+    # a skipped group never has its table built
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / spec.split(":", 1)[1]).write_text(text)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--group", spec, "--max-order", "8", "--format", "json")
+    assert time.perf_counter() - start < 0.5
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["groups"] == [] and payload["skipped"] == [spec]
+
+
+def test_verify_rejects_nonpositive_max_order(capsys):
+    for bound in ("0", "-1", "eight"):
+        code, out, err = run_cli(capsys, "verify", "--group", "C2", "--max-order", bound)
+        assert code == 2 and not out and "--max-order" in err
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["chartab"]) == 2  # missing --group
     assert main(["bogus-command"]) == 2
@@ -230,3 +257,19 @@ def test_oversized_groups_fail_fast(spec, text, capsys, tmp_path, monkeypatch):
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
         assert "exceeds the bound 64" in err or "above the bound" in err
+
+
+def test_cold_import_loads_no_pool_and_no_dataclasses():
+    # every command starts by importing the CLI; the process pool is imported
+    # only by `verify --jobs N` with N > 1, and no record is a dataclass
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def modules(statement):
+        code = f"{statement}; import sys; print(*sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        return set(run.stdout.split())
+
+    added = modules("import superchar.cli") - modules("pass")
+    assert "superchar.cli" in added
+    assert {m for m in added if m.split(".")[0] in ("concurrent", "multiprocessing", "dataclasses")} == set()

@@ -140,6 +140,36 @@ def test_determinism_across_worker_counts():
     assert serial == again
 
 
+def test_pool_is_capped_at_the_number_of_groups(monkeypatch):
+    # a recording stand-in: no worker process is started
+    import concurrent.futures
+
+    from superchar import verifier
+
+    # a pool bound when the module loads would bypass the stand-in and start
+    # a million real workers
+    assert "ProcessPoolExecutor" not in vars(verifier)
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    corpus = run_corpus(["C2", "C3"], jobs=10**6)
+    assert sizes == [2]
+    assert corpus_json_bytes(corpus) == corpus_json_bytes(run_corpus(["C2", "C3"]))
+
+
 def test_default_catalog_is_the_documented_one():
     assert DEFAULT_CATALOG[0] == "C2" and "Q16" in DEFAULT_CATALOG and "S4" in DEFAULT_CATALOG
     assert len(DEFAULT_CATALOG) == 19
