@@ -37,7 +37,7 @@ from .vanishing import (
     v_series,
     v_theory,
 )
-from .verifier import DEFAULT_CATALOG, corpus_json_bytes, failing_reports, run_corpus
+from .verifier import DEFAULT_CATALOG, failing_reports, run_corpus
 
 _USER_ERRORS = (GroupConstructionError, CharacterTableError, SuperTheoryError, OSError)
 
@@ -226,36 +226,39 @@ def _cmd_verify(args) -> int:
         specs = list(DEFAULT_CATALOG)
     else:
         raise SuperTheoryError(f"unknown catalog {args.catalog!r}")
-    corpus = run_corpus(
-        specs,
-        all_scts=args.all_scts,
-        jobs=args.jobs,
-        max_order=args.max_order,
-    )
-    fails = failing_reports(corpus)
+    options = {"all_scts": args.all_scts, "jobs": args.jobs, "max_order": args.max_order}
     if args.format == "json":
-        text = corpus_json_bytes(corpus).decode("ascii")
-    else:
-        s = corpus["summary"]
-        lines = ["theorem corpus report"]
-        for entry in corpus["groups"]:
-            counts = {"pass": 0, "fail": 0, "vacuous": 0, "not-applicable": 0}
-            for theory in entry["theories"]:
-                for repo in theory["reports"]:
-                    counts[repo["status"]] += 1
-            lines.append(
-                f"  {entry['label']:10s} order {entry['order']:3d}  "
-                f"theories {entry['theory_count']:4d}  pass {counts['pass']:6d}  "
-                f"fail {counts['fail']:3d}  vacuous {counts['vacuous']:5d}  "
-                f"n/a {counts['not-applicable']:5d}"
-            )
+        # streamed: each group is written as soon as it is verified
+        if args.out:
+            with open(args.out, "wb") as fh:
+                fails = run_corpus(specs, out=fh, **options)
+        else:
+            sys.stdout.flush()
+            fails = run_corpus(specs, out=sys.stdout.buffer, **options)
+            sys.stdout.buffer.write(b"\n")
+        return 1 if fails else 0
+    corpus = run_corpus(specs, **options)
+    fails = failing_reports(corpus)
+    s = corpus["summary"]
+    lines = ["theorem corpus report"]
+    for entry in corpus["groups"]:
+        counts = {"pass": 0, "fail": 0, "vacuous": 0, "not-applicable": 0}
+        for theory in entry["theories"]:
+            for repo in theory["reports"]:
+                counts[repo["status"]] += 1
         lines.append(
-            f"summary: pass {s['pass']}, fail {s['fail']}, vacuous {s['vacuous']}, n/a {s['na']}"
+            f"  {entry['label']:10s} order {entry['order']:3d}  "
+            f"theories {entry['theory_count']:4d}  pass {counts['pass']:6d}  "
+            f"fail {counts['fail']:3d}  vacuous {counts['vacuous']:5d}  "
+            f"n/a {counts['not-applicable']:5d}"
         )
-        for failure in fails:
-            lines.append(f"  FAIL {failure['group']} theory {failure['theory']} "
-                         f"{failure['theorem_id']} at {failure['scope']}")
-        text = "\n".join(lines) + "\n"
+    lines.append(
+        f"summary: pass {s['pass']}, fail {s['fail']}, vacuous {s['vacuous']}, n/a {s['na']}"
+    )
+    for failure in fails:
+        lines.append(f"  FAIL {failure['group']} theory {failure['theory']} "
+                     f"{failure['theorem_id']} at {failure['scope']}")
+    text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return 1 if fails else 0
 

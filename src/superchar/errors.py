@@ -6,7 +6,19 @@ class GroupConstructionError(ValueError):
 
 
 class OrderBoundError(GroupConstructionError):
-    """A group is larger than the order bound it was asked to respect."""
+    """A group is larger than the order bound it was asked to respect.
+
+    `order` is the group's order, or, where a closure stopped as soon as it
+    passed the bound, the number of elements it had found: a lower bound.
+    """
+
+    def __init__(self, message: str, order: int):
+        super().__init__(message)
+        self.order = order
+
+    def __reduce__(self):
+        # a worker process sends it to the parent by pickle
+        return type(self), (str(self), self.order)
 
 
 class CharacterTableError(ValueError):

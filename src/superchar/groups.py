@@ -45,10 +45,11 @@ class GroupTable:
 
     The table is validated at construction: Latin square, two-sided
     identity at 0, two-sided inverses, and associativity (exhaustively up
-    to order 512, sampled above that).
+    to order 512, sampled above that).  `quotient_of` is (G, N) when
+    `quotient_group` built the group as G/N, and None otherwise.
     """
 
-    __slots__ = ("order", "mul", "inv", "label", "_memo")
+    __slots__ = ("order", "mul", "inv", "label", "quotient_of", "_memo")
 
     def __init__(self, mul, label: str = "G", check_associativity: bool | None = None):
         rows = tuple(tuple(int(x) for x in row) for row in mul)
@@ -88,6 +89,7 @@ class GroupTable:
         self.mul = rows
         self.inv = tuple(inv)
         self.label = label
+        self.quotient_of = None
         self._memo = {}
 
     # basic operations
@@ -343,29 +345,47 @@ def quotient_group(G: GroupTable, N: SubgroupSet) -> tuple[GroupTable, tuple[int
     """The quotient G/N with its projection map; N must be normal.
 
     Cosets are numbered by ascending minimal member, which puts the
-    identity coset at 0.  The projection is verified to be a surjective
-    homomorphism.
+    identity coset at 0.  A quotient of a quotient R/M is the quotient of R
+    by the preimage of N (third isomorphism theorem): the same object as
+    that first-level quotient, with the composite projection.  Numbering by
+    least member makes the two tables equal.  The projection is verified
+    to be a surjective homomorphism.
     """
     if N.parent is not G:
         raise GroupConstructionError("subgroup belongs to a different group")
     if not N.is_normal():
         raise GroupConstructionError("cannot form a quotient by a non-normal subgroup")
-    coset_of = [-1] * G.order
-    reps = []  # an element first met is the smallest of its coset
-    for g in range(G.order):
-        if coset_of[g] == -1:
-            for n in N.members:
-                coset_of[G.mul[g][n]] = len(reps)
-            reps.append(g)
-    proj = tuple(coset_of)
-    table = [[proj[G.mul[a][b]] for b in reps] for a in reps]
-    label = f"{G.label}/H{len(N)}"
-    Q = GroupTable(table, label=label)
+    if G.quotient_of is not None:
+        R, M = G.quotient_of
+        Q, to_q = quotient_group(R, preimage(R, M, N))
+        _, to_g = quotient_group(R, M)
+        composite = [0] * G.order
+        for r in range(R.order):
+            composite[to_g[r]] = to_q[r]
+        proj = tuple(composite)
+    else:
+        coset_of = [-1] * G.order
+        reps = []  # an element first met is the smallest of its coset
+        for g in range(G.order):
+            if coset_of[g] == -1:
+                for n in N.members:
+                    coset_of[G.mul[g][n]] = len(reps)
+                reps.append(g)
+        proj = tuple(coset_of)
+        Q = GroupTable([[proj[G.mul[a][b]] for b in reps] for a in reps], label=f"{G.label}/H{len(N)}")
+        Q.quotient_of = (G, N)
     for a in range(G.order):
         for b in range(G.order):
             if proj[G.mul[a][b]] != Q.mul[proj[a]][proj[b]]:
                 raise GroupConstructionError("projection is not a homomorphism")
     return Q, proj
+
+
+def preimage(G: GroupTable, N: SubgroupSet, H: SubgroupSet) -> SubgroupSet:
+    """The normal subgroup of G that maps onto the normal subgroup H of
+    G/N, looked up in the lattice of G."""
+    _, proj = quotient_group(G, N)
+    return normal_subgroup(G, element_mask(g for g in range(G.order) if H.mask >> proj[g] & 1))
 
 
 @cached
@@ -524,7 +544,7 @@ def _catalog_factor(name: str):
 
 def _check_order(order: int, max_order: int | None) -> None:
     if max_order is not None and order > max_order:
-        raise OrderBoundError(f"group order {order} exceeds the bound {max_order}")
+        raise OrderBoundError(f"group order {order} exceeds the bound {max_order}", order)
 
 
 def catalog_group(name: str, max_order: int | None = None) -> GroupTable:
@@ -604,7 +624,7 @@ def permutation_group(lines, label: str = "perm", max_order: int | None = None) 
                 elems.add(pq)
                 frontier.append(pq)
         if max_order is not None and len(elems) > max_order:
-            raise OrderBoundError(f"the generators give more than {max_order} elements, above the bound")
+            raise OrderBoundError(f"the generators give more than {max_order} elements, above the bound", len(elems))
     return _perm_table(sorted(elems), label=label)
 
 

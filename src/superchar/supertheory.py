@@ -32,6 +32,7 @@ from .groups import (
     cached,
     conjugacy_classes,
     element_mask,
+    preimage,
     quotient_group,
     subgroup_group,
 )
@@ -48,9 +49,11 @@ class SuperTheory:
     and `deflation` below rather than directly.  The `_memo` dict holds what the
     `groups.cached` functions derive from the theory (S-normal subgroups,
     deflations, vanishing subgroups, ...); failed calls are never stored.
+    `deflation_of` is (T, N) when `deflation` built the theory as T^{G/N},
+    and None otherwise.
     """
 
-    __slots__ = ("table", "xparts", "yparts", "ypart_classes", "sigma", "_memo")
+    __slots__ = ("table", "xparts", "yparts", "ypart_classes", "sigma", "deflation_of", "_memo")
 
     def __init__(self, table, xparts, yparts, ypart_classes, sigma):
         self.table = table
@@ -58,6 +61,7 @@ class SuperTheory:
         self.yparts = yparts
         self.ypart_classes = ypart_classes
         self.sigma = sigma
+        self.deflation_of = None
         self._memo = {}
 
     @property
@@ -457,9 +461,13 @@ def deflation(S: SuperTheory, N: SubgroupSet) -> SuperTheory:
     of S; its values are those of S at preimages, lowered to exp(G/N).  For
     S-normal N this pair is a theory of G/N (Hendrickson, Comm. Algebra
     2012), so it is not derived or validated again: only its counts are
-    checked.  Equal deflations of different theories are one object.
+    checked.  Equal deflations of different theories are one object, and a
+    deflation of a deflation T^{G/M} is T^{G/L}, L the preimage of N.
     """
     require_s_normal(S, N)
+    if S.deflation_of is not None:
+        T, M = S.deflation_of
+        return deflation(T, preimage(T.group, M, N))
     table = quotient_character_table(S.table, N)
     Q, proj = quotient_group(S.group, N)
     row_of = {t: i for i, t in enumerate(table.inflates)}
@@ -482,6 +490,7 @@ def deflation(S: SuperTheory, N: SubgroupSet) -> SuperTheory:
         tuple(tuple(sorted({block_of[x] for x in b})) for b in yparts.blocks),
         tuple(tuple(S.sigma[xi][images[b]].lowered(table.exponent) for b in yparts.blocks) for xi in inside),
     )
+    theory.deflation_of = (S, N)
     return _interned(table, theory)
 
 

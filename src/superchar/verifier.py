@@ -11,6 +11,7 @@ bug or a genuine counterexample worth looking at.
 
 from __future__ import annotations
 
+import gc
 import json
 
 from .chartab import DEFAULT_MAX_ORDER, character_table_of
@@ -560,8 +561,24 @@ def _theories_for(table, all_scts: bool, max_parts: int | None):
     return theories, False
 
 
-def _group_entry(spec: str, all_scts: bool, max_parts: int | None) -> dict:
-    G = build_group(spec, DEFAULT_MAX_ORDER)
+def _build(spec: str, max_order: int | None):
+    """The group of spec, or None when max_order is given and the group is
+    known to be larger.  No group is built above the Dixon limit: there the
+    order read off the spec, or the size a closure stopped at, decides
+    between a skip and the limit's error."""
+    limit = DEFAULT_MAX_ORDER if max_order is None else min(max_order, DEFAULT_MAX_ORDER)
+    try:
+        return build_group(spec, limit)
+    except OrderBoundError as exc:
+        if max_order is None or exc.order <= max_order:
+            raise
+        return None
+
+
+def _group_entry(spec: str, all_scts: bool, max_parts: int | None, max_order: int | None) -> dict | None:
+    G = _build(spec, max_order)
+    if G is None:
+        return None
     table = character_table_of(G)
     theories, enumerated = _theories_for(table, all_scts, max_parts)
     entries = []
@@ -584,9 +601,15 @@ def _group_entry(spec: str, all_scts: bool, max_parts: int | None) -> dict:
     }
 
 
-def _group_entry_worker(args) -> dict:
-    spec, all_scts, max_parts = args
-    return _group_entry(spec, all_scts, max_parts)
+def _group_entry_worker(args) -> dict | None:
+    entry = _group_entry(*args)
+    # the group's caches are cyclic (group _memo -> table -> theories ->
+    # table): free them now rather than whenever the collector next runs
+    gc.collect()
+    return entry
+
+
+_SUMMARY_KEY = {"pass": "pass", "fail": "fail", "vacuous": "vacuous", "not-applicable": "na"}
 
 
 def run_corpus(
@@ -595,50 +618,71 @@ def run_corpus(
     jobs: int = 1,
     max_order: int | None = None,
     max_parts: int | None = None,
-) -> dict:
+    out=None,
+) -> dict | list[dict]:
     """Run the full suite over a list of group specs.
 
     Groups whose enumeration guard is exceeded fall back to the finest and
-    coarsest theories.  The output is deterministic: entries appear in
-    input order and every report is pure data, so worker count cannot
-    change a byte of it.
+    coarsest theories; with max_order, a group above it is skipped before
+    it is built.  Groups are verified one at a time, and each group's caches
+    are freed before the next starts.  The output is deterministic: entries
+    appear in input order and every report is pure data, so worker count
+    cannot change a byte of it.
+
+    Without `out`, the corpus is returned as a dict.  With `out`, a binary
+    stream, its canonical JSON (`corpus_json_bytes` of that dict) is written
+    there instead, each group as soon as it is verified, and only the
+    failing reports are kept: the list `failing_reports` would give is
+    returned.
     """
     specs = list(specs)
-    skipped = []
-    if max_order is not None:
-        kept = []
-        for spec in specs:
-            try:
-                build_group(spec, max_order)
-            except OrderBoundError:
-                skipped.append(spec)
-            else:
-                kept.append(spec)
-        specs = kept
-    args = [(spec, all_scts, max_parts) for spec in specs]
+    args = [(spec, all_scts, max_parts, max_order) for spec in specs]
     if jobs > 1 and len(args) > 1:
         # imported here: multiprocessing and the rest cost every serial run ~30 ms of start-up
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
-            groups = list(pool.map(_group_entry_worker, args))
-    else:
-        groups = [_group_entry_worker(a) for a in args]
+            return _collect(specs, pool.map(_group_entry_worker, args), out)
+    return _collect(specs, map(_group_entry_worker, args), out)
+
+
+def _collect(specs, entries, out):
+    """Tally the entries of the specs as they arrive, in input order; keep
+    them, or write each to out and keep its failing reports (see
+    `run_corpus`)."""
     summary = {"pass": 0, "fail": 0, "vacuous": 0, "na": 0}
-    key = {"pass": "pass", "fail": "fail", "vacuous": "vacuous", "not-applicable": "na"}
-    for entry in groups:
+    kept, skipped = [], []
+    head = b'{"groups":['  # written with the first group, so a refused group writes nothing
+    for spec in specs:
+        entry = next(entries)
+        if entry is None:
+            skipped.append(spec)
+            continue
         for theory in entry["theories"]:
             for report in theory["reports"]:
-                summary[key[report["status"]]] += 1
-    out = {"groups": groups, "summary": summary}
-    if skipped:
-        out["skipped"] = skipped
-    return out
+                summary[_SUMMARY_KEY[report["status"]]] += 1
+        if out is None:
+            kept.append(entry)
+        else:
+            kept += failing_reports({"groups": [entry]})
+            out.write(head + corpus_json_bytes(entry))
+            head = b","
+        del entry  # not held while the next group is verified
+    rest = {"skipped": skipped} if skipped else {}
+    rest["summary"] = summary
+    if out is None:
+        return {"groups": kept, **rest}
+    if head != b",":  # no group was written
+        out.write(head)
+    # "groups" sorts before "skipped" and "summary", so the rest closes the object
+    out.write(b"]," + corpus_json_bytes(rest)[1:])
+    return kept
 
 
-def corpus_json_bytes(corpus: dict) -> bytes:
-    """Canonical JSON encoding; byte-identical across runs and job counts."""
-    return json.dumps(corpus, sort_keys=True, separators=(",", ":")).encode("ascii")
+def corpus_json_bytes(data) -> bytes:
+    """Canonical JSON encoding of a corpus or of one group entry of it;
+    byte-identical across runs and job counts."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
 def failing_reports(corpus: dict) -> list[dict]:

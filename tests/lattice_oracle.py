@@ -2,15 +2,16 @@
 
 The package reads V(S|N), U(S|N), products of normal subgroups and
 deflations off the normal-subgroup lattice of the group and the inflation
-record of the quotient table.  These are the bodies it ran before, kept
-here as slow references: subgroups are generated or multiplied element by
-element, and a deflation is derived from its class partition and
-validated in full.
+record of the quotient table, and takes a quotient of a quotient to be the
+first-level quotient.  These are the bodies it ran before, kept here as
+slow references: subgroups are generated or multiplied element by element,
+a deflation is derived from its class partition and validated in full, and
+every quotient is built from its cosets.
 """
 
 from superchar.chartab import quotient_character_table
 from superchar.errors import ConsistencyError, GroupConstructionError
-from superchar.groups import ElementPartition, SubgroupSet, generated_subgroup, quotient_group
+from superchar.groups import ElementPartition, GroupTable, SubgroupSet, generated_subgroup, quotient_group
 from superchar.structure import irr_over, s_normal_subgroups
 from superchar.supertheory import sct_from_class_partition
 from superchar.vanishing import nonvanishing_set
@@ -56,3 +57,18 @@ def derived_deflation(S, N):
     if theory is None or not theory.validate().ok:
         raise ConsistencyError("deflation produced an invalid theory")
     return theory
+
+
+def fresh_quotient(G, N):
+    """G/N as a new group built from the cosets of N, numbered by least
+    member, with its projection."""
+    coset_of = [-1] * G.order
+    reps = []
+    for g in range(G.order):
+        if coset_of[g] == -1:
+            for n in N.members:
+                coset_of[G.mul[g][n]] = len(reps)
+            reps.append(g)
+    proj = tuple(coset_of)
+    Q = GroupTable([[proj[G.mul[a][b]] for b in reps] for a in reps], label=f"{G.label}/H{len(N)}")
+    return Q, proj

@@ -241,6 +241,7 @@ def test_verify_extremes_beyond_sixteen_superclasses(capsys):
         ("C30000xD100", None),
         ("perm:s10.txt", "(1 2 3 4 5 6 7 8 9 10)\n(1 2)\n"),
         ("file:big.txt", "order 100000\n" + "0 1\n" * 1000),
+        ("C1000", None),
     ],
 )
 def test_oversized_groups_fail_fast(spec, text, capsys, tmp_path, monkeypatch):
@@ -250,9 +251,14 @@ def test_oversized_groups_fail_fast(spec, text, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     if text is not None:
         (tmp_path / spec.split(":", 1)[1]).write_text(text)
-    for command in ("chartab", "enumerate", "verify"):
+    runs = [(command, "--group", spec) for command in ("chartab", "enumerate", "verify")]
+    if spec == "C1000":
+        # a --max-order above the order does not skip the group, and the
+        # group is still refused before its table is built
+        runs.append(("verify", "--group", spec, "--max-order", "2000"))
+    for argv in runs:
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, command, "--group", spec)
+        code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 0.5
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err

@@ -13,6 +13,8 @@ from superchar.groups import (
     normal_closure,
     normal_subgroup,
     normal_subgroups,
+    preimage,
+    quotient_group,
     subgroup_product,
 )
 from superchar.structure import s_normal_subgroups
@@ -20,7 +22,13 @@ from superchar.supertheory import coarsest, deflation, enumerate_scts, finest
 from superchar.vanishing import u_rel, v_rel
 from superchar.verifier import DEFAULT_CATALOG
 
-from lattice_oracle import derived_deflation, element_product, oracle_u_rel, oracle_v_rel
+from lattice_oracle import (
+    derived_deflation,
+    element_product,
+    fresh_quotient,
+    oracle_u_rel,
+    oracle_v_rel,
+)
 
 LARGE = ("C2xC2xC2xC2", "S3xQ8", "D24", "Q32", "C17", "C4xC5")
 
@@ -35,15 +43,41 @@ def assert_matches_oracles(S):
         assert built.ypart_classes == derived.ypart_classes
         # keys, not ==: a value left in a larger field compares equal but is
         # stored, printed and hashed differently
-        assert [[v.key() for v in row] for row in built.sigma] == [
-            [v.key() for v in row] for row in derived.sigma
-        ]
+        assert keys(built.sigma) == keys(derived.sigma)
 
 
 @pytest.mark.parametrize("name", DEFAULT_CATALOG)
 def test_every_default_corpus_theory_matches_the_oracles(name):
     for S in enumerate_scts(character_table_of(catalog_group(name))):
         assert_matches_oracles(S)
+
+
+def keys(rows):
+    return [[v.key() for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("name", DEFAULT_CATALOG)
+def test_quotients_and_deflations_of_deflations_match_fresh_ones(name):
+    # (G/M)/(N/M) is G/N: the same object, with a table equal to the one
+    # built from cosets, and a deflation of a deflation is the deflation of
+    # the root theory by the preimage
+    fresh = {}
+    for S in enumerate_scts(character_table_of(catalog_group(name))):
+        for M in s_normal_subgroups(S):
+            D = deflation(S, M)
+            for N in s_normal_subgroups(D):
+                Q, proj = quotient_group(D.group, N)
+                if (D.group, N) not in fresh:
+                    fresh[D.group, N] = fresh_quotient(D.group, N)
+                assert (Q.mul, proj) == (fresh[D.group, N][0].mul, fresh[D.group, N][1])
+                L = preimage(S.group, M, N)
+                assert Q is quotient_group(S.group, L)[0]
+                built, derived = deflation(D, N), derived_deflation(D, N)
+                assert built is deflation(S, L)
+                assert keys(built.table.values) == keys(derived.table.values)
+                assert (built.xparts, built.yparts) == (derived.xparts, derived.yparts)
+                assert built.ypart_classes == derived.ypart_classes
+                assert keys(built.sigma) == keys(derived.sigma)
 
 
 @pytest.mark.parametrize("name", LARGE)

@@ -1,17 +1,27 @@
+import gc
+import io
+import json
+
 import pytest
 
-from superchar.chartab import character_table_of
-from superchar.groups import catalog_group
+from superchar.chartab import CharacterTable, character_table_of
+from superchar.groups import GroupTable, catalog_group
 from superchar.supertheory import enumerate_scts, finest
 from superchar.verifier import (
     DEFAULT_CATALOG,
     THEOREM_DESCRIPTIONS,
     THEOREM_IDS,
-    corpus_json_bytes,
     failing_reports,
     run_corpus,
     run_suite,
 )
+
+
+def streamed(specs, **options) -> bytes:
+    """The bytes `run_corpus` writes through `out`."""
+    buf = io.BytesIO()
+    run_corpus(specs, out=buf, **options)
+    return buf.getvalue()
 
 
 def test_theorem_registry_is_complete():
@@ -133,11 +143,63 @@ def test_corpus_extremes_only_mode():
 
 def test_determinism_across_worker_counts():
     specs = ["S3", "C4", "Q8", "D4"]
-    serial = corpus_json_bytes(run_corpus(specs, jobs=1))
-    parallel = corpus_json_bytes(run_corpus(specs, jobs=2))
+    serial = streamed(specs, jobs=1)
+    parallel = streamed(specs, jobs=2)
     assert serial == parallel
-    again = corpus_json_bytes(run_corpus(specs, jobs=1))
+    again = streamed(specs, jobs=1)
     assert serial == again
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+@pytest.mark.parametrize(
+    "specs, max_order",
+    [(["C4", "S4", "Q8"], 10), (["S4"], 10), ([], None), (["S3", "D4"], None)],
+)
+def test_streamed_bytes_are_the_canonical_encoding_of_the_corpus(specs, max_order, jobs):
+    # the whole-dict encoding is the reference: keys sorted, no spaces, ASCII
+    corpus = run_corpus(specs, max_order=max_order)
+    whole = json.dumps(corpus, sort_keys=True, separators=(",", ":")).encode("ascii")
+    assert streamed(specs, max_order=max_order, jobs=jobs) == whole
+
+
+def test_the_stream_returns_only_the_failing_reports(monkeypatch):
+    import superchar.verifier as verifier
+
+    def broken(S):
+        raise KeyError("missing scope")
+
+    monkeypatch.setitem(verifier._CHECKERS, "L-vs", broken)
+    buf = io.BytesIO()
+    fails = run_corpus(["C2", "S3"], out=buf)
+    assert fails == failing_reports(json.loads(buf.getvalue()))
+    assert [(f["group"], f["theorem_id"]) for f in fails] == [("C2", "L-vs"), ("S3", "L-vs"), ("S3", "L-vs")]
+
+
+def test_an_earlier_group_is_freed_before_the_next_is_written():
+    # counted by object, not by resident memory: when the i-th group is
+    # written, no group table or character table of an earlier group is alive
+    specs = ["D4", "Q8", "A4", "C2xC4"]
+    gc.collect()
+    before = {id(x) for x in gc.get_objects() if isinstance(x, (GroupTable, CharacterTable))}
+
+    def root(x):
+        label = (x.group if isinstance(x, CharacterTable) else x).label
+        return label.split("/")[0].split("|")[0]
+
+    class Recorder(io.BytesIO):
+        alive = []
+
+        def write(self, data):
+            tables = [x for x in gc.get_objects()
+                      if isinstance(x, (GroupTable, CharacterTable)) and id(x) not in before]
+            self.alive.append({root(x) for x in tables})
+            return super().write(data)
+
+    run_corpus(specs, out=Recorder())
+    written = Recorder.alive[:len(specs)]  # one write per group, then the tail
+    assert len(Recorder.alive) == len(specs) + 1
+    for i, alive in enumerate(written):
+        assert alive.isdisjoint(specs[:i]), (specs[i], alive)
 
 
 def test_pool_is_capped_at_the_number_of_groups(monkeypatch):
@@ -165,9 +227,19 @@ def test_pool_is_capped_at_the_number_of_groups(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    corpus = run_corpus(["C2", "C3"], jobs=10**6)
+    pooled = streamed(["C2", "C3"], jobs=10**6)
     assert sizes == [2]
-    assert corpus_json_bytes(corpus) == corpus_json_bytes(run_corpus(["C2", "C3"]))
+    assert pooled == streamed(["C2", "C3"])
+
+
+def test_a_group_refused_in_a_worker_reaches_the_caller():
+    # above the Dixon limit and not above max_order: the worker's error is
+    # sent back by pickle, with its order
+    from superchar.errors import OrderBoundError
+
+    with pytest.raises(OrderBoundError, match="order 1000 exceeds the bound 64") as caught:
+        run_corpus(["C2", "C1000"], jobs=2, max_order=2000)
+    assert caught.value.order == 1000
 
 
 def test_default_catalog_is_the_documented_one():
