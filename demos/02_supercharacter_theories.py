@@ -13,7 +13,6 @@ from superchar import (
     deflation,
     enumerate_scts,
     generated_subgroup,
-    restriction,
     SubgroupSet,
 )
 
@@ -39,10 +38,6 @@ for S in enumerate_scts(character_table_of(c4)):
 s3 = catalog_group("S3")
 S = enumerate_scts(character_table_of(s3))[0]  # finest
 a3 = generated_subgroup(s3, [3])
-
-R = restriction(S, a3)
-print("restriction of the finest theory of S3 to A3:")
-print(R.to_text())
 
 D = deflation(S, a3)
 print("deflation to S3/A3:")

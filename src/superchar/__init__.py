@@ -1,11 +1,11 @@
 """Supercharacter theories of small finite groups, in exact arithmetic.
 
 The package computes character tables (modular method), enumerates all
-supercharacter theories of a group, builds the induced theories on
-S-normal subgroups and quotients, evaluates the Camina / vanishing-off /
-VZ structure theory, and mechanically verifies the full set of structural
-theorems over a corpus of groups.  Every value lives in a cyclotomic
-field with exact rational coordinates; no predicate is tolerance-based.
+supercharacter theories of a group, builds their induced theories on
+quotients, evaluates the Camina / vanishing-off / VZ structure theory, and
+mechanically verifies the full set of structural theorems over a corpus of
+groups.  Every value lives in a cyclotomic field with exact rational
+coordinates; no predicate is tolerance-based.
 """
 
 from .chartab import (
@@ -40,7 +40,6 @@ from .groups import (
     permutation_group,
     quotient_group,
     quotient_image,
-    subgroup_group,
     subgroup_product,
     trivial_subgroup,
 )
@@ -69,7 +68,6 @@ from .supertheory import (
     enumerate_scts,
     finest,
     is_delta_product,
-    restriction,
     sct_from_class_partition,
     star_construct,
 )
@@ -80,7 +78,7 @@ from .vanishing import (
     is_camina_triple,
     is_s_gcp,
     is_vz,
-    nonvanishing_set,
+    nonvanishing_mask,
     scd_check,
     u_chain,
     u_kernel_check,

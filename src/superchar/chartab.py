@@ -89,13 +89,13 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _dixon_prime(order: int, exponent: int, bound: int) -> int:
+def _dixon_prime(order: int, exponent: int) -> int:
     p = isqrt(4 * order)
     while True:
         p += 1
-        if p > bound:
+        if p > DEFAULT_PRIME_BOUND:
             raise CharacterTableError(
-                f"no prime p = 1 (mod {exponent}) with p > 2*sqrt({order}) below {bound}"
+                f"no prime p = 1 (mod {exponent}) with p > 2*sqrt({order}) below {DEFAULT_PRIME_BOUND}"
             )
         if p % exponent == 1 % exponent and _is_prime(p):
             return p
@@ -431,22 +431,18 @@ def _canonical_row_key(row):
     return (row[0].num[0], tuple(tuple(-c for c in v.num) for v in row))
 
 
-def dixon_character_table(
-    G: GroupTable,
-    max_group_order: int = DEFAULT_MAX_ORDER,
-    prime_bound: int = DEFAULT_PRIME_BOUND,
-) -> CharacterTable:
+def dixon_character_table(G: GroupTable) -> CharacterTable:
     """Compute the exact character table of G by the modular method."""
-    if G.order > max_group_order:
+    if G.order > DEFAULT_MAX_ORDER:
         raise CharacterTableError(
-            f"group order {G.order} exceeds the bound {max_group_order}"
+            f"group order {G.order} exceeds the bound {DEFAULT_MAX_ORDER}"
         )
     classes = conjugacy_classes(G)
     r = len(classes)
     reps = [min(b) for b in classes.blocks]
     sizes = [len(b) for b in classes.blocks]
     e = G.exponent()
-    p = _dixon_prime(G.order, e, prime_bound)
+    p = _dixon_prime(G.order, e)
     coeffs = class_mult_coefficients(G)
     mats = [[[coeffs[i][j][k] % p for k in range(r)] for j in range(r)] for i in range(r)]
     omegas = _simultaneous_eigenvectors(mats, p)

@@ -98,7 +98,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _cmd_chartab(args) -> int:
-    G = build_group(args.group, None if args.ingest else DEFAULT_MAX_ORDER)
+    G = build_group(args.group, DEFAULT_MAX_ORDER)
     if args.ingest:
         with open(args.ingest, encoding="utf-8") as fh:
             table = ingest_table(fh.read(), G)

@@ -51,7 +51,7 @@ class GroupTable:
 
     __slots__ = ("order", "mul", "inv", "label", "quotient_of", "_memo")
 
-    def __init__(self, mul, label: str = "G", check_associativity: bool | None = None):
+    def __init__(self, mul, label: str = "G"):
         rows = tuple(tuple(int(x) for x in row) for row in mul)
         n = len(rows)
         if n == 0:
@@ -74,10 +74,8 @@ class GroupTable:
             if rows[h][g] != 0:
                 raise GroupConstructionError(f"element {g} has no two-sided inverse")
             inv[g] = h
-        if check_associativity is None:
-            check_associativity = n <= _FULL_ASSOCIATIVITY_BOUND
         # every triple, or spot checks on a fixed deterministic sample
-        sample = range(n) if check_associativity else range(0, n, max(1, n // 7))
+        sample = range(n) if n <= _FULL_ASSOCIATIVITY_BOUND else range(0, n, max(1, n // 7))
         for a in sample:
             ra = rows[a]
             for b in sample:
@@ -386,18 +384,6 @@ def preimage(G: GroupTable, N: SubgroupSet, H: SubgroupSet) -> SubgroupSet:
     G/N, looked up in the lattice of G."""
     _, proj = quotient_group(G, N)
     return normal_subgroup(G, element_mask(g for g in range(G.order) if H.mask >> proj[g] & 1))
-
-
-@cached
-def subgroup_group(G: GroupTable, N: SubgroupSet) -> tuple[GroupTable, tuple[int, ...], dict[int, int]]:
-    """N as a group in its own right: (table, local->global, global->local)."""
-    if N.parent is not G:
-        raise GroupConstructionError("subgroup belongs to a different group")
-    to_global = tuple(sorted(N.members))
-    to_local = {g: i for i, g in enumerate(to_global)}
-    table = [[to_local[G.mul[a][b]] for b in to_global] for a in to_global]
-    H = GroupTable(table, label=f"{G.label}|H{len(N)}")
-    return H, to_global, to_local
 
 
 def group_center(G: GroupTable) -> SubgroupSet:

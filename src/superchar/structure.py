@@ -21,7 +21,7 @@ from .groups import (
     normal_closure,
     normal_subgroup,
     normal_subgroups,
-    quotient_group,
+    preimage,
     trivial_subgroup,
 )
 from .supertheory import SuperCharacter, SuperTheory, deflation, require_s_normal
@@ -166,9 +166,7 @@ def upper_series(S: SuperTheory) -> SeriesResult:
     terms = [trivial_subgroup(G)]
     while True:
         prev = terms[-1]
-        zq = s_center(deflation(S, prev)).mask
-        _, proj = quotient_group(G, prev)
-        nxt = normal_subgroup(G, element_mask(g for g in range(G.order) if zq >> proj[g] & 1))
+        nxt = preimage(G, prev, s_center(deflation(S, prev)))
         if not S.is_s_normal(nxt):
             raise ConsistencyError("upper series term is not S-normal")
         if nxt == prev:

@@ -19,7 +19,6 @@ from operator import mul
 
 from .chartab import (
     CharacterTable,
-    character_table_of,
     class_mult_coefficients,
     quotient_character_table,
 )
@@ -34,7 +33,6 @@ from .groups import (
     element_mask,
     preimage,
     quotient_group,
-    subgroup_group,
 )
 from .reports import CheckReport
 
@@ -287,9 +285,7 @@ def coarsest(table: CharacterTable) -> SuperTheory:
     return theory
 
 
-def _max_parts_guard(override: int | None) -> int:
-    if override is not None:
-        return override
+def _max_parts_guard() -> int:
     raw = os.environ.get(MAX_PARTS_ENV)
     if raw is None:
         return DEFAULT_MAX_PARTS
@@ -342,7 +338,7 @@ def _central_schur_rings(table: CharacterTable):
     yield from search([(0,)], [product((0,), (0,))], list(range(1, len(a))))
 
 
-def enumerate_scts(table: CharacterTable, max_parts: int | None = None) -> list[SuperTheory]:
+def enumerate_scts(table: CharacterTable) -> list[SuperTheory]:
     """All supercharacter theories of the group, found from the class side.
 
     They correspond one to one with central Schur rings (Hendrickson, Comm.
@@ -350,10 +346,10 @@ def enumerate_scts(table: CharacterTable, max_parts: int | None = None) -> list[
     constants; each is derived and validated in full by
     `sct_from_class_partition`.  The number of conjugacy classes, which
     equals |Irr(G)|, is guarded (default 12, override via the
-    SUPERCHAR_MAX_BELL environment variable or `max_parts`).
+    SUPERCHAR_MAX_BELL environment variable).
     """
     m = table.n_classes
-    guard = _max_parts_guard(max_parts)
+    guard = _max_parts_guard()
     if m > guard:
         raise SuperTheoryError(f"{m} irreducible characters exceed the enumeration guard {guard}")
     found = []
@@ -432,24 +428,6 @@ def require_s_normal(S: SuperTheory, H: SubgroupSet) -> None:
         raise SuperTheoryError(
             f"subgroup {sorted(H.members)} is not a union of superclasses"
         )
-
-
-@cached
-def restriction(S: SuperTheory, N: SubgroupSet) -> SuperTheory:
-    """The induced theory on an S-normal subgroup N; its superclasses are
-    exactly the S-classes inside N."""
-    require_s_normal(S, N)
-    H, _, to_local = subgroup_group(S.group, N)
-    blocks = [
-        frozenset(to_local[g] for g in b)
-        for b in S.yparts.blocks
-        if b <= N.members
-    ]
-    part = ElementPartition(H.order, blocks)
-    theory = sct_from_class_partition(character_table_of(H), part)
-    if theory is None:
-        raise ConsistencyError("restriction produced an invalid theory")
-    return theory
 
 
 @cached

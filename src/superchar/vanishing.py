@@ -86,20 +86,16 @@ class CaminaVerdict:
 # vanishing-off subgroups
 
 
-def nonvanishing_set(sigma: SuperCharacter) -> frozenset[int]:
-    """The elements where sigma is nonzero (exact test)."""
-    return frozenset().union(*(b for b, v in zip(sigma.theory.yparts.blocks, sigma.values) if not v.is_zero()))
-
-
 @cached
-def _nonvanishing_mask(sigma: SuperCharacter) -> int:
+def nonvanishing_mask(sigma: SuperCharacter) -> int:
+    """The elements where sigma is nonzero (exact test), as a bitmask."""
     return sum(m for m, v in zip(sigma.theory.block_masks(), sigma.values) if not v.is_zero())
 
 
 def escaping_character(sigmas, N: SubgroupSet) -> SuperCharacter | None:
     """The first of sigmas that is nonzero somewhere outside N, or None
     when all of them vanish off N."""
-    return next((sigma for sigma in sigmas if _nonvanishing_mask(sigma) & ~N.mask), None)
+    return next((sigma for sigma in sigmas if nonvanishing_mask(sigma) & ~N.mask), None)
 
 
 @cached
@@ -107,7 +103,7 @@ def vanish_off(sigma: SuperCharacter) -> SubgroupSet:
     """V(sigma): the subgroup generated by the nonvanishing set, i.e. the
     smallest subgroup off which sigma vanishes: a union of superclasses, so
     its closure in the normal-subgroup lattice."""
-    return normal_closure(sigma.theory.group, _nonvanishing_mask(sigma))
+    return normal_closure(sigma.theory.group, nonvanishing_mask(sigma))
 
 
 @cached
@@ -117,7 +113,7 @@ def _v_table(S: SuperTheory) -> dict[int, SubgroupSet]:
     and containing H."""
     table = {}
     for H in s_normal_subgroups(S):
-        gens = reduce(or_, map(_nonvanishing_mask, irr_over(S, H)), 0)
+        gens = reduce(or_, map(nonvanishing_mask, irr_over(S, H)), 0)
         V = table[H.mask] = normal_closure(S.group, gens)
         if not S.is_s_normal(V):
             raise ConsistencyError("V(S|N) is not S-normal")

@@ -45,7 +45,7 @@ from .vanishing import (
     is_camina_triple,
     is_s_gcp,
     is_vz,
-    nonvanishing_set,
+    nonvanishing_mask,
     scd_check,
     u_chain,
     u_kernel_check,
@@ -510,7 +510,7 @@ def _check_prop42(S: SuperTheory):
         product = trivial_subgroup(S.group)
         for sigma in irr_over(S, N):
             product = subgroup_product(S.group, product, vanish_off(sigma))
-        raw_subgroups = all(nonvanishing_set(s) == vanish_off(s).members for s in irr_over(S, N))
+        raw_subgroups = all(nonvanishing_mask(s) == vanish_off(s).mask for s in irr_over(S, N))
         fails = []
         if not S.is_s_normal(V):
             fails.append("s-normal")
@@ -548,11 +548,11 @@ def run_suite(S: SuperTheory) -> list[TheoremReport]:
 # corpus driver
 
 
-def _theories_for(table, all_scts: bool, max_parts: int | None):
-    guard = _max_parts_guard(max_parts)
+def _theories_for(table, all_scts: bool):
+    guard = _max_parts_guard()
     n_chars = len(table.values)
     if all_scts and n_chars <= guard:
-        return enumerate_scts(table, max_parts=max_parts), True
+        return enumerate_scts(table), True
     theories = [finest(table)]
     if table.group.order >= 2:
         c = coarsest(table)
@@ -575,12 +575,12 @@ def _build(spec: str, max_order: int | None):
         return None
 
 
-def _group_entry(spec: str, all_scts: bool, max_parts: int | None, max_order: int | None) -> dict | None:
+def _group_entry(spec: str, all_scts: bool, max_order: int | None) -> dict | None:
     G = _build(spec, max_order)
     if G is None:
         return None
     table = character_table_of(G)
-    theories, enumerated = _theories_for(table, all_scts, max_parts)
+    theories, enumerated = _theories_for(table, all_scts)
     entries = []
     for idx, S in enumerate(theories):
         reports = run_suite(S)
@@ -617,7 +617,6 @@ def run_corpus(
     all_scts: bool = True,
     jobs: int = 1,
     max_order: int | None = None,
-    max_parts: int | None = None,
     out=None,
 ) -> dict | list[dict]:
     """Run the full suite over a list of group specs.
@@ -636,7 +635,7 @@ def run_corpus(
     returned.
     """
     specs = list(specs)
-    args = [(spec, all_scts, max_parts, max_order) for spec in specs]
+    args = [(spec, all_scts, max_order) for spec in specs]
     if jobs > 1 and len(args) > 1:
         # imported here: multiprocessing and the rest cost every serial run ~30 ms of start-up
         from concurrent.futures import ProcessPoolExecutor

@@ -14,7 +14,6 @@ from superchar.errors import ConsistencyError, GroupConstructionError
 from superchar.groups import ElementPartition, GroupTable, SubgroupSet, generated_subgroup, quotient_group
 from superchar.structure import irr_over, s_normal_subgroups
 from superchar.supertheory import sct_from_class_partition
-from superchar.vanishing import nonvanishing_set
 
 
 def element_product(G, A, B) -> SubgroupSet:
@@ -32,7 +31,7 @@ def oracle_v_rel(S, N) -> SubgroupSet:
     """V(S|N), generated from the nonvanishing sets of Irr(S|N)."""
     gens = set()
     for sigma in irr_over(S, N):
-        gens |= nonvanishing_set(sigma)
+        gens.update(*(b for b, v in zip(S.yparts.blocks, sigma.values) if not v.is_zero()))
     return generated_subgroup(S.group, gens)
 
 

@@ -61,7 +61,7 @@ def test_packed_sums_match_the_oracle_on_the_default_corpus():
     for spec in DEFAULT_CATALOG:
         table = character_table_of(build_group(spec))
         _assert_table_agrees(table)
-        theories, _ = _theories_for(table, True, None)
+        theories, _ = _theories_for(table, True)
         for S in theories:
             _assert_theory_agrees(S)
         count += len(theories)

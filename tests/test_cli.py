@@ -247,11 +247,12 @@ def test_verify_extremes_beyond_sixteen_superclasses(capsys):
 def test_oversized_groups_fail_fast(spec, text, capsys, tmp_path, monkeypatch):
     # the order bound of the Dixon tables is checked before any table is
     # built: from the catalog name, during the permutation closure, and on
-    # the header of a table file
+    # the header of a table file; a table to ingest does not lift it
     monkeypatch.chdir(tmp_path)
     if text is not None:
         (tmp_path / spec.split(":", 1)[1]).write_text(text)
     runs = [(command, "--group", spec) for command in ("chartab", "enumerate", "verify")]
+    runs.append(("chartab", "--group", spec, "--ingest", str(DATA / "s3.tbl")))
     if spec == "C1000":
         # a --max-order above the order does not skip the group, and the
         # group is still refused before its table is built

@@ -18,7 +18,6 @@ from superchar.groups import (
     group_from_table_text,
     permutation_group,
     quotient_group,
-    subgroup_group,
     subgroup_product,
     trivial_subgroup,
 )
@@ -193,16 +192,6 @@ def test_subgroup_product():
         subgroup_product(G, generated_subgroup(G, [1]), generated_subgroup(G, [2]))
     with pytest.raises(GroupConstructionError):
         element_product(G, generated_subgroup(G, [1]), generated_subgroup(G, [2]))
-
-
-def test_subgroup_group_reindexing():
-    G = catalog_group("S3")
-    A3 = generated_subgroup(G, [3])
-    H, to_global, to_local = subgroup_group(G, A3)
-    assert H.order == 3
-    for a in A3.members:
-        for b in A3.members:
-            assert to_global[H.mul[to_local[a]][to_local[b]]] == G.mul[a][b]
 
 
 def test_center_and_derived():

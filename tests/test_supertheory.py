@@ -22,7 +22,6 @@ from superchar.supertheory import (
     enumerate_scts,
     finest,
     is_delta_product,
-    restriction,
     sct_from_class_partition,
     star_construct,
 )
@@ -144,12 +143,6 @@ def test_enumeration_counts_beyond_the_oracle(name, count):
     assert len(set(_pairs(theories))) == count
 
 
-def test_enumeration_guard():
-    _, T = theory_of("C3xC3")
-    with pytest.raises(SuperTheoryError):
-        enumerate_scts(T, max_parts=5)
-
-
 def test_enumeration_guard_env_override(monkeypatch):
     _, T = theory_of("C6")
     monkeypatch.setenv("SUPERCHAR_MAX_BELL", "3")
@@ -243,21 +236,6 @@ def test_class_partition_derivation_is_cached():
             sct_from_class_partition(T3, splits_a_class)
 
 
-def test_restriction_to_a3():
-    G, T = theory_of("S3")
-    A3 = generated_subgroup(G, [3])
-    R = restriction(finest(T), A3)
-    assert R.group.order == 3
-    assert R.yparts.to_json() == [[0], [1, 2]]
-    assert R.validate().ok
-
-
-def test_restriction_requires_s_normal():
-    G, T = theory_of("S3")
-    with pytest.raises(SuperTheoryError):
-        restriction(finest(T), generated_subgroup(G, [1]))
-
-
 def test_deflation_by_whole_group_is_trivial():
     G, T = theory_of("S3")
     D = deflation(finest(T), full_subgroup(G))
@@ -347,22 +325,13 @@ def test_delta_product_predicate():
 
 
 def test_induced_theory_class_characterizations():
-    # restriction classes are exactly the S-classes inside N; deflation
-    # classes are exactly the projected S-classes
-    from superchar.groups import quotient_group, subgroup_group
+    # deflation classes are exactly the projected S-classes
+    from superchar.groups import quotient_group
 
     for name in ("S3", "Q8", "D4"):
         G, T = theory_of(name)
         for S in enumerate_scts(T):
             for N in s_normal_subgroups(S):
-                H, _, to_local = subgroup_group(G, N)
-                R = restriction(S, N)
-                expected = {
-                    frozenset(to_local[g] for g in b)
-                    for b in S.yparts.blocks
-                    if b <= N.members
-                }
-                assert set(R.yparts.blocks) == expected
                 Q, proj = quotient_group(G, N)
                 D = deflation(S, N)
                 images = {frozenset(proj[g] for g in b) for b in S.yparts.blocks}

@@ -11,10 +11,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "superchar"
 
 # called from outside the package and never from inside it
-ENTRY_POINTS = {
-    "cli.main",  # the `superchar` console script
-    "supertheory.restriction",  # the induced theory on an S-normal subgroup, shown in demos/
-}
+ENTRY_POINTS = {"cli.main"}  # the `superchar` console script
 
 
 def _public_definitions(module: str, tree: ast.Module):
