@@ -17,7 +17,7 @@ from .chartab import (
     quotient_character_table,
     validate_table,
 )
-from .cyclotomic import Cyclotomic, cyclotomic_polynomial, euler_phi, hermitian_term
+from .cyclotomic import Cyclotomic, cyclotomic_polynomial, euler_phi
 from .errors import (
     CharacterTableError,
     ConsistencyError,

@@ -13,7 +13,7 @@ import sys
 
 from .chartab import DEFAULT_MAX_ORDER, character_table_of, ingest_table
 from .errors import CharacterTableError, GroupConstructionError, SuperTheoryError
-from .groups import GroupTable, build_group, derived_subgroup, group_center
+from .groups import GroupTable, build_group, derived_subgroup, group_center, read_text
 from .structure import (
     hypercenter,
     is_s_abelian,
@@ -100,8 +100,7 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cmd_chartab(args) -> int:
     G = build_group(args.group, DEFAULT_MAX_ORDER)
     if args.ingest:
-        with open(args.ingest, encoding="utf-8") as fh:
-            table = ingest_table(fh.read(), G)
+        table = ingest_table(read_text(args.ingest), G)
         print(f"ingested table for {G.label}: all validation checks pass", file=sys.stderr)
     else:
         table = character_table_of(G)

@@ -5,14 +5,13 @@ A value of order e is stored by its coordinates in the power basis
 polynomial, as an integer numerator vector `num` over one positive common
 denominator `den`, with gcd(den, *num) == 1.  That pair is a normal form,
 so equality and zero tests are exact tuple comparisons.  Character values
-are algebraic integers and have den == 1, so sums, products and
-conjugates of them run on ints alone; `Fraction` appears only at the
-edges: rational construction and extraction, division by a rational, and
-the display and JSON forms.  No floating arithmetic enters any logic path.
-Values of different orders are lifted to the lcm order before they are
-combined.
+are algebraic integers and have den == 1, so products and conjugates of
+them run on ints alone; `Fraction` appears only at the edges: rational
+construction and extraction and the text form.  No floating arithmetic
+enters any logic path.  Values of different orders are lifted to the lcm
+order before they are multiplied or compared.
 
-Long exact sums run on `Packing`: a value becomes one int whose base-2^w
+Exact sums run only on `Packing`: a value becomes one int whose base-2^w
 digits are its coordinates (Kronecker substitution), so a weighted sum of
 products of values is one sum of big-int products.  A proven bound on
 every coordinate of the unreduced sum sets w, so the digits read back are
@@ -122,21 +121,7 @@ def _lower(e: int, num: tuple[int, ...], p: int) -> tuple[int, ...] | None:
     return tuple(-x for x in diffs.pop()) if len(diffs) == 1 else None
 
 
-def _lowest_order(e: int, num: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    # (f, coordinates) in the smallest Q(zeta_f) that holds the value; f
-    # divides every order that holds it, so the pair depends on the value only.
-    # A prime that fails once fails for every later, smaller order too.
-    p = 2
-    while p <= e:
-        low = _lower(e, num, p) if e % p == 0 and all(p % r for r in range(2, p)) else None
-        if low is None:
-            p += 1
-        else:
-            e, num = e // p, low
-    return e, num
-
-
-_TERM_RE = re.compile(r"^(?P<coef>-?\d+(?:/\d+)?)?(?P<star>\*)?(?P<z>z(?:\^(?P<exp>\d+))?)?$")
+_TERM_RE = re.compile(r"^(?P<coef>-?\d+(?:/\d*[1-9]\d*)?)?(?P<star>\*)?(?P<z>z(?:\^(?P<exp>\d+))?)?$")
 
 
 class Cyclotomic:
@@ -223,38 +208,10 @@ class Cyclotomic:
 
     # arithmetic
 
-    def __add__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        if a.den == b.den:
-            return _value(a.order, tuple(x + y for x, y in zip(a.num, b.num)), a.den)
-        da, db = a.den, b.den
-        return _value(a.order, tuple(x * db + y * da for x, y in zip(a.num, b.num)), da * db)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _value(self.order, tuple(-c for c in self.num), self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other, self.order)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return _value(self.order, tuple(c * other for c in self.num), self.den)
-        if isinstance(other, Fraction):
-            n = other.numerator
-            return _value(self.order, tuple(c * n for c in self.num), self.den * other.denominator)
-        a, b = self._pair(other)
-        if a is None:
+        if not isinstance(other, Cyclotomic):
             return NotImplemented
+        a, b = self._pair(other)
         nb = b.num
         out = [0] * (len(a.num) + len(nb) - 1)
         for i, ai in enumerate(a.num):
@@ -264,37 +221,14 @@ class Cyclotomic:
                         out[i + j] += ai * bj
         return _value(a.order, _reduce(out, a.order), a.den * b.den)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Cyclotomic) and other.is_rational():
-            other = other.rational_value()
-        if not isinstance(other, (int, Fraction)):
-            raise TypeError("division is only supported by nonzero rationals")
-        if not other:
-            raise ZeroDivisionError("division by zero")
-        n, d = other.numerator, other.denominator
-        if n < 0:
-            n, d = -n, -d
-        return _value(self.order, tuple(c * d for c in self.num), self.den * n)
-
-    # Galois action
-
-    def galois(self, t: int) -> "Cyclotomic":
-        """Image under zeta |-> zeta^t, for t coprime to the order."""
+    def conjugate(self) -> "Cyclotomic":
+        """Complex conjugate (zeta |-> zeta^-1)."""
         e = self.order
-        t %= e
-        if gcd(t, e) != 1:
-            raise ValueError(f"{t} is not invertible modulo {e}")
         dense = [0] * e
         for k, c in enumerate(self.num):
             if c:
-                dense[(k * t) % e] += c
+                dense[-k % e] += c
         return _value(e, _reduce(dense, e), self.den)
-
-    def conjugate(self) -> "Cyclotomic":
-        """Complex conjugate (zeta |-> zeta^-1)."""
-        return self.galois(self.order - 1) if self.order > 1 else self
 
     # predicates and extraction
 
@@ -331,11 +265,6 @@ class Cyclotomic:
     def key(self) -> tuple:
         """Hashable canonical key; comparable within a fixed order."""
         return (self.order, self.num, self.den)
-
-    def __hash__(self):
-        # equal values of different orders must hash alike, so hash the value
-        # in the smallest cyclotomic field that holds it
-        return hash((_lowest_order(self.order, self.num), self.den))
 
     # display / serialization
 
@@ -398,13 +327,6 @@ class Cyclotomic:
             k = int(m.group("exp") or 1) if m.group("z") else 0
             dense[k % order] += sign * c
         return cls(order, dense)
-
-    def to_json(self):
-        return {"order": self.order, "coeffs": [str(c) for c in self._coeffs()]}
-
-def hermitian_term(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
-    """a * conjugate(b), the summand of the Hermitian inner product."""
-    return a * b.conjugate()
 
 
 class Packing:

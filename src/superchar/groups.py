@@ -574,7 +574,10 @@ def _parse_cycles(line: str) -> tuple[int, ...]:
     if not matched or _CYCLE_RE.sub("", rest).strip():
         raise GroupConstructionError(f"malformed cycle notation: {line!r}")
     for body in matched:
-        pts = [int(tok) for tok in body.replace(",", " ").split()]
+        try:
+            pts = [int(tok) for tok in body.replace(",", " ").split()]
+        except ValueError:
+            raise GroupConstructionError(f"non-integer point in cycle ({body})") from None
         if any(p < 1 for p in pts):
             raise GroupConstructionError("cycle points must be positive integers")
         if len(set(pts)) != len(pts):
@@ -637,6 +640,15 @@ def group_from_table_text(text: str, label: str = "file", max_order: int | None 
     return GroupTable(rows, label=label)
 
 
+def read_text(path: str) -> str:
+    """The contents of a UTF-8 text file; non-UTF-8 bytes raise GroupConstructionError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise GroupConstructionError(f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
 def build_group(spec: str, max_order: int | None = None) -> GroupTable:
     """Build a group from a spec string.
 
@@ -646,10 +658,8 @@ def build_group(spec: str, max_order: int | None = None) -> GroupTable:
     """
     if spec.startswith("file:"):
         path = spec[len("file:"):]
-        with open(path, encoding="utf-8") as fh:
-            return group_from_table_text(fh.read(), label=path, max_order=max_order)
+        return group_from_table_text(read_text(path), label=path, max_order=max_order)
     if spec.startswith("perm:"):
         path = spec[len("perm:"):]
-        with open(path, encoding="utf-8") as fh:
-            return permutation_group(fh.read().splitlines(), label=path, max_order=max_order)
+        return permutation_group(read_text(path).splitlines(), label=path, max_order=max_order)
     return catalog_group(spec, max_order)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from functools import reduce
 from operator import or_
 
-from .cyclotomic import hermitian_term
 from .errors import ConsistencyError
 from .groups import (
     SubgroupSet,
@@ -59,9 +58,10 @@ class CaminaVerdict:
 
     __slots__ = ("subject", "holds", "conditions", "agreement", "vacuous", "witnesses", "extras")
 
-    def __init__(self, subject: str, holds: bool, conditions: dict[str, bool], agreement: bool,
+    def __init__(self, subject: str, holds: bool, conditions: dict[str, bool],
                  vacuous: bool = False, witnesses: dict | None = None, extras: dict | None = None):
-        self.subject, self.holds, self.conditions, self.agreement = subject, holds, conditions, agreement
+        self.subject, self.holds, self.conditions = subject, holds, conditions
+        self.agreement = len(set(conditions.values())) == 1
         self.vacuous = vacuous
         self.witnesses = {} if witnesses is None else witnesses
         self.extras = {} if extras is None else extras
@@ -181,7 +181,6 @@ def is_camina_element(S: SuperTheory, g: int) -> CaminaVerdict:
         f"element {g}",
         holds=vanishing,
         conditions=conditions,
-        agreement=len(set(conditions.values())) == 1,
         witnesses=witnesses,
     )
 
@@ -244,7 +243,6 @@ def is_s_gcp(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
         f"pair (G, {sorted(N.members)})",
         holds=camina_all,
         conditions=conditions,
-        agreement=len(set(conditions.values())) == 1,
         vacuous=not outside,
         witnesses=witnesses,
         extras=extras,
@@ -302,7 +300,6 @@ def is_camina_triple(S: SuperTheory, N: SubgroupSet, M: SubgroupSet) -> CaminaVe
         f"triple (G, {sorted(N.members)}, {sorted(M.members)})",
         holds=coset,
         conditions=conditions,
-        agreement=len(set(conditions.values())) == 1,
         vacuous=not outside,
         witnesses=witnesses,
     )
@@ -353,7 +350,6 @@ def is_camina_pair(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
         f"pair (G, {sorted(N.members)})",
         holds=coset,
         conditions=conditions,
-        agreement=len(set(conditions.values())) == 1,
         vacuous=not outside,
         witnesses=witnesses,
         extras=extras,
@@ -509,7 +505,6 @@ def is_vz(S: SuperTheory) -> CaminaVerdict:
         "VZ",
         holds=definition,
         conditions=conditions,
-        agreement=len(set(conditions.values())) == 1,
         vacuous=not outside,
         witnesses=witnesses,
     )
@@ -539,7 +534,7 @@ def scd_check(S: SuperTheory) -> CheckReport:
             value = sigma.value_on(z)
             rep.add(
                 f"central-modulus-sigma-{sigma.index}-z{z}",
-                hermitian_term(value, value) == sigma.degree**2,
+                value * value.conjugate() == sigma.degree**2,
                 f"|sigma({z})|^2 != sigma(1)^2",
             )
     degree_set = {sigma.degree for sigma in S.supercharacters()}

@@ -94,11 +94,12 @@ def bell_scts(table, assume_principal_singleton: bool = False):
     for t in range(m):
         row = []
         for k in range(r):
-            scaled = table.degrees[t] * table.values[t][k]
-            if scaled.den != 1:
+            value = table.values[t][k]
+            if value.den != 1:
                 raise ConsistencyError("character values must be algebraic integers")
-            maxc = max(maxc, *map(abs, scaled.num))
-            row.append(scaled.num)
+            scaled = [table.degrees[t] * c for c in value.num]
+            maxc = max(maxc, *map(abs, scaled))
+            row.append(scaled)
         raw.append(row)
     base = 2 * m * maxc + 3
     enc = [

@@ -6,9 +6,12 @@ theory of the default corpus and on the groups of the large-groups
 benchmark workload.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from arith_oracle import (
+    Ref,
     central_character_keys,
     column_orthogonality,
     row_orthogonality,
@@ -82,10 +85,11 @@ def test_failing_validation_reports_match_the_oracle():
     # orthogonality; the first failing pair must be the oracle's
     table = character_table_of(build_group("Q8"))
     rows = [list(row) for row in table.values]
+    halved = [Ref.of(v).scale(Fraction(1, 2)).value() for v in rows[1][1:]]
     variants = [
         rows[:1] + [rows[2]] + rows[2:],
-        [rows[0], rows[1][:1] + [v / 2 for v in rows[1][1:]]] + rows[2:],
-        [row[:3] + [-row[3]] + row[4:] for row in rows],
+        [rows[0], rows[1][:1] + halved] + rows[2:],
+        [row[:3] + [Ref.of(row[3]).scale(-1).value()] + row[4:] for row in rows],
     ]
     for values in variants:
         T = CharacterTable(table.group, values, table.exponent)

@@ -266,6 +266,28 @@ def test_oversized_groups_fail_fast(spec, text, capsys, tmp_path, monkeypatch):
         assert "exceeds the bound 64" in err or "above the bound" in err
 
 
+S3_TABLE = (DATA / "s3.tbl").read_bytes()
+INGEST = ("chartab", "--group", "S3", "--ingest", "bad")
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        pytest.param(("chartab", "--group", "file:bad"), b"order 1\n\xff\n", id="table-not-utf8"),
+        pytest.param(("verify", "--group", "perm:bad"), b"(1 2)\n(1 \xe9)\n", id="perm-not-utf8"),
+        pytest.param(INGEST, S3_TABLE + b"#\xff\n", id="ingest-not-utf8"),
+        pytest.param(("enumerate", "--group", "perm:bad"), b"(1 2.5)\n", id="non-integer-cycle-point"),
+        pytest.param(INGEST, S3_TABLE.replace(b"2, 0, -1", b"2, 1/0, -1"), id="zero-denominator"),
+    ],
+)
+def test_malformed_input_files_exit_2(argv, data, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad").write_bytes(data)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cold_import_loads_no_pool_and_no_dataclasses():
     # every command starts by importing the CLI; the process pool is imported
     # only by `verify --jobs N` with N > 1, and no record is a dataclass

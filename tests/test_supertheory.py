@@ -27,6 +27,7 @@ from superchar.supertheory import (
 )
 from superchar.verifier import DEFAULT_CATALOG
 
+from arith_oracle import Ref, sigma_class_values
 from bell_oracle import bell_scts, sct_from_character_partition
 
 
@@ -160,10 +161,10 @@ def test_row_orthogonality_examples():
     # <sigma_rest, sigma_rest> = (25 + 5)/6 = 5 = 1 + 4
     order = T.group.order
     vals = S.sigma[1]
-    total = Cyclotomic.zero(T.exponent)
+    total = Ref(T.exponent)
     for i, b in enumerate(S.yparts.blocks):
-        total = total + len(b) * (vals[i] * vals[i].conjugate())
-    assert total / order == 5
+        total = total + (Ref.of(vals[i]) * Ref.of(vals[i]).conjugate()).scale(len(b))
+    assert total.scale(Fraction(1, order)).value() == 5
 
 
 def test_column_orthogonality_examples():
@@ -180,8 +181,6 @@ def test_column_orthogonality_examples():
 
 
 def test_column_orthogonality_values_match_the_direct_sum():
-    from superchar.cyclotomic import hermitian_term
-
     for name in ("D4", "Q8", "C6"):
         _, T = theory_of(name)
         for S in enumerate_scts(T):
@@ -189,11 +188,11 @@ def test_column_orthogonality_values_match_the_direct_sum():
                 for bh in S.yparts.blocks:
                     g, h = min(bg), min(bh)
                     kg, kh = S.class_of(g), S.class_of(h)
-                    direct = sum(
-                        (hermitian_term(row[kg], row[kh]) / row[0].rational_value() for row in S.sigma),
-                        Cyclotomic.zero(T.exponent),
-                    )
-                    assert check_column_orthogonality(S, g, h)[0] == direct
+                    direct = Ref(T.exponent)
+                    for row in S.sigma:
+                        term = Ref.of(row[kg]) * Ref.of(row[kh]).conjugate()
+                        direct = direct + term.scale(1 / row[0].rational_value())
+                    assert check_column_orthogonality(S, g, h)[0] == direct.value()
 
 
 def test_sct_from_class_partition_examples():
@@ -390,15 +389,7 @@ def _brute_force_theories(table):
     for xparts in partitions(range(m)):
         if len(xparts) > order:
             continue
-        sigma_rows = []
-        for part in xparts:
-            row = []
-            for k in range(table.n_classes):
-                acc = Cyclotomic.zero(table.exponent)
-                for t in part:
-                    acc = acc + table.degrees[t] * table.values[t][k]
-                row.append(acc)
-            sigma_rows.append(row)
+        sigma_rows = [sigma_class_values(table, part) for part in xparts]
         for yrest in partitions(range(1, order)):
             yblocks = [[0]] + yrest
             if len(yblocks) != len(xparts):

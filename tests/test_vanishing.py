@@ -15,7 +15,8 @@ from superchar.structure import (
     s_normal_subgroups,
     super_kernel,
 )
-from superchar.supertheory import coarsest, enumerate_scts, finest
+from superchar.cyclotomic import Cyclotomic
+from superchar.supertheory import SuperTheory, coarsest, enumerate_scts, finest
 from superchar.vanishing import (
     is_camina_element,
     is_camina_pair,
@@ -275,6 +276,18 @@ def test_scd_check_q8():
     assert sigma.degree == 4  # = ||X|| sqrt(|G : Z(S)|) = 2 * 2
     degrees = {s.degree for s in Sq.supercharacters()}
     assert degrees == {1, 4}
+
+
+def test_scd_check_catches_a_central_value_of_the_wrong_modulus():
+    # sigma_4(-1) = -4 becomes -2: still nonzero and not sigma_4(1), so the
+    # kernels and vanishing sets stay and only |sigma(z)|^2 = sigma(1)^2 fails
+    q8, Sq = theory_of("Q8")
+    bad_sigma = tuple(
+        tuple(Cyclotomic.from_rational(-2, v.order) if v == -4 else v for v in row)
+        for row in Sq.sigma
+    )
+    corrupted = SuperTheory(Sq.table, Sq.xparts, Sq.yparts, Sq.ypart_classes, bad_sigma)
+    assert [c.name for c in scd_check(corrupted).failures] == ["central-modulus-sigma-4-z1"]
 
 
 def test_scd_not_applicable_off_vz():

@@ -258,10 +258,12 @@ def test_corrupted_theory_is_caught():
     # re-validation fails and the suite reports failures instead of passing
     from superchar.supertheory import SuperTheory, coarsest
 
+    from arith_oracle import Ref
+
     table = character_table_of(catalog_group("S3"))
     S = coarsest(table)
     bad_sigma = tuple(
-        tuple(-v if (i, j) == (1, 1) else v for j, v in enumerate(row))
+        tuple(Ref.of(v).scale(-1).value() if (i, j) == (1, 1) else v for j, v in enumerate(row))
         for i, row in enumerate(S.sigma)
     )
     corrupted = SuperTheory(table, S.xparts, S.yparts, S.ypart_classes, bad_sigma)
