@@ -61,7 +61,6 @@ from .structure import (
 from .supertheory import (
     SuperCharacter,
     SuperTheory,
-    check_column_orthogonality,
     check_row_orthogonality,
     coarsest,
     deflation,

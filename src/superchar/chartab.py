@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import chain
-from math import isqrt
+from math import isqrt, lcm
 from operator import mul
 
 from .cyclotomic import Cyclotomic, Packing
@@ -398,28 +398,47 @@ def validate_table(T: CharacterTable) -> CheckReport:
         f"sum of squared degrees = {sum(d * d for d in T.degrees)}, |G| = {order}",
     )
     rep.add("integrality", all(v.is_integral() for row in T.values for v in row))
-    conj = [[v.conjugate() for v in row] for row in T.values]
-    # sum |weights| of a row sum is sum(sizes), of a column sum the row count
-    pk = Packing(T.exponent, chain(*T.values, *conj), max(sum(T.sizes), len(T.values)), products=True)
-    rows = [list(map(pk.pack, row)) for row in T.values]
-    conj = [list(map(pk.pack, row)) for row in conj]
-    sized = [list(map(mul, T.sizes, row)) for row in rows]
-    bad = _first_unexpected(pk, r, sized, conj, lambda i, j: order if i == j else 0)
+    ones = [1] * len(T.values)
+    rows, cols = orthogonality(T.exponent, T.values, T.sizes, ones)
+    bad = first_failing_pair(rows, ones)
     rep.add("row-orthogonality", not bad, f"<chi_{bad[0]}, chi_{bad[1]}> != {int(bad[0] == bad[1])}" if bad else "")
-    bad = _first_unexpected(pk, r, list(zip(*rows)), list(zip(*conj)),
-                            lambda k, l: Fraction(order, T.sizes[k]) if k == l else 0)
+    bad = first_failing_pair(cols, [Fraction(order, size) for size in T.sizes])
     rep.add("column-orthogonality", not bad, f"columns {bad[0]},{bad[1]} fail" if bad else "")
     return rep
 
 
-def _first_unexpected(pk: Packing, n: int, left, right, expected) -> tuple[int, int] | None:
-    """The first pair a <= b < n whose packed dot product of left[a] and
-    right[b] is not the rational expected(a, b), or None."""
-    for a in range(n):
-        for b in range(a, n):
-            if pk.unpack(sum(map(mul, left[a], right[b]))) != Cyclotomic.from_rational(expected(a, b), pk.order):
-                return a, b
-    return None
+def orthogonality(order: int, values, sizes, divisors) -> tuple[list[list[Cyclotomic]], list[list[Cyclotomic]]]:
+    """Both Gram matrices of the rows `values` of Q(zeta_order), as upper
+    triangles read off one packing:
+
+        rows[i][j - i] = sum_k sizes[k] v_ik conj(v_jk) / sum(sizes)
+        cols[k][l - k] = sum_i v_ik conj(v_il) / divisors[i]
+
+    With L the lcm of the positive int divisors, a column sum is the sum
+    over i of the integer weights L / divisors[i], divided by L once.  A row
+    sum weighs sum(sizes) in all and a column sum the sum of the weights, so
+    the larger of the two bounds every sum taken from the packing.
+    """
+    L = lcm(*divisors)
+    weights = [L // d for d in divisors]
+    conj = [[v.conjugate() for v in row] for row in values]
+    pk = Packing(order, chain(*values, *conj), max(sum(sizes), sum(weights)), products=True)
+    packed = [list(map(pk.pack, row)) for row in values]
+    conj = [list(map(pk.pack, row)) for row in conj]
+    sized = [list(map(mul, sizes, row)) for row in packed]
+    weighted = [list(map(mul, weights, col)) for col in zip(*packed)]
+    conj_cols = list(zip(*conj))
+    n, r, total = len(values), len(sizes), sum(sizes)
+    rows = [[pk.unpack(sum(map(mul, sized[i], conj[j])), total) for j in range(i, n)] for i in range(n)]
+    cols = [[pk.unpack(sum(map(mul, weighted[k], conj_cols[l])), L) for l in range(k, r)] for k in range(r)]
+    return rows, cols
+
+
+def first_failing_pair(triangle, diagonal) -> tuple[int, int] | None:
+    """The first pair a <= b, row by row, whose entry triangle[a][b - a] is
+    not diagonal[a] when a == b and 0 otherwise, or None."""
+    return next(((a, a + d) for a, row in enumerate(triangle) for d, v in enumerate(row)
+                 if v != (diagonal[a] if d == 0 else 0)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +514,6 @@ def dixon_character_table(G: GroupTable) -> CharacterTable:
 
     rows.sort(key=_canonical_row_key)
     table = CharacterTable(G, rows, e)
-    one = Cyclotomic.one(e)
-    if not all(v == one for v in table.values[0]):
-        raise ConsistencyError("canonical ordering did not place the principal character first")
     table.validation = report = validate_table(table)
     if not report.ok:
         raise ConsistencyError(

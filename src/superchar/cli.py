@@ -134,7 +134,6 @@ def _cmd_enumerate(args) -> int:
 
 
 def _analysis(G: GroupTable, S: SuperTheory) -> dict:
-    names = _subgroup_names(G)
     center = s_center(S)
     com = s_commutator_full(S)
     subs = s_normal_subgroups(S)
@@ -173,7 +172,6 @@ def _analysis(G: GroupTable, S: SuperTheory) -> dict:
         "nilpotence_class": cls,
         "vz": vz.to_json(),
         "scd": scd_check(S).to_json(),
-        "_names": {",".join(map(str, sorted(k))): v for k, v in names.items()},
     }
 
 
@@ -211,7 +209,6 @@ def _cmd_analyze(args) -> int:
     S = _select_theory(table, args.sct)
     data = _analysis(G, S)
     if args.format == "json":
-        data.pop("_names")
         _emit(json.dumps(data, indent=2, sort_keys=True), args.out)
     else:
         _emit(_analysis_text(G, S, data), args.out)

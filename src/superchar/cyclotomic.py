@@ -149,10 +149,6 @@ class Cyclotomic:
         return _value(order, (q.numerator,) + (0,) * (euler_phi(order) - 1), q.denominator)
 
     @classmethod
-    def zero(cls, order: int = 1) -> "Cyclotomic":
-        return _value(order, (0,) * euler_phi(order))
-
-    @classmethod
     def one(cls, order: int = 1) -> "Cyclotomic":
         return cls.from_rational(1, order)
 

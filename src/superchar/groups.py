@@ -565,7 +565,7 @@ def catalog_group(name: str, max_order: int | None = None) -> GroupTable:
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def _parse_cycles(line: str) -> tuple[int, ...]:
+def _parse_cycles(line: str) -> list[list[int]]:
     cycles = []
     rest = line.strip()
     if not rest:
@@ -580,28 +580,31 @@ def _parse_cycles(line: str) -> tuple[int, ...]:
             raise GroupConstructionError(f"non-integer point in cycle ({body})") from None
         if any(p < 1 for p in pts):
             raise GroupConstructionError("cycle points must be positive integers")
-        if len(set(pts)) != len(pts):
-            raise GroupConstructionError(f"repeated point in cycle ({body})")
         cycles.append(pts)
-    n = max((max(c) for c in cycles if c), default=0)
-    perm = list(range(n))
-    for cycle in cycles:
-        if len(cycle) < 2:
-            continue
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            perm[a - 1] = b - 1
-    return tuple(perm)
+    points = [p for cycle in cycles for p in cycle]
+    if len(set(points)) != len(points):
+        raise GroupConstructionError(f"a point occurs twice in {rest!r}: a line must be a product of disjoint cycles")
+    return cycles
 
 
 def permutation_group(lines, label: str = "perm", max_order: int | None = None) -> GroupTable:
-    """Closure of permutation generators given in cycle notation, one per
-    line; the closure stops as soon as it passes max_order elements."""
+    """Closure of permutation generators, one product of disjoint cycles per
+    line; the closure stops as soon as it passes max_order elements.  Only
+    the points that occur are kept, renumbered in increasing order: every
+    other point is fixed by every element."""
     raw = [ln for ln in (str(x).strip() for x in lines) if ln and not ln.startswith("#")]
     if not raw:
         raise GroupConstructionError("no permutation generators given")
-    partial = [_parse_cycles(ln) for ln in raw]
-    n = max(len(p) for p in partial)
-    gens = [tuple(list(p) + list(range(len(p), n))) for p in partial]
+    parsed = [_parse_cycles(ln) for ln in raw]
+    index = {p: i for i, p in enumerate(sorted({p for cycles in parsed for cycle in cycles for p in cycle}))}
+    n = len(index)
+    gens = []
+    for cycles in parsed:
+        perm = list(range(n))
+        for cycle in cycles:
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                perm[index[a]] = index[b]
+        gens.append(tuple(perm))
     identity = tuple(range(n))
     elems = {identity}
     frontier = [identity]

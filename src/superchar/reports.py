@@ -21,10 +21,10 @@ class CheckReport:
 
     __slots__ = ("subject", "checks", "notes")
 
-    def __init__(self, subject: str, checks: list[Check] | None = None, notes: list[str] | None = None):
+    def __init__(self, subject: str):
         self.subject = subject
-        self.checks = [] if checks is None else checks
-        self.notes = [] if notes is None else notes
+        self.checks: list[Check] = []
+        self.notes: list[str] = []
 
     def add(self, name: str, ok: bool, detail: str = "") -> bool:
         self.checks.append(Check(name, bool(ok), detail))

@@ -11,15 +11,13 @@ theory already validated, which proves it.
 
 from __future__ import annotations
 
-import os
-from fractions import Fraction
 from itertools import chain, combinations
-from math import lcm
 from operator import mul
 
 from .chartab import (
     CharacterTable,
     class_mult_coefficients,
+    orthogonality,
     quotient_character_table,
 )
 from .cyclotomic import Cyclotomic, Packing
@@ -36,8 +34,7 @@ from .groups import (
 )
 from .reports import CheckReport
 
-DEFAULT_MAX_PARTS = 12  # bound on the conjugacy classes (= |Irr(G)|) enumerate_scts takes
-MAX_PARTS_ENV = "SUPERCHAR_MAX_BELL"
+MAX_CLASSES = 12  # bound on the conjugacy classes (= |Irr(G)|) enumerate_scts takes
 
 
 class SuperTheory:
@@ -285,19 +282,6 @@ def coarsest(table: CharacterTable) -> SuperTheory:
     return theory
 
 
-def _max_parts_guard() -> int:
-    raw = os.environ.get(MAX_PARTS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_PARTS
-    try:
-        guard = int(raw)
-    except ValueError:
-        guard = 0
-    if guard < 1:
-        raise SuperTheoryError(f"{MAX_PARTS_ENV} must be a positive integer, got {raw!r}")
-    return guard
-
-
 def _central_schur_rings(table: CharacterTable):
     """Every central Schur ring of the group, as a list of class-index blocks:
     the partitions of the conjugacy classes with {0} a block, closed under
@@ -345,13 +329,11 @@ def enumerate_scts(table: CharacterTable) -> list[SuperTheory]:
     Algebra 2012), which `_central_schur_rings` lists from the integer class
     constants; each is derived and validated in full by
     `sct_from_class_partition`.  The number of conjugacy classes, which
-    equals |Irr(G)|, is guarded (default 12, override via the
-    SUPERCHAR_MAX_BELL environment variable).
+    equals |Irr(G)|, is at most MAX_CLASSES.
     """
     m = table.n_classes
-    guard = _max_parts_guard()
-    if m > guard:
-        raise SuperTheoryError(f"{m} irreducible characters exceed the enumeration guard {guard}")
+    if m > MAX_CLASSES:
+        raise SuperTheoryError(f"{m} irreducible characters exceed the enumeration guard {MAX_CLASSES}")
     found = []
     for blocks in _central_schur_rings(table):
         yparts = ElementPartition(
@@ -371,52 +353,22 @@ def enumerate_scts(table: CharacterTable) -> list[SuperTheory]:
 
 
 @cached
-def _packed_sigma(S: SuperTheory):
-    """(packing, columns of sigma, columns of its conjugate, weights, L),
-    packed once per theory for both orthogonality relations.  A row sum
-    weighs the block sizes, |G| in all; a column sum weighs row i by the
-    integer weights[i] = L / sigma_i(1), L the lcm of the sigma_i(1)."""
-    degrees = [row[0].integer_value() for row in S.sigma]
-    L = lcm(*degrees)
-    weights = [L // d for d in degrees]
-    conj = [[v.conjugate() for v in row] for row in S.sigma]
-    pk = Packing(S.table.exponent, chain(*S.sigma, *conj), max(S.group.order, sum(weights)), products=True)
-    cols = list(zip(*(map(pk.pack, row) for row in S.sigma)))
-    return pk, cols, list(zip(*(map(pk.pack, row) for row in conj))), weights, L
+def sigma_orthogonality(S: SuperTheory) -> tuple[list[list[Cyclotomic]], list[list[Cyclotomic]]]:
+    """Both orthogonality Gram triangles of the supercharacters, computed
+    once per theory: rows[i][j - i] = <sigma_i, sigma_j> and cols[k][l - k]
+    = sum_i sigma_i(g) conj(sigma_i(h)) / sigma_i(1) for g in K_k, h in K_l."""
+    return orthogonality(S.table.exponent, S.sigma, S.block_sizes(), [row[0].integer_value() for row in S.sigma])
 
 
 def check_row_orthogonality(S: SuperTheory) -> CheckReport:
     """<sigma_i, sigma_j> = delta_ij * ||X_i||^2, exactly, for all pairs."""
     rep = CheckReport(f"row orthogonality for a theory of {S.group.label}")
-    order = S.group.order
-    pk, cols, conj_cols, _, _ = _packed_sigma(S)
-    sized = [list(map(mul, S.block_sizes(), row)) for row in zip(*cols)]
-    conj = list(zip(*conj_cols))
-    for i in range(S.n_parts):
+    for i, row in enumerate(sigma_orthogonality(S)[0]):
         norm2 = sum(S.table.degrees[t] ** 2 for t in S.xparts[i])
-        for j in range(i, S.n_parts):
-            acc = pk.unpack(sum(map(mul, sized[i], conj[j])), order)
-            expected = Fraction(norm2 if i == j else 0)
-            rep.add(
-                f"pair-{i}-{j}",
-                acc == Cyclotomic.from_rational(expected, S.table.exponent),
-                f"got {acc}, expected {expected}",
-            )
+        for d, acc in enumerate(row):
+            expected = norm2 if d == 0 else 0
+            rep.add(f"pair-{i}-{i + d}", acc == expected, f"got {acc}, expected {expected}")
     return rep
-
-
-def check_column_orthogonality(S: SuperTheory, g: int, h: int):
-    """Exact column relation at (g, h): returns (value, expected, ok)."""
-    pk, cols, conj_cols, weights, L = _packed_sigma(S)
-    kg, kh = S.class_of(g), S.class_of(h)
-    acc = pk.unpack(sum(map(mul, map(mul, weights, cols[kg]), conj_cols[kh])), L)
-    if kg == kh:
-        expected = Cyclotomic.from_rational(
-            Fraction(S.group.order, len(S.yparts.blocks[kg])), S.table.exponent
-        )
-    else:
-        expected = Cyclotomic.zero(S.table.exponent)
-    return acc, expected, acc == expected
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import gc
 import json
+from fractions import Fraction
 
-from .chartab import DEFAULT_MAX_ORDER, character_table_of
+from .chartab import DEFAULT_MAX_ORDER, character_table_of, first_failing_pair
 from .errors import OrderBoundError
 from .groups import SubgroupSet, build_group, quotient_image, subgroup_product, trivial_subgroup
 from .structure import (
@@ -28,15 +29,15 @@ from .structure import (
     upper_series,
 )
 from .supertheory import (
+    MAX_CLASSES,
     SuperTheory,
-    check_column_orthogonality,
     check_row_orthogonality,
     coarsest,
     deflation,
     enumerate_scts,
     finest,
     is_delta_product,
-    _max_parts_guard,
+    sigma_orthogonality,
 )
 from .vanishing import (
     escaping_character,
@@ -488,19 +489,9 @@ def _check_roworth(S: SuperTheory):
 
 @theorem("P-colorth", "supercharacter column orthogonality")
 def _check_colorth(S: SuperTheory):
-    ok = True
-    witness = None
-    for bg in S.yparts.blocks:
-        for bh in S.yparts.blocks:
-            g, h = min(bg), min(bh)
-            _, _, good = check_column_orthogonality(S, g, h)
-            if not good:
-                ok = False
-                witness = {"g": g, "h": h}
-                break
-        if not ok:
-            break
-    yield {}, _status(ok), witness
+    blocks = S.yparts.blocks
+    bad = first_failing_pair(sigma_orthogonality(S)[1], [Fraction(S.group.order, len(b)) for b in blocks])
+    yield {}, _status(not bad), {"g": min(blocks[bad[0]]), "h": min(blocks[bad[1]])} if bad else None
 
 
 @theorem("P-prop42", "V(S|N) is S-normal and is the product of the V(sigma) over N")
@@ -549,9 +540,7 @@ def run_suite(S: SuperTheory) -> list[TheoremReport]:
 
 
 def _theories_for(table, all_scts: bool):
-    guard = _max_parts_guard()
-    n_chars = len(table.values)
-    if all_scts and n_chars <= guard:
+    if all_scts and table.n_classes <= MAX_CLASSES:
         return enumerate_scts(table), True
     theories = [finest(table)]
     if table.group.order >= 2:

@@ -1,8 +1,8 @@
 """Test-only oracle: the exact sums of the package on plain Fraction coordinates.
 
-The orthogonality relations of `validate_table`, sigma_X on the classes,
-the central-character keys of a derivation and both supercharacter
-orthogonality relations, summed term by term on `Ref`, a field arithmetic
+Both Gram triangles of `chartab.orthogonality` (for tables and for
+supercharacter theories), sigma_X on the classes and the central-character
+keys of a derivation, summed term by term on `Ref`, a field arithmetic
 that shares no code with `superchar.cyclotomic` beyond the cyclotomic
 polynomial.  Each result is converted with `Cyclotomic(order, coeffs)` only
 to be compared with the package's packed sums.
@@ -117,8 +117,53 @@ def _refs(rows):
     return [[Ref.of(v) for v in row] for row in rows]
 
 
-def validate_table(T) -> CheckReport:
-    """`chartab.validate_table`, orthogonality summed on `Ref`."""
+def gram(order, values, sizes, divisors):
+    """`chartab.orthogonality`, summed term by term on `Ref`: the upper
+    triangles rows[i][j - i] = sum_k sizes[k] v_ik conj(v_jk) / sum(sizes)
+    and cols[k][l - k] = sum_i v_ik conj(v_il) / divisors[i]."""
+    refs = _refs(values)
+    conj = [[v.conjugate() for v in row] for row in refs]
+    n, r = len(refs), len(sizes)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(i, n):
+            acc = Ref(order)
+            for k in range(r):
+                acc = acc + (refs[i][k] * conj[j][k]).scale(sizes[k])
+            row.append(acc.scale(Fraction(1, sum(sizes))).value())
+        rows.append(row)
+    cols = []
+    for k in range(r):
+        col = []
+        for l in range(k, r):
+            acc = Ref(order)
+            for i in range(n):
+                term = refs[i][k] * conj[i][l]
+                acc = acc + (term if divisors[i] == 1 else term.scale(Fraction(1, divisors[i])))
+            col.append(acc.value())
+        cols.append(col)
+    return rows, cols
+
+
+def table_gram(T):
+    return gram(T.exponent, T.values, T.sizes, [1] * len(T.values))
+
+
+def sigma_gram(S):
+    return gram(S.table.exponent, S.sigma, S.block_sizes(), [row[0].integer_value() for row in S.sigma])
+
+
+def _first_failure(triangle, diagonal):
+    for a, row in enumerate(triangle):
+        for d, value in enumerate(row):
+            if value != Cyclotomic.from_rational(diagonal[a] if d == 0 else 0, value.order):
+                return a, a + d
+    return None
+
+
+def validate_table(T, gram) -> CheckReport:
+    """`chartab.validate_table`, orthogonality read from gram = `table_gram(T)`."""
     rep = CheckReport(f"character table of {T.group.label}")
     r = T.n_classes
     order = T.group.order
@@ -131,38 +176,11 @@ def validate_table(T) -> CheckReport:
         f"sum of squared degrees = {sum(d * d for d in T.degrees)}, |G| = {order}",
     )
     rep.add("integrality", all(v.is_integral() for row in T.values for v in row))
-    values = _refs(T.values)
-    conj = [[v.conjugate() for v in row] for row in values]
-    ok = True
-    detail = ""
-    for i in range(r):
-        for j in range(i, r):
-            acc = Ref(T.exponent)
-            for k in range(r):
-                acc = acc + (values[i][k] * conj[j][k]).scale(T.sizes[k])
-            expected = Fraction(order if i == j else 0)
-            if acc.value() != Cyclotomic.from_rational(expected, T.exponent):
-                ok = False
-                detail = f"<chi_{i}, chi_{j}> != {'1' if i == j else '0'}"
-                break
-        if not ok:
-            break
-    rep.add("row-orthogonality", ok, detail)
-    ok = True
-    detail = ""
-    for k in range(r):
-        for l in range(k, r):
-            acc = Ref(T.exponent)
-            for t in range(len(T.values)):
-                acc = acc + values[t][k] * conj[t][l]
-            expected = Fraction(order, T.sizes[k]) if k == l else Fraction(0)
-            if acc.value() != Cyclotomic.from_rational(expected, T.exponent):
-                ok = False
-                detail = f"columns {k},{l} fail"
-                break
-        if not ok:
-            break
-    rep.add("column-orthogonality", ok, detail)
+    rows, cols = gram
+    bad = _first_failure(rows, [1] * len(rows))
+    rep.add("row-orthogonality", not bad, f"<chi_{bad[0]}, chi_{bad[1]}> != {'1' if bad[0] == bad[1] else '0'}" if bad else "")
+    bad = _first_failure(cols, [Fraction(order, size) for size in T.sizes])
+    rep.add("column-orthogonality", not bad, f"columns {bad[0]},{bad[1]} fail" if bad else "")
     return rep
 
 
@@ -191,42 +209,25 @@ def central_character_keys(table, block_classes):
     return keys
 
 
-def row_orthogonality(S) -> CheckReport:
-    """`supertheory.check_row_orthogonality` summed on `Ref`."""
+def row_orthogonality(S, rows) -> CheckReport:
+    """`supertheory.check_row_orthogonality`, read from rows = `sigma_gram(S)[0]`."""
     rep = CheckReport(f"row orthogonality for a theory of {S.group.label}")
-    order = S.group.order
-    sizes = S.block_sizes()
-    sigma = _refs(S.sigma)
-    conj = [[v.conjugate() for v in row] for row in sigma]
-    for i in range(S.n_parts):
+    for i, row in enumerate(rows):
         norm2 = sum(S.table.degrees[t] ** 2 for t in S.xparts[i])
-        for j in range(i, S.n_parts):
-            acc = Ref(S.table.exponent)
-            for k in range(S.n_parts):
-                acc = acc + (sigma[i][k] * conj[j][k]).scale(sizes[k])
-            value = acc.scale(Fraction(1, order)).value()
-            expected = Fraction(norm2 if i == j else 0)
+        for d, value in enumerate(row):
+            expected = Fraction(norm2 if d == 0 else 0)
             rep.add(
-                f"pair-{i}-{j}",
+                f"pair-{i}-{i + d}",
                 value == Cyclotomic.from_rational(expected, S.table.exponent),
                 f"got {value}, expected {expected}",
             )
     return rep
 
 
-def column_orthogonality(S, g, h):
-    """`supertheory.check_column_orthogonality` summed on `Ref`:
-    (sum_i sigma_i(g) conjugate(sigma_i(h)) / sigma_i(1), expected, ok)."""
-    kg, kh = S.class_of(g), S.class_of(h)
-    acc = Ref(S.table.exponent)
-    for row in S.sigma:
-        term = Ref.of(row[kg]) * Ref.of(row[kh]).conjugate()
-        acc = acc + term.scale(1 / row[0].rational_value())
-    if kg == kh:
-        expected = Cyclotomic.from_rational(
-            Fraction(S.group.order, len(S.yparts.blocks[kg])), S.table.exponent
-        )
-    else:
-        expected = Cyclotomic.zero(S.table.exponent)
-    value = acc.value()
-    return value, expected, value == expected
+def column_orthogonality(S, cols):
+    """The `P-colorth` verdict read from cols = `sigma_gram(S)[1]`: the
+    witness {"g": min(K_k), "h": min(K_l)} of the first failing pair k <= l,
+    or None."""
+    blocks = S.yparts.blocks
+    bad = _first_failure(cols, [Fraction(S.group.order, len(b)) for b in blocks])
+    return None if bad is None else {"g": min(blocks[bad[0]]), "h": min(blocks[bad[1]])}

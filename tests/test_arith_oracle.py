@@ -1,9 +1,10 @@
 """The packed sums against the object-arithmetic oracle in arith_oracle.py.
 
-Every table validation, sigma row, derivation key and row or column
-orthogonality value must equal the oracle's in normal form, on every
-theory of the default corpus and on the groups of the large-groups
-benchmark workload.
+Every entry of both orthogonality Gram triangles, of tables and of
+supercharacter theories, every table validation, sigma row, derivation
+key, row orthogonality report and column orthogonality verdict must equal
+the oracle's in normal form, on every theory of the default corpus and on
+the groups of the large-groups benchmark workload.
 """
 
 from fractions import Fraction
@@ -16,6 +17,8 @@ from arith_oracle import (
     column_orthogonality,
     row_orthogonality,
     sigma_class_values,
+    sigma_gram,
+    table_gram,
     validate_table,
 )
 from superchar import chartab
@@ -24,12 +27,12 @@ from superchar.groups import build_group
 from superchar.supertheory import (
     _central_character_keys,
     _sigma_class_values,
-    check_column_orthogonality,
     check_row_orthogonality,
     coarsest,
     finest,
+    sigma_orthogonality,
 )
-from superchar.verifier import DEFAULT_CATALOG, _theories_for
+from superchar.verifier import _CHECKERS, DEFAULT_CATALOG, _theories_for
 
 LARGE_TABLES = ("D32", "Q64", "C5xC5")
 LARGE_EXTREMES = ("C2xC2xC2xC2", "S3xQ8", "D24", "Q32", "C17", "C4xC5")
@@ -39,8 +42,15 @@ def _keys(values):
     return [v.key() for v in values]
 
 
+def _gram_keys(triangles):
+    return [[_keys(row) for row in triangle] for triangle in triangles]
+
+
 def _assert_table_agrees(table):
-    assert chartab.validate_table(table).to_json() == validate_table(table).to_json()
+    gram = table_gram(table)
+    packed = chartab.orthogonality(table.exponent, table.values, table.sizes, [1] * len(table.values))
+    assert _gram_keys(packed) == _gram_keys(gram)
+    assert chartab.validate_table(table).to_json() == validate_table(table, gram).to_json()
 
 
 def _assert_theory_agrees(S):
@@ -50,13 +60,12 @@ def _assert_theory_agrees(S):
     assert _central_character_keys(table, S.ypart_classes) == central_character_keys(
         table, S.ypart_classes
     )
-    assert check_row_orthogonality(S).to_json() == row_orthogonality(S).to_json()
-    reps = [min(b) for b in S.yparts.blocks]
-    for g in reps:
-        for h in reps:
-            value, expected, ok = check_column_orthogonality(S, g, h)
-            o_value, o_expected, o_ok = column_orthogonality(S, g, h)
-            assert (value.key(), expected.key(), ok) == (o_value.key(), o_expected.key(), o_ok)
+    rows, cols = sigma_gram(S)
+    assert _gram_keys(sigma_orthogonality(S)) == _gram_keys((rows, cols))
+    assert check_row_orthogonality(S).to_json() == row_orthogonality(S, rows).to_json()
+    [(_, status, witness)] = _CHECKERS["P-colorth"](S)
+    expected = column_orthogonality(S, cols)
+    assert (status, witness) == ("pass" if expected is None else "fail", expected)
 
 
 def test_packed_sums_match_the_oracle_on_the_default_corpus():
@@ -93,6 +102,5 @@ def test_failing_validation_reports_match_the_oracle():
     ]
     for values in variants:
         T = CharacterTable(table.group, values, table.exponent)
-        report = chartab.validate_table(T)
-        assert not report.ok
-        assert report.to_json() == validate_table(T).to_json()
+        assert not chartab.validate_table(T).ok
+        _assert_table_agrees(T)

@@ -154,6 +154,13 @@ def test_verify_permutation_input(capsys):
     assert code == 0
 
 
+def test_permutation_points_are_kept_only_where_they_occur(capsys, tmp_path):
+    # a large point costs nothing: only the two points that occur are kept
+    (tmp_path / "big.txt").write_text("(1 99999999999)\n")
+    code, out, err = run_cli(capsys, "verify", "--group", f"perm:{tmp_path / 'big.txt'}")
+    assert code == 0 and err == "" and " order   2 " in out
+
+
 def test_verify_extremes_only_flag(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--group", "Q8", "--extremes-only", "--format", "json"
@@ -204,15 +211,6 @@ def test_usage_error_exits_2(capsys):
 
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
-
-
-def test_bad_enumeration_guard_env_exits_2(capsys, monkeypatch):
-    for raw in ("abc", "0", "-4", ""):
-        monkeypatch.setenv("SUPERCHAR_MAX_BELL", raw)
-        code, _, err = run_cli(capsys, "enumerate", "--group", "C3")
-        assert code == 2 and "SUPERCHAR_MAX_BELL" in err
-        code, _, err = run_cli(capsys, "verify", "--group", "C3")
-        assert code == 2 and "SUPERCHAR_MAX_BELL" in err
 
 
 def test_verify_rejects_nonpositive_jobs(capsys):
@@ -277,6 +275,8 @@ INGEST = ("chartab", "--group", "S3", "--ingest", "bad")
         pytest.param(("verify", "--group", "perm:bad"), b"(1 2)\n(1 \xe9)\n", id="perm-not-utf8"),
         pytest.param(INGEST, S3_TABLE + b"#\xff\n", id="ingest-not-utf8"),
         pytest.param(("enumerate", "--group", "perm:bad"), b"(1 2.5)\n", id="non-integer-cycle-point"),
+        pytest.param(("verify", "--group", "perm:bad"), b"(1 2)(1 2)\n", id="repeated-cycle"),
+        pytest.param(("verify", "--group", "perm:bad"), b"(1 2 3)(3 2 1)\n", id="non-disjoint-cycles"),
         pytest.param(INGEST, S3_TABLE.replace(b"2, 0, -1", b"2, 1/0, -1"), id="zero-denominator"),
     ],
 )

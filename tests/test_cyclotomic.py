@@ -40,7 +40,7 @@ def test_hermitian_term_examples():
     assert i * i.conjugate() == 1
     a = Cyclotomic(3, [1, 1])
     assert a * a.conjugate() == 1
-    zero = Cyclotomic.zero(3)
+    zero = Cyclotomic(3, [])
     assert (zero * a.conjugate()).is_zero()
 
 

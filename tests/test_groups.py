@@ -106,6 +106,19 @@ def test_permutation_parser_rejects_garbage():
         permutation_group(["(1 1 2)"])
     with pytest.raises(GroupConstructionError):
         permutation_group([])
+    # the cycles of a line must be disjoint: a later cycle must not overwrite
+    # an earlier one, so (1 2)(1 2) is not read as a transposition
+    for line in ("(1 2)(1 2)", "(1 2)(1 3)", "(1 2 3)(3 2 1)"):
+        with pytest.raises(GroupConstructionError, match="occurs twice"):
+            permutation_group([line])
+
+
+def test_permutation_points_are_renumbered_in_increasing_order():
+    # points that occur nowhere are fixed by every element and are dropped;
+    # the lexicographic element order, and so the table, does not change
+    assert permutation_group(["(1 99999999999)"]).mul == permutation_group(["(1 2)"]).mul
+    assert permutation_group(["(3 6 9)", "(1 2)"]).mul == permutation_group(["(3 4 5)", "(1 2)"]).mul
+    assert permutation_group(["(2 4)(5 7)", "(2 5)"]).mul == permutation_group(["(1 2)(3 4)", "(1 3)"]).mul
 
 
 def test_generated_subgroup_examples():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from superchar.chartab import character_table_of, dixon_character_table, quotient_character_table
+from superchar.cli import main
 from superchar.cyclotomic import Cyclotomic
 from superchar.errors import SuperTheoryError
 from superchar.groups import (
@@ -14,8 +15,8 @@ from superchar.groups import (
 )
 from superchar.structure import irr_over, s_commutator_full, s_normal_subgroups
 from superchar.supertheory import (
+    MAX_CLASSES,
     SuperTheory,
-    check_column_orthogonality,
     check_row_orthogonality,
     coarsest,
     deflation,
@@ -23,6 +24,7 @@ from superchar.supertheory import (
     finest,
     is_delta_product,
     sct_from_class_partition,
+    sigma_orthogonality,
     star_construct,
 )
 from superchar.verifier import DEFAULT_CATALOG
@@ -144,13 +146,16 @@ def test_enumeration_counts_beyond_the_oracle(name, count):
     assert len(set(_pairs(theories))) == count
 
 
-def test_enumeration_guard_env_override(monkeypatch):
-    _, T = theory_of("C6")
-    monkeypatch.setenv("SUPERCHAR_MAX_BELL", "3")
+def test_enumeration_guard_boundary(capsys):
+    # C12 has 12 classes, the most enumerate_scts takes; C13 has one more
+    _, T = theory_of("C12")
+    assert T.n_classes == MAX_CLASSES and len(enumerate_scts(T)) == 32
+    _, T = theory_of("C13")
     with pytest.raises(SuperTheoryError):
         enumerate_scts(T)
-    monkeypatch.setenv("SUPERCHAR_MAX_BELL", "6")
-    assert len(enumerate_scts(T)) == 7
+    assert main(["enumerate", "--group", "C13"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and captured.err.startswith("error: ")
 
 
 def test_row_orthogonality_examples():
@@ -170,29 +175,29 @@ def test_row_orthogonality_examples():
 def test_column_orthogonality_examples():
     G, T = theory_of("S3")
     S = coarsest(T)
-    value, expected, ok = check_column_orthogonality(S, 1, 1)
-    assert ok and value == Cyclotomic.from_rational(Fraction(6, 5), T.exponent)
-    value, expected, ok = check_column_orthogonality(S, 0, 1)
-    assert ok and value.is_zero()
+    # K_0 = {1}, K_1 = G - {1}
+    cols = sigma_orthogonality(S)[1]
+    assert cols[1][0] == Cyclotomic.from_rational(Fraction(6, 5), T.exponent)
+    assert cols[0][1].is_zero()
     for S in enumerate_scts(T):
-        for g in range(G.order):
-            for h in range(G.order):
-                assert check_column_orthogonality(S, g, h)[2]
+        cols = sigma_orthogonality(S)[1]
+        for k, b in enumerate(S.yparts.blocks):
+            assert cols[k][0] == Fraction(G.order, len(b))
+            assert all(v.is_zero() for v in cols[k][1:])
 
 
 def test_column_orthogonality_values_match_the_direct_sum():
     for name in ("D4", "Q8", "C6"):
         _, T = theory_of(name)
         for S in enumerate_scts(T):
-            for bg in S.yparts.blocks:
-                for bh in S.yparts.blocks:
-                    g, h = min(bg), min(bh)
-                    kg, kh = S.class_of(g), S.class_of(h)
+            cols = sigma_orthogonality(S)[1]
+            for kg in range(S.n_parts):
+                for kh in range(kg, S.n_parts):
                     direct = Ref(T.exponent)
                     for row in S.sigma:
                         term = Ref.of(row[kg]) * Ref.of(row[kh]).conjugate()
                         direct = direct + term.scale(1 / row[0].rational_value())
-                    assert check_column_orthogonality(S, g, h)[0] == direct.value()
+                    assert cols[kg][kh - kg] == direct.value()
 
 
 def test_sct_from_class_partition_examples():

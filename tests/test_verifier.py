@@ -270,9 +270,11 @@ def test_corrupted_theory_is_caught():
     assert not corrupted.validate().ok
     reports = run_suite(corrupted)
     assert any(r.status == "fail" for r in reports)
-    assert any(
-        r.theorem_id == "P-roworth" and r.status == "fail" for r in reports
-    )
+    orthogonality = {r.theorem_id: r.to_json() for r in reports if r.theorem_id in ("P-roworth", "P-colorth")}
+    assert orthogonality["P-roworth"]["status"] == "fail"
+    assert orthogonality["P-roworth"]["witness"] == {"failing": ["pair-0-1"]}
+    assert orthogonality["P-colorth"]["status"] == "fail"
+    assert orthogonality["P-colorth"]["witness"] == {"g": 0, "h": 1}
 
 
 def test_guard_fallback_to_extreme_theories():
