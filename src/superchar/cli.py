@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .chartab import DEFAULT_MAX_ORDER, character_table_of, ingest_table
@@ -87,10 +88,23 @@ def _select_theory(table, selector: str) -> SuperTheory:
     raise SuperTheoryError(f"bad theory selector {selector!r}")
 
 
+def _write_out(path: str, write):
+    """write(fh) into a new file beside path that replaces path only when
+    write returns: a failed command creates no file and leaves an old one."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "xb") as fh:
+        try:
+            result = write(fh)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    os.replace(tmp, path)
+    return result
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_out(out_path, lambda fh: fh.write(text.encode("utf-8")))
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -216,6 +230,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.group and args.catalog:
+        raise SuperTheoryError("--group and --catalog cannot be given together")
     if args.group:
         specs = [args.group]
     elif args.catalog in (None, "default"):
@@ -226,8 +242,7 @@ def _cmd_verify(args) -> int:
     if args.format == "json":
         # streamed: each group is written as soon as it is verified
         if args.out:
-            with open(args.out, "wb") as fh:
-                fails = run_corpus(specs, out=fh, **options)
+            fails = _write_out(args.out, lambda fh: run_corpus(specs, out=fh, **options))
         else:
             sys.stdout.flush()
             fails = run_corpus(specs, out=sys.stdout.buffer, **options)

@@ -258,10 +258,6 @@ class Cyclotomic:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def key(self) -> tuple:
-        """Hashable canonical key; comparable within a fixed order."""
-        return (self.order, self.num, self.den)
-
     # display / serialization
 
     def _coeffs(self) -> list:

@@ -11,8 +11,8 @@ theory already validated, which proves it.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
-from operator import mul
+from itertools import chain
+from math import lcm
 
 from .chartab import (
     CharacterTable,
@@ -110,9 +110,10 @@ class SuperTheory:
         rep.add("equal-counts", len(self.xparts) == len(self.yparts.blocks))
         detail = ""
         for xi, part in enumerate(self.xparts):
-            vals = _sigma_class_values(self.table, part)
+            # one value per block; the packed sums are canonical, so ints compare the rest
+            sums, vals = _sigma_class_values(self.table, part)
             bad = [yi for yi, classes in enumerate(self.ypart_classes)
-                   if any(vals[c] != self.sigma[xi][yi] for c in classes)]
+                   if vals[classes[0]] != self.sigma[xi][yi] or any(sums[c] != sums[classes[0]] for c in classes)]
             if bad:
                 detail = f"sigma_{xi} is not constant on block {bad[0]}"
                 break
@@ -197,20 +198,27 @@ class SuperCharacter:
 
 
 @cached
-def _packed_values(table: CharacterTable) -> tuple[Packing, list[list[int]]]:
-    """The table's values packed once for the linear sums of derivation:
-    sigma_X weighs chi(1), at most sum(degrees) in all, and a block sum
-    weighs class sizes, at most |G| in all."""
-    pk = Packing(table.exponent, chain(*table.values), max(sum(map(abs, table.degrees)), sum(table.sizes)))
-    return pk, [list(map(pk.pack, row)) for row in table.values]
+def _packed_values(table: CharacterTable) -> tuple[Packing, list[list[int]], list[list[int]]]:
+    """The table's values packed once for the linear sums of derivation, and
+    each chi(c) weighted by |c| L / chi(1), L = lcm(degrees), for the keys.
+    Such sums need no reduction and, inside the bound, read back exactly, so
+    each is an int canonical for its value.  sigma_X weighs chi(1), at most
+    sum(degrees) in all; a key over a block weighs |c| L / chi(1) <= |c| L,
+    at most L |G| in all."""
+    scale = lcm(*table.degrees)
+    pk = Packing(table.exponent, chain(*table.values), max(sum(map(abs, table.degrees)), scale * table.group.order))
+    packed = [list(map(pk.pack, row)) for row in table.values]
+    keyed = [[scale // d * size * v for size, v in zip(table.sizes, row)] for row, d in zip(packed, table.degrees)]
+    return pk, packed, keyed
 
 
 @cached
-def _sigma_class_values(table: CharacterTable, part: frozenset[int]) -> tuple[Cyclotomic, ...]:
-    """sigma_X on every conjugacy class, computed once per (table, part)."""
-    pk, packed = _packed_values(table)
-    rows = [[table.degrees[t] * v for v in packed[t]] for t in part]
-    return tuple(pk.unpack(sum(col)) for col in zip(*rows))
+def _sigma_class_values(table: CharacterTable, part: frozenset[int]) -> tuple[list[int], tuple[Cyclotomic, ...]]:
+    """sigma_X on every conjugacy class, packed and as values, computed once
+    per (table, part)."""
+    pk, packed, _ = _packed_values(table)
+    sums = [sum(col) for col in zip(*([table.degrees[t] * v for v in packed[t]] for t in part))]
+    return sums, tuple(map(pk.unpack, sums))
 
 
 def _theory(table, xparts, yparts, block_classes) -> SuperTheory | None:
@@ -218,20 +226,16 @@ def _theory(table, xparts, yparts, block_classes) -> SuperTheory | None:
     block, or None when it fails validate(), which checks the constancy."""
     sigma = tuple(
         tuple(vals[classes[0]] for classes in block_classes)
-        for vals in (_sigma_class_values(table, p) for p in xparts)
+        for _, vals in (_sigma_class_values(table, p) for p in xparts)
     )
     theory = SuperTheory(table, xparts, yparts, tuple(block_classes), sigma)
     return theory if theory.validate().ok else None
 
 
-def _central_character_keys(table: CharacterTable, block_classes) -> list[tuple]:
-    """Per character chi, the keys of sum_{c in B} |c| chi(c) / chi(1) over the blocks B."""
-    pk, packed = _packed_values(table)
-    keys = []
-    for row, deg in zip(packed, table.degrees):
-        sized = list(map(mul, table.sizes, row))
-        keys.append(tuple(pk.unpack(sum(sized[c] for c in classes), deg).key() for classes in block_classes))
-    return keys
+def _central_character_keys(table: CharacterTable, block_classes) -> list[tuple[int, ...]]:
+    """Per character chi, L sum_{c in B} |c| chi(c) / chi(1) over the blocks B
+    as packed ints (see `_packed_values`): equal keys are equal values."""
+    return [tuple(sum(row[c] for c in classes) for classes in block_classes) for row in _packed_values(table)[2]]
 
 
 @cached
@@ -289,15 +293,33 @@ def _central_schur_rings(table: CharacterTable):
     coefficients constant on each block.  Blocks are placed whole, each with
     the smallest class not yet placed and together with its inverse block;
     its other classes must agree with that class in every product so far.
+    Only blocks equal to their inverse or disjoint from it are built, each
+    with its square; their other products are built one at a time until one
+    is not constant, and the blocks that pass are placed by (size, classes).
     """
-    a = class_mult_coefficients(table.group)
-    inv = [table.classes.block_of[table.group.inv[rep]] for rep in table.reps]
+    G = table.group
+    if G.order > 255:
+        raise ConsistencyError(f"the class constants of a group of order {G.order} do not fit in bytes")
+    # Byte k of packed[i][j] is a[i][j][k].  Byte k of a sum of them over B x C
+    # counts the pairs (x, y) in B x C with xy = rep_k; x fixes y, so it is at
+    # most |G| < 256 and never carries into byte k + 1.
+    packed = [[int.from_bytes(bytes(line), "little") for line in plane] for plane in class_mult_coefficients(G)]
+    m = len(packed)
+    inv = [table.classes.block_of[G.inv[rep]] for rep in table.reps]
 
     def product(B, C):
-        return [sum(a[i][j][k] for i in B for j in C) for k in range(len(a))]
+        return sum(packed[i][j] for i in B for j in C)
 
     def constant(P, blocks):
         return all(P[k] == P[b[0]] for b in blocks for k in b[1:])
+
+    def grow(base, slots):
+        # base with at most one unit of each slot added, and its packed square;
+        # the class algebra is commutative, so (B + u)^2 = B^2 + 2Bu + u^2
+        found = [(base, product(base, base))]
+        for slot in slots:
+            found += [(B + u, S + 2 * product(B, u) + product(u, u)) for B, S in found for u in slot]
+        return found
 
     def search(blocks, products, free):
         if not free:
@@ -305,21 +327,39 @@ def _central_schur_rings(table: CharacterTable):
             return
         c = free[0]
         rest = [u for u in free[1:] if all(P[u] == P[c] for P in products)]
-        for n in range(len(rest) + 1):
-            for extra in combinations(rest, n):
-                B = (c,) + extra
-                Bi = tuple(sorted(inv[x] for x in B))
-                if Bi != B and not set(Bi).isdisjoint(B):
-                    continue
-                new = [B] if Bi == B else [B, Bi]
-                grown = blocks + new
-                # the new blocks times every placed block, each unordered pair once
-                fresh = [product(X, Y) for i, X in enumerate(new) for Y in grown[:len(blocks) + i + 1]]
-                if all(constant(P, new) for P in products) and all(constant(P, grown) for P in fresh):
-                    placed = set(B).union(Bi)
-                    yield from search(grown, products + fresh, [u for u in free if u not in placed])
+        orbits = {}
+        for u in rest:
+            orbits.setdefault(frozenset((u, inv[u])), []).append(u)
+        own = orbits.pop(frozenset((c, inv[c])), [])
+        candidates = []
+        if inv[c] == c or own:  # equal to the inverse: c's orbit and whole orbits of rest
+            candidates += grow((c, *own), [[tuple(o)] for k, o in orbits.items() if len(o) == len(k)])
+        closed = len(candidates)
+        if inv[c] != c:  # disjoint from the inverse: c and one class of some orbits of two
+            candidates += grow((c,), [[(u,) for u in o] for k, o in orbits.items() if len(k) == 2])
+        found = []
+        for n, (B, square) in enumerate(candidates):
+            new = [B] if n < closed else [B, tuple(inv[x] for x in B)]
+            grown = blocks + new
+            fresh = [square.to_bytes(m, "little")]
+            if not constant(fresh[0], grown):
+                continue
+            # every product so far is constant on B, which agrees with c, so on
+            # Bi too: (XY)(g^-1) = (X^-1 Y^-1)(g), also a product so far.  Left are
+            # the new blocks times the placed ones, each unordered pair once, B^2
+            # (fresh[0]) first; a product with {0} is the other block
+            for X, Y in [(X, Y) for i, X in enumerate(new) for Y in (X, *grown[1:len(blocks) + i])][1:]:
+                fresh.append(product(X, Y).to_bytes(m, "little"))
+                if not constant(fresh[-1], grown):
+                    break
+            else:
+                new = [tuple(sorted(X)) for X in new]
+                found.append((len(B), new, fresh))
+        for _, new, fresh in sorted(found):
+            placed = set().union(*new)
+            yield from search(blocks + new, products + fresh, [u for u in free if u not in placed])
 
-    yield from search([(0,)], [product((0,), (0,))], list(range(1, len(a))))
+    yield from search([(0,)], [], list(range(1, m)))
 
 
 def enumerate_scts(table: CharacterTable) -> list[SuperTheory]:

@@ -28,6 +28,12 @@ def _reduce(dense, e):
     return tuple(Fraction(c) for c in poly[:phi])
 
 
+def key(v) -> tuple:
+    """The normal form of a package value, hashable; equal keys of one order
+    are equal values."""
+    return (v.order, v.num, v.den)
+
+
 class Ref:
     """A value of Q(zeta_order) as the Fraction coordinates `dense` of a
     polynomial in zeta of degree < order.  Sums and products run modulo
@@ -199,13 +205,13 @@ def central_character_keys(table, block_classes):
     """Per character, the keys of sum_{c in B} |c| chi(c) / chi(1) per block B."""
     keys = []
     for t in range(len(table.values)):
-        key = []
+        row = []
         for classes in block_classes:
             acc = Ref(table.exponent)
             for c in classes:
                 acc = acc + Ref.of(table.values[t][c]).scale(table.sizes[c])
-            key.append(acc.scale(Fraction(1, table.degrees[t])).value().key())
-        keys.append(tuple(key))
+            row.append(key(acc.scale(Fraction(1, table.degrees[t])).value()))
+        keys.append(tuple(row))
     return keys
 
 

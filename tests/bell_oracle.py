@@ -6,11 +6,14 @@ survivors are derived with `sct_from_character_partition`.  This is the
 search `enumerate_scts` ran before it moved to the class side, kept here
 as a slow reference for it, together with the character-side derivation
 that `finest` and `coarsest` used before they moved to the class side.
+Its sigma_X values are summed on `arith_oracle.Ref`, so its signatures
+share nothing with the packed sums and keys of the class-side derivation.
 """
 
+from arith_oracle import key, sigma_class_values
 from superchar.errors import ConsistencyError, SuperTheoryError
 from superchar.groups import ElementPartition
-from superchar.supertheory import _sigma_class_values, _theory
+from superchar.supertheory import _theory
 
 
 def _canonical_xparts(xparts, n_chars: int) -> tuple[frozenset[int], ...]:
@@ -35,8 +38,8 @@ def sct_from_character_partition(table, xparts):
     the only candidate.  Returns None when they fail the axioms.
     """
     parts = _canonical_xparts(xparts, len(table.values))
-    rows = [_sigma_class_values(table, p) for p in parts]
-    signatures = [tuple(rows[x][k].key() for x in range(len(parts))) for k in range(table.n_classes)]
+    rows = [sigma_class_values(table, p) for p in parts]
+    signatures = [tuple(key(rows[x][k]) for x in range(len(parts))) for k in range(table.n_classes)]
     groups: dict[tuple, list[int]] = {}
     for k, sig in enumerate(signatures):
         groups.setdefault(sig, []).append(k)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from arith_oracle import key
 from superchar.cyclotomic import Cyclotomic
 
 from superchar.chartab import (
@@ -33,7 +34,7 @@ CATALOG = [
 
 
 def rows_as_multiset(table):
-    return sorted(tuple(v.key() for v in row) for row in table.values)
+    return sorted(tuple(key(v) for v in row) for row in table.values)
 
 
 def test_class_mult_coefficients_identity_class():
@@ -210,10 +211,10 @@ def test_dixon_matches_direct_abelian_characters(name):
     G = catalog_group(name)
     T = dixon_character_table(G)
     reference = sorted(
-        tuple(v.lifted(T.exponent).key() for v in row)
+        tuple(key(v.lifted(T.exponent)) for v in row)
         for row in _abelian_reference_rows(name)
     )
-    computed = sorted(tuple(v.key() for v in row) for row in T.values)
+    computed = sorted(tuple(key(v) for v in row) for row in T.values)
     assert computed == reference
 
 
@@ -231,8 +232,8 @@ def test_quotient_tables_equal_fresh_dixon_tables(name):
         fresh = dixon_character_table(GroupTable(Q.mul, label=Q.label))
         assert inflated.exponent == fresh.exponent == Q.exponent()
         assert (inflated.reps, inflated.sizes) == (fresh.reps, fresh.sizes)
-        assert [[v.key() for v in row] for row in inflated.values] == [
-            [v.key() for v in row] for row in fresh.values
+        assert [[key(v) for v in row] for row in inflated.values] == [
+            [key(v) for v in row] for row in fresh.values
         ]
         assert inflated.validation.ok
         assert [c.name for c in inflated.validation.checks] == ["shape", "degree-sum", "principal-row"]

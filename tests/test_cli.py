@@ -130,6 +130,41 @@ def test_verify_json_and_out_file(capsys, tmp_path):
     assert payload["groups"][0]["label"] == "C4"
 
 
+def test_verify_rejects_a_group_with_a_catalog(capsys):
+    code, out, err = run_cli(capsys, "verify", "--group", "C2", "--catalog", "bogus")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--group", "C1000", "--format", "json"),
+        ("verify", "--group", "C1000"),
+        ("enumerate", "--group", "C13", "--format", "json"),
+        ("chartab", "--group", "S3", "--ingest", str(DATA / "missing.tbl")),
+    ],
+)
+def test_a_failed_command_leaves_the_out_path_as_it_was(argv, capsys, tmp_path):
+    # the output is written beside the path and moved there only on success
+    out_path = tmp_path / "p"
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert os.listdir(tmp_path) == []
+    out_path.write_bytes(b"earlier bytes\n")
+    code, _, _ = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 2
+    assert os.listdir(tmp_path) == ["p"] and out_path.read_bytes() == b"earlier bytes\n"
+
+
+def test_a_successful_command_replaces_the_out_file(capsys, tmp_path):
+    out_path = tmp_path / "p"
+    out_path.write_bytes(b"earlier bytes\n")
+    code, out, _ = run_cli(capsys, "enumerate", "--group", "C2", "--out", str(out_path))
+    assert code == 0 and out == ""
+    assert os.listdir(tmp_path) == ["p"] and out_path.read_text().startswith("1 supercharacter theories of C2")
+
+
 def test_verify_text_and_json_agree(capsys):
     code, text_out, _ = run_cli(capsys, "verify", "--group", "Q8")
     assert code == 0

@@ -202,6 +202,18 @@ def test_an_earlier_group_is_freed_before_the_next_is_written():
         assert alive.isdisjoint(specs[:i]), (specs[i], alive)
 
 
+def test_a_serial_run_collects_between_groups_only(monkeypatch):
+    # each group's cyclic caches are freed before the next group starts;
+    # after the last group a collection would only cost time
+    calls = []
+    monkeypatch.setattr(gc, "collect", lambda *args: calls.append(args) or 0)
+    run_corpus(["C2", "C3", "C4"])
+    assert len(calls) == 2
+    calls.clear()
+    run_corpus(["C2"])
+    assert calls == []
+
+
 def test_pool_is_capped_at_the_number_of_groups(monkeypatch):
     # a recording stand-in: no worker process is started
     import concurrent.futures
