@@ -92,13 +92,14 @@ def _write_out(path: str, write):
     """write(fh) into a new file beside path that replaces path only when
     write returns: a failed command creates no file and leaves an old one."""
     tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "xb") as fh:
-        try:
+    fh = open(tmp, "xb")
+    try:
+        with fh:
             result = write(fh)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    os.replace(tmp, path)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return result
 
 

@@ -157,6 +157,13 @@ def test_a_failed_command_leaves_the_out_path_as_it_was(argv, capsys, tmp_path):
     assert os.listdir(tmp_path) == ["p"] and out_path.read_bytes() == b"earlier bytes\n"
 
 
+def test_an_out_path_that_is_a_directory_leaves_no_file(capsys, tmp_path):
+    (tmp_path / "d").mkdir()
+    code, out, err = run_cli(capsys, "enumerate", "--group", "C2", "--out", str(tmp_path / "d"))
+    assert code == 2 and out == "" and err.count("\n") == 1 and err.startswith("error: ")
+    assert os.listdir(tmp_path) == ["d"] and os.listdir(tmp_path / "d") == []
+
+
 def test_a_successful_command_replaces_the_out_file(capsys, tmp_path):
     out_path = tmp_path / "p"
     out_path.write_bytes(b"earlier bytes\n")
