@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 
 from .chartab import DEFAULT_MAX_ORDER, character_table_of, ingest_table
@@ -89,13 +90,21 @@ def _select_theory(table, selector: str) -> SuperTheory:
 
 
 def _write_out(path: str, write):
-    """write(fh) into a new file beside path that replaces path only when
-    write returns: a failed command creates no file and leaves an old one."""
+    """write(fh) into path.  A new or regular file is written beside path and
+    moved onto it, with the old mode, only when write returns: a failed
+    command creates no file and leaves an old one.  Anything else (a symlink,
+    a device, a pipe) is written in place."""
+    st = os.lstat(path) if os.path.lexists(path) else None
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        with open(path, "wb") as fh:
+            return write(fh)
     tmp = f"{path}.{os.getpid()}.tmp"
     fh = open(tmp, "xb")
     try:
         with fh:
             result = write(fh)
+        if st is not None:
+            os.chmod(tmp, stat.S_IMODE(st.st_mode))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -293,9 +293,9 @@ def _central_schur_rings(table: CharacterTable):
     coefficients constant on each block.  Blocks are placed whole, each with
     the smallest class not yet placed and together with its inverse block;
     its other classes must agree with that class in every product so far.
-    Only blocks equal to their inverse or disjoint from it are built, each
-    with its square; their other products are built one at a time until one
-    is not constant, and the blocks that pass are placed by (size, classes).
+    Only blocks equal to their inverse or disjoint from it are built, and
+    those with a constant square are placed by (size, classes), their other
+    products built one at a time until one is not constant.
     """
     G = table.group
     if G.order > 255:
@@ -313,13 +313,17 @@ def _central_schur_rings(table: CharacterTable):
     def constant(P, blocks):
         return all(P[k] == P[b[0]] for b in blocks for k in b[1:])
 
-    def grow(base, slots):
-        # base with at most one unit of each slot added, and its packed square;
-        # the class algebra is commutative, so (B + u)^2 = B^2 + 2Bu + u^2
+    def grow(blocks, base, slots, closed):
+        # the blocks of base with at most one unit of each slot added whose
+        # square is constant, with that square; the class algebra is
+        # commutative, so (B + u)^2 = B^2 + 2Bu + u^2
         found = [(base, product(base, base))]
         for slot in slots:
             found += [(B + u, S + 2 * product(B, u) + product(u, u)) for B, S in found for u in slot]
-        return found
+        for B, S in found:
+            new = [B] if closed else [B, tuple(inv[x] for x in B)]
+            if constant(S := S.to_bytes(m, "little"), blocks + new):
+                yield [tuple(sorted(X)) for X in new], S
 
     def search(blocks, products, free):
         if not free:
@@ -331,19 +335,13 @@ def _central_schur_rings(table: CharacterTable):
         for u in rest:
             orbits.setdefault(frozenset((u, inv[u])), []).append(u)
         own = orbits.pop(frozenset((c, inv[c])), [])
-        candidates = []
+        squared = []
         if inv[c] == c or own:  # equal to the inverse: c's orbit and whole orbits of rest
-            candidates += grow((c, *own), [[tuple(o)] for k, o in orbits.items() if len(o) == len(k)])
-        closed = len(candidates)
+            squared += grow(blocks, (c, *own), [[tuple(o)] for k, o in orbits.items() if len(o) == len(k)], True)
         if inv[c] != c:  # disjoint from the inverse: c and one class of some orbits of two
-            candidates += grow((c,), [[(u,) for u in o] for k, o in orbits.items() if len(k) == 2])
-        found = []
-        for n, (B, square) in enumerate(candidates):
-            new = [B] if n < closed else [B, tuple(inv[x] for x in B)]
-            grown = blocks + new
-            fresh = [square.to_bytes(m, "little")]
-            if not constant(fresh[0], grown):
-                continue
+            squared += grow(blocks, (c,), [[(u,) for u in o] for k, o in orbits.items() if len(k) == 2], False)
+        for new, square in sorted(squared, key=lambda t: (len(t[0][0]), t[0][0])):
+            grown, fresh = blocks + new, [square]
             # every product so far is constant on B, which agrees with c, so on
             # Bi too: (XY)(g^-1) = (X^-1 Y^-1)(g), also a product so far.  Left are
             # the new blocks times the placed ones, each unordered pair once, B^2
@@ -353,11 +351,7 @@ def _central_schur_rings(table: CharacterTable):
                 if not constant(fresh[-1], grown):
                     break
             else:
-                new = [tuple(sorted(X)) for X in new]
-                found.append((len(B), new, fresh))
-        for _, new, fresh in sorted(found):
-            placed = set().union(*new)
-            yield from search(blocks + new, products + fresh, [u for u in free if u not in placed])
+                yield from search(grown, products + fresh, [u for u in free if u not in new[0] + new[-1]])
 
     yield from search([(0,)], [], list(range(1, m)))
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import gc
 import json
 from fractions import Fraction
-from itertools import chain
 
 from .chartab import DEFAULT_MAX_ORDER, character_table_of, first_failing_pair
 from .errors import OrderBoundError
@@ -632,9 +631,7 @@ def run_corpus(
 
         with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
             return _collect(specs, pool.map(_group_entry_worker, args), out)
-    # the caches of the last group are left to the caller's collector
-    entries = chain(map(_group_entry_worker, args[:-1]), (_group_entry(*a) for a in args[-1:]))
-    return _collect(specs, entries, out)
+    return _collect(specs, map(_group_entry_worker, args), out)
 
 
 def _collect(specs, entries, out):

@@ -1,14 +1,16 @@
 """The packed sums against the object-arithmetic oracle in arith_oracle.py.
 
 Every entry of both orthogonality Gram triangles, of tables and of
-supercharacter theories, every table validation, sigma row, row
-orthogonality report and column orthogonality verdict must equal the
-oracle's in normal form, and the derivation keys must group the characters
-into the oracle's fibers, on every theory of the default corpus and on
-the groups of the large-groups benchmark workload.
+supercharacter theories, every table validation, sigma row, derivation
+key (read back from its packed int), row orthogonality report and column
+orthogonality verdict must equal the oracle's in normal form, and the
+packed derivation keys must group the characters into the oracle's fibers,
+on every theory of the default corpus and on the groups of the
+large-groups benchmark workload.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -29,6 +31,7 @@ from superchar.chartab import CharacterTable, character_table_of
 from superchar.groups import build_group
 from superchar.supertheory import (
     _central_character_keys,
+    _packed_values,
     _sigma_class_values,
     check_row_orthogonality,
     coarsest,
@@ -60,9 +63,11 @@ def _assert_theory_agrees(S):
     table = S.table
     for part in S.xparts:
         assert _keys(_sigma_class_values(table, part)[1]) == _keys(sigma_class_values(table, part))
-    assert fibers(_central_character_keys(table, S.ypart_classes)) == fibers(
-        central_character_keys(table, S.ypart_classes)
-    )
+    packed_keys = _central_character_keys(table, S.ypart_classes)
+    expected = central_character_keys(table, S.ypart_classes)
+    pk, scale = _packed_values(table)[0], lcm(*table.degrees)
+    assert [tuple(key(pk.unpack(k, scale)) for k in row) for row in packed_keys] == expected
+    assert fibers(packed_keys) == fibers(expected)
     rows, cols = sigma_gram(S)
     assert _gram_keys(sigma_orthogonality(S)) == _gram_keys((rows, cols))
     assert check_row_orthogonality(S).to_json() == row_orthogonality(S, rows).to_json()

@@ -172,6 +172,20 @@ def test_a_successful_command_replaces_the_out_file(capsys, tmp_path):
     assert os.listdir(tmp_path) == ["p"] and out_path.read_text().startswith("1 supercharacter theories of C2")
 
 
+def test_an_out_symlink_is_written_through_and_a_mode_is_kept(capsys, tmp_path):
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_bytes(b"earlier bytes\n")
+    target.chmod(0o640)
+    link.symlink_to(target)
+    code, out, _ = run_cli(capsys, "enumerate", "--group", "C2", "--out", str(link))
+    assert code == 0 and out == ""
+    assert link.is_symlink() and sorted(os.listdir(tmp_path)) == ["link", "target"]
+    assert target.read_text().startswith("1 supercharacter theories of C2")
+    code, _, _ = run_cli(capsys, "enumerate", "--group", "C3", "--out", str(target))
+    assert code == 0 and target.read_text().startswith("2 supercharacter theories of C3")
+    assert target.stat().st_mode & 0o777 == 0o640 and link.is_symlink()
+
+
 def test_verify_text_and_json_agree(capsys):
     code, text_out, _ = run_cli(capsys, "verify", "--group", "Q8")
     assert code == 0
