@@ -90,12 +90,13 @@ def _select_theory(table, selector: str) -> SuperTheory:
 
 
 def _write_out(path: str, write):
-    """write(fh) into path.  A new or regular file is written beside path and
-    moved onto it, with the old mode, only when write returns: a failed
-    command creates no file and leaves an old one.  Anything else (a symlink,
-    a device, a pipe) is written in place."""
+    """write(fh) into path.  A new file, or a regular file with one link, is
+    written beside path and moved onto it, with the old mode, only when
+    write returns: a failed command creates no file and leaves an old one.
+    Anything else (a symlink, a hard link, a device, a pipe) is written in
+    place."""
     st = os.lstat(path) if os.path.lexists(path) else None
-    if st is not None and not stat.S_ISREG(st.st_mode):
+    if st is not None and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):
         with open(path, "wb") as fh:
             return write(fh)
     tmp = f"{path}.{os.getpid()}.tmp"

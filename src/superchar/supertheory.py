@@ -110,10 +110,9 @@ class SuperTheory:
         rep.add("equal-counts", len(self.xparts) == len(self.yparts.blocks))
         detail = ""
         for xi, part in enumerate(self.xparts):
-            # one value per block; the packed sums are canonical, so ints compare the rest
-            sums, vals = _sigma_class_values(self.table, part)
+            vals = _sigma_class_values(self.table, part)
             bad = [yi for yi, classes in enumerate(self.ypart_classes)
-                   if vals[classes[0]] != self.sigma[xi][yi] or any(sums[c] != sums[classes[0]] for c in classes)]
+                   if any(vals[c] != self.sigma[xi][yi] for c in classes)]
             if bad:
                 detail = f"sigma_{xi} is not constant on block {bad[0]}"
                 break
@@ -213,12 +212,11 @@ def _packed_values(table: CharacterTable) -> tuple[Packing, list[list[int]], lis
 
 
 @cached
-def _sigma_class_values(table: CharacterTable, part: frozenset[int]) -> tuple[list[int], tuple[Cyclotomic, ...]]:
-    """sigma_X on every conjugacy class, packed and as values, computed once
-    per (table, part)."""
+def _sigma_class_values(table: CharacterTable, part: frozenset[int]) -> tuple[Cyclotomic, ...]:
+    """sigma_X on every conjugacy class, computed once per (table, part)."""
     pk, packed, _ = _packed_values(table)
-    sums = [sum(col) for col in zip(*([table.degrees[t] * v for v in packed[t]] for t in part))]
-    return sums, tuple(map(pk.unpack, sums))
+    rows = [[table.degrees[t] * v for v in packed[t]] for t in part]
+    return tuple(pk.unpack(sum(col)) for col in zip(*rows))
 
 
 def _theory(table, xparts, yparts, block_classes) -> SuperTheory | None:
@@ -226,7 +224,7 @@ def _theory(table, xparts, yparts, block_classes) -> SuperTheory | None:
     block, or None when it fails validate(), which checks the constancy."""
     sigma = tuple(
         tuple(vals[classes[0]] for classes in block_classes)
-        for _, vals in (_sigma_class_values(table, p) for p in xparts)
+        for vals in (_sigma_class_values(table, p) for p in xparts)
     )
     theory = SuperTheory(table, xparts, yparts, tuple(block_classes), sigma)
     return theory if theory.validate().ok else None

@@ -62,7 +62,7 @@ def _assert_table_agrees(table):
 def _assert_theory_agrees(S):
     table = S.table
     for part in S.xparts:
-        assert _keys(_sigma_class_values(table, part)[1]) == _keys(sigma_class_values(table, part))
+        assert _keys(_sigma_class_values(table, part)) == _keys(sigma_class_values(table, part))
     packed_keys = _central_character_keys(table, S.ypart_classes)
     expected = central_character_keys(table, S.ypart_classes)
     pk, scale = _packed_values(table)[0], lcm(*table.degrees)

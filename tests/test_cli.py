@@ -172,7 +172,7 @@ def test_a_successful_command_replaces_the_out_file(capsys, tmp_path):
     assert os.listdir(tmp_path) == ["p"] and out_path.read_text().startswith("1 supercharacter theories of C2")
 
 
-def test_an_out_symlink_is_written_through_and_a_mode_is_kept(capsys, tmp_path):
+def test_out_links_are_written_through_and_a_mode_is_kept(capsys, tmp_path):
     target, link = tmp_path / "target", tmp_path / "link"
     target.write_bytes(b"earlier bytes\n")
     target.chmod(0o640)
@@ -184,6 +184,9 @@ def test_an_out_symlink_is_written_through_and_a_mode_is_kept(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "enumerate", "--group", "C3", "--out", str(target))
     assert code == 0 and target.read_text().startswith("2 supercharacter theories of C3")
     assert target.stat().st_mode & 0o777 == 0o640 and link.is_symlink()
+    os.link(target, tmp_path / "hard")
+    code, _, _ = run_cli(capsys, "enumerate", "--group", "C2", "--out", str(tmp_path / "hard"))
+    assert code == 0 and target.read_text().startswith("1 supercharacter theories of C2")
 
 
 def test_verify_text_and_json_agree(capsys):
