@@ -22,11 +22,11 @@ from superchar import (
 
 S = finest(character_table_of(catalog_group("Q8")))
 reports = run_suite(S)
-by_status = collections.Counter(r.status for r in reports)
+by_status = collections.Counter(r["status"] for r in reports)
 print(f"finest theory of Q8: {len(reports)} reports, {dict(by_status)}")
 for tid in ("T-zs", "T-final", "T-vznilp", "L-scd"):
-    rs = [r for r in reports if r.theorem_id == tid]
-    print(f"  {tid:10s} {rs[0].status:5s}  {THEOREM_DESCRIPTIONS[tid]}")
+    rs = [r for r in reports if r["theorem_id"] == tid]
+    print(f"  {tid:10s} {rs[0]['status']:5s}  {THEOREM_DESCRIPTIONS[tid]}")
 print()
 
 # --- a corpus ----------------------------------------------------------------

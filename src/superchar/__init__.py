@@ -31,10 +31,8 @@ from .groups import (
     build_group,
     catalog_group,
     conjugacy_classes,
-    derived_subgroup,
     full_subgroup,
     generated_subgroup,
-    group_center,
     group_from_table_text,
     normal_subgroups,
     permutation_group,
@@ -61,7 +59,6 @@ from .structure import (
 from .supertheory import (
     SuperCharacter,
     SuperTheory,
-    check_row_orthogonality,
     coarsest,
     deflation,
     enumerate_scts,
@@ -94,7 +91,6 @@ from .verifier import (
     DEFAULT_CATALOG,
     THEOREM_DESCRIPTIONS,
     THEOREM_IDS,
-    TheoremReport,
     corpus_json_bytes,
     failing_reports,
     run_corpus,

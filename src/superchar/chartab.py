@@ -19,6 +19,7 @@ classes of G/N, squared degrees summing to |G/N|, principal row first.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import chain
 from math import isqrt, lcm
@@ -400,9 +401,9 @@ def validate_table(T: CharacterTable) -> CheckReport:
     rep.add("integrality", all(v.is_integral() for row in T.values for v in row))
     ones = [1] * len(T.values)
     rows, cols = orthogonality(T.exponent, T.values, T.sizes, ones)
-    bad = first_failing_pair(rows, ones)
+    bad = next(failing_pairs(rows, ones), None)
     rep.add("row-orthogonality", not bad, f"<chi_{bad[0]}, chi_{bad[1]}> != {int(bad[0] == bad[1])}" if bad else "")
-    bad = first_failing_pair(cols, [Fraction(order, size) for size in T.sizes])
+    bad = next(failing_pairs(cols, [Fraction(order, size) for size in T.sizes]), None)
     rep.add("column-orthogonality", not bad, f"columns {bad[0]},{bad[1]} fail" if bad else "")
     return rep
 
@@ -434,11 +435,11 @@ def orthogonality(order: int, values, sizes, divisors) -> tuple[list[list[Cyclot
     return rows, cols
 
 
-def first_failing_pair(triangle, diagonal) -> tuple[int, int] | None:
-    """The first pair a <= b, row by row, whose entry triangle[a][b - a] is
-    not diagonal[a] when a == b and 0 otherwise, or None."""
-    return next(((a, a + d) for a, row in enumerate(triangle) for d, v in enumerate(row)
-                 if v != (diagonal[a] if d == 0 else 0)), None)
+def failing_pairs(triangle, diagonal) -> Iterator[tuple[int, int]]:
+    """The pairs a <= b, row by row, whose entry triangle[a][b - a] is not
+    diagonal[a] when a == b and 0 otherwise."""
+    return ((a, a + d) for a, row in enumerate(triangle) for d, v in enumerate(row)
+            if v != (diagonal[a] if d == 0 else 0))
 
 
 # ---------------------------------------------------------------------------

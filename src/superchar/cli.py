@@ -15,7 +15,7 @@ import sys
 
 from .chartab import DEFAULT_MAX_ORDER, character_table_of, ingest_table
 from .errors import CharacterTableError, GroupConstructionError, SuperTheoryError
-from .groups import GroupTable, build_group, derived_subgroup, group_center, read_text
+from .groups import GroupTable, build_group, read_text
 from .structure import (
     hypercenter,
     is_s_abelian,
@@ -54,13 +54,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _subgroup_names(G: GroupTable) -> dict[frozenset[int], str]:
+def _subgroup_names(table) -> dict[frozenset[int], str]:
+    # Z(G) and [G,G] are Z(S) and [G,S] of the finest theory
+    F = finest(table)
     names = {
         frozenset({0}): "1",
-        frozenset(range(G.order)): "G",
+        frozenset(range(table.group.order)): "G",
     }
-    names.setdefault(group_center(G).members, "Z(G)")
-    names.setdefault(derived_subgroup(G).members, "[G,G]")
+    names.setdefault(s_center(F).members, "Z(G)")
+    names.setdefault(s_commutator_full(F).members, "[G,G]")
     return names
 
 
@@ -93,9 +95,15 @@ def _write_out(path: str, write):
     """write(fh) into path.  A new file, or a regular file with one link, is
     written beside path and moved onto it, with the old mode, only when
     write returns: a failed command creates no file and leaves an old one.
-    Anything else (a symlink, a hard link, a device, a pipe) is written in
-    place."""
+    A symlink to such a file is followed, and the file it names replaced.
+    Anything else (a dangling link, a hard link, a device, a pipe) is
+    written in place."""
     st = os.lstat(path) if os.path.lexists(path) else None
+    if st is not None and stat.S_ISLNK(st.st_mode):
+        # realpath of /dev/stdout on a pipe is a "pipe:[N]" name, no file
+        real = os.path.realpath(path)
+        if os.path.isfile(real):
+            path, st = real, os.stat(real)
     if st is not None and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):
         with open(path, "wb") as fh:
             return write(fh)
@@ -201,7 +209,7 @@ def _analysis(G: GroupTable, S: SuperTheory) -> dict:
 
 
 def _analysis_text(G: GroupTable, S: SuperTheory, data: dict) -> str:
-    names = _subgroup_names(G)
+    names = _subgroup_names(S.table)
     f = lambda members: _fmt_subgroup(members, names)
     lines = [f"analysis of a supercharacter theory of {G.label} (order {G.order})"]
     lines.append(S.to_text().rstrip())

@@ -386,26 +386,6 @@ def preimage(G: GroupTable, N: SubgroupSet, H: SubgroupSet) -> SubgroupSet:
     return normal_subgroup(G, element_mask(g for g in range(G.order) if H.mask >> proj[g] & 1))
 
 
-def group_center(G: GroupTable) -> SubgroupSet:
-    """The classical center {g : gh = hg for all h}."""
-    members = [
-        g
-        for g in range(G.order)
-        if all(G.mul[g][h] == G.mul[h][g] for h in range(G.order))
-    ]
-    return SubgroupSet(G, members)
-
-
-def derived_subgroup(G: GroupTable) -> SubgroupSet:
-    """The classical commutator subgroup."""
-    comms = {
-        G.mul[G.mul[G.inv[a]][G.inv[b]]][G.mul[a][b]]
-        for a in range(G.order)
-        for b in range(G.order)
-    }
-    return generated_subgroup(G, comms)
-
-
 # ---------------------------------------------------------------------------
 # construction: catalog, permutation generators, raw tables
 

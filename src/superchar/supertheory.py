@@ -392,17 +392,6 @@ def sigma_orthogonality(S: SuperTheory) -> tuple[list[list[Cyclotomic]], list[li
     return orthogonality(S.table.exponent, S.sigma, S.block_sizes(), [row[0].integer_value() for row in S.sigma])
 
 
-def check_row_orthogonality(S: SuperTheory) -> CheckReport:
-    """<sigma_i, sigma_j> = delta_ij * ||X_i||^2, exactly, for all pairs."""
-    rep = CheckReport(f"row orthogonality for a theory of {S.group.label}")
-    for i, row in enumerate(sigma_orthogonality(S)[0]):
-        norm2 = sum(S.table.degrees[t] ** 2 for t in S.xparts[i])
-        for d, acc in enumerate(row):
-            expected = norm2 if d == 0 else 0
-            rep.add(f"pair-{i}-{i + d}", acc == expected, f"got {acc}, expected {expected}")
-    return rep
-
-
 # ---------------------------------------------------------------------------
 # induced theories
 

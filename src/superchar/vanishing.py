@@ -17,6 +17,7 @@ from .errors import ConsistencyError
 from .groups import (
     SubgroupSet,
     cached,
+    element_mask,
     full_subgroup,
     normal_closure,
     quotient_group,
@@ -141,23 +142,32 @@ def v_theory(S: SuperTheory) -> SubgroupSet:
 # Camina conditions
 
 
+def _first_outside(S: SuperTheory, N: SubgroupSet, fails) -> int | None:
+    """The first element outside N, in element order, at which fails(g)
+    holds, or None."""
+    return next((g for g in range(S.group.order) if not N.mask >> g & 1 and fails(g)), None)
+
+
+@cached
+def _differences(S: SuperTheory, g: int) -> int:
+    """The mask of g^-1 Cl_S(g), the differences a transversal test needs."""
+    row = S.group.mul[S.group.inv[g]]
+    return element_mask(row[y] for y in S.superclass(g))
+
+
 @cached
 def is_camina_element(S: SuperTheory, g: int) -> CaminaVerdict:
     """Four independent characterizations of an S-Camina element:
     all of Irr(S|[G,S]) vanish at g; Cl_S(g) = g[G,S]; |Cl_S(g)| = |[G,S]|;
     and every commutator-coset difference is realized inside Cl_S(g)."""
-    G = S.group
     com = s_commutator_full(S)
     cls = S.superclass(g)
-    row = G.mul[g]
+    row = S.group.mul[g]
     witnesses: dict[str, object] = {}
 
-    vanishing = True
-    for sigma in irr_over(S, com):
-        if not sigma.value_on(g).is_zero():
-            vanishing = False
-            witnesses["vanishing"] = f"sigma_{sigma.index}(g) = {sigma.value_on(g)}"
-            break
+    nonzero = next((sigma for sigma in irr_over(S, com) if not sigma.value_on(g).is_zero()), None)
+    if nonzero is not None:
+        witnesses["vanishing"] = f"sigma_{nonzero.index}(g) = {nonzero.value_on(g)}"
     coset = frozenset(row[z] for z in com.members)
     class_is_coset = cls == coset
     if not class_is_coset:
@@ -165,21 +175,19 @@ def is_camina_element(S: SuperTheory, g: int) -> CaminaVerdict:
     size_match = len(cls) == len(com)
     if not size_match:
         witnesses["class-size"] = f"|Cl_S({g})| = {len(cls)}, |[G,S]| = {len(com)}"
-    differences = {G.mul[G.inv[g]][y] for y in cls}
-    transversal = com.members <= differences
-    if not transversal:
-        missing = min(com.members - differences)
-        witnesses["transversal"] = f"no y in Cl_S({g}) with g^-1 y = {missing}"
+    missing = com.mask & ~_differences(S, g)
+    if missing:
+        witnesses["transversal"] = f"no y in Cl_S({g}) with g^-1 y = {(missing & -missing).bit_length() - 1}"
 
     conditions = {
-        "vanishing": vanishing,
+        "vanishing": nonzero is None,
         "class-coset": class_is_coset,
         "class-size": size_match,
-        "transversal": transversal,
+        "transversal": not missing,
     }
     return CaminaVerdict(
         f"element {g}",
-        holds=vanishing,
+        holds=nonzero is None,
         conditions=conditions,
         witnesses=witnesses,
     )
@@ -197,36 +205,26 @@ def is_s_gcp(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
     asserted when N = [G,S], where the two coincide.
     """
     require_s_normal(S, N)
-    G = S.group
     com = s_commutator_full(S)
-    outside = [g for g in range(G.order) if g not in N.members]
     witnesses: dict[str, object] = {}
 
-    camina_all = True
-    for g in outside:
-        if not is_camina_element(S, g).holds:
-            camina_all = False
-            witnesses["camina-elements"] = f"element {g} is not an S-Camina element"
-            break
-    sizes_ok = all(len(S.superclass(g)) == len(com) for g in outside)
-    if not sizes_ok:
-        bad = next(g for g in outside if len(S.superclass(g)) != len(com))
-        witnesses["class-sizes"] = f"|Cl_S({bad})| = {len(S.superclass(bad))} != {len(com)}"
-    transversal_ok = True
-    for g in outside:
-        differences = {G.mul[G.inv[g]][y] for y in S.superclass(g)}
-        if not com.members <= differences:
-            transversal_ok = False
-            witnesses["transversal"] = f"element {g} misses a commutator-coset difference"
-            break
+    non_camina = _first_outside(S, N, lambda g: not is_camina_element(S, g).holds)
+    if non_camina is not None:
+        witnesses["camina-elements"] = f"element {non_camina} is not an S-Camina element"
+    wrong_size = _first_outside(S, N, lambda g: len(S.superclass(g)) != len(com))
+    if wrong_size is not None:
+        witnesses["class-sizes"] = f"|Cl_S({wrong_size})| = {len(S.superclass(wrong_size))} != {len(com)}"
+    short = _first_outside(S, N, lambda g: com.mask & ~_differences(S, g))
+    if short is not None:
+        witnesses["transversal"] = f"element {short} misses a commutator-coset difference"
     escaping = escaping_character(irr_over(S, com), N)
     if escaping:
         witnesses["vanishing"] = f"sigma_{escaping.index} does not vanish off N"
 
     conditions = {
-        "camina-elements": camina_all,
-        "class-sizes": sizes_ok,
-        "transversal": transversal_ok,
+        "camina-elements": non_camina is None,
+        "class-sizes": wrong_size is None,
+        "transversal": short is None,
         "vanishing": escaping is None,
     }
     extras: dict[str, object] = {}
@@ -241,9 +239,9 @@ def is_s_gcp(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
             conditions["coset-product-literal"] = literal
     return CaminaVerdict(
         f"pair (G, {sorted(N.members)})",
-        holds=camina_all,
+        holds=non_camina is None,
         conditions=conditions,
-        vacuous=not outside,
+        vacuous=len(N) == S.group.order,
         witnesses=witnesses,
         extras=extras,
     )
@@ -255,8 +253,6 @@ def is_camina_triple(S: SuperTheory, N: SubgroupSet, M: SubgroupSet) -> CaminaVe
     M-cosets)."""
     require_s_normal(S, N)
     require_s_normal(S, M)
-    G = S.group
-    outside = [g for g in range(G.order) if g not in N.members]
     witnesses: dict[str, object] = {}
 
     bad = non_coset_union(S, M, N)
@@ -264,23 +260,17 @@ def is_camina_triple(S: SuperTheory, N: SubgroupSet, M: SubgroupSet) -> CaminaVe
     if not coset:
         witnesses["coset-union"] = f"superclass {sorted(bad)} is not a union of M-cosets"
     defl = deflation(S, M)
-    _, proj = quotient_group(G, M)
-    size_product = True
-    for g in outside:
-        if len(S.superclass(g)) != len(defl.superclass(proj[g])) * len(M):
-            size_product = False
-            witnesses["class-size-product"] = (
-                f"|Cl_S({g})| = {len(S.superclass(g))}, deflated class times |M| = "
-                f"{len(defl.superclass(proj[g])) * len(M)}"
-            )
-            break
-    transversal = True
-    for g in outside:
-        differences = {G.mul[G.inv[g]][k] for k in S.superclass(g)}
-        if not M.members <= differences:
-            transversal = False
-            witnesses["transversal"] = f"element {g} misses an M-difference"
-            break
+    _, proj = quotient_group(S.group, M)
+    product = lambda g: len(defl.superclass(proj[g])) * len(M)
+    wrong_size = _first_outside(S, N, lambda g: len(S.superclass(g)) != product(g))
+    if wrong_size is not None:
+        witnesses["class-size-product"] = (
+            f"|Cl_S({wrong_size})| = {len(S.superclass(wrong_size))}, deflated class times |M| = "
+            f"{product(wrong_size)}"
+        )
+    short = _first_outside(S, N, lambda g: M.mask & ~_differences(S, g))
+    if short is not None:
+        witnesses["transversal"] = f"element {short} misses an M-difference"
     bound = v_rel(S, M).members <= N.members
     if not bound:
         witnesses["vanishing-bound"] = (
@@ -291,8 +281,8 @@ def is_camina_triple(S: SuperTheory, N: SubgroupSet, M: SubgroupSet) -> CaminaVe
         witnesses["vanishing"] = f"sigma_{escaping.index} does not vanish outside N"
     conditions = {
         "coset-union": coset,
-        "class-size-product": size_product,
-        "transversal": transversal,
+        "class-size-product": wrong_size is None,
+        "transversal": short is None,
         "vanishing-bound": bound,
         "vanishing": escaping is None,
     }
@@ -300,7 +290,7 @@ def is_camina_triple(S: SuperTheory, N: SubgroupSet, M: SubgroupSet) -> CaminaVe
         f"triple (G, {sorted(N.members)}, {sorted(M.members)})",
         holds=coset,
         conditions=conditions,
-        vacuous=not outside,
+        vacuous=len(N) == S.group.order,
         witnesses=witnesses,
     )
 
@@ -314,7 +304,6 @@ def is_camina_pair(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
     the trivial subgroup), so there it is recorded but not asserted.
     """
     require_s_normal(S, N)
-    outside = [g for g in range(S.group.order) if g not in N.members]
     witnesses: dict[str, object] = {}
 
     bad = non_coset_union(S, N, N)
@@ -328,7 +317,7 @@ def is_camina_pair(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
     if not vsub:
         witnesses["vanishing-off"] = f"V(S|N) = {sorted(v_rel(S, N).members)}"
     over = irr_over(S, N)
-    clause_a = all(sigma.value_on(g).is_zero() for sigma in over for g in outside)
+    clause_a = _first_outside(S, N, lambda g: any(not sigma.value_on(g).is_zero() for sigma in over)) is None
     clause_b = all(
         any(not sigma.value_on(n).is_zero() for sigma in over) for n in sorted(N.members)
     )
@@ -350,7 +339,7 @@ def is_camina_pair(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
         f"pair (G, {sorted(N.members)})",
         holds=coset,
         conditions=conditions,
-        vacuous=not outside,
+        vacuous=len(N) == S.group.order,
         witnesses=witnesses,
         extras=extras,
     )
@@ -474,11 +463,9 @@ def is_vz(S: SuperTheory) -> CaminaVerdict:
     [G,S] <= Z(S), the coset-product, class-size and transversal forms of
     the Camina triple (G, Z(S), [G,S]) join the asserted set.
     """
-    G = S.group
     center = s_center(S)
     com = s_commutator_full(S)
     V = v_theory(S)
-    outside = [g for g in range(G.order) if g not in center.members]
     witnesses: dict[str, object] = {}
 
     escaping = escaping_character(irr_over(S, com), center)
@@ -505,7 +492,7 @@ def is_vz(S: SuperTheory) -> CaminaVerdict:
         "VZ",
         holds=definition,
         conditions=conditions,
-        vacuous=not outside,
+        vacuous=len(center) == S.group.order,
         witnesses=witnesses,
     )
 

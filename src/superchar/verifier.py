@@ -15,7 +15,7 @@ import gc
 import json
 from fractions import Fraction
 
-from .chartab import DEFAULT_MAX_ORDER, character_table_of, first_failing_pair
+from .chartab import DEFAULT_MAX_ORDER, character_table_of, failing_pairs
 from .errors import OrderBoundError
 from .groups import SubgroupSet, build_group, quotient_image, subgroup_product, trivial_subgroup
 from .structure import (
@@ -31,7 +31,6 @@ from .structure import (
 from .supertheory import (
     MAX_CLASSES,
     SuperTheory,
-    check_row_orthogonality,
     coarsest,
     deflation,
     enumerate_scts,
@@ -83,20 +82,6 @@ DEFAULT_CATALOG = (
 )
 
 
-class TheoremReport:
-    __slots__ = ("theorem_id", "scope", "status", "witness")
-
-    def __init__(self, theorem_id: str, scope: dict, status: str, witness: dict | None = None):
-        # status: pass | fail | not-applicable | vacuous
-        self.theorem_id, self.scope, self.status, self.witness = theorem_id, scope, status, witness
-
-    def to_json(self):
-        out = {"theorem_id": self.theorem_id, "scope": self.scope, "status": self.status}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
-
-
 _CHECKERS: dict = {}  # theorem id -> checker, in registration order
 
 
@@ -122,6 +107,12 @@ def _status(ok: bool, vacuous: bool = False) -> str:
     if not ok:
         return "fail"
     return "vacuous" if vacuous else "pass"
+
+
+def _failing_row(scope: dict, failing: list, vacuous: bool = False, **witness):
+    """The row of a scope whose failing checks are named in failing; the
+    witness lists them, with any further fields, when there are any."""
+    return scope, _status(not failing, vacuous), {"failing": failing, **witness} if failing else None
 
 
 def _verdict_row(scope: dict, verdict):
@@ -168,8 +159,7 @@ def _check_cp(S: SuperTheory):
                     fails.append(f"quotient-{_sub(K)}")
         if not abelian and not center.members <= N.members:
             fails.append("center-below")
-        witness = {"failing": fails} if fails else None
-        yield {"n": _sub(N)}, _status(not fails, verdict.vacuous), witness
+        yield _failing_row({"n": _sub(N)}, fails, verdict.vacuous)
 
 
 @theorem("L-vs", "basic properties of the vanishing-off subgroup V(S)")
@@ -189,8 +179,7 @@ def _check_vs(S: SuperTheory):
         fails.append("v-minimal")
     if frozenset(range(S.group.order)).intersection(*(N.members for N in gcp_subs)) != V.members:
         fails.append("v-as-intersection")
-    witness = {"failing": fails, "v": _sub(V)} if fails else None
-    yield {}, _status(not fails), witness
+    yield _failing_row({}, fails, v=_sub(V))
 
 
 @theorem("T-zeta", "upper central terms above a non-central commutator land in V(S)")
@@ -243,9 +232,7 @@ def _check_vsn(S: SuperTheory):
 
 @theorem("T-vseries", "the V-series interleaves the lower central series")
 def _check_vseries(S: SuperTheory):
-    rep = v_series_checks(S)
-    witness = None if rep.ok else {"failing": [c.name for c in rep.failures]}
-    yield {}, _status(rep.ok), witness
+    yield _failing_row({}, [c.name for c in v_series_checks(S).failures])
 
 
 @theorem("C-vterm", "S-nilpotency is equivalent to the V-series reaching 1")
@@ -293,8 +280,7 @@ def _check_scd(S: SuperTheory):
     if not rep.checks:
         yield {}, "not-applicable"
     else:
-        witness = None if rep.ok else {"failing": [c.name for c in rep.failures]}
-        yield {}, _status(rep.ok), witness
+        yield _failing_row({}, [c.name for c in rep.failures])
 
 
 @theorem("L-unormal", "U(S|N) is S-normal")
@@ -381,8 +367,7 @@ def _check_ugroupp(S: SuperTheory):
             rhs = not escaping_character((sigma for sigma, ker in kernels if g not in ker), N)
             if rhs != (g in U.members):
                 fails.append(f"membership-{g}")
-        witness = {"failing": fails} if fails else None
-        yield {"n": _sub(N)}, _status(not fails), witness
+        yield _failing_row({"n": _sub(N)}, fails)
 
 
 @theorem("L-ucap", "U(S|N) is bounded by N and the commutator")
@@ -442,9 +427,7 @@ def _check_uquot(S: SuperTheory):
             if not v_rel(S, N).members <= H.members:
                 yield scope, "not-applicable"
                 continue
-            rep = u_quotient_check(S, N, H)
-            witness = None if rep.ok else {"failing": [c.detail for c in rep.failures]}
-            yield scope, _status(rep.ok), witness
+            yield _failing_row(scope, [c.detail for c in u_quotient_check(S, N, H).failures])
 
 
 @theorem("L-ukernel", "U(S|N) as a kernel intersection")
@@ -482,15 +465,14 @@ def _check_sabelian_gcp(S: SuperTheory):
 
 @theorem("P-roworth", "supercharacter row orthogonality")
 def _check_roworth(S: SuperTheory):
-    rep = check_row_orthogonality(S)
-    witness = None if rep.ok else {"failing": [c.name for c in rep.failures]}
-    yield {}, _status(rep.ok), witness
+    norms = [sum(S.table.degrees[t] ** 2 for t in part) for part in S.xparts]
+    yield _failing_row({}, [f"pair-{a}-{b}" for a, b in failing_pairs(sigma_orthogonality(S)[0], norms)])
 
 
 @theorem("P-colorth", "supercharacter column orthogonality")
 def _check_colorth(S: SuperTheory):
     blocks = S.yparts.blocks
-    bad = first_failing_pair(sigma_orthogonality(S)[1], [Fraction(S.group.order, len(b)) for b in blocks])
+    bad = next(failing_pairs(sigma_orthogonality(S)[1], [Fraction(S.group.order, len(b)) for b in blocks]), None)
     yield {}, _status(not bad), {"g": min(blocks[bad[0]]), "h": min(blocks[bad[1]])} if bad else None
 
 
@@ -517,21 +499,30 @@ THEOREM_IDS = tuple(_CHECKERS)
 THEOREM_DESCRIPTIONS = {tid: check.description for tid, check in _CHECKERS.items()}
 
 
-def run_suite(S: SuperTheory) -> list[TheoremReport]:
-    """Run every theorem over all applicable scopes of the theory.
+def _report(tid: str, scope: dict, status: str, witness: dict | None = None) -> dict:
+    # status: pass | fail | not-applicable | vacuous
+    out = {"theorem_id": tid, "scope": scope, "status": status}
+    if witness is not None:
+        out["witness"] = witness
+    return out
+
+
+def run_suite(S: SuperTheory) -> list[dict]:
+    """Run every theorem over all applicable scopes of the theory, as the
+    report dicts of the corpus JSON.
 
     Every theorem id appears at least once: a checker that yields no row
     gives one not-applicable report, and an exception raised by a checker
     becomes a fail report carrying its type and message rather than
     aborting the suite.
     """
-    reports: list[TheoremReport] = []
+    reports: list[dict] = []
     for tid in THEOREM_IDS:
         try:
-            batch = [TheoremReport(tid, *row) for row in _CHECKERS[tid](S)]
+            batch = [_report(tid, *row) for row in _CHECKERS[tid](S)]
         except Exception as exc:
-            batch = [TheoremReport(tid, {"error": str(exc), "exception": type(exc).__name__}, "fail")]
-        reports.extend(batch or [TheoremReport(tid, {}, "not-applicable")])
+            batch = [_report(tid, {"error": str(exc), "exception": type(exc).__name__}, "fail")]
+        reports.extend(batch or [_report(tid, {}, "not-applicable")])
     return reports
 
 
@@ -572,13 +563,12 @@ def _group_entry(spec: str, all_scts: bool, max_order: int | None) -> dict | Non
     theories, enumerated = _theories_for(table, all_scts)
     entries = []
     for idx, S in enumerate(theories):
-        reports = run_suite(S)
         entries.append(
             {
                 "index": idx,
                 "xparts": S.xparts_json(),
                 "yparts": S.yparts.to_json(),
-                "reports": [r.to_json() for r in reports],
+                "reports": run_suite(S),
             }
         )
     return {
@@ -621,9 +611,12 @@ def run_corpus(
     stream, its canonical JSON (`corpus_json_bytes` of that dict) is written
     there instead, each group as soon as it is verified, and only the
     failing reports are kept: the list `failing_reports` would give is
-    returned.
+    returned.  A spec after the first that cannot be built raises before
+    anything is written.
     """
     specs = list(specs)
+    for spec in specs[1:]:  # a refusal after the first group would leave a prefix
+        _build(spec, max_order)
     args = [(spec, all_scts, max_order) for spec in specs]
     if jobs > 1 and len(args) > 1:
         # imported here: multiprocessing and the rest cost every serial run ~30 ms of start-up

@@ -215,19 +215,18 @@ def central_character_keys(table, block_classes):
     return keys
 
 
-def row_orthogonality(S, rows) -> CheckReport:
-    """`supertheory.check_row_orthogonality`, read from rows = `sigma_gram(S)[0]`."""
-    rep = CheckReport(f"row orthogonality for a theory of {S.group.label}")
+def row_orthogonality(S, rows):
+    """The `P-roworth` verdict read from rows = `sigma_gram(S)[0]`: the
+    witness {"failing": ["pair-i-j", ...]} naming every pair i <= j with
+    <sigma_i, sigma_j> != delta_ij ||X_i||^2, or None."""
+    failing = []
     for i, row in enumerate(rows):
         norm2 = sum(S.table.degrees[t] ** 2 for t in S.xparts[i])
         for d, value in enumerate(row):
             expected = Fraction(norm2 if d == 0 else 0)
-            rep.add(
-                f"pair-{i}-{i + d}",
-                value == Cyclotomic.from_rational(expected, S.table.exponent),
-                f"got {value}, expected {expected}",
-            )
-    return rep
+            if value != Cyclotomic.from_rational(expected, S.table.exponent):
+                failing.append(f"pair-{i}-{i + d}")
+    return {"failing": failing} if failing else None
 
 
 def column_orthogonality(S, cols):

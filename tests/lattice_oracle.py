@@ -5,8 +5,9 @@ deflations off the normal-subgroup lattice of the group and the inflation
 record of the quotient table, and takes a quotient of a quotient to be the
 first-level quotient.  These are the bodies it ran before, kept here as
 slow references: subgroups are generated or multiplied element by element,
-a deflation is derived from its class partition and validated in full, and
-every quotient is built from its cosets.
+a deflation is derived from its class partition and validated in full,
+every quotient is built from its cosets, and the classical center and
+commutator subgroup are found from the multiplication table.
 """
 
 from superchar.chartab import quotient_character_table
@@ -71,3 +72,23 @@ def fresh_quotient(G, N):
     proj = tuple(coset_of)
     Q = GroupTable([[proj[G.mul[a][b]] for b in reps] for a in reps], label=f"{G.label}/H{len(N)}")
     return Q, proj
+
+
+def group_center(G: GroupTable) -> SubgroupSet:
+    """The classical center {g : gh = hg for all h}."""
+    members = [
+        g
+        for g in range(G.order)
+        if all(G.mul[g][h] == G.mul[h][g] for h in range(G.order))
+    ]
+    return SubgroupSet(G, members)
+
+
+def derived_subgroup(G: GroupTable) -> SubgroupSet:
+    """The classical commutator subgroup."""
+    comms = {
+        G.mul[G.mul[G.inv[a]][G.inv[b]]][G.mul[a][b]]
+        for a in range(G.order)
+        for b in range(G.order)
+    }
+    return generated_subgroup(G, comms)

@@ -189,6 +189,16 @@ def test_out_links_are_written_through_and_a_mode_is_kept(capsys, tmp_path):
     assert code == 0 and target.read_text().startswith("1 supercharacter theories of C2")
 
 
+def test_a_failed_command_leaves_a_linked_out_file_as_it_was(capsys, tmp_path):
+    target, link = tmp_path / "t", tmp_path / "l"
+    target.write_bytes(b"earlier bytes\n")
+    link.symlink_to(target)
+    code, out, err = run_cli(capsys, "verify", "--group", "C1000", "--format", "json", "--out", str(link))
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert target.read_bytes() == b"earlier bytes\n" and link.is_symlink()
+    assert sorted(os.listdir(tmp_path)) == ["l", "t"]
+
+
 def test_verify_text_and_json_agree(capsys):
     code, text_out, _ = run_cli(capsys, "verify", "--group", "Q8")
     assert code == 0

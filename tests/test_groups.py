@@ -11,17 +11,15 @@ from superchar.groups import (
     build_group,
     catalog_group,
     conjugacy_classes,
-    derived_subgroup,
     full_subgroup,
     generated_subgroup,
-    group_center,
     group_from_table_text,
     permutation_group,
     quotient_group,
     subgroup_product,
     trivial_subgroup,
 )
-from lattice_oracle import element_product
+from lattice_oracle import derived_subgroup, element_product, group_center
 
 DATA = Path(__file__).parent / "data"
 

@@ -7,10 +7,8 @@ from superchar.errors import SuperTheoryError
 from superchar.groups import (
     SubgroupSet,
     catalog_group,
-    derived_subgroup,
     full_subgroup,
     generated_subgroup,
-    group_center,
     quotient_group,
     subgroup_product,
     trivial_subgroup,
@@ -31,6 +29,7 @@ from superchar.structure import (
 )
 from superchar.supertheory import coarsest, deflation, enumerate_scts, finest
 from superchar.verifier import DEFAULT_CATALOG
+from lattice_oracle import derived_subgroup, group_center
 from walk_oracle import walked_s_normal_subgroups
 
 

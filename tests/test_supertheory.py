@@ -17,7 +17,6 @@ from superchar.structure import irr_over, s_commutator_full, s_normal_subgroups
 from superchar.supertheory import (
     MAX_CLASSES,
     SuperTheory,
-    check_row_orthogonality,
     coarsest,
     deflation,
     enumerate_scts,
@@ -27,7 +26,7 @@ from superchar.supertheory import (
     sigma_orthogonality,
     star_construct,
 )
-from superchar.verifier import DEFAULT_CATALOG
+from superchar.verifier import _CHECKERS, DEFAULT_CATALOG
 
 from arith_oracle import Ref, sigma_class_values
 from bell_oracle import bell_scts, sct_from_character_partition
@@ -161,7 +160,7 @@ def test_enumeration_guard_boundary(capsys):
 def test_row_orthogonality_examples():
     _, T = theory_of("S3")
     for S in enumerate_scts(T):
-        assert check_row_orthogonality(S).ok
+        assert [status for _, status, _ in _CHECKERS["P-roworth"](S)] == ["pass"]
     S = coarsest(T)
     # <sigma_rest, sigma_rest> = (25 + 5)/6 = 5 = 1 + 4
     order = T.group.order
@@ -369,7 +368,7 @@ def test_every_enumerated_theory_revalidates():
         _, T = theory_of(name)
         for S in enumerate_scts(T):
             assert S.validate().ok
-            assert check_row_orthogonality(S).ok
+            assert [status for _, status, _ in _CHECKERS["P-roworth"](S)] == ["pass"]
 
 
 def _brute_force_theories(table):

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from superchar.chartab import character_table_of
@@ -36,6 +39,7 @@ from superchar.vanishing import (
     v_theory,
     vanish_off,
 )
+from superchar.verifier import DEFAULT_CATALOG
 
 
 def theory_of(name, kind="finest"):
@@ -302,3 +306,26 @@ def test_u_rel_requires_s_normal():
 
     with pytest.raises(SuperTheoryError):
         u_rel(S, generated_subgroup(G, [1]))
+
+
+# sha256 over json.dumps(v.to_json(), sort_keys=True) of every verdict, in order
+CAMINA_VERDICTS = (8465, "903bf69835a6ba7e6c2cdb42092b7c32e7cc8d8a4f6dd0f466553c7721a22d69")
+
+
+def test_every_camina_verdict_of_the_default_catalog_is_pinned():
+    # the corpus shows a verdict's witnesses only when a check fails; this
+    # pins every verdict, witnesses and extras included: per theory, each
+    # element, gcp(N) and pair(N) per S-normal N, triple(N, M) per M <= N, VZ
+    digest, count = hashlib.sha256(), 0
+    for name in DEFAULT_CATALOG:
+        for S in enumerate_scts(character_table_of(catalog_group(name))):
+            subs = s_normal_subgroups(S)
+            verdicts = [is_camina_element(S, g) for g in range(S.group.order)]
+            verdicts += [is_s_gcp(S, N) for N in subs]
+            verdicts += [is_camina_pair(S, N) for N in subs]
+            verdicts += [is_camina_triple(S, N, M) for N in subs for M in subs if M.members <= N.members]
+            verdicts.append(is_vz(S))
+            for v in verdicts:
+                digest.update(json.dumps(v.to_json(), sort_keys=True).encode())
+            count += len(verdicts)
+    assert (count, digest.hexdigest()) == CAMINA_VERDICTS

@@ -75,23 +75,23 @@ def test_registering_an_existing_theorem_id_raises():
 def test_every_theorem_id_appears_for_c2():
     S = finest(character_table_of(catalog_group("C2")))
     reports = run_suite(S)
-    assert {r.theorem_id for r in reports} == set(THEOREM_IDS)
-    assert all(r.status in ("pass", "vacuous", "not-applicable") for r in reports)
+    assert {r["theorem_id"] for r in reports} == set(THEOREM_IDS)
+    assert all(r["status"] in ("pass", "vacuous", "not-applicable") for r in reports)
 
 
 def test_trivial_group_suite_runs_clean():
     S = finest(character_table_of(catalog_group("C1")))
     reports = run_suite(S)
-    assert {r.theorem_id for r in reports} == set(THEOREM_IDS)
-    assert not [r for r in reports if r.status == "fail"]
+    assert {r["theorem_id"] for r in reports} == set(THEOREM_IDS)
+    assert not [r for r in reports if r["status"] == "fail"]
 
 
 def test_s3_finest_all_pass():
     S = finest(character_table_of(catalog_group("S3")))
     reports = run_suite(S)
-    assert not [r for r in reports if r.status == "fail"]
-    corgcp = [r for r in reports if r.theorem_id == "T-corgcp"]
-    by_scope = {tuple(r.scope["n"]): r.status for r in corgcp}
+    assert not [r for r in reports if r["status"] == "fail"]
+    corgcp = [r for r in reports if r["theorem_id"] == "T-corgcp"]
+    by_scope = {tuple(r["scope"]["n"]): r["status"] for r in corgcp}
     assert by_scope[(0, 3, 4)] == "pass"
     assert by_scope[(0, 1, 2, 3, 4, 5)] == "vacuous"
 
@@ -99,18 +99,18 @@ def test_s3_finest_all_pass():
 def test_q8_finest_key_reports():
     S = finest(character_table_of(catalog_group("Q8")))
     reports = run_suite(S)
-    assert not [r for r in reports if r.status == "fail"]
-    assert [r.status for r in reports if r.theorem_id == "T-zs"] == ["pass"]
-    assert [r.status for r in reports if r.theorem_id == "T-final"] == ["pass"]
-    assert [r.status for r in reports if r.theorem_id == "T-vznilp"] == ["pass"]
-    assert [r.status for r in reports if r.theorem_id == "L-scd"] == ["pass"]
+    assert not [r for r in reports if r["status"] == "fail"]
+    assert [r["status"] for r in reports if r["theorem_id"] == "T-zs"] == ["pass"]
+    assert [r["status"] for r in reports if r["theorem_id"] == "T-final"] == ["pass"]
+    assert [r["status"] for r in reports if r["theorem_id"] == "T-vznilp"] == ["pass"]
+    assert [r["status"] for r in reports if r["theorem_id"] == "L-scd"] == ["pass"]
 
 
 def test_all_scts_of_every_small_group_pass():
     for name in ("C2", "C3", "C4", "C6", "S3", "D4", "Q8", "A4"):
         table = character_table_of(catalog_group(name))
         for S in enumerate_scts(table):
-            fails = [r for r in run_suite(S) if r.status == "fail"]
+            fails = [r for r in run_suite(S) if r["status"] == "fail"]
             assert not fails, (name, fails[:3])
 
 
@@ -250,8 +250,24 @@ def test_a_group_refused_in_a_worker_reaches_the_caller():
     from superchar.errors import OrderBoundError
 
     with pytest.raises(OrderBoundError, match="order 1000 exceeds the bound 64") as caught:
-        run_corpus(["C2", "C1000"], jobs=2, max_order=2000)
+        run_corpus(["C1000", "C2"], jobs=2, max_order=2000)
     assert caught.value.order == 1000
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_group_refused_after_the_first_writes_nothing(jobs, tmp_path):
+    # every spec after the first is built before the first group is written
+    from superchar.errors import GroupConstructionError, OrderBoundError
+
+    buf = io.BytesIO()
+    with pytest.raises(OrderBoundError):
+        run_corpus(["C2", "C1000", "C3"], max_order=2000, jobs=jobs, out=buf)
+    assert buf.getvalue() == b""
+    malformed = tmp_path / "g.txt"
+    malformed.write_text("0 1\n1 1\n")
+    with pytest.raises(GroupConstructionError):
+        run_corpus(["C2", f"file:{malformed}", "C3"], jobs=jobs, out=buf)
+    assert buf.getvalue() == b""
 
 
 def test_default_catalog_is_the_documented_one():
@@ -281,8 +297,8 @@ def test_corrupted_theory_is_caught():
     corrupted = SuperTheory(table, S.xparts, S.yparts, S.ypart_classes, bad_sigma)
     assert not corrupted.validate().ok
     reports = run_suite(corrupted)
-    assert any(r.status == "fail" for r in reports)
-    orthogonality = {r.theorem_id: r.to_json() for r in reports if r.theorem_id in ("P-roworth", "P-colorth")}
+    assert any(r["status"] == "fail" for r in reports)
+    orthogonality = {r["theorem_id"]: r for r in reports if r["theorem_id"] in ("P-roworth", "P-colorth")}
     assert orthogonality["P-roworth"]["status"] == "fail"
     assert orthogonality["P-roworth"]["witness"] == {"failing": ["pair-0-1"]}
     assert orthogonality["P-colorth"]["status"] == "fail"
@@ -307,8 +323,8 @@ def test_any_checker_exception_becomes_a_fail_report(monkeypatch):
 
     monkeypatch.setitem(verifier._CHECKERS, "L-vs", broken)
     reports = run_suite(finest(character_table_of(catalog_group("S3"))))
-    failed = [r for r in reports if r.status == "fail"]
-    assert [(r.theorem_id, r.scope) for r in failed] == [
+    failed = [r for r in reports if r["status"] == "fail"]
+    assert [(r["theorem_id"], r["scope"]) for r in failed] == [
         ("L-vs", {"error": "'missing scope'", "exception": "KeyError"})
     ]
-    assert {r.theorem_id for r in reports} == set(THEOREM_IDS)
+    assert {r["theorem_id"] for r in reports} == set(THEOREM_IDS)
