@@ -39,7 +39,7 @@ from .vanishing import (
     v_series,
     v_theory,
 )
-from .verifier import DEFAULT_CATALOG, failing_reports, run_corpus
+from .verifier import DEFAULT_CATALOG, failing_reports, run_corpus, verify_groups
 
 _USER_ERRORS = (GroupConstructionError, CharacterTableError, SuperTheoryError, OSError)
 
@@ -259,7 +259,7 @@ def _cmd_verify(args) -> int:
         raise SuperTheoryError(f"unknown catalog {args.catalog!r}")
     options = {"all_scts": args.all_scts, "jobs": args.jobs, "max_order": args.max_order}
     if args.format == "json":
-        # streamed: each group is written as soon as it is verified
+        # streamed: each theory is written as soon as it is verified
         if args.out:
             fails = _write_out(args.out, lambda fh: run_corpus(specs, out=fh, **options))
         else:
@@ -267,21 +267,18 @@ def _cmd_verify(args) -> int:
             fails = run_corpus(specs, out=sys.stdout.buffer, **options)
             sys.stdout.buffer.write(b"\n")
         return 1 if fails else 0
-    corpus = run_corpus(specs, **options)
-    fails = failing_reports(corpus)
-    s = corpus["summary"]
+    groups = list(verify_groups(specs, **options))
+    fails = failing_reports({"groups": groups})
     lines = ["theorem corpus report"]
-    for entry in corpus["groups"]:
-        counts = {"pass": 0, "fail": 0, "vacuous": 0, "not-applicable": 0}
-        for theory in entry["theories"]:
-            for repo in theory["reports"]:
-                counts[repo["status"]] += 1
+    for entry in groups:
+        counts = entry["counts"]
         lines.append(
             f"  {entry['label']:10s} order {entry['order']:3d}  "
             f"theories {entry['theory_count']:4d}  pass {counts['pass']:6d}  "
             f"fail {counts['fail']:3d}  vacuous {counts['vacuous']:5d}  "
-            f"n/a {counts['not-applicable']:5d}"
+            f"n/a {counts['na']:5d}"
         )
+    s = {key: sum(entry["counts"][key] for entry in groups) for key in ("pass", "fail", "vacuous", "na")}
     lines.append(
         f"summary: pass {s['pass']}, fail {s['fail']}, vacuous {s['vacuous']}, n/a {s['na']}"
     )

@@ -405,49 +405,40 @@ def u_theory(S: SuperTheory) -> SubgroupSet:
     return U
 
 
-def u_quotient_check(S: SuperTheory, N: SubgroupSet, H: SubgroupSet) -> CheckReport:
-    """Verify U(S^{G/N} | H/N) = U(S|H)/N, under the hypothesis
-    V(S|N) <= H; otherwise the report is marked not applicable."""
+def u_quotient_check(S: SuperTheory, N: SubgroupSet, H: SubgroupSet) -> list[str]:
+    """The failing details of U(S^{G/N} | H/N) = U(S|H)/N, checked under
+    the hypothesis V(S|N) <= H: empty when it holds or the hypothesis
+    fails (not applicable)."""
     require_s_normal(S, N)
     require_s_normal(S, H)
-    rep = CheckReport(
-        f"U after deflation: N={sorted(N.members)}, H={sorted(H.members)}"
-    )
     if not v_rel(S, N).members <= H.members:
-        rep.note("hypothesis V(S|N) <= H fails; not applicable")
-        return rep
+        return []
     defl = deflation(S, N)
     image_h = quotient_image(S.group, N, H)
     if not defl.is_s_normal(image_h):
         raise ConsistencyError("projected subgroup is not S-normal in the deflation")
     lhs = u_rel(defl, image_h)
     rhs = quotient_image(S.group, N, u_rel(S, H))
-    rep.add(
-        "quotient-identity",
-        lhs.members == rhs.members,
-        f"deflated U = {lhs.sorted_members()}, projected U = {sorted(rhs.members)}",
-    )
-    return rep
+    if lhs.members == rhs.members:
+        return []
+    return [f"deflated U = {lhs.sorted_members()}, projected U = {sorted(rhs.members)}"]
 
 
-def u_kernel_check(S: SuperTheory, N: SubgroupSet) -> CheckReport:
-    """Verify U(S|N) as the intersection of the kernels of the
-    supercharacters whose vanishing-off subgroup escapes N; an empty
-    family means the intersection is all of G."""
+def u_kernel_check(S: SuperTheory, N: SubgroupSet) -> tuple[list[str], list[str]]:
+    """(failing details, notes) of U(S|N) as the intersection of the
+    kernels of the supercharacters whose vanishing-off subgroup escapes N;
+    an empty family means the intersection is all of G, and says so in a
+    note."""
     require_s_normal(S, N)
-    rep = CheckReport(f"U as kernel intersection at N={sorted(N.members)}")
     family = [
         sigma for sigma in S.supercharacters() if not vanish_off(sigma).members <= N.members
     ]
-    if not family:
-        rep.note("the character family is empty; the intersection defaults to G")
+    notes = [] if family else ["the character family is empty; the intersection defaults to G"]
     intersection = frozenset(range(S.group.order)).intersection(*(super_kernel(s).members for s in family))
-    rep.add(
-        "kernel-intersection",
-        intersection == u_rel(S, N).members,
-        f"intersection {sorted(intersection)}, U(S|N) {u_rel(S, N).sorted_members()}",
-    )
-    return rep
+    U = u_rel(S, N)
+    if intersection == U.members:
+        return [], notes
+    return [f"intersection {sorted(intersection)}, U(S|N) {U.sorted_members()}"], notes
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ bug or a genuine counterexample worth looking at.
 from __future__ import annotations
 
 import gc
+import io
 import json
 from fractions import Fraction
 
@@ -427,19 +428,15 @@ def _check_uquot(S: SuperTheory):
             if not v_rel(S, N).members <= H.members:
                 yield scope, "not-applicable"
                 continue
-            yield _failing_row(scope, [c.detail for c in u_quotient_check(S, N, H).failures])
+            yield _failing_row(scope, u_quotient_check(S, N, H))
 
 
 @theorem("L-ukernel", "U(S|N) as a kernel intersection")
 def _check_ukernel(S: SuperTheory):
     for N in s_normal_subgroups(S):
-        rep = u_kernel_check(S, N)
-        witness = None
-        if not rep.ok:
-            witness = {"failing": [c.detail for c in rep.failures]}
-        elif rep.notes:
-            witness = {"notes": rep.notes}
-        yield {"n": _sub(N)}, _status(rep.ok), witness
+        fails, notes = u_kernel_check(S, N)
+        witness = {"failing": fails} if fails else {"notes": notes} if notes else None
+        yield {"n": _sub(N)}, _status(not fails), witness
 
 
 @theorem("T-final", "VZ, Z(S) = V(S), and U(S) = [G,S] are equivalent")
@@ -507,23 +504,22 @@ def _report(tid: str, scope: dict, status: str, witness: dict | None = None) -> 
     return out
 
 
-def run_suite(S: SuperTheory) -> list[dict]:
-    """Run every theorem over all applicable scopes of the theory, as the
-    report dicts of the corpus JSON.
+def run_suite(S: SuperTheory):
+    """Run every theorem over all applicable scopes of the theory, yielding
+    each theorem's report dicts (rows of the corpus JSON) as one list, in
+    registration order.
 
     Every theorem id appears at least once: a checker that yields no row
     gives one not-applicable report, and an exception raised by a checker
     becomes a fail report carrying its type and message rather than
     aborting the suite.
     """
-    reports: list[dict] = []
     for tid in THEOREM_IDS:
         try:
             batch = [_report(tid, *row) for row in _CHECKERS[tid](S)]
         except Exception as exc:
             batch = [_report(tid, {"error": str(exc), "exception": type(exc).__name__}, "fail")]
-        reports.extend(batch or [_report(tid, {}, "not-applicable")])
-    return reports
+        yield batch or [_report(tid, {}, "not-applicable")]
 
 
 # ---------------------------------------------------------------------------
@@ -555,40 +551,104 @@ def _build(spec: str, max_order: int | None):
         return None
 
 
-def _group_entry(spec: str, all_scts: bool, max_order: int | None) -> dict | None:
+_SUMMARY_KEY = {"pass": "pass", "fail": "fail", "vacuous": "vacuous", "not-applicable": "na"}
+
+
+def _group_entry(spec: str, all_scts: bool, max_order: int | None, tally: dict):
+    """Yield the canonical JSON of the group entry of spec in pieces: its
+    head, each theory as soon as its suite has run, then its tail; nothing
+    when the group is skipped.  Each theorem's reports are encoded as soon
+    as they are made and then dropped.
+
+    tally receives the entry without its reports: label, order and
+    theory_count, the status `counts`, and under "theories" the index and
+    failing reports of each theory that has any, as `failing_reports`
+    reads them."""
     G = _build(spec, max_order)
     if G is None:
-        return None
-    table = character_table_of(G)
-    theories, enumerated = _theories_for(table, all_scts)
-    entries = []
+        return
+    theories, enumerated = _theories_for(character_table_of(G), all_scts)
+    counts = dict.fromkeys(_SUMMARY_KEY.values(), 0)
+    tally.update(label=G.label, order=G.order, theory_count=len(theories), counts=counts, theories=[])
+    enc = corpus_json_bytes
+    yield b'{"enumerated":%s,"label":%s,"order":%s,"theories":[' % (enc(enumerated), enc(G.label), enc(G.order))
     for idx, S in enumerate(theories):
-        entries.append(
-            {
-                "index": idx,
-                "xparts": S.xparts_json(),
-                "yparts": S.yparts.to_json(),
-                "reports": run_suite(S),
-            }
-        )
-    return {
-        "label": G.label,
-        "order": G.order,
-        "theory_count": len(theories),
-        "enumerated": enumerated,
-        "theories": entries,
-    }
+        rows, fails = [], []
+        for batch in run_suite(S):
+            for report in batch:
+                counts[_SUMMARY_KEY[report["status"]]] += 1
+                if report["status"] == "fail":
+                    fails.append(report)
+            rows.append(enc(batch)[1:-1])
+        if fails:
+            tally["theories"].append({"index": idx, "reports": fails})
+        yield b'%s{"index":%s,"reports":[%s],"xparts":%s,"yparts":%s}' % (
+            b"," if idx else b"", enc(idx), b",".join(rows), enc(S.xparts_json()), enc(S.yparts.to_json()))
+    yield b'],"theory_count":%s}' % enc(len(theories))
 
 
-def _group_entry_worker(args) -> dict | None:
-    entry = _group_entry(*args)
+def _group_entry_worker(args, lazy: bool = False):
+    """(tally, pieces) of one group: the pieces as a list for a pool
+    worker to send back, or a generator of them for a serial run."""
+    tally = {}
+    pieces = _freed_after(_group_entry(*args, tally))
+    return tally, pieces if lazy else list(pieces)
+
+
+def _freed_after(pieces):
+    yield from pieces
     # the group's caches are cyclic (group _memo -> table -> theories ->
     # table): free them now rather than whenever the collector next runs
     gc.collect()
-    return entry
 
 
-_SUMMARY_KEY = {"pass": "pass", "fail": "fail", "vacuous": "vacuous", "not-applicable": "na"}
+def verify_groups(specs, all_scts: bool = True, jobs: int = 1, max_order: int | None = None, out=None):
+    """Verify the groups of specs in input order and yield the tally of each
+    one verified (see `_group_entry`); with `out`, a binary stream, write
+    the canonical JSON of the corpus there as it is made (see `run_corpus`).
+    A spec after the first that cannot be built raises before anything is
+    written."""
+    specs = list(specs)
+    for spec in specs[1:]:  # a refusal after the first group would leave a prefix
+        _build(spec, max_order)
+    args = [(spec, all_scts, max_order) for spec in specs]
+    if jobs > 1 and len(args) > 1:
+        # imported here: multiprocessing and the rest cost every serial run ~30 ms of start-up
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
+            yield from _collect(specs, pool.map(_group_entry_worker, args), out)
+    else:
+        yield from _collect(specs, (_group_entry_worker(a, lazy=True) for a in args), out)
+
+
+def _collect(specs, entries, out):
+    """Write the pieces of the specs' entries to out as they arrive, in
+    input order, between the corpus's head and tail; yield each tally."""
+    summary = dict.fromkeys(_SUMMARY_KEY.values(), 0)
+    skipped = []
+    head = b'{"groups":['  # written with the first group, so a refused group writes nothing
+    for spec in specs:
+        tally, pieces = next(entries)
+        for piece in pieces:
+            if out is not None:
+                out.write(head + piece)
+            head = b""
+        if not tally:
+            skipped.append(spec)
+            continue
+        head = b","
+        for key, n in tally["counts"].items():
+            summary[key] += n
+        yield tally
+    if out is None:
+        return
+    rest = {"skipped": skipped} if skipped else {}
+    rest["summary"] = summary
+    if head != b",":  # no group was written
+        out.write(head)
+    # "groups" sorts before "skipped" and "summary", so the rest closes the object
+    out.write(b"]," + corpus_json_bytes(rest)[1:])
 
 
 def run_corpus(
@@ -607,63 +667,29 @@ def run_corpus(
     appear in input order and every report is pure data, so worker count
     cannot change a byte of it.
 
-    Without `out`, the corpus is returned as a dict.  With `out`, a binary
-    stream, its canonical JSON (`corpus_json_bytes` of that dict) is written
-    there instead, each group as soon as it is verified, and only the
-    failing reports are kept: the list `failing_reports` would give is
-    returned.  A spec after the first that cannot be built raises before
-    anything is written.
+    With `out`, a binary stream, the canonical JSON of the corpus is
+    written there: each theory's as soon as its suite has run (under
+    `jobs` > 1, each group's as its worker sends it back), each theorem's
+    reports encoded as soon as they are made.  Memory is bounded by one
+    theorem's reports plus the largest group's caches.  Only the failing
+    reports are kept: the list `failing_reports` would give is returned.
+    Without `out`, the corpus is those bytes decoded as a dict.  A spec
+    after the first that cannot be built raises before anything is written.
     """
-    specs = list(specs)
-    for spec in specs[1:]:  # a refusal after the first group would leave a prefix
-        _build(spec, max_order)
-    args = [(spec, all_scts, max_order) for spec in specs]
-    if jobs > 1 and len(args) > 1:
-        # imported here: multiprocessing and the rest cost every serial run ~30 ms of start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
-            return _collect(specs, pool.map(_group_entry_worker, args), out)
-    return _collect(specs, map(_group_entry_worker, args), out)
-
-
-def _collect(specs, entries, out):
-    """Tally the entries of the specs as they arrive, in input order; keep
-    them, or write each to out and keep its failing reports (see
-    `run_corpus`)."""
-    summary = {"pass": 0, "fail": 0, "vacuous": 0, "na": 0}
-    kept, skipped = [], []
-    head = b'{"groups":['  # written with the first group, so a refused group writes nothing
-    for spec in specs:
-        entry = next(entries)
-        if entry is None:
-            skipped.append(spec)
-            continue
-        for theory in entry["theories"]:
-            for report in theory["reports"]:
-                summary[_SUMMARY_KEY[report["status"]]] += 1
-        if out is None:
-            kept.append(entry)
-        else:
-            kept += failing_reports({"groups": [entry]})
-            out.write(head + corpus_json_bytes(entry))
-            head = b","
-        del entry  # not held while the next group is verified
-    rest = {"skipped": skipped} if skipped else {}
-    rest["summary"] = summary
     if out is None:
-        return {"groups": kept, **rest}
-    if head != b",":  # no group was written
-        out.write(head)
-    # "groups" sorts before "skipped" and "summary", so the rest closes the object
-    out.write(b"]," + corpus_json_bytes(rest)[1:])
-    return kept
+        buf = io.BytesIO()
+        run_corpus(specs, all_scts, jobs, max_order, buf)
+        return json.loads(buf.getvalue())
+    return failing_reports({"groups": list(verify_groups(specs, all_scts, jobs, max_order, out))})
+
+
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # what json.dumps would build per call
 
 
 def corpus_json_bytes(data) -> bytes:
-    """Canonical JSON encoding of a corpus or of one group entry of it;
+    """Canonical JSON encoding of a corpus or of any value in it;
     byte-identical across runs and job counts."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":")).encode("ascii")
+    return _CANONICAL.encode(data).encode("ascii")
 
 
 def failing_reports(corpus: dict) -> list[dict]:

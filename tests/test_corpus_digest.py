@@ -15,3 +15,10 @@ def test_default_corpus_digest():
     buf = io.BytesIO()
     run_corpus(DEFAULT_CATALOG, jobs=1, out=buf)
     assert hashlib.sha256(buf.getvalue()).hexdigest() == DEFAULT_CORPUS_SHA256
+
+
+def test_default_corpus_digest_under_the_pool():
+    # two workers send each group's pieces back; the parent writes them in order
+    buf = io.BytesIO()
+    run_corpus(DEFAULT_CATALOG, jobs=2, out=buf)
+    assert hashlib.sha256(buf.getvalue()).hexdigest() == DEFAULT_CORPUS_SHA256

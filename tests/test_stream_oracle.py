@@ -1,0 +1,117 @@
+"""The streamed corpus against the dict-building oracle of `corpus_oracle.py`:
+the same bytes, failing reports, summary and decoded dict, for a fraction
+of the oracle's memory."""
+
+import gc
+import io
+import json
+import random
+import tracemalloc
+
+import pytest
+
+from superchar.groups import catalog_group
+from superchar.verifier import (
+    DEFAULT_CATALOG,
+    corpus_json_bytes,
+    failing_reports,
+    run_corpus,
+    verify_groups,
+)
+
+import corpus_oracle
+
+# the extremes-only groups of the benchmark's large-groups workload
+LARGE = ("C2xC2xC2xC2", "S3xQ8", "D24", "Q32")
+
+
+def assert_matches_oracle(specs, **options):
+    """The streamed bytes are the oracle's `corpus_json_bytes`, and the
+    failing reports, the summary of the tallies and the decoded corpus are
+    the oracle's; returns the failing reports."""
+    reference = corpus_oracle.run_corpus(specs, **options)
+    buf = io.BytesIO()
+    tallies = list(verify_groups(specs, out=buf, **options))
+    assert buf.getvalue() == corpus_json_bytes(reference)
+    fails = failing_reports({"groups": tallies})
+    assert fails == failing_reports(reference)
+    summary = {key: sum(t["counts"][key] for t in tallies) for key in reference["summary"]}
+    assert summary == reference["summary"]
+    assert [(t["label"], t["order"], t["theory_count"]) for t in tallies] == [
+        (e["label"], e["order"], e["theory_count"]) for e in reference["groups"]]
+    assert run_corpus(specs, **options) == json.loads(json.dumps(reference))
+    return fails
+
+
+@pytest.mark.parametrize("spec", DEFAULT_CATALOG)
+def test_each_default_group_streams_the_oracle_bytes(spec):
+    assert assert_matches_oracle([spec]) == []
+
+
+@pytest.mark.parametrize("spec", LARGE)
+def test_large_extremes_stream_the_oracle_bytes(spec):
+    assert assert_matches_oracle([spec], all_scts=False) == []
+
+
+def test_a_relabeled_table_streams_the_oracle_bytes(tmp_path):
+    # every element but the identity renamed by a seeded permutation
+    mul = catalog_group("A4").mul
+    n = len(mul)
+    rest = list(range(1, n))
+    random.Random(81).shuffle(rest)
+    perm = [0] + rest
+    new = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            new[perm[a]][perm[b]] = perm[mul[a][b]]
+    path = tmp_path / "A4"
+    path.write_text(f"order {n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in new))
+    assert assert_matches_oracle(["C2", f"file:{path}"]) == []
+
+
+def test_skipped_groups_stream_the_oracle_bytes():
+    assert assert_matches_oracle(["C4", "S4", "Q8", "A4"], max_order=10) == []
+
+
+def test_failing_rows_stream_the_oracle_bytes(monkeypatch):
+    import superchar.verifier as verifier
+
+    def broken(S):
+        raise KeyError("missing scope")
+
+    def planted(S):
+        yield {"n": [0]}, "pass"
+        yield {"n": list(range(S.group.order))}, "fail", {"failing": ["planted"], "order": S.group.order}
+
+    monkeypatch.setitem(verifier._CHECKERS, "L-vs", broken)
+    monkeypatch.setitem(verifier._CHECKERS, "T-zs", planted)
+    fails = assert_matches_oracle(["C2", "S3", "Q8"])
+    assert [(f["group"], f["theory"], f["theorem_id"]) for f in fails] == [
+        ("C2", 0, "L-vs"), ("C2", 0, "T-zs"),
+        ("S3", 0, "L-vs"), ("S3", 0, "T-zs"), ("S3", 1, "L-vs"), ("S3", 1, "T-zs"),
+    ] + [("Q8", t, tid) for t in range(9) for tid in ("L-vs", "T-zs")]
+    assert fails[1]["witness"] == {"failing": ["planted"], "order": 2}
+
+
+def _traced_peak(run) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_stream_never_holds_a_group_report_tree():
+    # C2xC2xC2 alone is 1.4 MB of JSON; both paths write it to the same
+    # kind of buffer, so the difference is the report tree the oracle holds
+    def streamed():
+        run_corpus(["C2xC2xC2"], out=io.BytesIO())
+
+    def oracle():
+        corpus_oracle.run_corpus(["C2xC2xC2"], out=io.BytesIO())
+
+    run_corpus(["C2xC2"], out=io.BytesIO())  # module-level caches filled untraced
+    ratio = _traced_peak(streamed) / _traced_peak(oracle)
+    assert ratio <= 0.6, ratio

@@ -238,25 +238,22 @@ def test_u_chain():
 def test_u_quotient_check():
     G, S = theory_of("S3")
     A3 = generated_subgroup(G, [3])
-    rep = u_quotient_check(S, A3, full_subgroup(G))
-    assert rep.ok and rep.checks
-    skipped = u_quotient_check(S, A3, A3)  # V(S|A3) = A3 <= A3 holds, still applicable
-    assert skipped.checks
-    na = u_quotient_check(S, full_subgroup(G), A3)  # V(S|G) = G escapes A3
-    assert not na.checks and na.notes
+    assert u_quotient_check(S, A3, full_subgroup(G)) == []
+    assert u_quotient_check(S, A3, A3) == []  # V(S|A3) = A3 <= A3 holds, still applicable
+    assert u_quotient_check(S, full_subgroup(G), A3) == []  # V(S|G) = G escapes A3: not applicable
 
 
 def test_u_kernel_check():
     G, S = theory_of("S3")
     A3 = generated_subgroup(G, [3])
-    assert u_kernel_check(S, A3).ok
-    whole = u_kernel_check(S, full_subgroup(G))
-    assert whole.ok and whole.notes  # empty family, defaults to G
+    assert u_kernel_check(S, A3) == ([], [])
+    fails, notes = u_kernel_check(S, full_subgroup(G))
+    assert not fails and notes  # empty family, defaults to G
     for name in ("Q8", "D4", "C6"):
         G2 = catalog_group(name)
         for S2 in enumerate_scts(character_table_of(G2)):
             for N in s_normal_subgroups(S2):
-                assert u_kernel_check(S2, N).ok
+                assert u_kernel_check(S2, N)[0] == []
 
 
 def test_vz_examples():
