@@ -7,6 +7,7 @@ report would be a genuine counterexample, not a shortcut artifact.
 """
 
 import collections
+import json
 
 from superchar import (
     THEOREM_DESCRIPTIONS,
@@ -21,7 +22,10 @@ from superchar import (
 # --- one theory, all theorems ------------------------------------------------
 
 S = finest(character_table_of(catalog_group("Q8")))
-reports = [r for batch in run_suite(S) for r in batch]  # one batch per theorem
+counts, failing = {"pass": 0, "fail": 0, "vacuous": 0, "na": 0}, []
+# the suite yields the theory's reports as canonical JSON, counting as it goes
+reports = json.loads(b"[%s]" % b"".join(run_suite(S, counts, failing)))
+assert counts["fail"] == len(failing) == 0
 by_status = collections.Counter(r["status"] for r in reports)
 print(f"finest theory of Q8: {len(reports)} reports, {dict(by_status)}")
 for tid in ("T-zs", "T-final", "T-vznilp", "L-scd"):

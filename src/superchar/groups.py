@@ -40,6 +40,13 @@ def cached(fn):
     return lookup
 
 
+def release(owner) -> None:
+    """Drop every entry `cached` holds for owner; a later call recomputes
+    it.  Entries held by other owners, the objects owner's entries point
+    to included, are kept."""
+    owner._memo = {}
+
+
 class GroupTable:
     """A finite group given by its full multiplication table.
 

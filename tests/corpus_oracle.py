@@ -4,21 +4,43 @@ only once the whole group has been verified.  Serial only.
 
 This is the oracle of the streamed bytes: `run_corpus(specs, out=buf)`
 here must write the bytes `superchar.verifier.run_corpus` writes.
-`_group_entry`, `_group_entry_worker` and `_collect` are the dict-building
-driver as it stood, with only `run_suite`'s batches flattened.
+`run_suite` is the suite as it stood before it encoded its reports in
+chunks, yielding each theorem's report dicts as one list; `_group_entry`,
+`_group_entry_worker` and `_collect` are the dict-building driver as it
+stood, with only `run_suite`'s batches flattened.
 """
 
 import gc
 
 from superchar.chartab import character_table_of
 from superchar.verifier import (
+    _CHECKERS,
     DEFAULT_CATALOG,
+    THEOREM_IDS,
     _build,
+    _report,
     _theories_for,
     corpus_json_bytes,
     failing_reports,
-    run_suite,
 )
+
+
+def run_suite(S):
+    """Run every theorem over all applicable scopes of the theory, yielding
+    each theorem's report dicts (rows of the corpus JSON) as one list, in
+    registration order.
+
+    Every theorem id appears at least once: a checker that yields no row
+    gives one not-applicable report, and an exception raised by a checker
+    becomes a fail report carrying its type and message rather than
+    aborting the suite.
+    """
+    for tid in THEOREM_IDS:
+        try:
+            batch = [_report(tid, *row) for row in _CHECKERS[tid](S)]
+        except Exception as exc:
+            batch = [_report(tid, {"error": str(exc), "exception": type(exc).__name__}, "fail")]
+        yield batch or [_report(tid, {}, "not-applicable")]
 
 
 def _reports(S) -> list[dict]:

@@ -5,13 +5,18 @@ of the oracle's memory."""
 import gc
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from superchar.groups import catalog_group
 from superchar.verifier import (
+    CHUNK_ROWS,
     DEFAULT_CATALOG,
     corpus_json_bytes,
     failing_reports,
@@ -93,6 +98,45 @@ def test_failing_rows_stream_the_oracle_bytes(monkeypatch):
     assert fails[1]["witness"] == {"failing": ["planted"], "order": 2}
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_an_exception_after_a_full_chunk_replaces_the_whole_theorem(monkeypatch, jobs):
+    import superchar.verifier as verifier
+
+    def late(S):
+        for g in range(CHUNK_ROWS + 5):  # one chunk encoded and held, then a partial one
+            yield {"element": g}, "fail", {"partial": g}
+        raise ValueError("late")
+
+    def exact(S):
+        for g in range(CHUNK_ROWS):
+            yield {"element": g}, "pass"
+
+    def empty(S):
+        return
+        yield
+
+    monkeypatch.setitem(verifier._CHECKERS, "T-zs", late)
+    monkeypatch.setitem(verifier._CHECKERS, "L-vs", exact)
+    monkeypatch.setitem(verifier._CHECKERS, "C-class", empty)
+    specs = ["C2", "S3"]
+    reference = corpus_oracle.run_corpus(specs)
+    buf = io.BytesIO()
+    fails = run_corpus(specs, jobs=jobs, out=buf)
+    assert buf.getvalue() == corpus_json_bytes(reference)
+    corpus = json.loads(buf.getvalue())
+    theories = [theory for entry in corpus["groups"] for theory in entry["theories"]]
+    assert len(theories) == 3
+    for theory in theories:
+        rows = {tid: [r for r in theory["reports"] if r["theorem_id"] == tid] for tid in ("T-zs", "L-vs", "C-class")}
+        assert rows["T-zs"] == [
+            {"theorem_id": "T-zs", "scope": {"error": "late", "exception": "ValueError"}, "status": "fail"}]
+        assert [r["scope"]["element"] for r in rows["L-vs"]] == list(range(CHUNK_ROWS))
+        assert rows["C-class"] == [{"theorem_id": "C-class", "scope": {}, "status": "not-applicable"}]
+    assert [(f["group"], f["theory"], f["theorem_id"]) for f in fails] == [
+        ("C2", 0, "T-zs"), ("S3", 0, "T-zs"), ("S3", 1, "T-zs")]
+    assert corpus["summary"]["fail"] == 3
+
+
 def _traced_peak(run) -> int:
     gc.collect()
     tracemalloc.start()
@@ -115,3 +159,36 @@ def test_the_stream_never_holds_a_group_report_tree():
     run_corpus(["C2xC2"], out=io.BytesIO())  # module-level caches filled untraced
     ratio = _traced_peak(streamed) / _traced_peak(oracle)
     assert ratio <= 0.6, ratio
+
+
+def test_the_stream_never_holds_a_theorem_of_report_dicts():
+    # the finest theory of C2xC2xC2xC2 has 67 S-normal subgroups, so 4,489
+    # reports for each all-pairs theorem: the stream holds them encoded
+    def streamed():
+        run_corpus(["C2xC2xC2xC2"], all_scts=False, out=io.BytesIO())
+
+    def oracle():
+        corpus_oracle.run_corpus(["C2xC2xC2xC2"], all_scts=False, out=io.BytesIO())
+
+    run_corpus(["C2xC2"], out=io.BytesIO())  # module-level caches filled untraced
+    ratio = _traced_peak(streamed) / _traced_peak(oracle)
+    assert ratio <= 0.55, ratio
+
+
+@pytest.mark.slow
+def test_c2_to_the_fifth_extremes_stay_under_150_mb():
+    # 43 MB of JSON; a fresh interpreter runs the command as its only child,
+    # so RUSAGE_CHILDREN reads the command's peak and not this process's
+    src = Path(__file__).resolve().parent.parent / "src"
+    command = [sys.executable, "-m", "superchar.cli", "verify", "--extremes-only",
+               "--group", "C2xC2xC2xC2xC2", "--format", "json"]
+    script = (
+        "import resource, subprocess, sys\n"
+        f"subprocess.run({command!r}, stdout=subprocess.DEVNULL, check=True, timeout=120)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         check=True, timeout=150)
+    peak_kib = int(run.stdout)
+    assert peak_kib <= 150 * 1024, peak_kib

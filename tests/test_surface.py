@@ -84,8 +84,8 @@ def _memo_uses(module: str, tree: ast.Module):
 def _allowed_memo_use(where: str, node: ast.Attribute, parent: ast.AST) -> bool:
     if where == "groups.cached" or where.startswith("groups.cached."):
         return True
-    if where.endswith(".__init__"):
-        # only `self._memo = {}`
+    if where.endswith(".__init__") or where == "groups.release":
+        # only `self._memo = {}`, or `owner._memo = {}` dropping a theory's entries after its suite
         return (isinstance(parent, ast.Assign) and parent.targets == [node]
                 and isinstance(parent.value, ast.Dict) and not parent.value.keys)
     if where in CHARACTER_TABLE_SLOT:
