@@ -127,10 +127,11 @@ class SubgroupSet:
 
     Construction verifies that the set actually is a subgroup (contains the
     identity and is closed under multiplication; inverses follow by
-    finiteness).  `mask` has bit g set for each member g.
+    finiteness).  `mask` has bit g set for each member g; `json` is the
+    canonical JSON of the sorted member list, encoded on first use.
     """
 
-    __slots__ = ("parent", "members", "mask", "_hash")
+    __slots__ = ("parent", "members", "mask", "json", "_hash")
 
     def __init__(self, parent: GroupTable, members):
         mem = frozenset(int(x) for x in members)
@@ -146,6 +147,7 @@ class SubgroupSet:
         self.parent = parent
         self.members = mem
         self.mask = element_mask(mem)
+        self.json = None
         self._hash = hash((id(parent), mem))
 
     def __len__(self) -> int:
@@ -163,6 +165,11 @@ class SubgroupSet:
 
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
+
+    def json_bytes(self) -> bytes:
+        if self.json is None:
+            self.json = b"[%s]" % b",".join(b"%d" % g for g in sorted(self.members))
+        return self.json
 
     def is_normal(self) -> bool:
         G = self.parent

@@ -24,7 +24,6 @@ from .cyclotomic import Cyclotomic, Packing
 from .errors import ConsistencyError, GroupConstructionError, SuperTheoryError
 from .groups import (
     ElementPartition,
-    GroupTable,
     SubgroupSet,
     cached,
     conjugacy_classes,
@@ -44,24 +43,21 @@ class SuperTheory:
     and `deflation` below rather than directly.  The `_memo` dict holds what the
     `groups.cached` functions derive from the theory (S-normal subgroups,
     deflations, vanishing subgroups, ...); failed calls are never stored.
-    `deflation_of` is (T, N) when `deflation` built the theory as T^{G/N},
-    and None otherwise.
+    `deflation_of` is (T, N) when `deflation` returned the theory as T^{G/N},
+    T the latest theory it was returned for, and None otherwise.
     """
 
-    __slots__ = ("table", "xparts", "yparts", "ypart_classes", "sigma", "deflation_of", "_memo")
+    __slots__ = ("table", "group", "xparts", "yparts", "ypart_classes", "sigma", "deflation_of", "_memo")
 
     def __init__(self, table, xparts, yparts, ypart_classes, sigma):
         self.table = table
+        self.group = table.group
         self.xparts = xparts
         self.yparts = yparts
         self.ypart_classes = ypart_classes
         self.sigma = sigma
         self.deflation_of = None
         self._memo = {}
-
-    @property
-    def group(self) -> GroupTable:
-        return self.table.group
 
     @property
     def n_parts(self) -> int:
@@ -441,8 +437,10 @@ def deflation(S: SuperTheory, N: SubgroupSet) -> SuperTheory:
         tuple(tuple(sorted({block_of[x] for x in b})) for b in yparts.blocks),
         tuple(tuple(S.sigma[xi][images[b]].lowered(table.exponent) for b in yparts.blocks) for xi in inside),
     )
+    theory = _interned(table, theory)
+    # S is live: a theory whose caches were released would rebuild the chain's deflations
     theory.deflation_of = (S, N)
-    return _interned(table, theory)
+    return theory
 
 
 @cached

@@ -15,7 +15,6 @@ import gc
 import io
 import json
 from fractions import Fraction
-from itertools import islice
 
 from .chartab import DEFAULT_MAX_ORDER, character_table_of, failing_pairs
 from .errors import OrderBoundError
@@ -135,7 +134,7 @@ def _check_celt(S: SuperTheory):
 @theorem("T-corgcp", "characterizations of generalized Camina pairs agree")
 def _check_corgcp(S: SuperTheory):
     for N in s_normal_subgroups(S):
-        yield _verdict_row({"n": _sub(N)}, is_s_gcp(S, N))
+        yield _verdict_row({"n": N}, is_s_gcp(S, N))
 
 
 @theorem("L-cp", "Camina pairs close upward, pass to quotients, and bound the center")
@@ -161,7 +160,7 @@ def _check_cp(S: SuperTheory):
                     fails.append(f"quotient-{_sub(K)}")
         if not abelian and not center.members <= N.members:
             fails.append("center-below")
-        yield _failing_row({"n": _sub(N)}, fails, verdict.vacuous)
+        yield _failing_row({"n": N}, fails, verdict.vacuous)
 
 
 @theorem("L-vs", "basic properties of the vanishing-off subgroup V(S)")
@@ -222,7 +221,7 @@ def _check_vsn(S: SuperTheory):
     V = v_theory(S)
     for N in s_normal_subgroups(S):
         defl = deflation(S, N)
-        scope = {"n": _sub(N)}
+        scope = {"n": N}
         if is_s_abelian(defl):
             yield scope, "not-applicable"
             continue
@@ -288,7 +287,7 @@ def _check_scd(S: SuperTheory):
 @theorem("L-unormal", "U(S|N) is S-normal")
 def _check_unormal(S: SuperTheory):
     for N in s_normal_subgroups(S):
-        yield {"n": _sub(N)}, _status(S.is_s_normal(u_rel(S, N)))
+        yield {"n": N}, _status(S.is_s_normal(u_rel(S, N)))
 
 
 @theorem("L-irr", "character-set containment mirrors subgroup containment")
@@ -301,7 +300,7 @@ def _check_irr(S: SuperTheory):
         for N in subs:
             contained = over[M.members] <= over[N.members]
             ok = contained == (M.members <= N.members)
-            yield {"m": _sub(M), "n": _sub(N)}, _status(ok)
+            yield {"m": M, "n": N}, _status(ok)
 
 
 @theorem("L-uorder", "U(S|.) is monotone")
@@ -312,7 +311,7 @@ def _check_uorder(S: SuperTheory):
             if not H.members <= N.members:
                 continue
             ok = u_rel(S, H).members <= u_rel(S, N).members
-            yield {"h": _sub(H), "n": _sub(N)}, _status(ok)
+            yield {"h": H, "n": N}, _status(ok)
 
 
 @theorem("L-ugroup", "H lies in U(S|N) exactly when V(S|H) lies in N")
@@ -322,7 +321,7 @@ def _check_ugroup(S: SuperTheory):
         for N in subs:
             lhs = H.members <= u_rel(S, N).members
             rhs = v_rel(S, H).members <= N.members
-            yield {"h": _sub(H), "n": _sub(N)}, _status(lhs == rhs)
+            yield {"h": H, "n": N}, _status(lhs == rhs)
 
 
 @theorem("C-ucorr", "membership in U(S|N) matches the coset-product factorization")
@@ -336,7 +335,7 @@ def _check_ucorr(S: SuperTheory):
             membership = H.members <= u_rel(S, N).members
             ok = triple.agreement and membership == triple.holds
             witness = None if ok else triple.to_json()
-            yield {"h": _sub(H), "n": _sub(N)}, _status(ok, triple.vacuous), witness
+            yield {"h": H, "n": N}, _status(ok, triple.vacuous), witness
 
 
 @theorem("C-ucor", "N = U(S|N) exactly at star factorizations")
@@ -346,7 +345,7 @@ def _check_ucor(S: SuperTheory):
         fixed = N.members == u_rel(S, N).members
         ok = pair.agreement and fixed == pair.holds
         witness = None if ok else pair.to_json()
-        yield {"n": _sub(N)}, _status(ok, pair.vacuous), witness
+        yield {"n": N}, _status(ok, pair.vacuous), witness
 
 
 @theorem("T-ugroupp", "U(S|N) is the largest subgroup with the vanishing property")
@@ -369,7 +368,7 @@ def _check_ugroupp(S: SuperTheory):
             rhs = not escaping_character((sigma for sigma, ker in kernels if g not in ker), N)
             if rhs != (g in U.members):
                 fails.append(f"membership-{g}")
-        yield _failing_row({"n": _sub(N)}, fails)
+        yield _failing_row({"n": N}, fails)
 
 
 @theorem("L-ucap", "U(S|N) is bounded by N and the commutator")
@@ -377,7 +376,7 @@ def _check_ucap(S: SuperTheory):
     abelian = is_s_abelian(S)
     com = s_commutator_full(S)
     for N in s_normal_subgroups(S):
-        scope = {"n": _sub(N)}
+        scope = {"n": N}
         if abelian:
             yield scope, "not-applicable"
             continue
@@ -401,7 +400,7 @@ def _check_udelta(S: SuperTheory):
         nontrivial = len(u_rel(S, N)) > 1
         ok = exists == nontrivial
         witness = None if ok else {"exists-factor": exists, "u": _sub(u_rel(S, N))}
-        yield {"n": _sub(N)}, _status(ok), witness
+        yield {"n": N}, _status(ok), witness
 
 
 @theorem("L-uchain", "the iterated U-chain bottoms out above 1 iff a star factor exists")
@@ -417,7 +416,7 @@ def _check_uchain(S: SuperTheory):
         )
         ok = (len(last) > 1) == exists
         witness = None if ok else {"chain-last": _sub(last), "exists-star": exists}
-        yield {"n": _sub(N)}, _status(ok), witness
+        yield {"n": N}, _status(ok), witness
 
 
 @theorem("L-uquot", "U commutes with deflation above V(S|N)")
@@ -425,7 +424,7 @@ def _check_uquot(S: SuperTheory):
     subs = s_normal_subgroups(S)
     for N in subs:
         for H in subs:
-            scope = {"n": _sub(N), "h": _sub(H)}
+            scope = {"n": N, "h": H}
             if not v_rel(S, N).members <= H.members:
                 yield scope, "not-applicable"
                 continue
@@ -437,7 +436,7 @@ def _check_ukernel(S: SuperTheory):
     for N in s_normal_subgroups(S):
         fails, notes = u_kernel_check(S, N)
         witness = {"failing": fails} if fails else {"notes": notes} if notes else None
-        yield {"n": _sub(N)}, _status(not fails), witness
+        yield {"n": N}, _status(not fails), witness
 
 
 @theorem("T-final", "VZ, Z(S) = V(S), and U(S) = [G,S] are equivalent")
@@ -490,42 +489,63 @@ def _check_prop42(S: SuperTheory):
         witness = {"failing": fails} if fails else None
         if witness is None and not raw_subgroups:
             witness = {"note": "some nonvanishing sets needed closure to become subgroups"}
-        yield {"n": _sub(N)}, _status(not fails), witness
+        yield {"n": N}, _status(not fails), witness
 
 
 THEOREM_IDS = tuple(_CHECKERS)
 THEOREM_DESCRIPTIONS = {tid: check.description for tid, check in _CHECKERS.items()}
 
 
-def _report(tid: str, scope: dict, status: str, witness: dict | None = None) -> dict:
-    # status: pass | fail | not-applicable | vacuous
-    out = {"theorem_id": tid, "scope": scope, "status": status}
-    if witness is not None:
-        out["witness"] = witness
-    return out
-
-
 _SUMMARY_KEY = {"pass": "pass", "fail": "fail", "vacuous": "vacuous", "not-applicable": "na"}
-CHUNK_ROWS = 256  # reports encoded at a time
+CHUNK_ROWS = 256  # rows joined into one piece
+# what follows a row's scope, up to its theorem id, for each status
+_STATUS_TAIL = {status: b'},"status":"%s","theorem_id":' % status.encode() for status in _SUMMARY_KEY}
 
 
-def _hold(batch: list, chunks: list, counts: dict, fails: list) -> None:
-    """Encode batch onto chunks, counting its statuses and keeping its
-    failing reports."""
-    for report in batch:
-        counts[_SUMMARY_KEY[report["status"]]] += 1
-        if report["status"] == "fail":
-            fails.append(report)
-    chunks.append(corpus_json_bytes(batch)[1:-1])
+def _encode_rows(tid: str, rows, counts: dict, fails: list) -> list[bytes]:
+    """The canonical JSON of tid's rows, each led by a comma, joined
+    `CHUNK_ROWS` at a time.  A scope value is written from the int or the
+    `SubgroupSet` it is, and any other value, like a witness, is encoded.
+    Each status is counted in counts, and each failing row is appended to
+    fails as its report dict, with its subgroups as sorted lists."""
+    enc = corpus_json_bytes
+    tid_json = enc(tid)
+    tails = {status: tail + tid_json for status, tail in _STATUS_TAIL.items()}
+    shapes = {}  # a scope's keys, as given -> each key in sorted order with its JSON lead
+    chunks, out = [], []
+    for n, row in enumerate(rows, 1):
+        scope, status, witness = (*row, None)[:3]
+        keys = shapes.get(tuple(scope))
+        if keys is None:
+            keys = shapes[tuple(scope)] = [(k, (b"," if i else b"") + enc(k) + b":") for i, k in enumerate(sorted(scope))]
+        out.append(b',{"scope":{')
+        for key, lead in keys:
+            value = scope[key]
+            out.append(lead)
+            out.append(b"%d" % value if type(value) is int else
+                       value.json_bytes() if type(value) is SubgroupSet else enc(value))
+        out.append(tails[status])
+        out.append(b"}" if witness is None else b',"witness":%s}' % enc(witness))
+        counts[_SUMMARY_KEY[status]] += 1
+        if status == "fail":
+            plain = {k: list(v.sorted_members()) if type(v) is SubgroupSet else v for k, v in scope.items()}
+            report = {"theorem_id": tid, "scope": plain, "status": status}
+            fails.append(report if witness is None else {**report, "witness": witness})
+        if n % CHUNK_ROWS == 0:
+            chunks.append(b"".join(out))
+            out = []
+    return chunks + [b"".join(out)] if out else chunks
 
 
 def run_suite(S: SuperTheory, counts: dict, fails: list):
     """Run every theorem over all applicable scopes of the theory and yield
     its reports, the rows of the corpus JSON, as canonical JSON in
     registration order: comma-separated, in chunks of at most `CHUNK_ROWS`
-    reports, every chunk but the first led by a comma.  Each report's
-    status is counted in counts (keyed as the corpus summary), and each
-    failing report is appended to fails.
+    reports, every chunk but the first led by a comma.  Each row is written
+    straight from the checker's scope: ints as they are, subgroups from the
+    bytes each `SubgroupSet` encodes once.  Each report's status is counted
+    in counts (keyed as the corpus summary), and each failing report is
+    appended to fails as a dict.
 
     Every theorem id appears at least once: a checker that yields no row
     gives one not-applicable report, and an exception raised by a checker
@@ -533,25 +553,20 @@ def run_suite(S: SuperTheory, counts: dict, fails: list):
     aborting the suite.  A theorem's chunks are held until its checker
     ends, so that fail report replaces every row it yielded before.
     """
-    lead = b""
+    first = True
     for tid in THEOREM_IDS:
-        held = [], dict.fromkeys(counts, 0), []  # chunks, their counts, their failing reports
+        held = dict.fromkeys(counts, 0), []  # the theorem's counts and failing reports
         try:
-            rows = iter(_CHECKERS[tid](S))
-            while batch := [_report(tid, *row) for row in islice(rows, CHUNK_ROWS)]:
-                _hold(batch, *held)
-            if not held[0]:
-                _hold([_report(tid, {}, "not-applicable")], *held)
+            chunks = _encode_rows(tid, _CHECKERS[tid](S), *held) or _encode_rows(tid, [({}, "not-applicable")], *held)
         except Exception as exc:
-            held = [], dict.fromkeys(counts, 0), []
-            _hold([_report(tid, {"error": str(exc), "exception": type(exc).__name__}, "fail")], *held)
-        chunks, held_counts, held_fails = held
-        for key, n in held_counts.items():
+            held = dict.fromkeys(counts, 0), []
+            chunks = _encode_rows(tid, [({"error": str(exc), "exception": type(exc).__name__}, "fail")], *held)
+        for key, n in held[0].items():
             counts[key] += n
-        fails += held_fails
+        fails += held[1]
         for chunk in chunks:
-            yield lead + chunk
-            lead = b","
+            yield chunk[1:] if first else chunk
+            first = False
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +726,7 @@ def run_corpus(
     With `out`, a binary stream, the canonical JSON of the corpus is
     written there: each theorem's reports as soon as its checker has run
     on a theory (under `jobs` > 1, each group's as its worker sends it
-    back), encoded `CHUNK_ROWS` at a time as they are made.  Memory is bounded by
+    back), written from the checkers' rows as they are made.  Memory is bounded by
     one theorem's encoded rows plus the caches shared across a group's
     theories; each theory's own caches are released after its suite, and
     each group's before the next group starts.  Only the failing

@@ -5,7 +5,9 @@ only once the whole group has been verified.  Serial only.
 This is the oracle of the streamed bytes: `run_corpus(specs, out=buf)`
 here must write the bytes `superchar.verifier.run_corpus` writes.
 `run_suite` is the suite as it stood before it encoded its reports in
-chunks, yielding each theorem's report dicts as one list; `_group_entry`,
+chunks, yielding each theorem's report dicts as one list, and `_report`
+the dict of one row as every row was built before rows were written
+straight from their scopes; `_group_entry`,
 `_group_entry_worker` and `_collect` are the dict-building driver as it
 stood, with only `run_suite`'s batches flattened.
 """
@@ -13,16 +15,27 @@ stood, with only `run_suite`'s batches flattened.
 import gc
 
 from superchar.chartab import character_table_of
+from superchar.groups import SubgroupSet
 from superchar.verifier import (
     _CHECKERS,
     DEFAULT_CATALOG,
     THEOREM_IDS,
     _build,
-    _report,
     _theories_for,
     corpus_json_bytes,
     failing_reports,
 )
+
+
+def _report(tid: str, scope: dict, status: str, witness: dict | None = None) -> dict:
+    """The report dict of one checker row, each subgroup of its scope as
+    its sorted member list."""
+    # status: pass | fail | not-applicable | vacuous
+    scope = {k: list(v.sorted_members()) if isinstance(v, SubgroupSet) else v for k, v in scope.items()}
+    out = {"theorem_id": tid, "scope": scope, "status": status}
+    if witness is not None:
+        out["witness"] = witness
+    return out
 
 
 def run_suite(S):

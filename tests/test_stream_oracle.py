@@ -14,10 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from superchar.groups import catalog_group
+from superchar.groups import catalog_group, normal_subgroups
 from superchar.verifier import (
     CHUNK_ROWS,
     DEFAULT_CATALOG,
+    _encode_rows,
     corpus_json_bytes,
     failing_reports,
     run_corpus,
@@ -96,6 +97,69 @@ def test_failing_rows_stream_the_oracle_bytes(monkeypatch):
         ("S3", 0, "L-vs"), ("S3", 0, "T-zs"), ("S3", 1, "L-vs"), ("S3", 1, "T-zs"),
     ] + [("Q8", t, tid) for t in range(9) for tid in ("L-vs", "T-zs")]
     assert fails[1]["witness"] == {"failing": ["planted"], "order": 2}
+
+
+def _d6_subgroups():
+    # D6 (order 12) has normal subgroups with members of two digits, so a
+    # member list sorted as strings would be caught
+    subs = {N.sorted_members(): N for N in normal_subgroups(catalog_group("D6"))}
+    return subs[(0, 2, 4, 6, 8, 10)], subs[(0, 2, 4, 7, 9, 11)], subs[(0, 3)]
+
+
+def _scope_rows():
+    """One row of every scope shape the checkers yield, a planted list
+    scope as the tests' checkers yield, and the exception scope."""
+    N, H, M = _d6_subgroups()
+    return [
+        ({}, "pass"),
+        ({}, "not-applicable", None),
+        ({"element": 11}, "vacuous"),
+        ({"m": 3}, "not-applicable"),
+        ({"m": 2}, "fail", {"zeta": [0, 1], "v": [0]}),
+        ({"class": 2}, "pass"),
+        ({"n": N}, "pass", {"note": "some nonvanishing sets needed closure to become subgroups"}),
+        ({"h": H, "n": N}, "vacuous"),
+        ({"m": M, "n": N}, "pass"),
+        ({"n": N, "h": H}, "fail", {"failing": ["deflated U = (0, 3), projected U = [0]"]}),
+        ({"n": [0, 10, 2]}, "fail", {"failing": ["planted"], "order": 12}),
+        ({"error": "caf\u00e9 \u2260 \"th\u00e9\u00e9\"\n", "exception": "ValueError"}, "fail",
+         {"nested": {"z": [1, {"b": None, "a": True}], "a": "\u00fcber"}, "failing": []}),
+    ]
+
+
+@pytest.mark.parametrize("row", _scope_rows(), ids=lambda row: "-".join(row[0]) or "empty")
+def test_each_scope_shape_is_written_as_the_oracle_encodes_its_report(row):
+    counts, fails = dict.fromkeys(("pass", "fail", "vacuous", "na"), 0), []
+    report = corpus_oracle._report("L-uquot", *row)
+    assert _encode_rows("L-uquot", [row], counts, fails) == [b"," + corpus_json_bytes(report)]
+    assert counts == {key: int(key == row[1].replace("not-applicable", "na")) for key in counts}
+    assert fails == ([report] if row[1] == "fail" else [])
+
+
+def test_rows_of_every_shape_are_joined_as_the_oracle_encodes_them():
+    rows = _scope_rows() * (CHUNK_ROWS // 5)  # more than two chunks
+    reports = [corpus_oracle._report("T-celt", *row) for row in rows]
+    counts, fails = dict.fromkeys(("pass", "fail", "vacuous", "na"), 0), []
+    chunks = _encode_rows("T-celt", rows, counts, fails)
+    assert [len(chunk.split(b',{"scope"')) - 1 for chunk in chunks] == [CHUNK_ROWS, CHUNK_ROWS, len(rows) - 2 * CHUNK_ROWS]
+    assert b"".join(chunks)[1:] == corpus_json_bytes(reports)[1:-1]
+    assert fails == [r for r in reports if r["status"] == "fail"]
+
+
+def test_a_failing_subgroup_scope_reaches_the_failing_reports_as_a_sorted_list(monkeypatch):
+    import superchar.verifier as verifier
+
+    def planted(S):
+        subs = {N.sorted_members(): N for N in normal_subgroups(S.group)}
+        yield {"n": subs[(0, 2, 4, 6, 8, 10)], "h": subs[(0, 3)]}, "fail", {"failing": ["planted"]}
+
+    monkeypatch.setitem(verifier._CHECKERS, "L-uquot", planted)
+    fails = assert_matches_oracle(["D6"])
+    assert [report["theory"] for report in fails] == list(range(15))  # one per theory of D6
+    for report in fails:
+        assert report["scope"] == {"n": [0, 2, 4, 6, 8, 10], "h": [0, 3]}
+        assert all(type(value) is list for value in report["scope"].values())
+    assert fails == failing_reports(run_corpus(["D6"]))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
