@@ -7,9 +7,9 @@ denominator `den`, with gcd(den, *num) == 1.  That pair is a normal form,
 so equality and zero tests are exact tuple comparisons.  Character values
 are algebraic integers and have den == 1, so products and conjugates of
 them run on ints alone; `Fraction` appears only at the edges: rational
-construction and extraction and the text form.  No floating arithmetic
-enters any logic path.  Values of different orders are lifted to the lcm
-order before they are multiplied or compared.
+construction, comparison and extraction and the text form.  No floating
+arithmetic enters any logic path.  Values of different orders are lifted
+to the lcm order before they are multiplied or compared.
 
 Exact sums run only on `Packing`: a value becomes one int whose base-2^w
 digits are its coordinates (Kronecker substitution), so a weighted sum of
@@ -152,16 +152,6 @@ class Cyclotomic:
     def one(cls, order: int = 1) -> "Cyclotomic":
         return cls.from_rational(1, order)
 
-    # coercion helpers
-
-    @staticmethod
-    def _coerce(value, order: int) -> "Cyclotomic":
-        if isinstance(value, Cyclotomic):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Cyclotomic.from_rational(value, order)
-        return NotImplemented  # type: ignore[return-value]
-
     def lifted(self, new_order: int) -> "Cyclotomic":
         """The same value viewed in Q(zeta_new_order); requires order | new_order."""
         if new_order == self.order:
@@ -193,10 +183,7 @@ class Cyclotomic:
             e //= p
         return _value(e, num, self.den)
 
-    def _pair(self, other):
-        other = self._coerce(other, self.order)
-        if other is NotImplemented:
-            return None, None
+    def _pair(self, other: "Cyclotomic"):
         if other.order == self.order:
             return self, other
         e = lcm(self.order, other.order)
@@ -250,10 +237,12 @@ class Cyclotomic:
         return q.numerator
 
     def __eq__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return a.num == b.num and a.den == b.den
+        if isinstance(other, Cyclotomic):  # first: Fraction's isinstance check is slower
+            a, b = self._pair(other)
+            return a.num == b.num and a.den == b.den
+        if isinstance(other, (int, Fraction)):  # against num[0] / den, with no value built
+            return self.num[0] * other.denominator == other.numerator * self.den and not any(self.num[1:])
+        return NotImplemented
 
     def __bool__(self) -> bool:
         return not self.is_zero()

@@ -18,26 +18,45 @@ _FULL_ASSOCIATIVITY_BOUND = 512
 
 
 def cached(fn):
-    """Cache `fn(owner, *args)` in `owner._memo` under the key `(fn, *args)`.
+    """Cache `fn(owner, *args)` in `owner._memo` under the key `(fn, *args)`,
+    or `fn` itself when owner is the only argument.
 
-    This is the package's one cache rule.  Arguments are positional and
-    hashable, and equal arguments share an entry.  A call that raises stores
-    nothing, so the checks inside `fn` run on every miss and a hit only ever
-    repeats a call that passed them.
+    This is the package's one cache rule.  Arguments are positional, without
+    defaults, and hashable, and equal arguments share an entry.  A call that
+    raises stores nothing, so the checks inside `fn` run on every miss and a
+    hit only ever repeats a call that passed them.  The wrapper is chosen
+    once by arity, so a hit packs no argument tuple it does not need.
     """
+    arity = fn.__code__.co_argcount
+    if arity == 1:
+        def lookup(owner):
+            memo = owner._memo
+            try:
+                return memo[fn]
+            except KeyError:
+                pass
+            value = memo[fn] = fn(owner)
+            return value
+    elif arity == 2:
+        def lookup(owner, a):
+            key, memo = (fn, a), owner._memo
+            try:
+                return memo[key]
+            except KeyError:
+                pass
+            value = memo[key] = fn(owner, a)
+            return value
+    else:
+        def lookup(owner, *args):
+            key, memo = (fn, *args), owner._memo
+            try:
+                return memo[key]
+            except KeyError:
+                pass
+            value = memo[key] = fn(owner, *args)
+            return value
 
-    @wraps(fn)
-    def lookup(owner, *args):
-        key = (fn, *args)
-        memo = owner._memo
-        try:
-            return memo[key]
-        except KeyError:
-            pass
-        value = memo[key] = fn(owner, *args)
-        return value
-
-    return lookup
+    return wraps(fn)(lookup)
 
 
 def release(owner) -> None:
@@ -110,7 +129,6 @@ class GroupTable:
             k += 1
         return k
 
-    @cached
     def exponent(self) -> int:
         """lcm of the element orders."""
         return lcm(*(self.element_order(g) for g in range(self.order)))

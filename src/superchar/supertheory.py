@@ -39,8 +39,9 @@ MAX_CLASSES = 12  # bound on the conjugacy classes (= |Irr(G)|) enumerate_scts t
 class SuperTheory:
     """A validated supercharacter theory of a finite group.
 
-    Instances are immutable; build them through the derivation functions
-    and `deflation` below rather than directly.  The `_memo` dict holds what the
+    Instances are immutable once `deflation` has made their values; build
+    them through the derivation functions and `deflation` below rather than
+    directly.  The `_memo` dict holds what the
     `groups.cached` functions derive from the theory (S-normal subgroups,
     deflations, vanishing subgroups, ...); failed calls are never stored.
     `deflation_of` is (T, N) when `deflation` returned the theory as T^{G/N},
@@ -429,24 +430,22 @@ def deflation(S: SuperTheory, N: SubgroupSet) -> SuperTheory:
     if len(inside) != len(yparts) or sum(len(S.xparts[xi]) for xi in inside) != len(row_of):
         raise ConsistencyError("the parts inside Irr(G/N) do not match the projected superclasses")
     inside.sort(key=lambda xi: min(row_of[t] for t in S.xparts[xi]))
-    block_of = conjugacy_classes(Q).block_of
-    theory = SuperTheory(
-        table,
-        tuple(frozenset(row_of[t] for t in S.xparts[xi]) for xi in inside),
-        yparts,
-        tuple(tuple(sorted({block_of[x] for x in b})) for b in yparts.blocks),
-        tuple(tuple(S.sigma[xi][images[b]].lowered(table.exponent) for b in yparts.blocks) for xi in inside),
-    )
-    theory = _interned(table, theory)
+    theory = _interned(table, tuple(frozenset(row_of[t] for t in S.xparts[xi]) for xi in inside), yparts)
+    if theory.sigma is None:  # the first deflation to these parts, or one that raised
+        block_of = conjugacy_classes(Q).block_of
+        theory.ypart_classes = tuple(tuple(sorted({block_of[x] for x in b})) for b in yparts.blocks)
+        theory.sigma = tuple(tuple(S.sigma[xi][images[b]].lowered(table.exponent) for b in yparts.blocks)
+                             for xi in inside)
     # S is live: a theory whose caches were released would rebuild the chain's deflations
     theory.deflation_of = (S, N)
     return theory
 
 
 @cached
-def _interned(table: CharacterTable, theory: SuperTheory) -> SuperTheory:
-    """The first theory built on the table equal to this one."""
-    return theory
+def _interned(table: CharacterTable, xparts, yparts: ElementPartition) -> SuperTheory:
+    """The one theory on the table with these parts, looked up before any
+    of its values are made: `deflation` lowers them into it on first use."""
+    return SuperTheory(table, xparts, yparts, None, None)
 
 
 # ---------------------------------------------------------------------------

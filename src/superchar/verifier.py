@@ -84,6 +84,15 @@ DEFAULT_CATALOG = (
 
 
 _CHECKERS: dict = {}  # theorem id -> checker, in registration order
+_TAILS: dict = {}  # theorem id -> status -> what follows a row's scope, up to the end of its theorem id
+_SUMMARY_KEY = {"pass": "pass", "fail": "fail", "vacuous": "vacuous", "not-applicable": "na"}
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # what json.dumps would build per call
+
+
+def corpus_json_bytes(data) -> bytes:
+    """Canonical JSON encoding of a corpus or of any value in it;
+    byte-identical across runs and job counts."""
+    return _CANONICAL.encode(data).encode("ascii")
 
 
 def theorem(tid: str, description: str):
@@ -95,6 +104,8 @@ def theorem(tid: str, description: str):
             raise ValueError(f"theorem id {tid!r} is registered twice")
         check.description = description
         _CHECKERS[tid] = check
+        _TAILS[tid] = {status: b'},"status":"%s","theorem_id":%s' % (status.encode(), corpus_json_bytes(tid))
+                       for status in _SUMMARY_KEY}
         return check
 
     return register
@@ -496,22 +507,20 @@ THEOREM_IDS = tuple(_CHECKERS)
 THEOREM_DESCRIPTIONS = {tid: check.description for tid, check in _CHECKERS.items()}
 
 
-_SUMMARY_KEY = {"pass": "pass", "fail": "fail", "vacuous": "vacuous", "not-applicable": "na"}
 CHUNK_ROWS = 256  # rows joined into one piece
-# what follows a row's scope, up to its theorem id, for each status
-_STATUS_TAIL = {status: b'},"status":"%s","theorem_id":' % status.encode() for status in _SUMMARY_KEY}
+_NOT_APPLICABLE = (({}, "not-applicable"),)  # the row of a checker that yields none
+_SHAPES: dict = {}  # a scope's keys, as given -> each key in sorted order with its JSON lead (a pure memo)
 
 
 def _encode_rows(tid: str, rows, counts: dict, fails: list) -> list[bytes]:
     """The canonical JSON of tid's rows, each led by a comma, joined
     `CHUNK_ROWS` at a time.  A scope value is written from the int or the
     `SubgroupSet` it is, and any other value, like a witness, is encoded.
-    Each status is counted in counts, and each failing row is appended to
-    fails as its report dict, with its subgroups as sorted lists."""
-    enc = corpus_json_bytes
-    tid_json = enc(tid)
-    tails = {status: tail + tid_json for status, tail in _STATUS_TAIL.items()}
-    shapes = {}  # a scope's keys, as given -> each key in sorted order with its JSON lead
+    Once the last row is made, the statuses are counted in counts and the
+    failing rows appended to fails as report dicts, with their subgroups
+    as sorted lists; when rows raises, nothing is counted."""
+    enc, tails, shapes = corpus_json_bytes, _TAILS[tid], _SHAPES
+    seen, failed = dict.fromkeys(tails, 0), []
     chunks, out = [], []
     for n, row in enumerate(rows, 1):
         scope, status, witness = (*row, None)[:3]
@@ -526,14 +535,17 @@ def _encode_rows(tid: str, rows, counts: dict, fails: list) -> list[bytes]:
                        value.json_bytes() if type(value) is SubgroupSet else enc(value))
         out.append(tails[status])
         out.append(b"}" if witness is None else b',"witness":%s}' % enc(witness))
-        counts[_SUMMARY_KEY[status]] += 1
+        seen[status] += 1
         if status == "fail":
             plain = {k: list(v.sorted_members()) if type(v) is SubgroupSet else v for k, v in scope.items()}
             report = {"theorem_id": tid, "scope": plain, "status": status}
-            fails.append(report if witness is None else {**report, "witness": witness})
+            failed.append(report if witness is None else {**report, "witness": witness})
         if n % CHUNK_ROWS == 0:
             chunks.append(b"".join(out))
             out = []
+    for status, k in seen.items():
+        counts[_SUMMARY_KEY[status]] += k
+    fails += failed
     return chunks + [b"".join(out)] if out else chunks
 
 
@@ -554,16 +566,11 @@ def run_suite(S: SuperTheory, counts: dict, fails: list):
     ends, so that fail report replaces every row it yielded before.
     """
     first = True
-    for tid in THEOREM_IDS:
-        held = dict.fromkeys(counts, 0), []  # the theorem's counts and failing reports
+    for tid, check in _CHECKERS.items():
         try:
-            chunks = _encode_rows(tid, _CHECKERS[tid](S), *held) or _encode_rows(tid, [({}, "not-applicable")], *held)
+            chunks = _encode_rows(tid, check(S), counts, fails) or _encode_rows(tid, _NOT_APPLICABLE, counts, fails)
         except Exception as exc:
-            held = dict.fromkeys(counts, 0), []
-            chunks = _encode_rows(tid, [({"error": str(exc), "exception": type(exc).__name__}, "fail")], *held)
-        for key, n in held[0].items():
-            counts[key] += n
-        fails += held[1]
+            chunks = _encode_rows(tid, [({"error": str(exc), "exception": type(exc).__name__}, "fail")], counts, fails)
         for chunk in chunks:
             yield chunk[1:] if first else chunk
             first = False
@@ -662,19 +669,31 @@ def verify_groups(specs, all_scts: bool = True, jobs: int = 1, max_order: int | 
     one verified (see `_group_entry`); with `out`, a binary stream, write
     the canonical JSON of the corpus there as it is made (see `run_corpus`).
     A spec after the first that cannot be built raises before anything is
-    written."""
-    specs = list(specs)
-    for spec in specs[1:]:  # a refusal after the first group would leave a prefix
-        _build(spec, max_order)
-    args = [(spec, all_scts, max_order) for spec in specs]
-    if jobs > 1 and len(args) > 1:
-        # imported here: multiprocessing and the rest cost every serial run ~30 ms of start-up
-        from concurrent.futures import ProcessPoolExecutor
+    written.
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
-            yield from _collect(specs, pool.map(_group_entry_worker, args), out)
-    else:
-        yield from _collect(specs, (_group_entry_worker(a, lazy=True) for a in args), out)
+    What exists before the first group is built, the imported modules
+    above all, is frozen out of the collector's reach (`gc.freeze`) for the
+    run, pool workers included, so each group's collect walks that group's
+    objects only; nothing is frozen when something already is."""
+    freeze = not gc.get_freeze_count()
+    if freeze:
+        gc.freeze()
+    try:
+        specs = list(specs)
+        for spec in specs[1:]:  # a refusal after the first group would leave a prefix
+            _build(spec, max_order)
+        args = [(spec, all_scts, max_order) for spec in specs]
+        if jobs > 1 and len(args) > 1:
+            # imported here: multiprocessing and the rest cost every serial run ~30 ms of start-up
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
+                yield from _collect(specs, pool.map(_group_entry_worker, args), out)
+        else:
+            yield from _collect(specs, (_group_entry_worker(a, lazy=True) for a in args), out)
+    finally:
+        if freeze:
+            gc.unfreeze()
 
 
 def _collect(specs, entries, out):
@@ -739,15 +758,6 @@ def run_corpus(
         run_corpus(specs, all_scts, jobs, max_order, buf)
         return json.loads(buf.getvalue())
     return failing_reports({"groups": list(verify_groups(specs, all_scts, jobs, max_order, out))})
-
-
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # what json.dumps would build per call
-
-
-def corpus_json_bytes(data) -> bytes:
-    """Canonical JSON encoding of a corpus or of any value in it;
-    byte-identical across runs and job counts."""
-    return _CANONICAL.encode(data).encode("ascii")
 
 
 def failing_reports(corpus: dict) -> list[dict]:

@@ -277,3 +277,36 @@ def test_packed_sums_at_the_proven_bound():
         square = Ref.of(top * top)
         assert key(products.unpack(total)) == key(square.scale(W).value())
         assert key(products.unpack(-total)) == key(square.scale(-W).value())
+
+
+def test_comparison_with_rationals_matches_the_value_comparison():
+    # ints and Fractions are compared with num[0] / den in place; the oracle
+    # is the comparison with the same rational built as a value of any order
+    rng = random.Random(19)
+    rationals = [0, 1, -1, 2, True, False, Fraction(1, 2), Fraction(-7, 3), Fraction(4, 2), Fraction(0, 5)]
+    values = [Cyclotomic.from_rational(q, e) for q in rationals for e in (1, 3, 4, 12)]
+    values += [Cyclotomic(e, [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(rng.randint(1, e))])
+               for e in (1, 2, 3, 4, 6, 8, 12) for _ in range(30)]
+    values += [zeta(4), zeta(8, 3), Cyclotomic(12, [Fraction(1, 2), 0, 0, 1])]  # not rational
+    for v in values:
+        for q in rationals:
+            for e in (1, 2, v.order, 2 * v.order):  # the rational as a value of a lower, equal and higher order
+                expected = v == Cyclotomic.from_rational(q, e)
+                assert expected == (Cyclotomic.from_rational(q, e) == v)
+                assert (v == q) is expected and (q == v) is expected
+                assert (v != q) is (not expected) and (q != v) is (not expected)
+        if not v.is_rational():
+            assert all(v != q and q != v for q in rationals)
+    assert Cyclotomic.from_rational(Fraction(-7, 3), 8) == Fraction(-14, 6) != Cyclotomic.from_rational(-2, 8)
+
+
+def test_only_exact_numbers_and_values_compare_equal():
+    # a float or any other object is never equal to a value, either way round
+    v = Cyclotomic.from_rational(2, 4)
+    for other in (2.0, 0.5 + 0j, "2", None, [2]):
+        assert not v == other and v != other
+        assert not other == v and other != v
+    # values of different orders compare by the lcm of their orders
+    half_i = Cyclotomic(4, [0, Fraction(1, 2)])
+    assert half_i == Cyclotomic(12, [0, 0, 0, Fraction(1, 2)]) and Cyclotomic(12, [0, 0, 0, Fraction(1, 2)]) == half_i
+    assert half_i != Cyclotomic(3, [0, 1]) and Cyclotomic(3, [0, 1]) != half_i

@@ -8,9 +8,12 @@ from superchar.cyclotomic import Cyclotomic
 from superchar.errors import SuperTheoryError
 from superchar.groups import (
     SubgroupSet,
+    cached,
     catalog_group,
     full_subgroup,
     generated_subgroup,
+    normal_subgroups,
+    release,
     trivial_subgroup,
 )
 from superchar.structure import irr_over, s_commutator_full, s_normal_subgroups
@@ -22,6 +25,7 @@ from superchar.supertheory import (
     enumerate_scts,
     finest,
     is_delta_product,
+    non_coset_union,
     sct_from_class_partition,
     sigma_orthogonality,
     star_construct,
@@ -296,6 +300,70 @@ def test_cache_rule_stores_no_failure_and_keys_by_group(body_runs):
             deflation(S, SubgroupSet(catalog_group("D4"), [0, 2]))
 
     assert body_runs(deflation, foreign) == 1
+
+
+def test_the_cache_rule_holds_at_every_arity(body_runs):
+    # the owner alone, one argument and two: equal arguments share an
+    # entry, a call that raises stores nothing, and release drops them all
+    G, T = theory_of("S3")
+    S = finest(T)
+    A3 = next(N for N in normal_subgroups(G) if len(N) == 3)
+    twin = SubgroupSet(G, A3.members)  # equal to the lattice's A3, another object
+    assert twin == A3 and twin is not A3
+    runs, raising = [], [True]
+
+    def probe(*args):
+        runs.append(args)
+        if raising[0]:
+            raise ValueError("refused")
+        return object()
+
+    owner_only = cached(lambda S: probe(S))
+    one = cached(lambda S, H: probe(S, H))
+    two = cached(lambda S, H, K: probe(S, H, K))
+    calls = [lambda: owner_only(S), lambda: one(S, A3), lambda: two(S, A3, trivial_subgroup(G))]
+    for call in calls * 2:
+        with pytest.raises(ValueError):
+            call()
+    assert len(runs) == 6
+    raising[0] = False
+    first = [call() for call in calls]
+    assert [owner_only(S), one(S, twin), two(S, twin, SubgroupSet(G, [0]))] == first
+    assert len(runs) == 9 and owner_only.__wrapped__.__code__.co_argcount == 1
+    release(S)
+    assert all(call() is not old for call, old in zip(calls, first)) and len(runs) == 12
+
+    # the package's own cached functions of each arity
+    assert S.is_s_normal(A3) and non_coset_union(S, A3, A3) is None and s_normal_subgroups(S)
+    assert body_runs(SuperTheory.is_s_normal, lambda: S.is_s_normal(twin)) == 0
+    assert body_runs(non_coset_union, lambda: non_coset_union(S, twin, twin)) == 0
+    assert body_runs(s_normal_subgroups, lambda: s_normal_subgroups(S)) == 0
+
+    def needs_m_below_n():
+        for _ in range(2):
+            with pytest.raises(SuperTheoryError):
+                non_coset_union(S, A3, trivial_subgroup(G))
+
+    assert body_runs(non_coset_union, needs_m_below_n) == 2
+    release(S)
+    assert body_runs(SuperTheory.is_s_normal, lambda: S.is_s_normal(twin)) == 1
+    assert body_runs(non_coset_union, lambda: non_coset_union(S, twin, twin)) == 1
+    assert body_runs(s_normal_subgroups, lambda: s_normal_subgroups(S)) == 1
+
+
+def test_each_deflation_is_built_once(monkeypatch):
+    # equal deflations of different theories are looked up before any of
+    # their values are made: every theory built is one that is returned
+    init = SuperTheory.__init__
+    for name in ("D4", "Q8", "C2xC2xC2", "S4"):
+        theories = enumerate_scts(character_table_of(catalog_group(name)))
+        built = []
+        monkeypatch.setattr(SuperTheory, "__init__", lambda self, *args: built.append(self) or init(self, *args))
+        returned = [deflation(S, N) for S in theories for N in s_normal_subgroups(S)]
+        returned += [deflation(D, M) for D in returned[:] for M in s_normal_subgroups(D)]
+        monkeypatch.undo()
+        assert {id(D) for D in built} == {id(D) for D in returned}, name
+        assert len(built) < len(returned) / 2, name
 
 
 def test_star_product_predicate_and_construction():

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from superchar.chartab import CharacterTable, character_table_of
+from superchar.errors import OrderBoundError
 from superchar.groups import GroupTable, catalog_group
 from superchar.supertheory import enumerate_scts, finest
 from superchar.verifier import (
@@ -227,6 +228,42 @@ def test_a_serial_run_collects_after_each_group(monkeypatch):
     calls.clear()
     run_corpus(["C2"])
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_the_heap_is_frozen_for_the_run_and_thawed_after(jobs):
+    # what exists before the run is out of the collector's reach while it
+    # lasts; after it, raising or not, the freeze count is as it was
+    before = gc.get_freeze_count()
+    counts = []
+
+    class Recorder(io.BytesIO):
+        def write(self, data):
+            counts.append(gc.get_freeze_count())
+            if data == b"," and self.fail:  # the second group's first write, as on a full disk
+                raise OSError("no space left")
+            return super().write(data)
+
+    Recorder.fail = False
+    run_corpus(["C2", "C3"], jobs=jobs, out=Recorder())
+    assert gc.get_freeze_count() == before and counts and all(counts)
+    Recorder.fail = True
+    with pytest.raises(OSError, match="no space left"):
+        run_corpus(["C2", "C3"], jobs=jobs, out=Recorder())
+    assert gc.get_freeze_count() == before
+    with pytest.raises(OrderBoundError):  # raised while the first group is built
+        run_corpus(["C1000", "C2"], jobs=jobs, max_order=2000)
+    assert gc.get_freeze_count() == before
+
+
+def test_a_run_leaves_what_the_caller_froze_frozen():
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        run_corpus(["C2", "C3"])
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
 
 
 def test_pool_is_capped_at_the_number_of_groups(monkeypatch):
