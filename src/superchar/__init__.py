@@ -69,6 +69,8 @@ from .supertheory import (
 )
 from .vanishing import (
     CaminaVerdict,
+    camina_masks,
+    gcp_holds,
     is_camina_element,
     is_camina_pair,
     is_camina_triple,

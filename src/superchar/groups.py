@@ -344,6 +344,12 @@ def class_masks(G: GroupTable) -> tuple[int, ...]:
 
 
 @cached
+def coset_masks(G: GroupTable, H: SubgroupSet) -> tuple[int, ...]:
+    """The mask of the coset gH of each element g."""
+    return tuple(element_mask(row[h] for h in H.members) for row in G.mul)
+
+
+@cached
 def normal_closure(G: GroupTable, mask: int) -> SubgroupSet:
     """The subgroup generated by a set closed under conjugation: the
     smallest member of the lattice containing it, which is the meet of

@@ -17,6 +17,7 @@ from .errors import ConsistencyError
 from .groups import (
     SubgroupSet,
     cached,
+    coset_masks,
     element_mask,
     full_subgroup,
     normal_closure,
@@ -54,12 +55,14 @@ class CaminaVerdict:
     `conditions` holds the independently evaluated equivalent conditions;
     `agreement` is True when they all coincide.  `extras` carries evaluated
     but non-asserted readings, `witnesses` counterexample payloads for the
-    false conditions.
+    false conditions.  The subject and each witness are zero-argument
+    callables that give the text, called by `to_json` only: a verdict that
+    is never shown formats nothing.
     """
 
     __slots__ = ("subject", "holds", "conditions", "agreement", "vacuous", "witnesses", "extras")
 
-    def __init__(self, subject: str, holds: bool, conditions: dict[str, bool],
+    def __init__(self, subject, holds: bool, conditions: dict[str, bool],
                  vacuous: bool = False, witnesses: dict | None = None, extras: dict | None = None):
         self.subject, self.holds, self.conditions = subject, holds, conditions
         self.agreement = len(set(conditions.values())) == 1
@@ -69,7 +72,7 @@ class CaminaVerdict:
 
     def to_json(self):
         out = {
-            "subject": self.subject,
+            "subject": self.subject(),
             "holds": self.holds,
             "agreement": self.agreement,
             "conditions": dict(self.conditions),
@@ -77,7 +80,7 @@ class CaminaVerdict:
         if self.vacuous:
             out["vacuous"] = True
         if self.witnesses:
-            out["witnesses"] = {k: str(v) for k, v in self.witnesses.items()}
+            out["witnesses"] = {k: text() for k, text in self.witnesses.items()}
         if self.extras:
             out["extras"] = {k: str(v) for k, v in self.extras.items()}
         return out
@@ -142,58 +145,70 @@ def v_theory(S: SuperTheory) -> SubgroupSet:
 # Camina conditions
 
 
-def _first_outside(S: SuperTheory, N: SubgroupSet, fails) -> int | None:
-    """The first element outside N, in element order, at which fails(g)
-    holds, or None."""
-    return next((g for g in range(S.group.order) if not N.mask >> g & 1 and fails(g)), None)
+def _first_miss(S: SuperTheory, N: SubgroupSet, holds: int) -> int | None:
+    """The least element outside N that is not in the mask holds, or None."""
+    miss = ~(holds | N.mask) & ((1 << S.group.order) - 1)
+    return (miss & -miss).bit_length() - 1 if miss else None
 
 
 @cached
-def _differences(S: SuperTheory, g: int) -> int:
-    """The mask of g^-1 Cl_S(g), the differences a transversal test needs."""
-    row = S.group.mul[S.group.inv[g]]
-    return element_mask(row[y] for y in S.superclass(g))
+def _differences(S: SuperTheory) -> tuple[int, ...]:
+    """The mask of g^-1 Cl_S(g) for each element g, the differences a
+    transversal test needs."""
+    G = S.group
+    return tuple(element_mask(G.mul[G.inv[g]][y] for y in S.superclass(g)) for g in range(G.order))
 
 
 @cached
+def camina_masks(S: SuperTheory) -> tuple[int, int, int, int]:
+    """The elements g at which each characterization of an S-Camina element
+    holds, as masks (vanishing, class-coset, class-size, transversal): every
+    member of Irr(S|[G,S]) is 0 at g; Cl_S(g) = g[G,S]; |Cl_S(g)| = |[G,S]|;
+    and g^-1 Cl_S(g) holds every element of [G,S].  Each is read off its own
+    definition, the first from the supercharacter values on each superclass."""
+    G, com = S.group, s_commutator_full(S)
+    over, blocks, block_of = irr_over(S, com), S.block_masks(), S.yparts.block_of
+    vanishing = sum(m for k, m in enumerate(blocks) if all(sigma.values[k].is_zero() for sigma in over))
+    cosets = coset_masks(G, com)
+    coset = element_mask(g for g in range(G.order) if blocks[block_of[g]] == cosets[g])
+    size = sum(m for m, b in zip(blocks, S.yparts.blocks) if len(b) == len(com))
+    transversal = element_mask(g for g, d in enumerate(_differences(S)) if not com.mask & ~d)
+    return vanishing, coset, size, transversal
+
+
 def is_camina_element(S: SuperTheory, g: int) -> CaminaVerdict:
-    """Four independent characterizations of an S-Camina element:
-    all of Irr(S|[G,S]) vanish at g; Cl_S(g) = g[G,S]; |Cl_S(g)| = |[G,S]|;
-    and every commutator-coset difference is realized inside Cl_S(g)."""
+    """Four independent characterizations of an S-Camina element, the bits
+    of g in `camina_masks`: all of Irr(S|[G,S]) vanish at g;
+    Cl_S(g) = g[G,S]; |Cl_S(g)| = |[G,S]|; and every commutator-coset
+    difference is realized inside Cl_S(g)."""
     com = s_commutator_full(S)
     cls = S.superclass(g)
-    row = S.group.mul[g]
-    witnesses: dict[str, object] = {}
+    vanishing, coset, size, transversal = (bool(m >> g & 1) for m in camina_masks(S))
+    witnesses = {}
+    if not vanishing:
+        nonzero = next(sigma for sigma in irr_over(S, com) if not sigma.value_on(g).is_zero())
+        witnesses["vanishing"] = lambda: f"sigma_{nonzero.index}(g) = {nonzero.value_on(g)}"
+    if not coset:
+        row = S.group.mul[g]
+        witnesses["class-coset"] = lambda: f"Cl_S({g}) = {sorted(cls)}, g[G,S] = {sorted(row[z] for z in com.members)}"
+    if not size:
+        witnesses["class-size"] = lambda: f"|Cl_S({g})| = {len(cls)}, |[G,S]| = {len(com)}"
+    if not transversal:
+        missing = com.mask & ~_differences(S)[g]
+        witnesses["transversal"] = lambda: f"no y in Cl_S({g}) with g^-1 y = {(missing & -missing).bit_length() - 1}"
 
-    nonzero = next((sigma for sigma in irr_over(S, com) if not sigma.value_on(g).is_zero()), None)
-    if nonzero is not None:
-        witnesses["vanishing"] = f"sigma_{nonzero.index}(g) = {nonzero.value_on(g)}"
-    coset = frozenset(row[z] for z in com.members)
-    class_is_coset = cls == coset
-    if not class_is_coset:
-        witnesses["class-coset"] = f"Cl_S({g}) = {sorted(cls)}, g[G,S] = {sorted(coset)}"
-    size_match = len(cls) == len(com)
-    if not size_match:
-        witnesses["class-size"] = f"|Cl_S({g})| = {len(cls)}, |[G,S]| = {len(com)}"
-    missing = com.mask & ~_differences(S, g)
-    if missing:
-        witnesses["transversal"] = f"no y in Cl_S({g}) with g^-1 y = {(missing & -missing).bit_length() - 1}"
-
-    conditions = {
-        "vanishing": nonzero is None,
-        "class-coset": class_is_coset,
-        "class-size": size_match,
-        "transversal": not missing,
-    }
-    return CaminaVerdict(
-        f"element {g}",
-        holds=nonzero is None,
-        conditions=conditions,
-        witnesses=witnesses,
-    )
+    conditions = {"vanishing": vanishing, "class-coset": coset, "class-size": size, "transversal": transversal}
+    return CaminaVerdict(lambda: f"element {g}", holds=vanishing, conditions=conditions, witnesses=witnesses)
 
 
-@cached
+def gcp_holds(S: SuperTheory, N: SubgroupSet) -> bool:
+    """(G, N) is a generalized S-Camina pair: every element outside N is an
+    S-Camina element.  This is `is_s_gcp(S, N).holds`, without the other
+    conditions."""
+    require_s_normal(S, N)
+    return _first_miss(S, N, camina_masks(S)[0]) is None
+
+
 def is_s_gcp(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
     """Generalized S-Camina pair (G, N): every element outside N is an
     S-Camina element, with the equivalent vanishing, class-size and
@@ -204,25 +219,26 @@ def is_s_gcp(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
     literal "over N and [G,S]" reading is recorded in `extras` and only
     asserted when N = [G,S], where the two coincide.
     """
-    require_s_normal(S, N)
+    holds = gcp_holds(S, N)
     com = s_commutator_full(S)
-    witnesses: dict[str, object] = {}
+    vanishing, _, size, transversal = camina_masks(S)
+    witnesses = {}
 
-    non_camina = _first_outside(S, N, lambda g: not is_camina_element(S, g).holds)
-    if non_camina is not None:
-        witnesses["camina-elements"] = f"element {non_camina} is not an S-Camina element"
-    wrong_size = _first_outside(S, N, lambda g: len(S.superclass(g)) != len(com))
+    if not holds:
+        non_camina = _first_miss(S, N, vanishing)
+        witnesses["camina-elements"] = lambda: f"element {non_camina} is not an S-Camina element"
+    wrong_size = _first_miss(S, N, size)
     if wrong_size is not None:
-        witnesses["class-sizes"] = f"|Cl_S({wrong_size})| = {len(S.superclass(wrong_size))} != {len(com)}"
-    short = _first_outside(S, N, lambda g: com.mask & ~_differences(S, g))
+        witnesses["class-sizes"] = lambda: f"|Cl_S({wrong_size})| = {len(S.superclass(wrong_size))} != {len(com)}"
+    short = _first_miss(S, N, transversal)
     if short is not None:
-        witnesses["transversal"] = f"element {short} misses a commutator-coset difference"
+        witnesses["transversal"] = lambda: f"element {short} misses a commutator-coset difference"
     escaping = escaping_character(irr_over(S, com), N)
     if escaping:
-        witnesses["vanishing"] = f"sigma_{escaping.index} does not vanish off N"
+        witnesses["vanishing"] = lambda: f"sigma_{escaping.index} does not vanish off N"
 
     conditions = {
-        "camina-elements": non_camina is None,
+        "camina-elements": holds,
         "class-sizes": wrong_size is None,
         "transversal": short is None,
         "vanishing": escaping is None,
@@ -231,20 +247,35 @@ def is_s_gcp(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
     if com.members <= N.members:
         conditions["coset-product"] = is_delta_product(S, com, N)
         if not conditions["coset-product"]:
-            witnesses["coset-product"] = "some superclass outside N is not a union of [G,S]-cosets"
+            witnesses["coset-product"] = lambda: "some superclass outside N is not a union of [G,S]-cosets"
     if N.members <= com.members:
         literal = is_delta_product(S, N, com)
         extras["coset-product-literal"] = literal
         if N.members == com.members:
             conditions["coset-product-literal"] = literal
     return CaminaVerdict(
-        f"pair (G, {sorted(N.members)})",
-        holds=non_camina is None,
+        lambda: f"pair (G, {sorted(N.members)})",
+        holds=holds,
         conditions=conditions,
         vacuous=len(N) == S.group.order,
         witnesses=witnesses,
         extras=extras,
     )
+
+
+@cached
+def _triple_masks(S: SuperTheory, M: SubgroupSet) -> tuple[int, int]:
+    """The elements g with |Cl_S(g)| = |M| times the size of the superclass
+    of gM in S^{G/M}, and those with M inside g^-1 Cl_S(g), as masks."""
+    defl = deflation(S, M)
+    _, proj = quotient_group(S.group, M)
+    sizes, block_of = S.block_sizes(), S.yparts.block_of
+    quotient_sizes, quotient_block_of = defl.block_sizes(), defl.yparts.block_of
+    size = element_mask(
+        g for g, b in enumerate(block_of) if sizes[b] == quotient_sizes[quotient_block_of[proj[g]]] * len(M)
+    )
+    transversal = element_mask(g for g, d in enumerate(_differences(S)) if not M.mask & ~d)
+    return size, transversal
 
 
 def is_camina_triple(S: SuperTheory, N: SubgroupSet, M: SubgroupSet) -> CaminaVerdict:
@@ -253,32 +284,32 @@ def is_camina_triple(S: SuperTheory, N: SubgroupSet, M: SubgroupSet) -> CaminaVe
     M-cosets)."""
     require_s_normal(S, N)
     require_s_normal(S, M)
-    witnesses: dict[str, object] = {}
+    witnesses = {}
 
     bad = non_coset_union(S, M, N)
     coset = bad is None
     if not coset:
-        witnesses["coset-union"] = f"superclass {sorted(bad)} is not a union of M-cosets"
-    defl = deflation(S, M)
-    _, proj = quotient_group(S.group, M)
-    product = lambda g: len(defl.superclass(proj[g])) * len(M)
-    wrong_size = _first_outside(S, N, lambda g: len(S.superclass(g)) != product(g))
+        witnesses["coset-union"] = lambda: f"superclass {sorted(bad)} is not a union of M-cosets"
+    size, transversal = _triple_masks(S, M)
+    wrong_size = _first_miss(S, N, size)
     if wrong_size is not None:
-        witnesses["class-size-product"] = (
+        defl = deflation(S, M)
+        _, proj = quotient_group(S.group, M)
+        witnesses["class-size-product"] = lambda: (
             f"|Cl_S({wrong_size})| = {len(S.superclass(wrong_size))}, deflated class times |M| = "
-            f"{product(wrong_size)}"
+            f"{len(defl.superclass(proj[wrong_size])) * len(M)}"
         )
-    short = _first_outside(S, N, lambda g: M.mask & ~_differences(S, g))
+    short = _first_miss(S, N, transversal)
     if short is not None:
-        witnesses["transversal"] = f"element {short} misses an M-difference"
+        witnesses["transversal"] = lambda: f"element {short} misses an M-difference"
     bound = v_rel(S, M).members <= N.members
     if not bound:
-        witnesses["vanishing-bound"] = (
+        witnesses["vanishing-bound"] = lambda: (
             f"V(S|M) = {sorted(v_rel(S, M).members)} escapes {sorted(N.members)}"
         )
     escaping = escaping_character(irr_over(S, M), N)
     if escaping:
-        witnesses["vanishing"] = f"sigma_{escaping.index} does not vanish outside N"
+        witnesses["vanishing"] = lambda: f"sigma_{escaping.index} does not vanish outside N"
     conditions = {
         "coset-union": coset,
         "class-size-product": wrong_size is None,
@@ -287,7 +318,7 @@ def is_camina_triple(S: SuperTheory, N: SubgroupSet, M: SubgroupSet) -> CaminaVe
         "vanishing": escaping is None,
     }
     return CaminaVerdict(
-        f"triple (G, {sorted(N.members)}, {sorted(M.members)})",
+        lambda: f"triple (G, {sorted(N.members)}, {sorted(M.members)})",
         holds=coset,
         conditions=conditions,
         vacuous=len(N) == S.group.order,
@@ -298,32 +329,31 @@ def is_camina_triple(S: SuperTheory, N: SubgroupSet, M: SubgroupSet) -> CaminaVe
 def is_camina_pair(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
     """S-Camina pair (G, N): the coset-product condition of
     `is_delta_product` at M = N, the star construction actually reproducing
-    S, V(S|N) = N, and the two-clause character condition.
+    S, V(S|N) = N, and the two-clause character condition, both of its
+    clauses read off where some member of Irr(S|N) is nonzero.
 
     The two-clause condition degenerates at N = 1 (no character lies over
     the trivial subgroup), so there it is recorded but not asserted.
     """
     require_s_normal(S, N)
-    witnesses: dict[str, object] = {}
+    witnesses = {}
 
     bad = non_coset_union(S, N, N)
     coset = bad is None
     if not coset:
-        witnesses["coset-union"] = f"superclass {sorted(bad)} is not a union of N-cosets"
+        witnesses["coset-union"] = lambda: f"superclass {sorted(bad)} is not a union of N-cosets"
     construction = star_construct(S, N) == S
     if not construction:
-        witnesses["construction"] = "the star construction over N differs from S"
+        witnesses["construction"] = lambda: "the star construction over N differs from S"
     vsub = v_rel(S, N).members == N.members
     if not vsub:
-        witnesses["vanishing-off"] = f"V(S|N) = {sorted(v_rel(S, N).members)}"
-    over = irr_over(S, N)
-    clause_a = _first_outside(S, N, lambda g: any(not sigma.value_on(g).is_zero() for sigma in over)) is None
-    clause_b = all(
-        any(not sigma.value_on(n).is_zero() for sigma in over) for n in sorted(N.members)
-    )
+        witnesses["vanishing-off"] = lambda: f"V(S|N) = {sorted(v_rel(S, N).members)}"
+    nonzero = reduce(or_, map(nonvanishing_mask, irr_over(S, N)), 0)
+    clause_a = not nonzero & ~N.mask
+    clause_b = not N.mask & ~nonzero
     two_clause = clause_a and clause_b
     if not two_clause:
-        witnesses["two-clause"] = f"clause a: {clause_a}, clause b: {clause_b}"
+        witnesses["two-clause"] = lambda: f"clause a: {clause_a}, clause b: {clause_b}"
 
     conditions = {
         "coset-union": coset,
@@ -336,7 +366,7 @@ def is_camina_pair(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
     else:
         extras["two-clause-at-trivial-n"] = two_clause
     return CaminaVerdict(
-        f"pair (G, {sorted(N.members)})",
+        lambda: f"pair (G, {sorted(N.members)})",
         holds=coset,
         conditions=conditions,
         vacuous=len(N) == S.group.order,
@@ -457,15 +487,15 @@ def is_vz(S: SuperTheory) -> CaminaVerdict:
     center = s_center(S)
     com = s_commutator_full(S)
     V = v_theory(S)
-    witnesses: dict[str, object] = {}
+    witnesses = {}
 
     escaping = escaping_character(irr_over(S, com), center)
     definition = escaping is None
     if escaping:
-        witnesses["definition"] = f"sigma_{escaping.index} does not vanish off Z(S)"
+        witnesses["definition"] = lambda: f"sigma_{escaping.index} does not vanish off Z(S)"
     v_below_z = V.members <= center.members
     if not v_below_z:
-        witnesses["v-inside-center"] = f"V(S) = {sorted(V.members)}, Z(S) = {sorted(center.members)}"
+        witnesses["v-inside-center"] = lambda: f"V(S) = {sorted(V.members)}, Z(S) = {sorted(center.members)}"
     conditions = {"definition": definition, "v-inside-center": v_below_z}
     abelian = is_s_abelian(S)
     if not abelian:
@@ -473,14 +503,14 @@ def is_vz(S: SuperTheory) -> CaminaVerdict:
         U = u_theory(S)
         conditions["u-equals-commutator"] = U.members == com.members
         if not conditions["u-equals-commutator"]:
-            witnesses["u-equals-commutator"] = f"U(S) = {sorted(U.members)}, [G,S] = {sorted(com.members)}"
+            witnesses["u-equals-commutator"] = lambda: f"U(S) = {sorted(U.members)}, [G,S] = {sorted(com.members)}"
     if com.members <= center.members:
         triple = is_camina_triple(S, center, com).conditions
         conditions["coset-product"] = triple["coset-union"]
         conditions["class-size-product"] = triple["class-size-product"]
         conditions["transversal"] = triple["transversal"]
     return CaminaVerdict(
-        "VZ",
+        lambda: "VZ",
         holds=definition,
         conditions=conditions,
         vacuous=len(center) == S.group.order,

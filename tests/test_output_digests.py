@@ -1,6 +1,7 @@
 """The JSON that the packed sums and the lattice lookups feed is pinned:
-`chartab` on the large tables, `enumerate` on the widest enumerations and
-`verify --extremes-only` on the groups beyond the default corpus must
+`chartab` on the large tables, `enumerate` on the widest enumerations,
+`verify --extremes-only` on the groups beyond the default corpus and
+`analyze`, the one command that prints a verdict's witnesses, must
 print exactly these bytes, as `tests/test_corpus_digest.py` pins the
 corpus."""
 
@@ -23,6 +24,11 @@ OUTPUT_SHA256 = {
     ("verify --extremes-only", "Q32"): "f67d3956f019b45f194afd4207d1dada260ae55a9e82ad53572177ff1f452cb6",
     ("verify --extremes-only", "C17"): "2f5fc5c26fb35955820d6f0a782aaa70dff6891190285469164722f039c772d9",
     ("verify --extremes-only", "C4xC5"): "38785f8fc27469e26cac07aa2fcc38b78dcd88471c1c2f47545dab42a0da3db4",
+    ("analyze --sct finest", "S3"): "568bca401c69a0bf42c22ce90fd2950a3426c7297c2a3f1b9fe0d1ac84e7c2e7",
+    ("analyze --sct finest", "A4"): "4822eec66b5058faa440e3acc3f0ae970178350f8c209c19e05038267318fa35",
+    ("analyze --sct finest", "S4"): "1e992b40b153d22bed6ee12e3c32f318de106bd7d6df0d1d92873fdf4713764b",
+    ("analyze --sct coarsest", "D4"): "cd0f19c520fd0ca3cc64c1dacec7ec4c4d4175c364fd945fb8e4b1d99d396587",
+    ("analyze --sct coarsest", "Q8"): "3197bc6640313de1bb4aa5f5abb4c44f011ae5535f1526ba18fac4adcd39860c",
 }
 
 
