@@ -5,8 +5,8 @@ simultaneously diagonalized over a prime field F_p with p = 1 (mod e) and
 p^2 > 4|G|, degrees are recovered from the second orthogonality relation,
 and values are lifted to Z[zeta_e] by discrete Fourier inversion over the
 e-th roots of unity mod p.  Every Dixon table and every ingested table is
-validated in full, against both orthogonality relations in exact
-cyclotomic arithmetic, before it is returned.
+validated in full, against both orthogonality relations decided exactly
+on packed ints, before it is returned.
 
 The table of a quotient G/N is not recomputed: its irreducible characters
 are exactly the rows of the table of G whose kernel contains N, read on
@@ -19,8 +19,6 @@ classes of G/N, squared degrees summing to |G/N|, principal row first.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
-from fractions import Fraction
 from itertools import chain
 from math import isqrt, lcm
 from operator import mul
@@ -400,46 +398,41 @@ def validate_table(T: CharacterTable) -> CheckReport:
     )
     rep.add("integrality", all(v.is_integral() for row in T.values for v in row))
     ones = [1] * len(T.values)
-    rows, cols = orthogonality(T.exponent, T.values, T.sizes, ones)
-    bad = next(failing_pairs(rows, ones), None)
+    rows, cols = orthogonality(T.exponent, T.values, T.sizes, ones, ones)
+    bad = rows[0] if rows else None
     rep.add("row-orthogonality", not bad, f"<chi_{bad[0]}, chi_{bad[1]}> != {int(bad[0] == bad[1])}" if bad else "")
-    bad = next(failing_pairs(cols, [Fraction(order, size) for size in T.sizes]), None)
+    bad = cols[0] if cols else None
     rep.add("column-orthogonality", not bad, f"columns {bad[0]},{bad[1]} fail" if bad else "")
     return rep
 
 
-def orthogonality(order: int, values, sizes, divisors) -> tuple[list[list[Cyclotomic]], list[list[Cyclotomic]]]:
-    """Both Gram matrices of the rows `values` of Q(zeta_order), as upper
-    triangles read off one packing:
+def orthogonality(order: int, values, sizes, divisors, norms) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The pairs i <= j and k <= l, row by row, at which the rows `values`
+    of Q(zeta_order) fail the two orthogonality relations
 
-        rows[i][j - i] = sum_k sizes[k] v_ik conj(v_jk) / sum(sizes)
-        cols[k][l - k] = sum_i v_ik conj(v_il) / divisors[i]
+        sum_k sizes[k] v_ik conj(v_jk) / sum(sizes) = norms[i] if i == j, else 0
+        sum_i v_ik conj(v_il) / divisors[i] = sum(sizes) / sizes[k] if k == l, else 0
 
-    With L the lcm of the positive int divisors, a column sum is the sum
-    over i of the integer weights L / divisors[i], divided by L once.  A row
-    sum weighs sum(sizes) in all and a column sum the sum of the weights, so
-    the larger of the two bounds every sum taken from the packing.
+    each decided exactly on one packing.  With L the lcm of the positive
+    int divisors, the second is taken times L sizes[k], so that its weights
+    sizes[k] L / divisors[i] and its target L sum(sizes) are ints.  The
+    weights of a row sum add up to sum(sizes), those of a column sum to at
+    most max(sizes) times the sum of the L / divisors[i].
     """
-    L = lcm(*divisors)
+    L, total = lcm(*divisors), sum(sizes)
     weights = [L // d for d in divisors]
-    conj = [[v.conjugate() for v in row] for row in values]
-    pk = Packing(order, chain(*values, *conj), max(sum(sizes), sum(weights)), products=True)
+    pk = Packing(order, chain(*values), max(total, max(sizes) * sum(weights)), total * max(L, *norms))
     packed = [list(map(pk.pack, row)) for row in values]
-    conj = [list(map(pk.pack, row)) for row in conj]
+    conj = [[pk.pack(v, True) for v in row] for row in values]
     sized = [list(map(mul, sizes, row)) for row in packed]
-    weighted = [list(map(mul, weights, col)) for col in zip(*packed)]
+    weighted = [[size * w * v for w, v in zip(weights, col)] for size, col in zip(sizes, zip(*packed))]
     conj_cols = list(zip(*conj))
-    n, r, total = len(values), len(sizes), sum(sizes)
-    rows = [[pk.unpack(sum(map(mul, sized[i], conj[j])), total) for j in range(i, n)] for i in range(n)]
-    cols = [[pk.unpack(sum(map(mul, weighted[k], conj_cols[l])), L) for l in range(k, r)] for k in range(r)]
+    n, r = len(values), len(sizes)
+    rows = [(i, j) for i in range(n) for j in range(i, n)
+            if not pk.holds(sum(map(mul, sized[i], conj[j])), norms[i] * total if i == j else 0)]
+    cols = [(k, l) for k in range(r) for l in range(k, r)
+            if not pk.holds(sum(map(mul, weighted[k], conj_cols[l])), L * total if k == l else 0)]
     return rows, cols
-
-
-def failing_pairs(triangle, diagonal) -> Iterator[tuple[int, int]]:
-    """The pairs a <= b, row by row, whose entry triangle[a][b - a] is not
-    diagonal[a] when a == b and 0 otherwise."""
-    return ((a, a + d) for a, row in enumerate(triangle) for d, v in enumerate(row)
-            if v != (diagonal[a] if d == 0 else 0))
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +527,10 @@ def quotient_character_table(T: CharacterTable, N: SubgroupSet) -> CharacterTabl
     Dixon's canonical order; `inflates` records the row of T each row came
     from.  Inflation preserves inner products, so with T valid the table is
     proven by its row count, its degree sum and its principal row, which
-    make up its `validation` report.
+    make up its `validation` report.  The table of G/{1} = G is T.
     """
+    if len(N) == 1:
+        return T
     G = T.group
     Q, proj = quotient_group(G, N)
     reps = [proj.index(min(b)) for b in conjugacy_classes(Q).blocks]

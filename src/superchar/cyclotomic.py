@@ -12,11 +12,11 @@ arithmetic enters any logic path.  Values of different orders are lifted
 to the lcm order before they are multiplied or compared.
 
 Exact sums run only on `Packing`: a value becomes one int whose base-2^w
-digits are its coordinates (Kronecker substitution), so a weighted sum of
-products of values is one sum of big-int products.  A proven bound on
-every coordinate of the unreduced sum sets w, so the digits read back are
-exact, and the sum is reduced once.  No float and no reduction modulo a
-prime enters.
+digits are its coordinates (Kronecker substitution).  A weighted sum of
+values is read back from its digits; a weighted sum of products a conj(b)
+is decided against an int with no value built, by one product with
+Psi_e(2^w) modulo 2^(we) - 1.  A proven bound on every digit sets w, and
+no float enters.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import lshift
 
 
 @lru_cache(maxsize=None)
@@ -311,43 +312,62 @@ class Cyclotomic:
 
 
 class Packing:
-    """Values of Q(zeta_order) as ints, for exact weighted sums of values or,
-    with `products`, of products of two values.
+    """Values of Q(zeta_e), e = order, as ints, for exact weighted sums of
+    values or, with a `target`, exact decisions on sums of products.
 
-    `pack(v)` is sum_i c_i 2^(w*i) over the coordinates c_i of v scaled to
-    the common denominator D of `values`, which must hold every value to be
-    packed, conjugates included.  `unpack(total, d)` reads a sum of packed
-    ints, or of products of two, with integer weights, back as its exact
-    value divided by the positive int d.  With A the largest |c_i| and
-    `weight` at least the sum of |weights| of any such sum, every
-    coordinate of the unreduced sum is at most the bound weight * A, or
-    weight * phi * A^2 for products (a coordinate of one product of two
-    polynomials of degree < phi has at most phi terms).  w =
-    bit_length(bound) + 1 puts each in (-2^(w-1), 2^(w-1)): adding 2^(w-1)
-    to every digit leaves no carry, so the digits read back are exact.
+    Let f_v = sum_k c_k x^k over the coordinates c_k of v scaled to the
+    common denominator D of `values`, which must hold every value to be
+    packed, and A the largest |c_k|.  `pack(v)` is f_v(2^w).
+    `unpack(total, d)` reads a sum of packed ints with int weights, of
+    |weights| summing to at most `weight`, back as its exact value divided
+    by the positive int d.  Every coordinate of such a sum is at most the
+    bound weight A; w = bit_length(bound) + 1 puts each in (-2^(w-1),
+    2^(w-1)), so adding 2^(w-1) to every digit leaves no carry.
+
+    With a target, `pack(v, True)` is g_v(2^w), g_v = sum_k c_k x^(-k mod
+    e), which is D conj(v) at x = zeta_e, and `holds(s, t)` decides sum_i
+    c_i a_i conj(b_i) = t for s = sum_i c_i pack(a_i) pack(b_i, True), int
+    weights c_i with sum |c_i| <= weight and an int |t| <= target.  Let M =
+    2^(we) - 1 and Psi_e = (x^e - 1) / Phi_e.  s - t D^2 = F(2^w) for an
+    int polynomial F with F(zeta_e) = D^2 (sum - t), and as 2^(we) = 1
+    modulo M it is R(2^w) with R = F mod x^e - 1.  The sum is t exactly
+    when Phi_e | R, so when U = Psi_e R mod x^e - 1 is 0, and U(2^w) =
+    (s - t D^2) Psi_e(2^w) modulo M.  The exponents of g_b are distinct mod
+    e, so a coefficient of f_a g_b mod x^e - 1 sums at most phi(e)
+    products: every coefficient of R is at most weight phi A^2 + target
+    D^2 and every one of U at most the bound ||Psi_e||_1 times that.  Then
+    |U(2^w)| < 2^(w-1) (2^(we) - 1) / (2^w - 1) < M, so U(2^w) is 0 modulo
+    M only when it is 0, which with digits in (-2^(w-1), 2^(w-1)) is U = 0.
     """
 
-    __slots__ = ("order", "_den", "_sum_den", "_digits", "_offset", "_half", "_mask")
+    __slots__ = ("order", "width", "_den", "_digits", "_conjugate_digits", "_offset", "_half", "_mask",
+                 "_modulus", "_psi")
 
-    def __init__(self, order: int, values, weight: int, products: bool = False):
+    def __init__(self, order: int, values, weight: int, target: int | None = None):
         values = [v.lifted(order) for v in values]
         phi = euler_phi(order)
         self._den = den = lcm(1, *(v.den for v in values))
         top = max((abs(c) * (den // v.den) for v in values for c in v.num), default=0)
-        bound = weight * phi * top * top if products else weight * top
-        w = bound.bit_length() + 1
+        psi = _poly_div_exact([-1] + [0] * (order - 1) + [1], cyclotomic_polynomial(order))
+        bound = weight * top if target is None else sum(map(abs, psi)) * (weight * phi * top**2 + target * den**2)
+        w = self.width = bound.bit_length() + 1
         self.order = order
-        self._sum_den = den * den if products else den
-        self._digits = range(0, w * (2 * phi - 1 if products else phi), w)
+        self._digits = range(0, w * phi, w)
+        self._conjugate_digits = [w * (-k % order) for k in range(phi)]
         self._half, self._mask = 1 << (w - 1), (1 << w) - 1
         self._offset = sum(self._half << s for s in self._digits)
+        self._modulus = (1 << w * order) - 1
+        self._psi = sum(c << w * j for j, c in enumerate(psi)) % self._modulus
 
-    def pack(self, v: Cyclotomic) -> int:
+    def pack(self, v: Cyclotomic, conjugate: bool = False) -> int:
         v = v.lifted(self.order)
-        return sum(c * (self._den // v.den) << s for c, s in zip(v.num, self._digits))
+        return self._den // v.den * sum(map(lshift, v.num, self._conjugate_digits if conjugate else self._digits))
 
     def unpack(self, total: int, divisor: int = 1) -> Cyclotomic:
         total += self._offset
         mask, half = self._mask, self._half
         dense = [(total >> s & mask) - half for s in self._digits]
-        return _value(self.order, _reduce(dense, self.order), self._sum_den * divisor)
+        return _value(self.order, _reduce(dense, self.order), self._den * divisor)
+
+    def holds(self, total: int, t: int = 0) -> bool:
+        return (total - t * self._den ** 2) * self._psi % self._modulus == 0

@@ -381,14 +381,17 @@ def quotient_group(G: GroupTable, N: SubgroupSet) -> tuple[GroupTable, tuple[int
     """The quotient G/N with its projection map; N must be normal.
 
     Cosets are numbered by ascending minimal member, which puts the
-    identity coset at 0.  A quotient of a quotient R/M is the quotient of R
-    by the preimage of N (third isomorphism theorem): the same object as
-    that first-level quotient, with the composite projection.  Numbering by
-    least member makes the two tables equal.  The projection is verified
-    to be a surjective homomorphism.
+    identity coset at 0 and makes G/{1} G itself, with the identity
+    projection.  A quotient of a quotient R/M is the quotient of R by the
+    preimage of N (third isomorphism theorem): the same object as that
+    first-level quotient, with the composite projection.  Numbering by least
+    member makes the two tables equal.  Any other projection is verified to
+    be a surjective homomorphism.
     """
     if N.parent is not G:
         raise GroupConstructionError("subgroup belongs to a different group")
+    if len(N) == 1:
+        return G, tuple(range(G.order))
     if not N.is_normal():
         raise GroupConstructionError("cannot form a quotient by a non-normal subgroup")
     if G.quotient_of is not None:

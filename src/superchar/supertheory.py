@@ -382,11 +382,12 @@ def enumerate_scts(table: CharacterTable) -> list[SuperTheory]:
 
 
 @cached
-def sigma_orthogonality(S: SuperTheory) -> tuple[list[list[Cyclotomic]], list[list[Cyclotomic]]]:
-    """Both orthogonality Gram triangles of the supercharacters, computed
-    once per theory: rows[i][j - i] = <sigma_i, sigma_j> and cols[k][l - k]
-    = sum_i sigma_i(g) conj(sigma_i(h)) / sigma_i(1) for g in K_k, h in K_l."""
-    return orthogonality(S.table.exponent, S.sigma, S.block_sizes(), [row[0].integer_value() for row in S.sigma])
+def sigma_orthogonality(S: SuperTheory) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The failing pairs of <sigma_i, sigma_j> = delta_ij ||X_i||^2 and of
+    sum_i sigma_i(g) conj(sigma_i(h)) / sigma_i(1) = delta_kl |G| / |K_k|
+    (g in K_k, h in K_l), computed once per theory."""
+    norms = [sum(S.table.degrees[t] ** 2 for t in part) for part in S.xparts]
+    return orthogonality(S.table.exponent, S.sigma, S.block_sizes(), [row[0].integer_value() for row in S.sigma], norms)
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +412,11 @@ def deflation(S: SuperTheory, N: SubgroupSet) -> SuperTheory:
     2012), so it is not derived or validated again: only its counts are
     checked.  Equal deflations of different theories are one object, and a
     deflation of a deflation T^{G/M} is T^{G/L}, L the preimage of N.
+    S^{G/{1}} is S.
     """
     require_s_normal(S, N)
+    if len(N) == 1:
+        return S
     if S.deflation_of is not None:
         T, M = S.deflation_of
         return deflation(T, preimage(T.group, M, N))

@@ -1,11 +1,12 @@
 """Test-only oracle: the exact sums of the package on plain Fraction coordinates.
 
-Both Gram triangles of `chartab.orthogonality` (for tables and for
+Both Gram triangles of the orthogonality relations (for tables and for
 supercharacter theories), sigma_X on the classes and the central-character
 keys of a derivation, summed term by term on `Ref`, a field arithmetic
 that shares no code with `superchar.cyclotomic` beyond the cyclotomic
 polynomial.  Each result is converted with `Cyclotomic(order, coeffs)` only
-to be compared with the package's packed sums.
+to be compared with the package's packed sums, or with a rational target
+to give the failing pairs that `chartab.orthogonality` decides on ints.
 """
 
 from fractions import Fraction
@@ -124,8 +125,8 @@ def _refs(rows):
 
 
 def gram(order, values, sizes, divisors):
-    """`chartab.orthogonality`, summed term by term on `Ref`: the upper
-    triangles rows[i][j - i] = sum_k sizes[k] v_ik conj(v_jk) / sum(sizes)
+    """The Gram matrices of `chartab.orthogonality`, summed term by term on
+    `Ref`: the upper triangles rows[i][j - i] = sum_k sizes[k] v_ik conj(v_jk) / sum(sizes)
     and cols[k][l - k] = sum_i v_ik conj(v_il) / divisors[i]."""
     refs = _refs(values)
     conj = [[v.conjugate() for v in row] for row in refs]
@@ -160,12 +161,26 @@ def sigma_gram(S):
     return gram(S.table.exponent, S.sigma, S.block_sizes(), [row[0].integer_value() for row in S.sigma])
 
 
-def _first_failure(triangle, diagonal):
-    for a, row in enumerate(triangle):
-        for d, value in enumerate(row):
-            if value != Cyclotomic.from_rational(diagonal[a] if d == 0 else 0, value.order):
-                return a, a + d
-    return None
+def failing_pairs(triangle, diagonal):
+    """The pairs a <= b, row by row, whose entry triangle[a][b - a] is not
+    diagonal[a] when a == b and 0 otherwise."""
+    return [(a, a + d) for a, row in enumerate(triangle) for d, value in enumerate(row)
+            if value != Cyclotomic.from_rational(diagonal[a] if d == 0 else 0, value.order)]
+
+
+def table_failures(T, gram):
+    """The failing pairs of both relations of the table T, read from gram =
+    `table_gram(T)`: what `chartab.orthogonality` returns for T."""
+    rows, cols = gram
+    return failing_pairs(rows, [1] * len(rows)), failing_pairs(cols, [Fraction(T.group.order, s) for s in T.sizes])
+
+
+def sigma_failures(S, gram):
+    """The failing pairs of both relations of the supercharacters of S, read
+    from gram = `sigma_gram(S)`: what `sigma_orthogonality(S)` returns."""
+    rows, cols = gram
+    norms = [sum(S.table.degrees[t] ** 2 for t in part) for part in S.xparts]
+    return failing_pairs(rows, norms), failing_pairs(cols, [Fraction(S.group.order, len(b)) for b in S.yparts.blocks])
 
 
 def validate_table(T, gram) -> CheckReport:
@@ -182,10 +197,10 @@ def validate_table(T, gram) -> CheckReport:
         f"sum of squared degrees = {sum(d * d for d in T.degrees)}, |G| = {order}",
     )
     rep.add("integrality", all(v.is_integral() for row in T.values for v in row))
-    rows, cols = gram
-    bad = _first_failure(rows, [1] * len(rows))
+    rows, cols = table_failures(T, gram)
+    bad = rows[0] if rows else None
     rep.add("row-orthogonality", not bad, f"<chi_{bad[0]}, chi_{bad[1]}> != {'1' if bad[0] == bad[1] else '0'}" if bad else "")
-    bad = _first_failure(cols, [Fraction(order, size) for size in T.sizes])
+    bad = cols[0] if cols else None
     rep.add("column-orthogonality", not bad, f"columns {bad[0]},{bad[1]} fail" if bad else "")
     return rep
 
@@ -215,24 +230,17 @@ def central_character_keys(table, block_classes):
     return keys
 
 
-def row_orthogonality(S, rows):
-    """The `P-roworth` verdict read from rows = `sigma_gram(S)[0]`: the
+def row_orthogonality(S, gram):
+    """The `P-roworth` verdict read from gram = `sigma_gram(S)`: the
     witness {"failing": ["pair-i-j", ...]} naming every pair i <= j with
     <sigma_i, sigma_j> != delta_ij ||X_i||^2, or None."""
-    failing = []
-    for i, row in enumerate(rows):
-        norm2 = sum(S.table.degrees[t] ** 2 for t in S.xparts[i])
-        for d, value in enumerate(row):
-            expected = Fraction(norm2 if d == 0 else 0)
-            if value != Cyclotomic.from_rational(expected, S.table.exponent):
-                failing.append(f"pair-{i}-{i + d}")
+    failing = [f"pair-{i}-{j}" for i, j in sigma_failures(S, gram)[0]]
     return {"failing": failing} if failing else None
 
 
-def column_orthogonality(S, cols):
-    """The `P-colorth` verdict read from cols = `sigma_gram(S)[1]`: the
+def column_orthogonality(S, gram):
+    """The `P-colorth` verdict read from gram = `sigma_gram(S)`: the
     witness {"g": min(K_k), "h": min(K_l)} of the first failing pair k <= l,
     or None."""
-    blocks = S.yparts.blocks
-    bad = _first_failure(cols, [Fraction(S.group.order, len(b)) for b in blocks])
-    return None if bad is None else {"g": min(blocks[bad[0]]), "h": min(blocks[bad[1]])}
+    blocks, cols = S.yparts.blocks, sigma_failures(S, gram)[1]
+    return {"g": min(blocks[cols[0][0]]), "h": min(blocks[cols[0][1]])} if cols else None

@@ -21,7 +21,6 @@ from superchar.groups import (
     catalog_group,
     conjugacy_classes,
     quotient_group,
-    trivial_subgroup,
 )
 from superchar.structure import normal_subgroups
 
@@ -223,7 +222,8 @@ def test_dixon_matches_direct_abelian_characters(name):
 )
 def test_quotient_tables_equal_fresh_dixon_tables(name):
     # every normal subgroup N: the table inflated from G's table equals the
-    # Dixon table of a fresh copy of G/N, value for value and in class order
+    # Dixon table of a fresh copy of G/N, value for value and in class order;
+    # G/{1} is G, and its table is T
     G = catalog_group(name)
     T = character_table_of(G)
     for N in normal_subgroups(G):
@@ -236,15 +236,20 @@ def test_quotient_tables_equal_fresh_dixon_tables(name):
             [key(v) for v in row] for row in fresh.values
         ]
         assert inflated.validation.ok
-        assert [c.name for c in inflated.validation.checks] == ["shape", "degree-sum", "principal-row"]
         assert character_table_of(Q) is inflated is quotient_character_table(T, N)
+        if len(N) == 1:
+            assert Q is G and inflated is T
+        else:
+            assert [c.name for c in inflated.validation.checks] == ["shape", "degree-sum", "principal-row"]
 
 
 def test_quotient_table_rejects_an_inconsistent_parent_table():
-    # a table that lost a row lacks a character of the quotient: the count
-    # proof fails instead of returning a short table
+    # a table that lost a row of the quotient's characters lacks a character
+    # of G/N: the count proof fails instead of returning a short table
     G = catalog_group("S3")
     T = character_table_of(G)
-    broken = CharacterTable(G, T.values[:-1], T.exponent)
+    N = next(N for N in normal_subgroups(G) if len(N) == 3)
+    [sign] = [t for t in range(1, len(T.values)) if not N.mask & ~T.char_kernel(t).mask]
+    broken = CharacterTable(G, T.values[:sign] + T.values[sign + 1:], T.exponent)
     with pytest.raises(ConsistencyError, match="shape"):
-        quotient_character_table(broken, trivial_subgroup(G))
+        quotient_character_table(broken, N)

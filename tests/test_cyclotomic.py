@@ -243,26 +243,29 @@ def test_packed_sums_match_object_arithmetic():
         for _ in range(8):
             n = rng.randint(1, 7)
             a = [rand_value(order) for _ in range(n)]
-            b = [rand_value(order).conjugate() for _ in range(n)]
+            b = [rand_value(order) for _ in range(n)]
             weights = [rng.randint(-6, 6) for _ in range(n)]
             weight = sum(map(abs, weights))
             linear = Packing(order, a, weight)
             got = linear.unpack(sum(w * linear.pack(x) for w, x in zip(weights, a)))
             expected = sum((Ref.of(x).scale(w) for w, x in zip(weights, a)), zero)
             assert key(got) == key(expected.value())
-            products = Packing(order, a + b, weight, products=True)
-            got = products.unpack(
-                sum(w * products.pack(x) * products.pack(y) for w, x, y in zip(weights, a, b))
-            )
-            terms = ((Ref.of(x) * Ref.of(y)).scale(w) for w, x, y in zip(weights, a, b))
-            expected = sum(terms, zero)
-            assert key(got) == key(expected.value())
+            # sum w a conj(b) against ints t, then with one more term that
+            # takes away all but the int q, so that the sum is q
+            products = sum(((Ref.of(x) * Ref.of(y).conjugate()).scale(w) for w, x, y in zip(weights, a, b)), zero)
+            q = rng.randint(-20, 20)
+            rest = (products + Ref(order, [-q])).value()
+            pk = Packing(order, a + b + [rest, Cyclotomic.one(order)], weight + 1, target=21)
+            total = sum(w * pk.pack(x) * pk.pack(y, True) for w, x, y in zip(weights, a, b))
+            for t in (0, q, q + 1):
+                assert pk.holds(total, t) == (products == Ref(order, [t]))
+            total -= pk.pack(rest) * pk.pack(Cyclotomic.one(order), True)
+            assert pk.holds(total, q) and not pk.holds(total, q + 1) and not pk.holds(total, q - 1)
 
 
 def test_packed_sums_at_the_proven_bound():
     # all coordinates A and weights summing to W: a linear sum has every
-    # coordinate at W*A, and coordinate phi-1 of a product sum sits at
-    # W*phi*A^2, exactly the bound the width is taken from
+    # coordinate at W*A, exactly the bound the width is taken from
     A, W = 7, 5
     for order in (1, 4, 12, 15, 32):
         phi = euler_phi(order)
@@ -272,11 +275,58 @@ def test_packed_sums_at_the_proven_bound():
         total = sum(linear.pack(top) for _ in range(W))
         assert key(linear.unpack(total)) == key(Cyclotomic(order, [W * A] * phi))
         assert key(linear.unpack(-total)) == key(Cyclotomic(order, [-W * A] * phi))
-        products = Packing(order, [top, bottom], W, products=True)
-        total = W * products.pack(top) * products.pack(top)
-        square = Ref.of(top * top)
-        assert key(products.unpack(total)) == key(square.scale(W).value())
-        assert key(products.unpack(-total)) == key(square.scale(-W).value())
+        # coordinate 0 of W top conj(top) is W phi A^2 before the reduction
+        pk = Packing(order, [top, bottom], W, target=0)
+        total = W * pk.pack(top) * pk.pack(top, True)
+        norm = (Ref.of(top) * Ref.of(top).conjugate()).scale(W)
+        for t in (0, W * phi * A * A, norm.coeffs[0]):
+            assert pk.holds(total, t) == (norm == Ref(order, [t]))
+            assert pk.holds(-total, -t) == (norm == Ref(order, [t]))
+
+
+def test_gram_decision_at_the_bound_needs_its_last_bit():
+    # in Q(zeta_1) = Q, Psi_1 = 1 and the sum itself is the one coefficient:
+    # W A^2 + t = 2^6 - 1 is the bound, so the width is 7 bits and the
+    # modulus 2^7 - 1; one bit fewer would make the modulus the bound and
+    # read the sum -(W A^2 + t), which is not 0, as 0
+    for A, W, t in ((3, 7, 0), (3, 5, 18), (1, 1, 62)):
+        top, bottom = Cyclotomic.from_rational(A), Cyclotomic.from_rational(-A)
+        pk = Packing(1, [top, bottom], W, target=t)
+        assert W * A * A + t == 63 and pk.width == 7
+        below = W * pk.pack(top) * pk.pack(bottom, True)
+        assert below == -W * A * A
+        assert not pk.holds(below, t) and not pk.holds(-below, -t)
+        assert pk.holds(below + W * A * A)
+
+
+def test_gram_decision_reads_zero_at_zeta_as_zero():
+    # nonzero polynomials in x = 2^w that vanish at zeta_e read as 0, those
+    # that do not as not 0, also past x^e, which the modulus folds back
+    for e, poly, zero in (
+        (3, [1, 1, 1], True),
+        (4, [1, 0, 1], True),
+        (4, [0, 1, 0, 1], True),
+        (4, [0, 1, 0, 0, 0, 1], False),  # zeta + zeta^5 = 2 zeta
+        (4, [1, 0, 0, 0, -1], True),  # 1 - zeta^4
+        (6, [1, -1, 1], True),
+        (12, [1, 0, -1, 0, 1], True),
+        (5, [1, 1, 1, 1, 1], True),
+        (4, [1, 1], False),
+        (6, [1, 1, 1], False),
+        (5, [1, 1, 1, 1], False),
+    ):
+        pk = Packing(e, [Cyclotomic.one(e)], len(poly), target=5)
+        total = sum(c << pk.width * k for k, c in enumerate(poly))
+        assert pk.holds(total) is zero and pk.holds(total + 5, 5) is zero
+    # the same from packed products: 1 + zeta_3 + zeta_3^2, and
+    # |zeta_4|^2 - 1, where x^4 meets the 1 only modulo 2^(4w) - 1
+    one3, z3 = Cyclotomic.one(3), Cyclotomic(3, [0, 1])
+    pk = Packing(3, [one3, z3], 3, target=0)
+    pair = lambda a, b: pk.pack(a) * pk.pack(b, True)
+    assert pk.holds(pair(one3, one3) + pair(z3, one3) + pair(one3, z3))
+    z4 = Cyclotomic(4, [0, 1])
+    pk = Packing(4, [Cyclotomic.one(4), z4], 1, target=1)
+    assert pk.pack(z4) * pk.pack(z4, True) != 1 and pk.holds(pk.pack(z4) * pk.pack(z4, True), 1)
 
 
 def test_comparison_with_rationals_matches_the_value_comparison():

@@ -32,7 +32,7 @@ from superchar.supertheory import (
 )
 from superchar.verifier import _CHECKERS, DEFAULT_CATALOG
 
-from arith_oracle import Ref, sigma_class_values
+from arith_oracle import Ref, key, sigma_class_values, sigma_failures, sigma_gram
 from bell_oracle import bell_scts, sct_from_character_partition
 
 
@@ -178,29 +178,38 @@ def test_row_orthogonality_examples():
 def test_column_orthogonality_examples():
     G, T = theory_of("S3")
     S = coarsest(T)
-    # K_0 = {1}, K_1 = G - {1}
-    cols = sigma_orthogonality(S)[1]
+    # K_0 = {1}, K_1 = G - {1}: the oracle's Gram triangle holds |G|/|K_k|
+    # on the diagonal and 0 off it, and no pair fails
+    cols = sigma_gram(S)[1]
     assert cols[1][0] == Cyclotomic.from_rational(Fraction(6, 5), T.exponent)
     assert cols[0][1].is_zero()
     for S in enumerate_scts(T):
-        cols = sigma_orthogonality(S)[1]
+        cols = sigma_gram(S)[1]
         for k, b in enumerate(S.yparts.blocks):
             assert cols[k][0] == Fraction(G.order, len(b))
             assert all(v.is_zero() for v in cols[k][1:])
+        assert sigma_orthogonality(S) == sigma_failures(S, sigma_gram(S)) == ([], [])
 
 
 def test_column_orthogonality_values_match_the_direct_sum():
+    # the oracle's Gram triangle is the direct sum, and the packed decision
+    # fails exactly the pairs where that sum misses its target
     for name in ("D4", "Q8", "C6"):
         _, T = theory_of(name)
         for S in enumerate_scts(T):
-            cols = sigma_orthogonality(S)[1]
+            gram = sigma_gram(S)
+            direct = []
             for kg in range(S.n_parts):
+                row = []
                 for kh in range(kg, S.n_parts):
-                    direct = Ref(T.exponent)
-                    for row in S.sigma:
-                        term = Ref.of(row[kg]) * Ref.of(row[kh]).conjugate()
-                        direct = direct + term.scale(1 / row[0].rational_value())
-                    assert cols[kg][kh - kg] == direct.value()
+                    total = Ref(T.exponent)
+                    for sigma in S.sigma:
+                        term = Ref.of(sigma[kg]) * Ref.of(sigma[kh]).conjugate()
+                        total = total + term.scale(1 / sigma[0].rational_value())
+                    row.append(total.value())
+                direct.append(row)
+            assert [[key(v) for v in row] for row in direct] == [[key(v) for v in row] for row in gram[1]]
+            assert sigma_orthogonality(S)[1] == sigma_failures(S, (gram[0], direct))[1] == []
 
 
 def test_sct_from_class_partition_examples():
@@ -359,11 +368,16 @@ def test_each_deflation_is_built_once(monkeypatch):
         theories = enumerate_scts(character_table_of(catalog_group(name)))
         built = []
         monkeypatch.setattr(SuperTheory, "__init__", lambda self, *args: built.append(self) or init(self, *args))
-        returned = [deflation(S, N) for S in theories for N in s_normal_subgroups(S)]
-        returned += [deflation(D, M) for D in returned[:] for M in s_normal_subgroups(D)]
+        pairs = [(S, N) for S in theories for N in s_normal_subgroups(S)]
+        returned = [deflation(S, N) for S, N in pairs]
+        pairs += [(D, M) for D in returned[:] for M in s_normal_subgroups(D)]
+        returned += [deflation(D, M) for D, M in pairs[len(returned):]]
         monkeypatch.undo()
-        assert {id(D) for D in built} == {id(D) for D in returned}, name
-        assert len(built) < len(returned) / 2, name
+        # S^{G/{1}} is S itself; every other deflation is a theory built here
+        assert all((D is S) == (len(N) == 1) for (S, N), D in zip(pairs, returned)), name
+        quotients = [D for (_, N), D in zip(pairs, returned) if len(N) > 1]
+        assert {id(D) for D in built} == {id(D) for D in quotients}, name
+        assert len(built) < len(quotients) / 2, name
 
 
 def test_star_product_predicate_and_construction():
