@@ -14,6 +14,7 @@ from __future__ import annotations
 import gc
 import io
 import json
+from contextlib import closing
 from functools import reduce
 from operator import and_
 
@@ -639,32 +640,85 @@ def _group_entry(spec: str, all_scts: bool, max_order: int | None, tally: dict):
     yield b'],"theory_count":%s}' % enc(len(theories))
 
 
-def _group_entry_worker(args, lazy: bool = False):
-    """(tally, pieces) of one group: a generator of the pieces for a serial
-    run, or for a pool worker to send back, a list of them joined into
-    blocks of at least 16 KiB, the last excepted (unpickling a piece per
-    chunk, 3,302 for C2xC2xC2, raised the parent's peak RSS by 0.4 MB)."""
-    tally = {}
-    pieces = _freed_after(_group_entry(*args, tally))
-    if lazy:
-        return tally, pieces
-    blocks, run, size = [], [], 0
-    for piece in pieces:
-        run.append(piece)
-        size += len(piece)
-        if size >= 1 << 14:
-            blocks.append(b"".join(run))
-            run, size = [], 0
-    if run:
-        blocks.append(b"".join(run))
-    return tally, blocks
-
-
 def _freed_after(pieces):
     yield from pieces
     # the group's caches are cyclic (group _memo -> table -> theories ->
     # table): free them now rather than whenever the collector next runs
     gc.collect()
+
+
+def _serial(args):
+    for a in args:
+        tally = {}
+        yield tally, _freed_after(_group_entry(*a, tally))
+
+
+def _serve(conn, args):
+    """A pool worker: for each group index received until None, send the
+    pieces in blocks of at least 16 KiB as they are made, then an empty
+    block, then the tally or the exception raised."""
+    while (i := conn.recv()) is not None:
+        tally, block = {}, bytearray()
+        try:
+            for piece in _freed_after(_group_entry(*args[i], tally)):
+                block += piece
+                if len(block) >= 1 << 14:
+                    conn.send_bytes(block)
+                    block.clear()
+        except Exception as exc:
+            tally = exc
+        if block:
+            conn.send_bytes(block)
+        conn.send_bytes(b"")
+        conn.send(tally)
+
+
+def _pooled(args, n):
+    """(tally, blocks) of each group of args in input order, from n `_serve`
+    workers with a pipe each; a worker that ends a group is sent the next.
+    In its turn a group's blocks are yielded as they come, then its tally
+    filled or its exception raised; only later groups' early blocks are held."""
+    import multiprocessing.connection  # imported here: a serial run does not pay for it at start-up
+
+    todo, workers, busy, held, ends = iter(range(n, len(args))), {}, {}, {}, {}
+
+    def arrivals(k, tally):
+        yield from held.pop(k, ())
+        while k not in ends:
+            for conn in multiprocessing.connection.wait([c for c, i in busy.items() if i is not None]):
+                i = busy[conn]
+                try:
+                    if block := conn.recv_bytes():
+                        held.setdefault(i, []).append(block)
+                    else:
+                        ends[i], busy[conn] = conn.recv(), next(todo, None)
+                        conn.send(busy[conn])
+                except EOFError:
+                    busy[conn] = None
+                    workers[conn].join()
+                    ends[i] = ChildProcessError(f"the worker verifying {args[i][0]} exited with code {workers[conn].exitcode}")
+            yield from held.pop(k, ())
+        if isinstance(ends[k], BaseException):
+            raise ends[k]
+        tally.update(ends[k])
+
+    try:
+        for i in range(n):
+            conn, child = multiprocessing.Pipe()
+            worker = multiprocessing.Process(target=_serve, args=(child, args))
+            worker.start()
+            child.close()
+            workers[conn], busy[conn] = worker, i
+            conn.send(i)
+        for k in range(len(args)):
+            tally = {}
+            yield tally, arrivals(k, tally)
+    finally:
+        for conn, worker in workers.items():
+            conn.close()
+            if busy[conn] is not None:
+                worker.kill()
+            worker.join()
 
 
 def verify_groups(specs, all_scts: bool = True, jobs: int = 1, max_order: int | None = None, out=None):
@@ -687,13 +741,10 @@ def verify_groups(specs, all_scts: bool = True, jobs: int = 1, max_order: int | 
             _build(spec, max_order)
         args = [(spec, all_scts, max_order) for spec in specs]
         if jobs > 1 and len(args) > 1:
-            # imported here: multiprocessing and the rest cost every serial run ~30 ms of start-up
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
-                yield from _collect(specs, pool.map(_group_entry_worker, args), out)
+            with closing(_pooled(args, min(jobs, len(args)))) as entries:
+                yield from _collect(specs, entries, out)
         else:
-            yield from _collect(specs, (_group_entry_worker(a, lazy=True) for a in args), out)
+            yield from _collect(specs, _serial(args), out)
     finally:
         if freeze:
             gc.unfreeze()
@@ -747,8 +798,8 @@ def run_corpus(
 
     With `out`, a binary stream, the canonical JSON of the corpus is
     written there: each theorem's reports as soon as its checker has run
-    on a theory (under `jobs` > 1, each group's as its worker sends it
-    back), written from the checkers' rows as they are made.  Memory is bounded by
+    on a theory (under `jobs` > 1, in blocks as its worker sends them, once
+    its group's turn comes), written from the checkers' rows as they are made.  Memory is bounded by
     one theorem's encoded rows plus the caches shared across a group's
     theories; each theory's own caches are released after its suite, and
     each group's before the next group starts.  Only the failing

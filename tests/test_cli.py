@@ -357,6 +357,32 @@ def test_malformed_input_files_exit_2(argv, data, capsys, tmp_path, monkeypatch)
     assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
 
 
+def test_a_dead_worker_exits_2_with_one_line(capsys, monkeypatch, tmp_path):
+    # a checker that ends its worker process on S3, as a crash or the OOM
+    # killer would; in the parent it would end the test run instead
+    import multiprocessing
+
+    from superchar import cli, verifier
+
+    parent = os.getpid()
+    check = verifier._CHECKERS["L-vs"]
+
+    def dying(S):
+        if os.getpid() != parent and S.group.label == "S3":
+            os._exit(3)
+        return check(S)
+
+    monkeypatch.setitem(verifier._CHECKERS, "L-vs", dying)
+    monkeypatch.setattr(cli, "DEFAULT_CATALOG", ("C2", "C3", "S3", "C4"))
+    out = tmp_path / "corpus.json"
+    for fmt in ("json", "text"):
+        code, stdout, err = run_cli(capsys, "verify", "--jobs", "2", "--format", fmt, "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err == "error: the worker verifying S3 exited with code 3\n"
+        assert list(tmp_path.iterdir()) == []
+        assert not multiprocessing.active_children()
+
+
 def test_cold_import_loads_no_pool_and_no_dataclasses():
     # every command starts by importing the CLI; the process pool is imported
     # only by `verify --jobs N` with N > 1, and no record is a dataclass

@@ -2,6 +2,10 @@ import gc
 import io
 import itertools
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -16,6 +20,7 @@ from superchar.verifier import (
     failing_reports,
     run_corpus,
     run_suite,
+    verify_groups,
 )
 
 
@@ -267,33 +272,127 @@ def test_a_run_leaves_what_the_caller_froze_frozen():
 
 
 def test_pool_is_capped_at_the_number_of_groups(monkeypatch):
-    # a recording stand-in: no worker process is started
-    import concurrent.futures
+    # a recording stand-in for the worker process: it runs the worker loop
+    # in a thread over its own copy of the real pipe end, as a fork would,
+    # and its third construction raises, so a broken cap fails before a
+    # single process is started
+    import threading
+    from multiprocessing.connection import Connection
 
     from superchar import verifier
 
-    # a pool bound when the module loads would bypass the stand-in and start
-    # a million real workers
-    assert "ProcessPoolExecutor" not in vars(verifier)
-    sizes = []
+    # a process class bound when the module loads would bypass the stand-in
+    # and start a million real workers
+    assert "multiprocessing" not in vars(verifier) and "Process" not in vars(verifier)
+    made = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    class ThreadWorker:
+        def __init__(self, target, args):
+            made.append(self)
+            if len(made) > 2:
+                raise AssertionError("a third worker for two groups")
+            conn, *rest = args
+            self.thread = threading.Thread(target=target, args=(Connection(os.dup(conn.fileno())), *rest), daemon=True)
+            self.killed = False
 
-        def __enter__(self):
-            return self
+        def start(self):
+            self.thread.start()
 
-        def __exit__(self, *exc):
-            return False
+        def kill(self):  # a thread cannot be killed: it ends on its closed pipe
+            self.killed = True
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def join(self):
+            if not self.killed:
+                self.thread.join()
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Process", ThreadWorker)
     pooled = streamed(["C2", "C3"], jobs=10**6)
-    assert sizes == [2]
+    assert len(made) == 2 and not any(w.killed or w.thread.is_alive() for w in made)
     assert pooled == streamed(["C2", "C3"])
+
+
+def test_the_slowest_group_first_keeps_the_catalog_order():
+    # C2xC2xC2 takes longer than the three after it together, so they end
+    # first and wait in the parent for its turn
+    specs = ["C2xC2xC2", "C2", "C3", "S3"]
+    assert streamed(specs, jobs=2) == streamed(specs)
+    assert not multiprocessing.active_children()
+
+
+def test_an_error_in_a_later_group_leaves_the_serial_prefix(monkeypatch):
+    # the third group raises while its worker builds its theories; the
+    # groups before it are written, at any worker count, and nothing after
+    from superchar import verifier
+    from superchar.errors import ConsistencyError
+
+    specs = ["C2", "C3", "S3", "C4", "Q8"]
+    theories_for = verifier._theories_for
+
+    def planted(table, all_scts):
+        if table.group.label == "S3":
+            raise ConsistencyError("planted in S3")
+        return theories_for(table, all_scts)
+
+    monkeypatch.setattr(verifier, "_theories_for", planted)
+    prefixes = []
+    for jobs in (1, 2):
+        buf = io.BytesIO()
+        with pytest.raises(ConsistencyError, match="planted in S3"):
+            run_corpus(specs, jobs=jobs, out=buf)
+        assert not multiprocessing.active_children()
+        prefixes.append(buf.getvalue())
+    assert prefixes[0] == prefixes[1] == streamed(specs[:2]).rsplit(b"]", 1)[0]
+
+
+def test_no_worker_outlives_a_failed_write_or_a_closed_run():
+    specs = ["C2", "C3", "S3", "C4", "Q8"]
+
+    class FullDisk(io.BytesIO):
+        def write(self, data):
+            if self.tell() > 8000:  # past the first two groups, as on a full disk
+                raise OSError("no space left")
+            return super().write(data)
+
+    with pytest.raises(OSError, match="no space left"):
+        run_corpus(specs, jobs=2, out=FullDisk())
+    assert not multiprocessing.active_children()
+    tallies = verify_groups(specs, jobs=2)
+    assert next(tallies)["label"] == "C2"
+    tallies.close()
+    assert not multiprocessing.active_children()
+
+
+_POOL_MEMORY = """
+import os, resource, sys
+
+def peak_kib():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+import superchar.cli
+imported = peak_kib()
+from superchar.verifier import DEFAULT_CATALOG, run_corpus
+with open(os.devnull, "wb") as out:
+    run_corpus(DEFAULT_CATALOG, jobs=2, out=out)
+workers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(imported, peak_kib(), workers, any(m.split(".")[0] == "concurrent" for m in sys.modules))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_the_pool_parent_holds_no_results_and_imports_no_executor():
+    # the parent of `--jobs 2` verifies nothing: over its peak after the CLI
+    # import it grew by 6.5 MB when it unpickled whole groups' blocks and
+    # imported concurrent.futures, and by 2.4-2.7 MB streaming them (1.6 MB
+    # of it multiprocessing); each worker, forked before anything else was
+    # added to the parent, peaks below the parent's post-import peak
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", _POOL_MEMORY], env=env, capture_output=True, text=True, check=True)
+    imported, parent, workers, executor = run.stdout.split()
+    assert executor == "False"
+    assert int(parent) - int(imported) <= 3.5 * 1024
+    assert int(workers) <= int(imported) + 2 * 1024
 
 
 def test_a_group_refused_in_a_worker_reaches_the_caller():
