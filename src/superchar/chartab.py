@@ -519,8 +519,7 @@ def dixon_character_table(G: GroupTable) -> CharacterTable:
 
 @cached
 def quotient_character_table(T: CharacterTable, N: SubgroupSet) -> CharacterTable:
-    """The table of G/N inflated from the table T of G, computed once per
-    (T, N); the first one for a quotient is also its character table.
+    """The table of G/N inflated from the table T of G, once per (T, N).
 
     The rows of T whose kernel contains N are read at one preimage of each
     class representative of G/N, lowered to the exponent of G/N and put in
@@ -558,18 +557,17 @@ def quotient_character_table(T: CharacterTable, N: SubgroupSet) -> CharacterTabl
             + "; ".join(c.name for c in report.failures)
         )
     table.validation = report
-    # hand-kept, not @cached: character_table_of(Q) reads this slot, so Dixon never runs on Q
-    if "character_table" not in Q._memo:
-        Q._memo["character_table"] = table
     return table
 
 
+@cached
 def character_table_of(G: GroupTable) -> CharacterTable:
-    """The group's character table, computed once and cached on the group;
-    for a quotient, `quotient_character_table` fills the same slot."""
-    if "character_table" not in G._memo:
-        G._memo["character_table"] = dixon_character_table(G)
-    return G._memo["character_table"]
+    """The group's character table; a quotient R/M gets the table of R
+    inflated (`quotient_character_table`), so Dixon never runs on it."""
+    if G.quotient_of is None:
+        return dixon_character_table(G)
+    R, M = G.quotient_of
+    return quotient_character_table(character_table_of(R), M)
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,11 @@ def cached(fn):
     or `fn` itself when owner is the only argument.
 
     This is the package's one cache rule.  Arguments are positional, without
-    defaults, and hashable, and equal arguments share an entry.  A call that
-    raises stores nothing, so the checks inside `fn` run on every miss and a
-    hit only ever repeats a call that passed them.  The wrapper is chosen
-    once by arity, so a hit packs no argument tuple it does not need.
+    defaults, and hashable; equal ones share an entry, and a subgroup, one
+    object per member set, is keyed by identity.  A call that raises stores
+    nothing, so the checks inside `fn` run on every miss and a hit only ever
+    repeats a call that passed them.  The wrapper is chosen once by arity, so
+    a hit packs no argument tuple it does not need.
     """
     arity = fn.__code__.co_argcount
     if arity == 1:
@@ -141,45 +142,28 @@ class GroupTable:
 
 
 class SubgroupSet:
-    """A subgroup of a GroupTable, stored as its member set.
+    """A subgroup of a GroupTable, stored as its member set, one object per
+    member set of each group: equality and hashing are identity.
 
-    Construction verifies that the set actually is a subgroup (contains the
-    identity and is closed under multiplication; inverses follow by
-    finiteness).  `mask` has bit g set for each member g; `json` is the
-    canonical JSON of the sorted member list, encoded on first use.
+    The first `SubgroupSet(G, members)` verifies that the set is a subgroup
+    (contains the identity and is closed under multiplication; inverses
+    follow by finiteness); later ones return the object G holds.  `mask`
+    has bit g set for each member g; `json` is the canonical JSON of the
+    sorted member list, encoded on first use.
     """
 
-    __slots__ = ("parent", "members", "mask", "json", "_hash")
+    __slots__ = ("parent", "members", "mask", "json")
 
-    def __init__(self, parent: GroupTable, members):
-        mem = frozenset(int(x) for x in members)
-        if 0 not in mem:
-            raise GroupConstructionError("subgroup must contain the identity")
-        for a in mem:
-            row = parent.mul[a]
-            for b in mem:
-                if row[b] not in mem:
-                    raise GroupConstructionError(
-                        f"set is not closed under multiplication: {a}*{b} escapes"
-                    )
-        self.parent = parent
-        self.members = mem
-        self.mask = element_mask(mem)
-        self.json = None
-        self._hash = hash((id(parent), mem))
+    def __new__(cls, parent: GroupTable, members):
+        mask, n = 0, parent.order
+        for g in members:
+            if not 0 <= g < n:
+                raise GroupConstructionError(f"element {g} outside 0..{n - 1}")
+            mask |= 1 << g
+        return _subgroup(parent, mask)
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SubgroupSet)
-            and other.parent is self.parent
-            and other.members == self.members
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
@@ -195,6 +179,22 @@ class SubgroupSet:
 
     def __repr__(self) -> str:
         return f"SubgroupSet({self.parent.label}, {sorted(self.members)})"
+
+
+@cached
+def _subgroup(G: GroupTable, mask: int) -> SubgroupSet:
+    """The one SubgroupSet of G whose members are the bits of mask."""
+    if not mask & 1:
+        raise GroupConstructionError("subgroup must contain the identity")
+    mem = frozenset(g for g in range(G.order) if mask >> g & 1)
+    for a in mem:
+        row = G.mul[a]
+        for b in mem:
+            if not mask >> row[b] & 1:
+                raise GroupConstructionError(f"set is not closed under multiplication: {a}*{b} escapes")
+    H = object.__new__(SubgroupSet)
+    H.parent, H.members, H.mask, H.json = G, mem, mask, None
+    return H
 
 
 @cached
@@ -311,19 +311,19 @@ def normal_subgroups(G: GroupTable) -> tuple[SubgroupSet, ...]:
     conjugacy classes it contains, so the lattice is the set of products
     of those closures, grown one closure at a time from {1}.
     """
-    closures = {C.members: C for C in (generated_subgroup(G, b) for b in conjugacy_classes(G).blocks[1:])}
-    found = {frozenset({0}): trivial_subgroup(G)}
+    closures = dict.fromkeys(generated_subgroup(G, b) for b in conjugacy_classes(G).blocks[1:])
+    found = {trivial_subgroup(G)}
     frontier = [trivial_subgroup(G)]
     while frontier:
         H = frontier.pop()
-        for C in closures.values():
-            if C.members <= H.members:
+        for C in closures:
+            if not C.mask & ~H.mask:
                 continue
-            members = frozenset(G.mul[h][c] for h in H.members for c in C.members)
-            if members not in found:
-                found[members] = SubgroupSet(G, members)
-                frontier.append(found[members])
-    return tuple(sorted(found.values(), key=lambda H: (len(H), H.sorted_members())))
+            K = SubgroupSet(G, {G.mul[h][c] for h in H.members for c in C.members})
+            if K not in found:
+                found.add(K)
+                frontier.append(K)
+    return tuple(sorted(found, key=lambda H: (len(H), H.sorted_members())))
 
 
 @cached

@@ -251,7 +251,7 @@ def is_s_gcp(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
     if N.members <= com.members:
         literal = is_delta_product(S, N, com)
         extras["coset-product-literal"] = literal
-        if N.members == com.members:
+        if N is com:
             conditions["coset-product-literal"] = literal
     return CaminaVerdict(
         lambda: f"pair (G, {sorted(N.members)})",
@@ -345,7 +345,7 @@ def is_camina_pair(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
     construction = star_construct(S, N) == S
     if not construction:
         witnesses["construction"] = lambda: "the star construction over N differs from S"
-    vsub = v_rel(S, N).members == N.members
+    vsub = v_rel(S, N) is N
     if not vsub:
         witnesses["vanishing-off"] = lambda: f"V(S|N) = {sorted(v_rel(S, N).members)}"
     nonzero = reduce(or_, map(nonvanishing_mask, irr_over(S, N)), 0)
@@ -449,7 +449,7 @@ def u_quotient_check(S: SuperTheory, N: SubgroupSet, H: SubgroupSet) -> list[str
         raise ConsistencyError("projected subgroup is not S-normal in the deflation")
     lhs = u_rel(defl, image_h)
     rhs = quotient_image(S.group, N, u_rel(S, H))
-    if lhs.members == rhs.members:
+    if lhs is rhs:
         return []
     return [f"deflated U = {lhs.sorted_members()}, projected U = {sorted(rhs.members)}"]
 
@@ -499,9 +499,9 @@ def is_vz(S: SuperTheory) -> CaminaVerdict:
     conditions = {"definition": definition, "v-inside-center": v_below_z}
     abelian = is_s_abelian(S)
     if not abelian:
-        conditions["center-equals-v"] = center.members == V.members
+        conditions["center-equals-v"] = center is V
         U = u_theory(S)
-        conditions["u-equals-commutator"] = U.members == com.members
+        conditions["u-equals-commutator"] = U is com
         if not conditions["u-equals-commutator"]:
             witnesses["u-equals-commutator"] = lambda: f"U(S) = {sorted(U.members)}, [G,S] = {sorted(com.members)}"
     if com.members <= center.members:
@@ -581,6 +581,6 @@ def v_series_checks(S: SuperTheory) -> list[str]:
         fails += [
             f"deflated-v-{n}-{i}"
             for i in range(1, n + 1)
-            if dvs.term(i).members != quotient_image(S.group, vn, vs.term(i)).members
+            if dvs.term(i) is not quotient_image(S.group, vn, vs.term(i))
         ]
     return fails

@@ -310,12 +310,10 @@ def _check_unormal(S: SuperTheory):
 @theorem("L-irr", "character-set containment mirrors subgroup containment")
 def _check_irr(S: SuperTheory):
     subs = s_normal_subgroups(S)
-    over = {
-        N.members: frozenset(sigma.index for sigma in irr_over(S, N)) for N in subs
-    }
+    over = {N: frozenset(sigma.index for sigma in irr_over(S, N)) for N in subs}
     for M in subs:
         for N in subs:
-            contained = over[M.members] <= over[N.members]
+            contained = over[M] <= over[N]
             ok = contained == (M.members <= N.members)
             yield {"m": M, "n": N}, _status(ok)
 
@@ -359,7 +357,7 @@ def _check_ucorr(S: SuperTheory):
 def _check_ucor(S: SuperTheory):
     for N in s_normal_subgroups(S):
         pair = is_camina_pair(S, N)
-        fixed = N.members == u_rel(S, N).members
+        fixed = N is u_rel(S, N)
         ok = pair.agreement and fixed == pair.holds
         witness = None if ok else pair.to_json()
         yield {"n": N}, _status(ok, pair.vacuous), witness
@@ -462,8 +460,8 @@ def _check_final(S: SuperTheory):
         yield {}, "not-applicable"
         return
     vz = is_vz(S).holds
-    z_eq_v = s_center(S).members == v_theory(S).members
-    u_eq_com = u_theory(S).members == s_commutator_full(S).members
+    z_eq_v = s_center(S) is v_theory(S)
+    u_eq_com = u_theory(S) is s_commutator_full(S)
     ok = vz == z_eq_v == u_eq_com
     witness = None if ok else {"vz": vz, "z=v": z_eq_v, "u=[G,S]": u_eq_com}
     yield {}, _status(ok), witness
@@ -499,7 +497,7 @@ def _check_prop42(S: SuperTheory):
         fails = []
         if not S.is_s_normal(V):
             fails.append("s-normal")
-        if product.members != V.members:
+        if product is not V:
             fails.append("product-formula")
         witness = {"failing": fails} if fails else None
         if witness is None and not raw_subgroups:

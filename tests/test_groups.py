@@ -14,11 +14,13 @@ from superchar.groups import (
     full_subgroup,
     generated_subgroup,
     group_from_table_text,
+    normal_subgroups,
     permutation_group,
     quotient_group,
     subgroup_product,
     trivial_subgroup,
 )
+from superchar.verifier import DEFAULT_CATALOG
 from lattice_oracle import derived_subgroup, element_product, group_center
 
 DATA = Path(__file__).parent / "data"
@@ -157,6 +159,27 @@ def test_subgroupset_validation():
         SubgroupSet(G, [1, 2])  # no identity
     with pytest.raises(GroupConstructionError):
         SubgroupSet(G, [0, 1, 3])  # not closed
+    C2 = catalog_group("C2")
+    for members in ([0, 1, 5], [0, -2], [0, -1]):  # -1 must not index the table from its end
+        with pytest.raises(GroupConstructionError, match="outside 0..1"):
+            SubgroupSet(C2, members)
+
+
+def test_rebuilding_a_subgroup_returns_the_object_its_group_holds():
+    assert "__eq__" not in vars(SubgroupSet) and SubgroupSet.__hash__ is object.__hash__
+    for name in DEFAULT_CATALOG:
+        G = catalog_group(name)
+        groups = [G, *dict.fromkeys(quotient_group(G, N)[0] for N in normal_subgroups(G))]
+        for Q in groups:
+            for H in normal_subgroups(Q):
+                assert SubgroupSet(Q, sorted(H.members)) is H
+            assert SubgroupSet(Q, range(Q.order)) is full_subgroup(Q)
+            assert SubgroupSet(Q, [0]) is trivial_subgroup(Q)
+    S3 = catalog_group("S3")
+    C2 = generated_subgroup(S3, [1])  # not normal, so in no lattice
+    assert not C2.is_normal() and C2 not in normal_subgroups(S3)
+    assert generated_subgroup(S3, [1]) is C2 is SubgroupSet(S3, [1, 0])
+    assert SubgroupSet(catalog_group("S3"), [0, 1]) is not C2  # each group holds its own
 
 
 def test_quotients():

@@ -61,12 +61,6 @@ def test_every_public_function_is_referenced_inside_the_package():
     assert unused == []
 
 
-# the code that may touch `_memo` besides `groups.cached` and the constructors
-# that create it: the character-table slot, which quotient_character_table
-# fills for character_table_of so that Dixon never runs on a quotient
-CHARACTER_TABLE_SLOT = {"chartab.character_table_of", "chartab.quotient_character_table"}
-
-
 def _memo_uses(module: str, tree: ast.Module):
     """(qualified name of the enclosing def, node, parent) of each `x._memo`."""
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
@@ -88,10 +82,6 @@ def _allowed_memo_use(where: str, node: ast.Attribute, parent: ast.AST) -> bool:
         # only `self._memo = {}`, or `owner._memo = {}` dropping a theory's entries after its suite
         return (isinstance(parent, ast.Assign) and parent.targets == [node]
                 and isinstance(parent.value, ast.Dict) and not parent.value.keys)
-    if where in CHARACTER_TABLE_SLOT:
-        # `x._memo["character_table"]` or `"character_table" in x._memo`
-        key = parent.slice if isinstance(parent, ast.Subscript) else getattr(parent, "left", None)
-        return isinstance(key, ast.Constant) and key.value == "character_table"
     return False
 
 
@@ -100,7 +90,7 @@ def test_memo_is_touched_only_by_the_cache_rule():
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
         uses += _memo_uses(module, ast.parse(path.read_text(encoding="utf-8")))
-    assert {where for where, *_ in uses} >= {"groups.cached.lookup", *CHARACTER_TABLE_SLOT}
+    assert {where for where, *_ in uses} >= {"groups.cached.lookup"}
     stray = [f"{where}:{node.lineno}" for where, node, parent in uses
              if not _allowed_memo_use(where, node, parent)]
     assert stray == []
