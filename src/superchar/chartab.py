@@ -319,13 +319,13 @@ class CharacterTable:
     character and one column per conjugacy class (canonical class order).
 
     `validation` holds the `validate_table` report made when the table was
-    computed or ingested (None for a table built directly).  `inflates`,
-    for a quotient table, holds the row of the parent table each row
-    inflates (None otherwise).
+    computed, inflated or ingested (None for a table built directly).  The
+    `_memo` dict holds what the `groups.cached` functions derive from the
+    table, the theories on it included: one object per class partition.
     """
 
     __slots__ = ("group", "classes", "reps", "sizes", "degrees", "values", "exponent",
-                 "validation", "inflates", "_memo")
+                 "validation", "_memo")
 
     def __init__(self, group: GroupTable, values, exponent: int):
         classes = conjugacy_classes(group)
@@ -335,12 +335,8 @@ class CharacterTable:
         self.sizes = tuple(len(b) for b in classes.blocks)
         self.values = tuple(tuple(row) for row in values)
         self.exponent = exponent
-        degrees = []
-        for row in self.values:
-            degrees.append(row[0].integer_value())
-        self.degrees = tuple(degrees)
+        self.degrees = tuple(row[0].integer_value() for row in self.values)
         self.validation: CheckReport | None = None
-        self.inflates: tuple[int, ...] | None = None
         self._memo = {}
 
     @property
@@ -523,10 +519,10 @@ def quotient_character_table(T: CharacterTable, N: SubgroupSet) -> CharacterTabl
 
     The rows of T whose kernel contains N are read at one preimage of each
     class representative of G/N, lowered to the exponent of G/N and put in
-    Dixon's canonical order; `inflates` records the row of T each row came
-    from.  Inflation preserves inner products, so with T valid the table is
-    proven by its row count, its degree sum and its principal row, which
-    make up its `validation` report.  The table of G/{1} = G is T.
+    Dixon's canonical order.  Inflation preserves inner products, so with T
+    valid the table is proven by its row count, its degree sum and its
+    principal row, which make up its `validation` report.  The table of
+    G/{1} = G is T.
     """
     if len(N) == 1:
         return T
@@ -534,14 +530,12 @@ def quotient_character_table(T: CharacterTable, N: SubgroupSet) -> CharacterTabl
     Q, proj = quotient_group(G, N)
     reps = [proj.index(min(b)) for b in conjugacy_classes(Q).blocks]
     e = Q.exponent()
-    rows = {
-        t: tuple(T.value_at_element(t, g).lowered(e) for g in reps)
+    rows = [
+        tuple(T.value_at_element(t, g).lowered(e) for g in reps)
         for t in range(len(T.values))
         if not N.mask & ~T.char_kernel(t).mask
-    }
-    inflates = sorted(rows, key=lambda t: _canonical_row_key(rows[t]))
-    table = CharacterTable(Q, [rows[t] for t in inflates], e)
-    table.inflates = tuple(inflates)
+    ]
+    table = CharacterTable(Q, sorted(rows, key=_canonical_row_key), e)
     report = CheckReport(f"character table of {Q.label}, inflated from {G.label}")
     report.add("shape", len(rows) == table.n_classes, f"{len(rows)} rows for {table.n_classes} classes")
     report.add(

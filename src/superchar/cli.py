@@ -267,7 +267,8 @@ def _cmd_verify(args) -> int:
             fails = run_corpus(specs, out=sys.stdout.buffer, **options)
             sys.stdout.buffer.write(b"\n")
         return 1 if fails else 0
-    groups = list(verify_groups(specs, **options))
+    skipped = []
+    groups = list(verify_groups(specs, **options, skipped=skipped))
     fails = failing_reports({"groups": groups})
     lines = ["theorem corpus report"]
     for entry in groups:
@@ -278,6 +279,8 @@ def _cmd_verify(args) -> int:
             f"fail {counts['fail']:3d}  vacuous {counts['vacuous']:5d}  "
             f"n/a {counts['na']:5d}"
         )
+    if skipped:
+        lines.append(f"skipped: {', '.join(skipped)}")
     s = {key: sum(entry["counts"][key] for entry in groups) for key in ("pass", "fail", "vacuous", "na")}
     lines.append(
         f"summary: pass {s['pass']}, fail {s['fail']}, vacuous {s['vacuous']}, n/a {s['na']}"

@@ -4,9 +4,9 @@ A supercharacter theory of G is a pair (X, Y) where X partitions the
 irreducible characters, Y partitions the elements, {1} is a Y-block,
 |X| = |Y|, and each sigma_X = sum_{chi in X} chi(1) chi is constant on
 every Y-block.  Everything here works with exact cyclotomic values, so
-"constant" and "zero" are never tolerance tests.  A theory is derived from
-its class partition and validated in full; a deflation is built from a
-theory already validated, which proves it.
+"constant" and "zero" are never tolerance tests.  Every theory, a
+deflation included, is derived from its class partition and validated in
+full.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from math import lcm
 
 from .chartab import (
     CharacterTable,
+    character_table_of,
     class_mult_coefficients,
     orthogonality,
-    quotient_character_table,
 )
 from .cyclotomic import Cyclotomic, Packing
 from .errors import ConsistencyError, GroupConstructionError, SuperTheoryError
@@ -26,9 +26,7 @@ from .groups import (
     ElementPartition,
     SubgroupSet,
     cached,
-    conjugacy_classes,
     element_mask,
-    preimage,
     quotient_group,
 )
 from .reports import CheckReport
@@ -39,16 +37,15 @@ MAX_CLASSES = 12  # bound on the conjugacy classes (= |Irr(G)|) enumerate_scts t
 class SuperTheory:
     """A validated supercharacter theory of a finite group.
 
-    Instances are immutable once `deflation` has made their values; build
-    them through the derivation functions and `deflation` below rather than
-    directly.  The `_memo` dict holds what the
-    `groups.cached` functions derive from the theory (S-normal subgroups,
-    deflations, vanishing subgroups, ...); failed calls are never stored.
-    `deflation_of` is (T, N) when `deflation` returned the theory as T^{G/N},
-    T the latest theory it was returned for, and None otherwise.
+    Instances are immutable.  Each is the cached value of
+    `sct_from_class_partition(table, yparts)`, made only by `_theory`, so
+    equal theories of one table are one object and compare by identity.
+    The `_memo` dict holds what the `groups.cached` functions derive from
+    the theory (S-normal subgroups, deflations, vanishing subgroups, ...);
+    failed calls are never stored.
     """
 
-    __slots__ = ("table", "group", "xparts", "yparts", "ypart_classes", "sigma", "deflation_of", "_memo")
+    __slots__ = ("table", "group", "xparts", "yparts", "ypart_classes", "sigma", "_memo")
 
     def __init__(self, table, xparts, yparts, ypart_classes, sigma):
         self.table = table
@@ -57,7 +54,6 @@ class SuperTheory:
         self.yparts = yparts
         self.ypart_classes = ypart_classes
         self.sigma = sigma
-        self.deflation_of = None
         self._memo = {}
 
     @property
@@ -95,14 +91,8 @@ class SuperTheory:
         """Re-check the defining conditions; sigma against the table's values
         of each sigma_X on every class."""
         rep = CheckReport(f"supercharacter theory of {self.group.label}")
-        m = len(self.table.values)
-        seen: set[int] = set()
-        disjoint = True
-        for part in self.xparts:
-            if part & seen:
-                disjoint = False
-            seen |= part
-        rep.add("x-partition", disjoint and seen == set(range(m)))
+        # disjoint parts covering Irr(G): every character in exactly one
+        rep.add("x-partition", sorted(chain(*self.xparts)) == list(range(len(self.table.values))))
         rep.add("identity-block", frozenset({0}) in self.yparts.blocks)
         rep.add("equal-counts", len(self.xparts) == len(self.yparts.blocks))
         detail = ""
@@ -120,17 +110,6 @@ class SuperTheory:
         )
         rep.add("degree-norm", ok, "sigma(1) must equal the squared norm of its part")
         return rep
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SuperTheory)
-            and other.table is self.table
-            and other.xparts == self.xparts
-            and other.yparts == self.yparts
-        )
-
-    def __hash__(self):
-        return hash((id(self.table), self.xparts, self.yparts))
 
     def xparts_json(self):
         return [sorted(p) for p in self.xparts]
@@ -403,53 +382,28 @@ def require_s_normal(S: SuperTheory, H: SubgroupSet) -> None:
 
 @cached
 def deflation(S: SuperTheory, N: SubgroupSet) -> SuperTheory:
-    """S^{G/N}, the induced theory on G/N, built rather than derived.
+    """S^{G/N}, the induced theory on G/N, derived on the table of G/N.
 
-    Its parts are the parts of S inside Irr(G/N), renumbered by the rows of
-    the inflated quotient table; its superclasses are the images of those
-    of S; its values are those of S at preimages, lowered to exp(G/N).  For
-    S-normal N this pair is a theory of G/N (Hendrickson, Comm. Algebra
-    2012), so it is not derived or validated again: only its counts are
-    checked.  Equal deflations of different theories are one object, and a
-    deflation of a deflation T^{G/M} is T^{G/L}, L the preimage of N.
-    S^{G/{1}} is S.
+    For S-normal N the images of the superclasses of S alone fix a theory
+    of G/N (Hendrickson, Comm. Algebra 2012), derived and validated in full
+    on `character_table_of(G/N)`.  A quotient of a quotient is one group
+    with one table, so equal deflations, of deflations too, are one object.
+    S^{G/{1}} is S.  A theory on another table of G (ingested, or a Dixon
+    table made directly) deflates onto that same table of G/N; nothing in
+    the package deflates one.
     """
     require_s_normal(S, N)
     if len(N) == 1:
         return S
-    if S.deflation_of is not None:
-        T, M = S.deflation_of
-        return deflation(T, preimage(T.group, M, N))
-    table = quotient_character_table(S.table, N)
     Q, proj = quotient_group(S.group, N)
-    row_of = {t: i for i, t in enumerate(table.inflates)}
-    inside = [xi for xi, part in enumerate(S.xparts) if row_of.keys() >= part]
-    images: dict[frozenset[int], int] = {}
-    for yi, b in enumerate(S.yparts.blocks):
-        images.setdefault(frozenset(proj[g] for g in b), yi)
     try:
-        yparts = ElementPartition(Q.order, images)
+        yparts = ElementPartition(Q.order, {frozenset(proj[g] for g in b) for b in S.yparts.blocks})
     except GroupConstructionError as exc:
         raise ConsistencyError("projected superclasses do not form a partition") from exc
-    if len(inside) != len(yparts) or sum(len(S.xparts[xi]) for xi in inside) != len(row_of):
-        raise ConsistencyError("the parts inside Irr(G/N) do not match the projected superclasses")
-    inside.sort(key=lambda xi: min(row_of[t] for t in S.xparts[xi]))
-    theory = _interned(table, tuple(frozenset(row_of[t] for t in S.xparts[xi]) for xi in inside), yparts)
-    if theory.sigma is None:  # the first deflation to these parts, or one that raised
-        block_of = conjugacy_classes(Q).block_of
-        theory.ypart_classes = tuple(tuple(sorted({block_of[x] for x in b})) for b in yparts.blocks)
-        theory.sigma = tuple(tuple(S.sigma[xi][images[b]].lowered(table.exponent) for b in yparts.blocks)
-                             for xi in inside)
-    # S is live: a theory whose caches were released would rebuild the chain's deflations
-    theory.deflation_of = (S, N)
+    theory = sct_from_class_partition(character_table_of(Q), yparts)
+    if theory is None:
+        raise ConsistencyError("the projected superclasses do not derive a theory of the quotient")
     return theory
-
-
-@cached
-def _interned(table: CharacterTable, xparts, yparts: ElementPartition) -> SuperTheory:
-    """The one theory on the table with these parts, looked up before any
-    of its values are made: `deflation` lowers them into it on first use."""
-    return SuperTheory(table, xparts, yparts, None, None)
 
 
 # ---------------------------------------------------------------------------

@@ -342,7 +342,7 @@ def is_camina_pair(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
     coset = bad is None
     if not coset:
         witnesses["coset-union"] = lambda: f"superclass {sorted(bad)} is not a union of N-cosets"
-    construction = star_construct(S, N) == S
+    construction = star_construct(S, N) is S
     if not construction:
         witnesses["construction"] = lambda: "the star construction over N differs from S"
     vsub = v_rel(S, N) is N

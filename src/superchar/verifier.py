@@ -588,7 +588,7 @@ def _theories_for(table, all_scts: bool):
     theories = [finest(table)]
     if table.group.order >= 2:
         c = coarsest(table)
-        if c not in theories:
+        if c is not theories[0]:
             theories.append(c)
     return theories, False
 
@@ -612,8 +612,8 @@ def _group_entry(spec: str, all_scts: bool, max_order: int | None, tally: dict):
     head, then each theory's head, its reports in the chunks `run_suite`
     yields and its tail, then the group's tail; nothing when the group is
     skipped.  After its suite, a theory's own cache entries are released;
-    what the group and its tables cache, the interned deflations included,
-    stays for the later theories.
+    what the group and its tables cache, the theories of its quotients
+    included, stays for the later theories.
 
     tally receives the entry without its reports: label, order and
     theory_count, the status `counts`, and under "theories" the index and
@@ -719,11 +719,13 @@ def _pooled(args, n):
             worker.join()
 
 
-def verify_groups(specs, all_scts: bool = True, jobs: int = 1, max_order: int | None = None, out=None):
+def verify_groups(specs, all_scts: bool = True, jobs: int = 1, max_order: int | None = None, out=None,
+                  skipped=None):
     """Verify the groups of specs in input order and yield the tally of each
     one verified (see `_group_entry`); with `out`, a binary stream, write
     the canonical JSON of the corpus there as it is made (see `run_corpus`).
-    A spec after the first that cannot be built raises before anything is
+    Each spec skipped for max_order is appended to the list `skipped`.  A
+    spec after the first that cannot be built raises before anything is
     written.
 
     What exists before the first group is built, the imported modules
@@ -740,19 +742,19 @@ def verify_groups(specs, all_scts: bool = True, jobs: int = 1, max_order: int | 
         args = [(spec, all_scts, max_order) for spec in specs]
         if jobs > 1 and len(args) > 1:
             with closing(_pooled(args, min(jobs, len(args)))) as entries:
-                yield from _collect(specs, entries, out)
+                yield from _collect(specs, entries, out, skipped)
         else:
-            yield from _collect(specs, _serial(args), out)
+            yield from _collect(specs, _serial(args), out, skipped)
     finally:
         if freeze:
             gc.unfreeze()
 
 
-def _collect(specs, entries, out):
+def _collect(specs, entries, out, skipped):
     """Write the pieces of the specs' entries to out as they arrive, in
     input order, between the corpus's head and tail; yield each tally."""
     summary = dict.fromkeys(_SUMMARY_KEY.values(), 0)
-    skipped = []
+    skipped = [] if skipped is None else skipped
     head = b'{"groups":['  # written with the first group, so a refused group writes nothing
     for spec in specs:
         tally, pieces = next(entries)

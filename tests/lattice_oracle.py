@@ -1,13 +1,14 @@
 """Test-only oracles: subgroup work one element set at a time.
 
-The package reads V(S|N), U(S|N), products of normal subgroups and
-deflations off the normal-subgroup lattice of the group and the inflation
-record of the quotient table, and takes a quotient of a quotient to be the
-first-level quotient.  These are the bodies it ran before, kept here as
-slow references: subgroups are generated or multiplied element by element,
-a deflation is derived from its class partition and validated in full,
-every quotient is built from its cosets, and the classical center and
-commutator subgroup are found from the multiplication table.
+The package reads V(S|N), U(S|N) and products of normal subgroups off the
+normal-subgroup lattice of the group, and takes a quotient of a quotient
+to be the first-level quotient.  These are the bodies it ran before, kept
+here as slow references: subgroups are generated or multiplied element by
+element, every quotient is built from its cosets, and the classical center
+and commutator subgroup are found from the multiplication table.  A
+deflation is derived on the table inflated from the theory's own table,
+so for a deflation of a deflation the table of G/L is inflated in two
+steps, where the package inflates it from the table of G in one.
 """
 
 from superchar.chartab import quotient_character_table

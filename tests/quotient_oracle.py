@@ -1,13 +1,15 @@
 """Test-only oracle: the quotient by the trivial subgroup built by the
 general coset construction, as the package built every G/N before G/{1}
-became G itself.
+became G itself, and the deflation built rather than derived, as the
+package built every S^{G/N} before it derived each on the table of G/N.
 
 `quotient_group`, `quotient_character_table` and `deflation` are the
 package's constructions as they stood, cut to a first-level quotient of
 a group that is not itself a quotient and to a theory that is not itself
 a deflation, and without their caches: each call builds a fresh group,
 inflated table or theory.  At N = {1} each must equal what the package
-now returns without building anything: (G, identity), T and S.
+now returns without building anything: (G, identity), T and S.  At every
+other S-normal N the built deflation must equal the derived one.
 """
 
 from superchar.chartab import CharacterTable, _canonical_row_key
@@ -43,7 +45,8 @@ def quotient_group(G, N):
 
 
 def quotient_character_table(T, N, quotient):
-    """The table of quotient = `quotient_group(T.group, N)` inflated from T."""
+    """The table of quotient = `quotient_group(T.group, N)` inflated from T,
+    with the row of T each of its rows inflates: (table, inflates)."""
     G = T.group
     Q, proj = quotient
     reps = [proj.index(min(b)) for b in conjugacy_classes(Q).blocks]
@@ -55,7 +58,6 @@ def quotient_character_table(T, N, quotient):
     }
     inflates = sorted(rows, key=lambda t: _canonical_row_key(rows[t]))
     table = CharacterTable(Q, [rows[t] for t in inflates], e)
-    table.inflates = tuple(inflates)
     report = CheckReport(f"character table of {Q.label}, inflated from {G.label}")
     report.add("shape", len(rows) == table.n_classes, f"{len(rows)} rows for {table.n_classes} classes")
     report.add(
@@ -71,15 +73,19 @@ def quotient_character_table(T, N, quotient):
             + "; ".join(c.name for c in report.failures)
         )
     table.validation = report
-    return table
+    return table, tuple(inflates)
 
 
-def deflation(S, N, quotient, table):
+def deflation(S, N, quotient, inflated):
     """S^{G/N} on quotient = `quotient_group(S.group, N)` and its inflated
-    table."""
+    table, inflated = (table, inflates) from `quotient_character_table`:
+    the parts of S inside Irr(G/N) renumbered by the rows they inflate to,
+    the images of its superclasses, and its values at preimages lowered to
+    exp(G/N), with only the counts checked."""
     require_s_normal(S, N)
     Q, proj = quotient
-    row_of = {t: i for i, t in enumerate(table.inflates)}
+    table, inflates = inflated
+    row_of = {t: i for i, t in enumerate(inflates)}
     inside = [xi for xi, part in enumerate(S.xparts) if row_of.keys() >= part]
     images = {}
     for yi, b in enumerate(S.yparts.blocks):

@@ -249,6 +249,17 @@ def test_verify_max_order_flag(capsys):
     assert "S4" in payload["skipped"]
 
 
+def test_verify_text_names_the_skipped_groups(capsys):
+    # one line lists the groups that the JSON lists under "skipped"
+    code, out, _ = run_cli(capsys, "verify", "--group", "C2", "--max-order", "1")
+    assert code == 0
+    assert out.splitlines()[1:] == ["skipped: C2", "summary: pass 0, fail 0, vacuous 0, n/a 0"]
+    code, out, _ = run_cli(capsys, "verify", "--max-order", "4")
+    skipped = json.loads(run_cli(capsys, "verify", "--max-order", "4", "--format", "json")[1])["skipped"]
+    assert code == 0 and len(skipped) == 15
+    assert [line for line in out.splitlines() if "skipped" in line] == ["skipped: " + ", ".join(skipped)]
+
+
 @pytest.mark.parametrize(
     "spec, text",
     [("C3000", None), ("perm:s10.txt", "(1 2 3 4 5 6 7 8 9 10)\n(1 2)\n")],

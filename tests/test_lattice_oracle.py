@@ -1,4 +1,4 @@
-"""The lattice lookups and the constructed deflations against the slow
+"""The lattice lookups and the derived deflations against the slow
 element-set oracles of `lattice_oracle.py`."""
 
 import pytest

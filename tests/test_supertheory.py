@@ -7,6 +7,7 @@ from superchar.cli import main
 from superchar.cyclotomic import Cyclotomic
 from superchar.errors import SuperTheoryError
 from superchar.groups import (
+    ElementPartition,
     SubgroupSet,
     cached,
     catalog_group,
@@ -215,7 +216,6 @@ def test_column_orthogonality_values_match_the_direct_sum():
 def test_sct_from_class_partition_examples():
     G, T = theory_of("S3")
     assert sct_from_class_partition(T, T.classes) == finest(T)
-    from superchar.groups import ElementPartition
 
     coarse = ElementPartition(6, [{0}, set(range(1, 6))])
     assert sct_from_class_partition(T, coarse) == coarsest(T)
@@ -364,9 +364,22 @@ def test_the_cache_rule_holds_at_every_arity(body_runs):
     assert body_runs(s_normal_subgroups, lambda: s_normal_subgroups(S)) == 1
 
 
+def test_a_theory_is_one_object_per_table_and_partition():
+    # theories compare by identity, as subgroups do: rebuilding the class
+    # partition of a theory or of a deflation returns that very object
+    assert "__eq__" not in vars(SuperTheory) and SuperTheory.__hash__ is object.__hash__
+    for name in ("S3", "D4", "Q8", "C2xC2xC2"):
+        for S in enumerate_scts(character_table_of(catalog_group(name))):
+            for D in [S, *(deflation(S, N) for N in s_normal_subgroups(S))]:
+                rebuilt = ElementPartition(D.group.order, [sorted(b) for b in D.yparts.blocks])
+                assert sct_from_class_partition(D.table, rebuilt) is D
+
+
 def test_each_deflation_is_built_once(monkeypatch):
-    # equal deflations of different theories are looked up before any of
-    # their values are made: every theory built is one that is returned
+    # a deflation is the cached theory of its projected superclasses on the
+    # table of its quotient, and a quotient of a quotient is the one object
+    # G/L, so equal deflations of different theories or of deflations are
+    # derived once: every theory built is one that is returned
     init = SuperTheory.__init__
     for name in ("D4", "Q8", "C2xC2xC2", "S4"):
         theories = enumerate_scts(character_table_of(catalog_group(name)))

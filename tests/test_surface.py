@@ -94,3 +94,16 @@ def test_memo_is_touched_only_by_the_cache_rule():
     stray = [f"{where}:{node.lineno}" for where, node, parent in uses
              if not _allowed_memo_use(where, node, parent)]
     assert stray == []
+
+
+def test_theories_are_made_only_by_the_derivation():
+    # one object per (table, class partition) holds because the cached
+    # derivation is the one place a `SuperTheory` is made
+    calls = []  # module.top-level definition of each call
+    for path in sorted(PACKAGE.glob("*.py")):
+        for outer in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(outer):
+                if isinstance(node, ast.Call) and "SuperTheory" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    calls.append(f"{path.stem}.{getattr(outer, 'name', '')}")
+    assert calls == ["supertheory._theory"]

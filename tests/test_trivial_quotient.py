@@ -32,13 +32,13 @@ def assert_trivial_quotients_match_the_oracle(table, theories):
     Q, proj = oracle_quotient(G, one)
     assert quotient_group(G, one) == (G, proj) and proj == tuple(range(G.order))
     assert Q.mul == G.mul and Q is not G
-    inflated = oracle_table(table, one, (Q, proj))
+    inflated, inflates = oracle_table(table, one, (Q, proj))
     assert quotient_character_table(table, one) is table
-    assert inflated.inflates == tuple(range(len(table.values)))
+    assert inflates == tuple(range(len(table.values)))
     assert (inflated.exponent, inflated.reps, inflated.sizes) == (table.exponent, table.reps, table.sizes)
     assert _values(inflated.values) == _values(table.values)
     for S in theories:
-        D = oracle_deflation(S, one, (Q, proj), inflated)
+        D = oracle_deflation(S, one, (Q, proj), (inflated, inflates))
         assert deflation(S, one) is S
         assert (D.xparts, D.yparts, D.ypart_classes) == (S.xparts, S.yparts, S.ypart_classes)
         assert _values(D.sigma) == _values(S.sigma)
