@@ -52,22 +52,27 @@ from .supertheory import (
 class CaminaVerdict:
     """Outcome of a multi-characterization predicate.
 
-    `conditions` holds the independently evaluated equivalent conditions;
-    `agreement` is True when they all coincide.  `extras` carries evaluated
-    but non-asserted readings, `witnesses` counterexample payloads for the
-    false conditions.  The subject and each witness are zero-argument
-    callables that give the text, called by `to_json` only: a verdict that
-    is never shown formats nothing.
+    `checks` lists each independently evaluated equivalent condition once,
+    as (name, holds, witness); `conditions` maps the names to their truth
+    values and `agreement` is True when they all coincide.  One rule gives
+    the `witnesses`: those of exactly the false conditions, where a
+    condition has one (None where it has not).  `extras` carries evaluated
+    but non-asserted readings.  The subject and each witness are
+    zero-argument callables that give the text, and do any work only the
+    text needs; `to_json` alone calls them, so a verdict that is never
+    shown formats nothing.
     """
 
     __slots__ = ("subject", "holds", "conditions", "agreement", "vacuous", "witnesses", "extras")
 
-    def __init__(self, subject, holds: bool, conditions: dict[str, bool],
-                 vacuous: bool = False, witnesses: dict | None = None, extras: dict | None = None):
-        self.subject, self.holds, self.conditions = subject, holds, conditions
-        self.agreement = len(set(conditions.values())) == 1
-        self.vacuous = vacuous
-        self.witnesses = {} if witnesses is None else witnesses
+    def __init__(self, subject, holds: bool, checks, vacuous: bool = False, extras: dict | None = None):
+        self.subject, self.holds, self.vacuous = subject, holds, vacuous
+        self.conditions, self.witnesses = {}, {}
+        for name, ok, witness in checks:
+            self.conditions[name] = ok
+            if not ok and witness is not None:
+                self.witnesses[name] = witness
+        self.agreement = len(set(self.conditions.values())) == 1
         self.extras = {} if extras is None else extras
 
     def to_json(self):
@@ -184,21 +189,24 @@ def is_camina_element(S: SuperTheory, g: int) -> CaminaVerdict:
     com = s_commutator_full(S)
     cls = S.superclass(g)
     vanishing, coset, size, transversal = (bool(m >> g & 1) for m in camina_masks(S))
-    witnesses = {}
-    if not vanishing:
-        nonzero = next(sigma for sigma in irr_over(S, com) if not sigma.value_on(g).is_zero())
-        witnesses["vanishing"] = lambda: f"sigma_{nonzero.index}(g) = {nonzero.value_on(g)}"
-    if not coset:
-        row = S.group.mul[g]
-        witnesses["class-coset"] = lambda: f"Cl_S({g}) = {sorted(cls)}, g[G,S] = {sorted(row[z] for z in com.members)}"
-    if not size:
-        witnesses["class-size"] = lambda: f"|Cl_S({g})| = {len(cls)}, |[G,S]| = {len(com)}"
-    if not transversal:
-        missing = com.mask & ~_differences(S)[g]
-        witnesses["transversal"] = lambda: f"no y in Cl_S({g}) with g^-1 y = {(missing & -missing).bit_length() - 1}"
 
-    conditions = {"vanishing": vanishing, "class-coset": coset, "class-size": size, "transversal": transversal}
-    return CaminaVerdict(lambda: f"element {g}", holds=vanishing, conditions=conditions, witnesses=witnesses)
+    def nonzero():
+        sigma = next(sigma for sigma in irr_over(S, com) if not sigma.value_on(g).is_zero())
+        return f"sigma_{sigma.index}(g) = {sigma.value_on(g)}"
+
+    def missing():
+        miss = com.mask & ~_differences(S)[g]
+        return f"no y in Cl_S({g}) with g^-1 y = {(miss & -miss).bit_length() - 1}"
+
+    def coset_text():
+        return f"Cl_S({g}) = {sorted(cls)}, g[G,S] = {sorted(S.group.mul[g][z] for z in com.members)}"
+
+    return CaminaVerdict(lambda: f"element {g}", vanishing, [
+        ("vanishing", vanishing, nonzero),
+        ("class-coset", coset, coset_text),
+        ("class-size", size, lambda: f"|Cl_S({g})| = {len(cls)}, |[G,S]| = {len(com)}"),
+        ("transversal", transversal, missing),
+    ])
 
 
 def gcp_holds(S: SuperTheory, N: SubgroupSet) -> bool:
@@ -222,45 +230,25 @@ def is_s_gcp(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
     holds = gcp_holds(S, N)
     com = s_commutator_full(S)
     vanishing, _, size, transversal = camina_masks(S)
-    witnesses = {}
-
-    if not holds:
-        non_camina = _first_miss(S, N, vanishing)
-        witnesses["camina-elements"] = lambda: f"element {non_camina} is not an S-Camina element"
     wrong_size = _first_miss(S, N, size)
-    if wrong_size is not None:
-        witnesses["class-sizes"] = lambda: f"|Cl_S({wrong_size})| = {len(S.superclass(wrong_size))} != {len(com)}"
     short = _first_miss(S, N, transversal)
-    if short is not None:
-        witnesses["transversal"] = lambda: f"element {short} misses a commutator-coset difference"
     escaping = escaping_character(irr_over(S, com), N)
-    if escaping:
-        witnesses["vanishing"] = lambda: f"sigma_{escaping.index} does not vanish off N"
-
-    conditions = {
-        "camina-elements": holds,
-        "class-sizes": wrong_size is None,
-        "transversal": short is None,
-        "vanishing": escaping is None,
-    }
-    extras: dict[str, object] = {}
+    checks = [
+        ("camina-elements", holds, lambda: f"element {_first_miss(S, N, vanishing)} is not an S-Camina element"),
+        ("class-sizes", wrong_size is None,
+         lambda: f"|Cl_S({wrong_size})| = {len(S.superclass(wrong_size))} != {len(com)}"),
+        ("transversal", short is None, lambda: f"element {short} misses a commutator-coset difference"),
+        ("vanishing", escaping is None, lambda: f"sigma_{escaping.index} does not vanish off N"),
+    ]
     if com.members <= N.members:
-        conditions["coset-product"] = is_delta_product(S, com, N)
-        if not conditions["coset-product"]:
-            witnesses["coset-product"] = lambda: "some superclass outside N is not a union of [G,S]-cosets"
+        checks.append(("coset-product", is_delta_product(S, com, N),
+                       lambda: "some superclass outside N is not a union of [G,S]-cosets"))
+    extras: dict[str, object] = {}
     if N.members <= com.members:
-        literal = is_delta_product(S, N, com)
-        extras["coset-product-literal"] = literal
+        extras["coset-product-literal"] = is_delta_product(S, N, com)
         if N is com:
-            conditions["coset-product-literal"] = literal
-    return CaminaVerdict(
-        lambda: f"pair (G, {sorted(N.members)})",
-        holds=holds,
-        conditions=conditions,
-        vacuous=len(N) == S.group.order,
-        witnesses=witnesses,
-        extras=extras,
-    )
+            checks.append(("coset-product-literal", extras["coset-product-literal"], None))
+    return CaminaVerdict(lambda: f"pair (G, {sorted(N.members)})", holds, checks, len(N) == S.group.order, extras)
 
 
 @cached
@@ -284,46 +272,27 @@ def is_camina_triple(S: SuperTheory, N: SubgroupSet, M: SubgroupSet) -> CaminaVe
     M-cosets)."""
     require_s_normal(S, N)
     require_s_normal(S, M)
-    witnesses = {}
-
     bad = non_coset_union(S, M, N)
-    coset = bad is None
-    if not coset:
-        witnesses["coset-union"] = lambda: f"superclass {sorted(bad)} is not a union of M-cosets"
     size, transversal = _triple_masks(S, M)
     wrong_size = _first_miss(S, N, size)
-    if wrong_size is not None:
-        defl = deflation(S, M)
-        _, proj = quotient_group(S.group, M)
-        witnesses["class-size-product"] = lambda: (
-            f"|Cl_S({wrong_size})| = {len(S.superclass(wrong_size))}, deflated class times |M| = "
-            f"{len(defl.superclass(proj[wrong_size])) * len(M)}"
-        )
     short = _first_miss(S, N, transversal)
-    if short is not None:
-        witnesses["transversal"] = lambda: f"element {short} misses an M-difference"
-    bound = v_rel(S, M).members <= N.members
-    if not bound:
-        witnesses["vanishing-bound"] = lambda: (
-            f"V(S|M) = {sorted(v_rel(S, M).members)} escapes {sorted(N.members)}"
-        )
     escaping = escaping_character(irr_over(S, M), N)
-    if escaping:
-        witnesses["vanishing"] = lambda: f"sigma_{escaping.index} does not vanish outside N"
-    conditions = {
-        "coset-union": coset,
-        "class-size-product": wrong_size is None,
-        "transversal": short is None,
-        "vanishing-bound": bound,
-        "vanishing": escaping is None,
-    }
-    return CaminaVerdict(
-        lambda: f"triple (G, {sorted(N.members)}, {sorted(M.members)})",
-        holds=coset,
-        conditions=conditions,
-        vacuous=len(N) == S.group.order,
-        witnesses=witnesses,
-    )
+
+    def deflated_size():
+        _, proj = quotient_group(S.group, M)
+        return (
+            f"|Cl_S({wrong_size})| = {len(S.superclass(wrong_size))}, deflated class times |M| = "
+            f"{len(deflation(S, M).superclass(proj[wrong_size])) * len(M)}"
+        )
+
+    return CaminaVerdict(lambda: f"triple (G, {sorted(N.members)}, {sorted(M.members)})", bad is None, [
+        ("coset-union", bad is None, lambda: f"superclass {sorted(bad)} is not a union of M-cosets"),
+        ("class-size-product", wrong_size is None, deflated_size),
+        ("transversal", short is None, lambda: f"element {short} misses an M-difference"),
+        ("vanishing-bound", v_rel(S, M).members <= N.members,
+         lambda: f"V(S|M) = {sorted(v_rel(S, M).members)} escapes {sorted(N.members)}"),
+        ("vanishing", escaping is None, lambda: f"sigma_{escaping.index} does not vanish outside N"),
+    ], len(N) == S.group.order)
 
 
 def is_camina_pair(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
@@ -336,42 +305,21 @@ def is_camina_pair(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
     the trivial subgroup), so there it is recorded but not asserted.
     """
     require_s_normal(S, N)
-    witnesses = {}
-
     bad = non_coset_union(S, N, N)
-    coset = bad is None
-    if not coset:
-        witnesses["coset-union"] = lambda: f"superclass {sorted(bad)} is not a union of N-cosets"
-    construction = star_construct(S, N) is S
-    if not construction:
-        witnesses["construction"] = lambda: "the star construction over N differs from S"
-    vsub = v_rel(S, N) is N
-    if not vsub:
-        witnesses["vanishing-off"] = lambda: f"V(S|N) = {sorted(v_rel(S, N).members)}"
     nonzero = reduce(or_, map(nonvanishing_mask, irr_over(S, N)), 0)
-    clause_a = not nonzero & ~N.mask
-    clause_b = not N.mask & ~nonzero
-    two_clause = clause_a and clause_b
-    if not two_clause:
-        witnesses["two-clause"] = lambda: f"clause a: {clause_a}, clause b: {clause_b}"
-
-    conditions = {
-        "coset-union": coset,
-        "construction": construction,
-        "vanishing-off": vsub,
-    }
+    clause_a, clause_b = not nonzero & ~N.mask, not N.mask & ~nonzero
+    checks = [
+        ("coset-union", bad is None, lambda: f"superclass {sorted(bad)} is not a union of N-cosets"),
+        ("construction", star_construct(S, N) is S, lambda: "the star construction over N differs from S"),
+        ("vanishing-off", v_rel(S, N) is N, lambda: f"V(S|N) = {sorted(v_rel(S, N).members)}"),
+    ]
     extras: dict[str, object] = {}
     if len(N) > 1:
-        conditions["two-clause"] = two_clause
+        checks.append(("two-clause", clause_a and clause_b, lambda: f"clause a: {clause_a}, clause b: {clause_b}"))
     else:
-        extras["two-clause-at-trivial-n"] = two_clause
+        extras["two-clause-at-trivial-n"] = clause_a and clause_b
     return CaminaVerdict(
-        lambda: f"pair (G, {sorted(N.members)})",
-        holds=coset,
-        conditions=conditions,
-        vacuous=len(N) == S.group.order,
-        witnesses=witnesses,
-        extras=extras,
+        lambda: f"pair (G, {sorted(N.members)})", bad is None, checks, len(N) == S.group.order, extras
     )
 
 
@@ -487,35 +435,26 @@ def is_vz(S: SuperTheory) -> CaminaVerdict:
     center = s_center(S)
     com = s_commutator_full(S)
     V = v_theory(S)
-    witnesses = {}
-
     escaping = escaping_character(irr_over(S, com), center)
-    definition = escaping is None
-    if escaping:
-        witnesses["definition"] = lambda: f"sigma_{escaping.index} does not vanish off Z(S)"
-    v_below_z = V.members <= center.members
-    if not v_below_z:
-        witnesses["v-inside-center"] = lambda: f"V(S) = {sorted(V.members)}, Z(S) = {sorted(center.members)}"
-    conditions = {"definition": definition, "v-inside-center": v_below_z}
-    abelian = is_s_abelian(S)
-    if not abelian:
-        conditions["center-equals-v"] = center is V
+    checks = [
+        ("definition", escaping is None, lambda: f"sigma_{escaping.index} does not vanish off Z(S)"),
+        ("v-inside-center", V.members <= center.members,
+         lambda: f"V(S) = {sorted(V.members)}, Z(S) = {sorted(center.members)}"),
+    ]
+    if not is_s_abelian(S):
         U = u_theory(S)
-        conditions["u-equals-commutator"] = U is com
-        if not conditions["u-equals-commutator"]:
-            witnesses["u-equals-commutator"] = lambda: f"U(S) = {sorted(U.members)}, [G,S] = {sorted(com.members)}"
+        checks += [
+            ("center-equals-v", center is V, None),
+            ("u-equals-commutator", U is com, lambda: f"U(S) = {sorted(U.members)}, [G,S] = {sorted(com.members)}"),
+        ]
     if com.members <= center.members:
         triple = is_camina_triple(S, center, com).conditions
-        conditions["coset-product"] = triple["coset-union"]
-        conditions["class-size-product"] = triple["class-size-product"]
-        conditions["transversal"] = triple["transversal"]
-    return CaminaVerdict(
-        lambda: "VZ",
-        holds=definition,
-        conditions=conditions,
-        vacuous=len(center) == S.group.order,
-        witnesses=witnesses,
-    )
+        checks += [
+            ("coset-product", triple["coset-union"], None),
+            ("class-size-product", triple["class-size-product"], None),
+            ("transversal", triple["transversal"], None),
+        ]
+    return CaminaVerdict(lambda: "VZ", escaping is None, checks, len(center) == S.group.order)
 
 
 def scd_check(S: SuperTheory) -> CheckReport:

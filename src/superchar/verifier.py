@@ -131,8 +131,11 @@ def _failing_row(scope: dict, failing: list, vacuous: bool = False, **witness):
     return scope, _status(not failing, vacuous), {"failing": failing, **witness} if failing else None
 
 
-def _verdict_row(scope: dict, verdict):
-    ok = verdict.agreement
+def _verdict_row(scope: dict, verdict, agrees: bool = True):
+    """The row of a verdict's scope: it passes when the verdict's conditions
+    agree and so does agrees, a further reading checked against the
+    verdict; a failing row shows the verdict."""
+    ok = verdict.agreement and agrees
     return scope, _status(ok, verdict.vacuous), None if ok else verdict.to_json()
 
 
@@ -218,18 +221,13 @@ def _check_zeta(S: SuperTheory):
 @theorem("C-class", "nilpotence class c forces zeta_(c-1) inside V(S)")
 def _check_cclass(S: SuperTheory):
     c = s_nilpotence_class(S)
-    if c is None or c < 1:
-        yield {}, "not-applicable"
-    else:
-        ok = upper_series(S).term(c - 1).members <= v_theory(S).members
-        yield {"class": c}, _status(ok)
+    if c is not None and c >= 1:
+        yield {"class": c}, _status(upper_series(S).term(c - 1).members <= v_theory(S).members)
 
 
 @theorem("C-hyper", "non-nilpotent theories have their hypercenter inside V(S)")
 def _check_chyper(S: SuperTheory):
-    if s_nilpotence_class(S) is not None:
-        yield {}, "not-applicable"
-    else:
+    if s_nilpotence_class(S) is None:
         yield {}, _status(upper_series(S).last.members <= v_theory(S).members)
 
 
@@ -285,9 +283,7 @@ def _check_zs(S: SuperTheory):
 
 @theorem("T-vznilp", "non-abelian VZ theories are nilpotent of class 2")
 def _check_vznilp(S: SuperTheory):
-    if is_s_abelian(S) or not is_vz(S).holds:
-        yield {}, "not-applicable"
-    else:
+    if not is_s_abelian(S) and is_vz(S).holds:
         c = s_nilpotence_class(S)
         yield {}, _status(c == 2), None if c == 2 else {"class": c}
 
@@ -295,9 +291,7 @@ def _check_vznilp(S: SuperTheory):
 @theorem("L-scd", "supercharacter degrees of VZ theories")
 def _check_scd(S: SuperTheory):
     rep = scd_check(S)
-    if not rep.checks:
-        yield {}, "not-applicable"
-    else:
+    if rep.checks:
         yield _failing_row({}, [c.name for c in rep.failures])
 
 
@@ -347,26 +341,19 @@ def _check_ucorr(S: SuperTheory):
             if not H.members <= N.members:
                 continue
             triple = is_camina_triple(S, N, H)
-            membership = H.members <= u_rel(S, N).members
-            ok = triple.agreement and membership == triple.holds
-            witness = None if ok else triple.to_json()
-            yield {"h": H, "n": N}, _status(ok, triple.vacuous), witness
+            yield _verdict_row({"h": H, "n": N}, triple, (H.members <= u_rel(S, N).members) == triple.holds)
 
 
 @theorem("C-ucor", "N = U(S|N) exactly at star factorizations")
 def _check_ucor(S: SuperTheory):
     for N in s_normal_subgroups(S):
         pair = is_camina_pair(S, N)
-        fixed = N is u_rel(S, N)
-        ok = pair.agreement and fixed == pair.holds
-        witness = None if ok else pair.to_json()
-        yield {"n": N}, _status(ok, pair.vacuous), witness
+        yield _verdict_row({"n": N}, pair, (N is u_rel(S, N)) == pair.holds)
 
 
 @theorem("T-ugroupp", "U(S|N) is the largest subgroup with the vanishing property")
 def _check_ugroupp(S: SuperTheory):
     if is_s_abelian(S):
-        yield {}, "not-applicable"
         return
     subs = s_normal_subgroups(S)
     full = (1 << S.group.order) - 1
@@ -457,7 +444,6 @@ def _check_ukernel(S: SuperTheory):
 @theorem("T-final", "VZ, Z(S) = V(S), and U(S) = [G,S] are equivalent")
 def _check_final(S: SuperTheory):
     if is_s_abelian(S):
-        yield {}, "not-applicable"
         return
     vz = is_vz(S).holds
     z_eq_v = s_center(S) is v_theory(S)

@@ -5,8 +5,9 @@ and every witness and subject formatted when the verdict was built.
 This is the oracle of `superchar.vanishing`: `is_camina_element`,
 `is_s_gcp`, `is_camina_triple` and `is_camina_pair` here must give
 verdicts whose `to_json()`, `holds`, `agreement` and `vacuous` equal
-those of the package's, and `check_ugroupp` must yield the rows of the
-package's T-ugroupp checker, whose membership check it makes per element.
+those of the package's, and `check_ugroupp` must yield the rows the suite
+reports for the package's T-ugroupp checker, whose membership check it
+makes per element.
 `CaminaVerdict` is the verdict class as it stood, with eager text.
 """
 
@@ -239,8 +240,6 @@ def is_camina_pair(S: SuperTheory, N) -> CaminaVerdict:
         any(not sigma.value_on(n).is_zero() for sigma in over) for n in sorted(N.members)
     )
     two_clause = clause_a and clause_b
-    if not two_clause:
-        witnesses["two-clause"] = f"clause a: {clause_a}, clause b: {clause_b}"
 
     conditions = {
         "coset-union": coset,
@@ -250,6 +249,8 @@ def is_camina_pair(S: SuperTheory, N) -> CaminaVerdict:
     extras: dict[str, object] = {}
     if len(N) > 1:
         conditions["two-clause"] = two_clause
+        if not two_clause:
+            witnesses["two-clause"] = f"clause a: {clause_a}, clause b: {clause_b}"
     else:
         extras["two-clause-at-trivial-n"] = two_clause
     return CaminaVerdict(

@@ -8,12 +8,14 @@ element, every quotient is built from its cosets, and the classical center
 and commutator subgroup are found from the multiplication table.  A
 deflation is derived on the table inflated from the theory's own table,
 so for a deflation of a deflation the table of G/L is inflated in two
-steps, where the package inflates it from the table of G in one.
+steps, where the package inflates it from the table of G in one; and on
+the Dixon table of G/N built afresh from its cosets, which shares nothing
+with the package's quotient group or inflated table.
 """
 
-from superchar.chartab import quotient_character_table
+from superchar.chartab import dixon_character_table, quotient_character_table
 from superchar.errors import ConsistencyError, GroupConstructionError
-from superchar.groups import ElementPartition, GroupTable, SubgroupSet, generated_subgroup, quotient_group
+from superchar.groups import ElementPartition, GroupTable, SubgroupSet, cached, generated_subgroup, quotient_group
 from superchar.structure import irr_over, s_normal_subgroups
 from superchar.supertheory import sct_from_class_partition
 
@@ -55,6 +57,26 @@ def derived_deflation(S, N):
     theory = sct_from_class_partition(
         quotient_character_table(S.table, N), ElementPartition(Q.order, images)
     )
+    if theory is None or not theory.validate().ok:
+        raise ConsistencyError("deflation produced an invalid theory")
+    return theory
+
+
+@cached
+def fresh_table(G, N):
+    """The Dixon table of G/N built afresh from cosets (`fresh_quotient`),
+    with the projection, once per (G, N)."""
+    Q, proj = fresh_quotient(G, N)
+    return dixon_character_table(Q), proj
+
+
+def fresh_deflation(S, N):
+    """S^{G/N} derived from the images of the superclasses on
+    `fresh_table`, so neither the package's quotient group nor its
+    inflated table is read."""
+    table, proj = fresh_table(S.group, N)
+    images = {frozenset(proj[g] for g in b) for b in S.yparts.blocks}
+    theory = sct_from_class_partition(table, ElementPartition(table.group.order, images))
     if theory is None or not theory.validate().ok:
         raise ConsistencyError("deflation produced an invalid theory")
     return theory

@@ -23,6 +23,12 @@ def assert_same(verdict, expected):
     assert (verdict.holds, verdict.agreement, verdict.vacuous) == (expected.holds, expected.agreement, expected.vacuous)
 
 
+def ugroupp_rows(S):
+    """The rows the suite reports for T-ugroupp: one not-applicable row
+    when the checker yields none."""
+    return list(_CHECKERS["T-ugroupp"](S)) or [({}, "not-applicable")]
+
+
 def assert_theory_matches_oracle(S):
     """Every verdict of S, those on the (deflation, image) pairs that L-cp
     reaches included, and S's T-ugroupp rows are the oracle's."""
@@ -45,7 +51,7 @@ def assert_theory_matches_oracle(S):
                 expected_quotient = camina_oracle.is_s_gcp(defl, image)
                 assert gcp_holds(defl, image) == expected_quotient.holds
                 assert_same(is_s_gcp(defl, image), expected_quotient)
-    assert list(_CHECKERS["T-ugroupp"](S)) == list(camina_oracle.check_ugroupp(S))
+    assert ugroupp_rows(S) == list(camina_oracle.check_ugroupp(S))
 
 
 @pytest.mark.parametrize("name", DEFAULT_CATALOG)
@@ -72,7 +78,7 @@ def test_failing_ugroupp_rows_match_the_oracle(wrong_u, monkeypatch):
     memberships = 0
     for name in ("S3", "D4", "Q8", "A4", "S4"):
         for S in enumerate_scts(character_table_of(catalog_group(name))):
-            rows = list(_CHECKERS["T-ugroupp"](S))
+            rows = ugroupp_rows(S)
             assert rows == list(camina_oracle.check_ugroupp(S))
             memberships += sum(f.startswith("membership-") for _, _, w in rows if w for f in w["failing"])
     assert memberships

@@ -306,7 +306,7 @@ def test_u_rel_requires_s_normal():
 
 
 # sha256 over json.dumps(v.to_json(), sort_keys=True) of every verdict, in order
-CAMINA_VERDICTS = (8465, "903bf69835a6ba7e6c2cdb42092b7c32e7cc8d8a4f6dd0f466553c7721a22d69")
+CAMINA_VERDICTS = (8465, "869380e47bab1631601c76dd4bc986cbaf57c92f3395fec8d3e7da53ee1b1c3e")
 
 
 def test_every_camina_verdict_of_the_default_catalog_is_pinned():
@@ -323,6 +323,7 @@ def test_every_camina_verdict_of_the_default_catalog_is_pinned():
             verdicts += [is_camina_triple(S, N, M) for N in subs for M in subs if M.members <= N.members]
             verdicts.append(is_vz(S))
             for v in verdicts:
+                assert all(not v.conditions[k] for k in v.witnesses)
                 digest.update(json.dumps(v.to_json(), sort_keys=True).encode())
             count += len(verdicts)
     assert (count, digest.hexdigest()) == CAMINA_VERDICTS
