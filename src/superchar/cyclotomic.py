@@ -122,7 +122,8 @@ def _lower(e: int, num: tuple[int, ...], p: int) -> tuple[int, ...] | None:
     return tuple(-x for x in diffs.pop()) if len(diffs) == 1 else None
 
 
-_TERM_RE = re.compile(r"^(?P<coef>-?\d+(?:/\d*[1-9]\d*)?)?(?P<star>\*)?(?P<z>z(?:\^(?P<exp>\d+))?)?$")
+# an unsigned term: a coefficient, a power of z, or both joined by `*`
+_TERM_RE = re.compile(r"^(?:(?P<coef>\d+(?:/\d*[1-9]\d*)?)(?:\*(?=z))?)?(?P<z>z(?:\^(?P<exp>\d+))?)?$")
 
 
 class Cyclotomic:
@@ -292,18 +293,10 @@ class Cyclotomic:
             s = s[1:]
         dense = [Fraction(0)] * order
         for token in s.split("+"):
-            if not token:
-                raise ValueError(f"malformed cyclotomic literal: {text!r}")
-            m = _TERM_RE.match(token)
-            if not m or (m.group("coef") is None and m.group("z") is None):
-                # allow a bare "-z^k"
-                if token.startswith("-") and _TERM_RE.match(token[1:]):
-                    m = _TERM_RE.match(token[1:])
-                    sign = -1
-                else:
-                    raise ValueError(f"malformed term {token!r} in {text!r}")
-            else:
-                sign = 1
+            sign, term = (-1, token[1:]) if token.startswith("-") else (1, token)
+            m = _TERM_RE.match(term)
+            if not term or not m:
+                raise ValueError(f"malformed term {token!r} in {text!r}")
             coef = m.group("coef")
             c = Fraction(coef) if coef is not None else Fraction(1)
             k = int(m.group("exp") or 1) if m.group("z") else 0

@@ -555,9 +555,9 @@ def _check_order(order: int, max_order: int | None) -> None:
 
 
 def catalog_group(name: str, max_order: int | None = None) -> GroupTable:
-    """Build a named group: Cn, Dn (order 2n), Q8/Q16, Sn (n<=4), A4, and
-    x-separated direct products such as C2xC2.  An order above max_order,
-    read off the name, is refused before any table is built.
+    """Build a named group: Cn, Dn (order 2n), Q4m (m >= 2: Q8, Q12, ...),
+    Sn (n<=4), A4, and x-separated direct products such as C2xC2.  An order
+    above max_order, read off the name, is refused before any table is built.
 
     Element numbering is fixed and documented so that derived objects are
     reproducible:

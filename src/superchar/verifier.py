@@ -1,12 +1,14 @@
 """Theorem suite: run every structural result against a corpus of theories.
 
-Each theorem is a checker registered with `@theorem(id, description)`; it
-evaluates both sides of every claimed equivalence independently and yields
-one (scope, status[, witness]) row per scope (subgroup, subgroup pair, or
-element), which `run_suite` stamps with the theorem id.  Failures are data,
-not exceptions; a corpus run over the default catalog is expected to
-produce zero fail-status reports, and any fail is either an implementation
-bug or a genuine counterexample worth looking at.
+Each theorem is a checker registered with `@theorem(id, description)`.  A
+result is an implication, so a checker yields one (scope, hypothesis,
+conclusion) row per scope (subgroup, subgroup pair, or element): the
+hypothesis True, False or `VACUOUS`, the conclusion a callable that
+evaluates both sides of every claimed equivalence independently and gives
+(holds, witness).  `_encode_rows` alone turns rows into statuses.  Failures
+are data, not exceptions; a corpus run over the default catalog is
+expected to produce zero fail-status reports, and any fail is either an
+implementation bug or a genuine counterexample worth looking at.
 """
 
 from __future__ import annotations
@@ -88,7 +90,17 @@ DEFAULT_CATALOG = (
 
 
 _CHECKERS: dict = {}  # theorem id -> checker, in registration order
-_TAILS: dict = {}  # theorem id -> status -> what follows a row's scope, up to the end of its theorem id
+VACUOUS = object()  # the hypothesis of a scope where it holds only vacuously: N = G, or Z(S) = G
+# the one status rule, (hypothesis, whether the conclusion holds) -> status; where the
+# hypothesis fails the conclusion is not called, and whether it holds is None
+_STATUS = {
+    (False, None): "not-applicable",
+    (True, True): "pass",
+    (VACUOUS, True): "vacuous",
+    (True, False): "fail",
+    (VACUOUS, False): "fail",
+}
+_TAILS: dict = {}  # theorem id -> (hypothesis, holds) -> what follows a row's scope, up to the end of its theorem id
 _SUMMARY_KEY = {"pass": "pass", "fail": "fail", "vacuous": "vacuous", "not-applicable": "na"}
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # what json.dumps would build per call
 
@@ -108,8 +120,8 @@ def theorem(tid: str, description: str):
             raise ValueError(f"theorem id {tid!r} is registered twice")
         check.description = description
         _CHECKERS[tid] = check
-        _TAILS[tid] = {status: b'},"status":"%s","theorem_id":%s' % (status.encode(), corpus_json_bytes(tid))
-                       for status in _SUMMARY_KEY}
+        _TAILS[tid] = {outcome: b'},"status":"%s","theorem_id":%s' % (status.encode(), corpus_json_bytes(tid))
+                       for outcome, status in _STATUS.items()}
         return check
 
     return register
@@ -119,24 +131,19 @@ def _sub(H: SubgroupSet) -> list[int]:
     return list(H.sorted_members())
 
 
-def _status(ok: bool, vacuous: bool = False) -> str:
-    if not ok:
-        return "fail"
-    return "vacuous" if vacuous else "pass"
+def _failing(failing: list, **witness):
+    """The (holds, witness) of a conclusion whose failing checks are named
+    in failing; the witness lists them, with any further fields, when
+    there are any."""
+    return not failing, {"failing": failing, **witness} if failing else None
 
 
-def _failing_row(scope: dict, failing: list, vacuous: bool = False, **witness):
-    """The row of a scope whose failing checks are named in failing; the
-    witness lists them, with any further fields, when there are any."""
-    return scope, _status(not failing, vacuous), {"failing": failing, **witness} if failing else None
-
-
-def _verdict_row(scope: dict, verdict, agrees: bool = True):
-    """The row of a verdict's scope: it passes when the verdict's conditions
-    agree and so does agrees, a further reading checked against the
-    verdict; a failing row shows the verdict."""
+def _verdict(verdict, agrees: bool = True):
+    """The (holds, witness) of a verdict's conclusion: it holds when the
+    verdict's conditions agree and so does agrees, a further reading
+    checked against the verdict; a failing one shows the verdict."""
     ok = verdict.agreement and agrees
-    return scope, _status(ok, verdict.vacuous), None if ok else verdict.to_json()
+    return ok, None if ok else verdict.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +156,13 @@ def _check_celt(S: SuperTheory):
     split = (vanishing ^ coset) | (vanishing ^ size) | (vanishing ^ transversal)
     for g in range(S.group.order):
         # a verdict is built only where its conditions disagree
-        yield _verdict_row({"element": g}, is_camina_element(S, g)) if split >> g & 1 else ({"element": g}, "pass")
+        yield {"element": g}, True, lambda: _verdict(is_camina_element(S, g)) if split >> g & 1 else (True, None)
 
 
 @theorem("T-corgcp", "characterizations of generalized Camina pairs agree")
 def _check_corgcp(S: SuperTheory):
     for N in s_normal_subgroups(S):
-        yield _verdict_row({"n": N}, is_s_gcp(S, N))
+        yield {"n": N}, VACUOUS if len(N) == S.group.order else True, lambda: _verdict(is_s_gcp(S, N))
 
 
 @theorem("L-cp", "Camina pairs close upward, pass to quotients, and bound the center")
@@ -167,7 +174,7 @@ def _check_cp(S: SuperTheory):
     order = S.group.order
     for N in subs:
         if not gcp_holds(S, N):
-            continue
+            continue  # the hypothesis picks the scopes: only Camina pairs have a row
         fails = []
         if not com.members <= N.members:
             fails.append("commutator-below")
@@ -180,7 +187,7 @@ def _check_cp(S: SuperTheory):
                     fails.append(f"quotient-{_sub(K)}")
         if not abelian and not center.members <= N.members:
             fails.append("center-below")
-        yield _failing_row({"n": N}, fails, len(N) == order)
+        yield {"n": N}, VACUOUS if len(N) == order else True, lambda: _failing(fails)
 
 
 @theorem("L-vs", "basic properties of the vanishing-off subgroup V(S)")
@@ -200,7 +207,7 @@ def _check_vs(S: SuperTheory):
         fails.append("v-minimal")
     if frozenset(range(S.group.order)).intersection(*(N.members for N in gcp_subs)) != V.members:
         fails.append("v-as-intersection")
-    yield _failing_row({}, fails, v=_sub(V))
+    yield {}, True, lambda: _failing(fails, v=_sub(V))
 
 
 @theorem("T-zeta", "upper central terms above a non-central commutator land in V(S)")
@@ -209,46 +216,44 @@ def _check_zeta(S: SuperTheory):
     com = s_commutator_full(S)
     V = v_theory(S)
     top = max(1, len(up.terms) - 1)
-    for m in range(1, top + 1):
-        if com.members <= up.term(m).members:
-            yield {"m": m}, "not-applicable"
-            continue
+
+    def conclusion(m):
         ok = up.term(m + 1).members <= V.members
-        witness = None if ok else {"zeta": _sub(up.term(m + 1)), "v": _sub(V)}
-        yield {"m": m}, _status(ok), witness
+        return ok, None if ok else {"zeta": _sub(up.term(m + 1)), "v": _sub(V)}
+
+    for m in range(1, top + 1):
+        yield {"m": m}, not com.members <= up.term(m).members, lambda: conclusion(m)
 
 
 @theorem("C-class", "nilpotence class c forces zeta_(c-1) inside V(S)")
 def _check_cclass(S: SuperTheory):
     c = s_nilpotence_class(S)
     if c is not None and c >= 1:
-        yield {"class": c}, _status(upper_series(S).term(c - 1).members <= v_theory(S).members)
+        yield {"class": c}, True, lambda: (upper_series(S).term(c - 1).members <= v_theory(S).members, None)
 
 
 @theorem("C-hyper", "non-nilpotent theories have their hypercenter inside V(S)")
 def _check_chyper(S: SuperTheory):
-    if s_nilpotence_class(S) is None:
-        yield {}, _status(upper_series(S).last.members <= v_theory(S).members)
+    yield {}, s_nilpotence_class(S) is None, lambda: (upper_series(S).last.members <= v_theory(S).members, None)
 
 
 @theorem("L-vsn", "non-abelian quotients force N into V(S) and bound the deflated V")
 def _check_vsn(S: SuperTheory):
     V = v_theory(S)
-    for N in s_normal_subgroups(S):
-        defl = deflation(S, N)
-        scope = {"n": N}
-        if is_s_abelian(defl):
-            yield scope, "not-applicable"
-            continue
+
+    def conclusion(N, defl):
         image = quotient_image(S.group, N, V).members
         ok = N.members <= V.members and v_theory(defl).members <= image
-        witness = None if ok else {"v": _sub(V), "deflated-v": _sub(v_theory(defl))}
-        yield scope, _status(ok), witness
+        return ok, None if ok else {"v": _sub(V), "deflated-v": _sub(v_theory(defl))}
+
+    for N in s_normal_subgroups(S):
+        defl = deflation(S, N)
+        yield {"n": N}, not is_s_abelian(defl), lambda: conclusion(N, defl)
 
 
 @theorem("T-vseries", "the V-series interleaves the lower central series")
 def _check_vseries(S: SuperTheory):
-    yield _failing_row({}, v_series_checks(S))
+    yield {}, True, lambda: _failing(v_series_checks(S))
 
 
 @theorem("C-vterm", "S-nilpotency is equivalent to the V-series reaching 1")
@@ -257,7 +262,7 @@ def _check_vterm(S: SuperTheory):
     terminates = len(v_series(S).last) == 1
     ok = nilpotent == terminates
     witness = None if ok else {"nilpotent": nilpotent, "v-series-last": _sub(v_series(S).last)}
-    yield {}, _status(ok), witness
+    yield {}, True, lambda: (ok, witness)
 
 
 @theorem("L-vzs", "VZ characterizations through the coset-product condition")
@@ -267,7 +272,7 @@ def _check_vzs(S: SuperTheory):
     values = [verdict.conditions[k] for k in keys if k in verdict.conditions]
     ok = len(set(values)) == 1
     witness = None if ok else verdict.to_json()
-    yield {}, _status(ok, verdict.vacuous), witness
+    yield {}, VACUOUS if len(s_center(S)) == S.group.order else True, lambda: (ok, witness)
 
 
 @theorem("T-zs", "VZ holds exactly when V(S) sits between [G,S] and Z(S)")
@@ -278,27 +283,28 @@ def _check_zs(S: SuperTheory):
     squeezed = com.members <= V.members and V.members <= s_center(S).members
     ok = vz == squeezed
     witness = None if ok else {"vz": vz, "v": _sub(V)}
-    yield {}, _status(ok), witness
+    yield {}, True, lambda: (ok, witness)
 
 
 @theorem("T-vznilp", "non-abelian VZ theories are nilpotent of class 2")
 def _check_vznilp(S: SuperTheory):
-    if not is_s_abelian(S) and is_vz(S).holds:
+    def conclusion():
         c = s_nilpotence_class(S)
-        yield {}, _status(c == 2), None if c == 2 else {"class": c}
+        return c == 2, None if c == 2 else {"class": c}
+
+    yield {}, not is_s_abelian(S) and is_vz(S).holds, conclusion
 
 
 @theorem("L-scd", "supercharacter degrees of VZ theories")
 def _check_scd(S: SuperTheory):
     rep = scd_check(S)
-    if rep.checks:
-        yield _failing_row({}, [c.name for c in rep.failures])
+    yield {}, bool(rep.checks), lambda: _failing([c.name for c in rep.failures])
 
 
 @theorem("L-unormal", "U(S|N) is S-normal")
 def _check_unormal(S: SuperTheory):
     for N in s_normal_subgroups(S):
-        yield {"n": N}, _status(S.is_s_normal(u_rel(S, N)))
+        yield {"n": N}, True, lambda: (S.is_s_normal(u_rel(S, N)), None)
 
 
 @theorem("L-irr", "character-set containment mirrors subgroup containment")
@@ -308,8 +314,7 @@ def _check_irr(S: SuperTheory):
     for M in subs:
         for N in subs:
             contained = over[M] <= over[N]
-            ok = contained == (M.members <= N.members)
-            yield {"m": M, "n": N}, _status(ok)
+            yield {"m": M, "n": N}, True, lambda: (contained == (M.members <= N.members), None)
 
 
 @theorem("L-uorder", "U(S|.) is monotone")
@@ -319,8 +324,7 @@ def _check_uorder(S: SuperTheory):
         for N in subs:
             if not H.members <= N.members:
                 continue
-            ok = u_rel(S, H).members <= u_rel(S, N).members
-            yield {"h": H, "n": N}, _status(ok)
+            yield {"h": H, "n": N}, True, lambda: (u_rel(S, H).members <= u_rel(S, N).members, None)
 
 
 @theorem("L-ugroup", "H lies in U(S|N) exactly when V(S|H) lies in N")
@@ -330,7 +334,7 @@ def _check_ugroup(S: SuperTheory):
         for N in subs:
             lhs = H.members <= u_rel(S, N).members
             rhs = v_rel(S, H).members <= N.members
-            yield {"h": H, "n": N}, _status(lhs == rhs)
+            yield {"h": H, "n": N}, True, lambda: (lhs == rhs, None)
 
 
 @theorem("C-ucorr", "membership in U(S|N) matches the coset-product factorization")
@@ -341,24 +345,25 @@ def _check_ucorr(S: SuperTheory):
             if not H.members <= N.members:
                 continue
             triple = is_camina_triple(S, N, H)
-            yield _verdict_row({"h": H, "n": N}, triple, (H.members <= u_rel(S, N).members) == triple.holds)
+            agrees = (H.members <= u_rel(S, N).members) == triple.holds
+            yield {"h": H, "n": N}, VACUOUS if len(N) == S.group.order else True, lambda: _verdict(triple, agrees)
 
 
 @theorem("C-ucor", "N = U(S|N) exactly at star factorizations")
 def _check_ucor(S: SuperTheory):
     for N in s_normal_subgroups(S):
         pair = is_camina_pair(S, N)
-        yield _verdict_row({"n": N}, pair, (N is u_rel(S, N)) == pair.holds)
+        agrees = (N is u_rel(S, N)) == pair.holds
+        yield {"n": N}, VACUOUS if len(N) == S.group.order else True, lambda: _verdict(pair, agrees)
 
 
 @theorem("T-ugroupp", "U(S|N) is the largest subgroup with the vanishing property")
 def _check_ugroupp(S: SuperTheory):
-    if is_s_abelian(S):
-        return
     subs = s_normal_subgroups(S)
     full = (1 << S.group.order) - 1
     kernels = [(nonvanishing_mask(sigma), super_kernel(sigma).mask) for sigma in S.supercharacters()]
-    for N in subs:
+
+    def failures(N):
         # the vanishing property of W: every member of Irr(S|W) vanishes off N
         U = u_rel(S, N)
         fails = []
@@ -369,8 +374,14 @@ def _check_ugroupp(S: SuperTheory):
                 fails.append(f"maximality-{_sub(W)}")
         # g has the property exactly when it lies in the kernel of every character escaping N
         wrong = reduce(and_, (ker for nonzero, ker in kernels if nonzero & ~N.mask), full) ^ U.mask
-        fails += [f"membership-{g}" for g in range(S.group.order) if wrong >> g & 1]
-        yield _failing_row({"n": N}, fails)
+        return fails + [f"membership-{g}" for g in range(S.group.order) if wrong >> g & 1]
+
+    if is_s_abelian(S):
+        # one row for the theory: its conclusion is that of every N at once
+        yield {}, False, lambda: _failing([f"{_sub(N)}: {fail}" for N in subs for fail in failures(N)])
+        return
+    for N in subs:
+        yield {"n": N}, True, lambda: _failing(failures(N))
 
 
 @theorem("L-ucap", "U(S|N) is bounded by N and the commutator")
@@ -378,15 +389,9 @@ def _check_ucap(S: SuperTheory):
     abelian = is_s_abelian(S)
     com = s_commutator_full(S)
     for N in s_normal_subgroups(S):
-        scope = {"n": N}
-        if abelian:
-            yield scope, "not-applicable"
-            continue
-        if len(N) == S.group.order:
-            # U(S|G) = G by the product definition, so the bound needs N < G
-            yield scope, "not-applicable"
-            continue
-        yield scope, _status(u_rel(S, N).members <= (N.members & com.members))
+        # U(S|G) = G by the product definition, so the bound needs N < G
+        applies = not abelian and len(N) < S.group.order
+        yield {"n": N}, applies, lambda: (u_rel(S, N).members <= (N.members & com.members), None)
 
 
 @theorem("T-udelta", "U(S|N) > 1 detects nontrivial coset-product factors")
@@ -402,7 +407,7 @@ def _check_udelta(S: SuperTheory):
         nontrivial = len(u_rel(S, N)) > 1
         ok = exists == nontrivial
         witness = None if ok else {"exists-factor": exists, "u": _sub(u_rel(S, N))}
-        yield {"n": N}, _status(ok), witness
+        yield {"n": N}, True, lambda: (ok, witness)
 
 
 @theorem("L-uchain", "the iterated U-chain bottoms out above 1 iff a star factor exists")
@@ -418,7 +423,7 @@ def _check_uchain(S: SuperTheory):
         )
         ok = (len(last) > 1) == exists
         witness = None if ok else {"chain-last": _sub(last), "exists-star": exists}
-        yield {"n": N}, _status(ok), witness
+        yield {"n": N}, True, lambda: (ok, witness)
 
 
 @theorem("L-uquot", "U commutes with deflation above V(S|N)")
@@ -426,11 +431,7 @@ def _check_uquot(S: SuperTheory):
     subs = s_normal_subgroups(S)
     for N in subs:
         for H in subs:
-            scope = {"n": N, "h": H}
-            if not v_rel(S, N).members <= H.members:
-                yield scope, "not-applicable"
-                continue
-            yield _failing_row(scope, u_quotient_check(S, N, H))
+            yield {"n": N, "h": H}, v_rel(S, N).members <= H.members, lambda: _failing(u_quotient_check(S, N, H))
 
 
 @theorem("L-ukernel", "U(S|N) as a kernel intersection")
@@ -438,19 +439,19 @@ def _check_ukernel(S: SuperTheory):
     for N in s_normal_subgroups(S):
         fails, notes = u_kernel_check(S, N)
         witness = {"failing": fails} if fails else {"notes": notes} if notes else None
-        yield {"n": N}, _status(not fails), witness
+        yield {"n": N}, True, lambda: (not fails, witness)
 
 
 @theorem("T-final", "VZ, Z(S) = V(S), and U(S) = [G,S] are equivalent")
 def _check_final(S: SuperTheory):
-    if is_s_abelian(S):
-        return
-    vz = is_vz(S).holds
-    z_eq_v = s_center(S) is v_theory(S)
-    u_eq_com = u_theory(S) is s_commutator_full(S)
-    ok = vz == z_eq_v == u_eq_com
-    witness = None if ok else {"vz": vz, "z=v": z_eq_v, "u=[G,S]": u_eq_com}
-    yield {}, _status(ok), witness
+    def conclusion():
+        vz = is_vz(S).holds
+        z_eq_v = s_center(S) is v_theory(S)
+        u_eq_com = u_theory(S) is s_commutator_full(S)
+        ok = vz == z_eq_v == u_eq_com
+        return ok, None if ok else {"vz": vz, "z=v": z_eq_v, "u=[G,S]": u_eq_com}
+
+    yield {}, not is_s_abelian(S), conclusion
 
 
 @theorem("L-sabelian-gcp", "S-abelian groups are exactly those with (G,1) a Camina pair")
@@ -458,18 +459,19 @@ def _check_sabelian_gcp(S: SuperTheory):
     lhs = is_s_abelian(S)
     rhs = gcp_holds(S, trivial_subgroup(S.group))
     witness = None if lhs == rhs else {"s-abelian": lhs, "gcp-at-1": rhs}
-    yield {}, _status(lhs == rhs), witness
+    yield {}, True, lambda: (lhs == rhs, witness)
 
 
 @theorem("P-roworth", "supercharacter row orthogonality")
 def _check_roworth(S: SuperTheory):
-    yield _failing_row({}, [f"pair-{a}-{b}" for a, b in sigma_orthogonality(S)[0]])
+    yield {}, True, lambda: _failing([f"pair-{a}-{b}" for a, b in sigma_orthogonality(S)[0]])
 
 
 @theorem("P-colorth", "supercharacter column orthogonality")
 def _check_colorth(S: SuperTheory):
     blocks, cols = S.yparts.blocks, sigma_orthogonality(S)[1]
-    yield {}, _status(not cols), {"g": min(blocks[cols[0][0]]), "h": min(blocks[cols[0][1]])} if cols else None
+    witness = {"g": min(blocks[cols[0][0]]), "h": min(blocks[cols[0][1]])} if cols else None
+    yield {}, True, lambda: (not cols, witness)
 
 
 @theorem("P-prop42", "V(S|N) is S-normal and is the product of the V(sigma) over N")
@@ -488,7 +490,7 @@ def _check_prop42(S: SuperTheory):
         witness = {"failing": fails} if fails else None
         if witness is None and not raw_subgroups:
             witness = {"note": "some nonvanishing sets needed closure to become subgroups"}
-        yield {"n": N}, _status(not fails), witness
+        yield {"n": N}, True, lambda: (not fails, witness)
 
 
 THEOREM_IDS = tuple(_CHECKERS)
@@ -496,22 +498,27 @@ THEOREM_DESCRIPTIONS = {tid: check.description for tid, check in _CHECKERS.items
 
 
 CHUNK_ROWS = 256  # rows joined into one piece
-_NOT_APPLICABLE = (({}, "not-applicable"),)  # the row of a checker that yields none
+_NOT_APPLICABLE = (({}, False, None),)  # the row of a checker that yields none: it has no scope, so no conclusion
 _SHAPES: dict = {}  # a scope's keys, as given -> each key in sorted order with its JSON lead (a pure memo)
 
 
 def _encode_rows(tid: str, rows, counts: dict, fails: list) -> list[bytes]:
-    """The canonical JSON of tid's rows, each led by a comma, joined
-    `CHUNK_ROWS` at a time.  A scope value is written from the int or the
-    `SubgroupSet` it is, and any other value, like a witness, is encoded.
-    Once the last row is made, the statuses are counted in counts and the
-    failing rows appended to fails as report dicts, with their subgroups
-    as sorted lists; when rows raises, nothing is counted."""
+    """The canonical JSON of tid's (scope, hypothesis, conclusion) rows,
+    each led by a comma, joined `CHUNK_ROWS` at a time, each with the
+    status `_STATUS` gives it.  A conclusion is called where its hypothesis
+    holds, before the next row is pulled, and gives the row's witness.  A
+    scope value is written from the int or the `SubgroupSet` it is, and
+    any other value, like a witness, is encoded.  Once the last row is
+    made, the statuses are counted in counts and the failing rows appended
+    to fails as report dicts, with their subgroups as sorted lists; when
+    rows or a conclusion raises, nothing is counted."""
     enc, tails, shapes = corpus_json_bytes, _TAILS[tid], _SHAPES
     seen, failed = dict.fromkeys(tails, 0), []
     chunks, out = [], []
-    for n, row in enumerate(rows, 1):
-        scope, status, witness = (*row, None)[:3]
+    for n, (scope, hypothesis, conclusion) in enumerate(rows, 1):
+        # called before the checker resumes, a conclusion may close over the checker's loop variables
+        holds, witness = conclusion() if hypothesis else (None, None)
+        outcome = hypothesis, holds
         keys = shapes.get(tuple(scope))
         if keys is None:
             keys = shapes[tuple(scope)] = [(k, (b"," if i else b"") + enc(k) + b":") for i, k in enumerate(sorted(scope))]
@@ -521,18 +528,18 @@ def _encode_rows(tid: str, rows, counts: dict, fails: list) -> list[bytes]:
             out.append(lead)
             out.append(b"%d" % value if type(value) is int else
                        value.json_bytes() if type(value) is SubgroupSet else enc(value))
-        out.append(tails[status])
+        out.append(tails[outcome])
         out.append(b"}" if witness is None else b',"witness":%s}' % enc(witness))
-        seen[status] += 1
-        if status == "fail":
+        seen[outcome] += 1
+        if hypothesis and not holds:
             plain = {k: list(v.sorted_members()) if type(v) is SubgroupSet else v for k, v in scope.items()}
-            report = {"theorem_id": tid, "scope": plain, "status": status}
+            report = {"theorem_id": tid, "scope": plain, "status": _STATUS[outcome]}
             failed.append(report if witness is None else {**report, "witness": witness})
         if n % CHUNK_ROWS == 0:
             chunks.append(b"".join(out))
             out = []
-    for status, k in seen.items():
-        counts[_SUMMARY_KEY[status]] += k
+    for outcome, k in seen.items():
+        counts[_SUMMARY_KEY[_STATUS[outcome]]] += k
     fails += failed
     return chunks + [b"".join(out)] if out else chunks
 
@@ -549,16 +556,17 @@ def run_suite(S: SuperTheory, counts: dict, fails: list):
 
     Every theorem id appears at least once: a checker that yields no row
     gives one not-applicable report, and an exception raised by a checker
-    becomes a fail report carrying its type and message rather than
-    aborting the suite.  A theorem's chunks are held until its checker
-    ends, so that fail report replaces every row it yielded before.
+    or a conclusion becomes a fail report carrying its type and message
+    rather than aborting the suite.  A theorem's chunks are held until its
+    checker ends, so that fail report replaces every row it yielded before.
     """
     first = True
     for tid, check in _CHECKERS.items():
         try:
             chunks = _encode_rows(tid, check(S), counts, fails) or _encode_rows(tid, _NOT_APPLICABLE, counts, fails)
         except Exception as exc:
-            chunks = _encode_rows(tid, [({"error": str(exc), "exception": type(exc).__name__}, "fail")], counts, fails)
+            raised = {"error": str(exc), "exception": type(exc).__name__}
+            chunks = _encode_rows(tid, [(raised, True, lambda: (False, None))], counts, fails)
         for chunk in chunks:
             yield chunk[1:] if first else chunk
             first = False
@@ -805,7 +813,7 @@ def failing_reports(corpus: dict) -> list[dict]:
     for entry in corpus["groups"]:
         for theory in entry["theories"]:
             for report in theory["reports"]:
-                if report["status"] == "fail":
+                if report["status"] == _STATUS[True, False]:
                     out.append(
                         {
                             "group": entry["label"],

@@ -5,9 +5,10 @@ and every witness and subject formatted when the verdict was built.
 This is the oracle of `superchar.vanishing`: `is_camina_element`,
 `is_s_gcp`, `is_camina_triple` and `is_camina_pair` here must give
 verdicts whose `to_json()`, `holds`, `agreement` and `vacuous` equal
-those of the package's, and `check_ugroupp` must yield the rows the suite
-reports for the package's T-ugroupp checker, whose membership check it
-makes per element.
+those of the package's, and `check_ugroupp` must yield the scopes and
+hypotheses of the package's T-ugroupp checker, with conclusions that give
+the same (holds, witness) whether or not the hypothesis holds; it makes
+the membership check per element.
 `CaminaVerdict` is the verdict class as it stood, with eager text.
 """
 
@@ -22,7 +23,7 @@ from superchar.supertheory import (
     star_construct,
 )
 from superchar.vanishing import escaping_character, u_rel, v_rel
-from superchar.verifier import _failing_row, _sub
+from superchar.verifier import _failing, _sub
 
 
 class CaminaVerdict:
@@ -265,12 +266,10 @@ def is_camina_pair(S: SuperTheory, N) -> CaminaVerdict:
 
 def check_ugroupp(S: SuperTheory):
     """The rows of T-ugroupp, its membership check made per element."""
-    if is_s_abelian(S):
-        yield {}, "not-applicable"
-        return
     subs = s_normal_subgroups(S)
     kernels = [(sigma, super_kernel(sigma).members) for sigma in S.supercharacters()]
-    for N in subs:
+
+    def failures(N):
         # the vanishing property of W: every member of Irr(S|W) vanishes off N
         U = u_rel(S, N)
         fails = []
@@ -283,4 +282,10 @@ def check_ugroupp(S: SuperTheory):
             rhs = not escaping_character((sigma for sigma, ker in kernels if g not in ker), N)
             if rhs != (g in U.members):
                 fails.append(f"membership-{g}")
-        yield _failing_row({"n": N}, fails)
+        return fails
+
+    if is_s_abelian(S):
+        yield {}, False, lambda: _failing([f"{_sub(N)}: {fail}" for N in subs for fail in failures(N)])
+        return
+    for N in subs:
+        yield {"n": N}, True, lambda: _failing(failures(N))

@@ -7,9 +7,10 @@ here must write the bytes `superchar.verifier.run_corpus` writes.
 `run_suite` is the suite as it stood before it encoded its reports in
 chunks, yielding each theorem's report dicts as one list, and `_report`
 the dict of one row as every row was built before rows were written
-straight from their scopes; `_group_entry`,
-`_group_entry_worker` and `_collect` are the dict-building driver as it
-stood, with only `run_suite`'s batches flattened.
+straight from their scopes, its status given by `_status`, a rule of its
+own; `_group_entry`, `_group_entry_worker` and `_collect` are the
+dict-building driver as it stood, with only `run_suite`'s batches
+flattened.
 """
 
 import gc
@@ -20,6 +21,7 @@ from superchar.verifier import (
     _CHECKERS,
     DEFAULT_CATALOG,
     THEOREM_IDS,
+    VACUOUS,
     _build,
     _theories_for,
     corpus_json_bytes,
@@ -27,12 +29,22 @@ from superchar.verifier import (
 )
 
 
-def _report(tid: str, scope: dict, status: str, witness: dict | None = None) -> dict:
-    """The report dict of one checker row, each subgroup of its scope as
-    its sorted member list."""
-    # status: pass | fail | not-applicable | vacuous
+def _status(hypothesis, holds) -> str:
+    """The status of a row, written apart from the verifier's rule."""
+    if not hypothesis:
+        return "not-applicable"
+    if not holds:
+        return "fail"
+    return "vacuous" if hypothesis is VACUOUS else "pass"
+
+
+def _report(tid: str, scope: dict, hypothesis, conclusion) -> dict:
+    """The report dict of one (scope, hypothesis, conclusion) checker row,
+    each subgroup of its scope as its sorted member list; the conclusion is
+    called only where the hypothesis holds."""
+    holds, witness = conclusion() if hypothesis else (None, None)
     scope = {k: list(v.sorted_members()) if isinstance(v, SubgroupSet) else v for k, v in scope.items()}
-    out = {"theorem_id": tid, "scope": scope, "status": status}
+    out = {"theorem_id": tid, "scope": scope, "status": _status(hypothesis, holds)}
     if witness is not None:
         out["witness"] = witness
     return out
@@ -52,8 +64,9 @@ def run_suite(S):
         try:
             batch = [_report(tid, *row) for row in _CHECKERS[tid](S)]
         except Exception as exc:
-            batch = [_report(tid, {"error": str(exc), "exception": type(exc).__name__}, "fail")]
-        yield batch or [_report(tid, {}, "not-applicable")]
+            raised = {"error": str(exc), "exception": type(exc).__name__}
+            batch = [{"theorem_id": tid, "scope": raised, "status": "fail"}]
+        yield batch or [{"theorem_id": tid, "scope": {}, "status": "not-applicable"}]
 
 
 def _reports(S) -> list[dict]:

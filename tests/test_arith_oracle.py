@@ -67,8 +67,8 @@ def _assert_orthogonality_agrees(S):
     gram = sigma_gram(S)
     assert sigma_orthogonality(S) == sigma_failures(S, gram)
     for tid, expected in (("P-roworth", row_orthogonality(S, gram)), ("P-colorth", column_orthogonality(S, gram))):
-        [(_, status, witness)] = _CHECKERS[tid](S)
-        assert (status, witness) == ("pass" if expected is None else "fail", expected)
+        [(_, hypothesis, conclusion)] = _CHECKERS[tid](S)
+        assert (hypothesis, conclusion()) == (True, (expected is None, expected))
 
 
 def _assert_theory_agrees(S):

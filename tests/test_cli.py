@@ -358,6 +358,9 @@ INGEST = ("chartab", "--group", "S3", "--ingest", "bad")
         pytest.param(("verify", "--group", "perm:bad"), b"(1 2)(1 2)\n", id="repeated-cycle"),
         pytest.param(("verify", "--group", "perm:bad"), b"(1 2 3)(3 2 1)\n", id="non-disjoint-cycles"),
         pytest.param(INGEST, S3_TABLE.replace(b"2, 0, -1", b"2, 1/0, -1"), id="zero-denominator"),
+        pytest.param(("chartab", "--group", "C2", "--ingest", "bad"),
+                     b"chartab C2 classes=2 exponent=2\nclass 0 size=1 rep=0\nclass 1 size=1 rep=1\n1, 1-+1\n1, -1\n",
+                     id="bare-sign"),
     ],
 )
 def test_malformed_input_files_exit_2(argv, data, capsys, tmp_path, monkeypatch):

@@ -104,7 +104,7 @@ def test_display_and_parse_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "z**2", "1 +", "q", "1//2", "1/0"):
+    for bad in ("", "z**2", "1 +", "q", "1//2", "1/0", "1-", "--1", "z-", "2*", "-", "*z"):
         with pytest.raises(ValueError):
             Cyclotomic.parse(bad, 4)
 

@@ -18,6 +18,7 @@ from superchar.groups import catalog_group, normal_subgroups
 from superchar.verifier import (
     CHUNK_ROWS,
     DEFAULT_CATALOG,
+    VACUOUS,
     _encode_rows,
     corpus_json_bytes,
     failing_reports,
@@ -86,8 +87,8 @@ def test_failing_rows_stream_the_oracle_bytes(monkeypatch):
         raise KeyError("missing scope")
 
     def planted(S):
-        yield {"n": [0]}, "pass"
-        yield {"n": list(range(S.group.order))}, "fail", {"failing": ["planted"], "order": S.group.order}
+        yield {"n": [0]}, True, lambda: (True, None)
+        yield {"n": list(range(S.group.order))}, True, lambda: (False, {"failing": ["planted"], "order": S.group.order})
 
     monkeypatch.setitem(verifier._CHECKERS, "L-vs", broken)
     monkeypatch.setitem(verifier._CHECKERS, "T-zs", planted)
@@ -111,19 +112,19 @@ def _scope_rows():
     scope as the tests' checkers yield, and the exception scope."""
     N, H, M = _d6_subgroups()
     return [
-        ({}, "pass"),
-        ({}, "not-applicable", None),
-        ({"element": 11}, "vacuous"),
-        ({"m": 3}, "not-applicable"),
-        ({"m": 2}, "fail", {"zeta": [0, 1], "v": [0]}),
-        ({"class": 2}, "pass"),
-        ({"n": N}, "pass", {"note": "some nonvanishing sets needed closure to become subgroups"}),
-        ({"h": H, "n": N}, "vacuous"),
-        ({"m": M, "n": N}, "pass"),
-        ({"n": N, "h": H}, "fail", {"failing": ["deflated U = (0, 3), projected U = [0]"]}),
-        ({"n": [0, 10, 2]}, "fail", {"failing": ["planted"], "order": 12}),
-        ({"error": "caf\u00e9 \u2260 \"th\u00e9\u00e9\"\n", "exception": "ValueError"}, "fail",
-         {"nested": {"z": [1, {"b": None, "a": True}], "a": "\u00fcber"}, "failing": []}),
+        ({}, True, lambda: (True, None)),
+        ({}, False, None),
+        ({"element": 11}, VACUOUS, lambda: (True, None)),
+        ({"m": 3}, False, lambda: (False, {"zeta": [0, 1], "v": [0]})),
+        ({"m": 2}, True, lambda: (False, {"zeta": [0, 1], "v": [0]})),
+        ({"class": 2}, True, lambda: (True, None)),
+        ({"n": N}, True, lambda: (True, {"note": "some nonvanishing sets needed closure to become subgroups"})),
+        ({"h": H, "n": N}, VACUOUS, lambda: (True, None)),
+        ({"m": M, "n": N}, True, lambda: (True, None)),
+        ({"n": N, "h": H}, True, lambda: (False, {"failing": ["deflated U = (0, 3), projected U = [0]"]})),
+        ({"n": [0, 10, 2]}, VACUOUS, lambda: (False, {"failing": ["planted"], "order": 12})),
+        ({"error": "caf\u00e9 \u2260 \"th\u00e9\u00e9\"\n", "exception": "ValueError"}, True,
+         lambda: (False, {"nested": {"z": [1, {"b": None, "a": True}], "a": "\u00fcber"}, "failing": []})),
     ]
 
 
@@ -132,8 +133,8 @@ def test_each_scope_shape_is_written_as_the_oracle_encodes_its_report(row):
     counts, fails = dict.fromkeys(("pass", "fail", "vacuous", "na"), 0), []
     report = corpus_oracle._report("L-uquot", *row)
     assert _encode_rows("L-uquot", [row], counts, fails) == [b"," + corpus_json_bytes(report)]
-    assert counts == {key: int(key == row[1].replace("not-applicable", "na")) for key in counts}
-    assert fails == ([report] if row[1] == "fail" else [])
+    assert counts == {key: int(key == report["status"].replace("not-applicable", "na")) for key in counts}
+    assert fails == ([report] if report["status"] == "fail" else [])
 
 
 def test_rows_of_every_shape_are_joined_as_the_oracle_encodes_them():
@@ -151,7 +152,7 @@ def test_a_failing_subgroup_scope_reaches_the_failing_reports_as_a_sorted_list(m
 
     def planted(S):
         subs = {N.sorted_members(): N for N in normal_subgroups(S.group)}
-        yield {"n": subs[(0, 2, 4, 6, 8, 10)], "h": subs[(0, 3)]}, "fail", {"failing": ["planted"]}
+        yield {"n": subs[(0, 2, 4, 6, 8, 10)], "h": subs[(0, 3)]}, True, lambda: (False, {"failing": ["planted"]})
 
     monkeypatch.setitem(verifier._CHECKERS, "L-uquot", planted)
     fails = assert_matches_oracle(["D6"])
@@ -168,12 +169,12 @@ def test_an_exception_after_a_full_chunk_replaces_the_whole_theorem(monkeypatch,
 
     def late(S):
         for g in range(CHUNK_ROWS + 5):  # one chunk encoded and held, then a partial one
-            yield {"element": g}, "fail", {"partial": g}
+            yield {"element": g}, True, lambda: (False, {"partial": g})
         raise ValueError("late")
 
     def exact(S):
         for g in range(CHUNK_ROWS):
-            yield {"element": g}, "pass"
+            yield {"element": g}, True, lambda: (True, None)
 
     def empty(S):
         return

@@ -107,3 +107,27 @@ def test_theories_are_made_only_by_the_derivation():
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                     calls.append(f"{path.stem}.{getattr(outer, 'name', '')}")
     assert calls == ["supertheory._theory"]
+
+
+STATUSES = {"pass", "fail", "vacuous", "not-applicable"}
+
+
+def _statuses_named(node: ast.AST) -> list[str]:
+    return [c.value for c in ast.walk(node) if isinstance(c, ast.Constant) and c.value in STATUSES]
+
+
+def test_no_checker_names_a_status():
+    # a checker yields (scope, hypothesis, conclusion); `_STATUS` alone
+    # turns these into a status
+    tree = ast.parse((PACKAGE / "verifier.py").read_text(encoding="utf-8"))
+    checkers = [node for node in tree.body if isinstance(node, ast.FunctionDef) and any(
+        isinstance(d, ast.Call) and getattr(d.func, "id", None) == "theorem" for d in node.decorator_list)]
+    assert len(checkers) == 31
+    assert {node.name: _statuses_named(node) for node in checkers} == {node.name: [] for node in checkers}
+
+
+def test_statuses_are_named_only_by_the_status_rule_and_the_summary_keys():
+    tree = ast.parse((PACKAGE / "verifier.py").read_text(encoding="utf-8"))
+    naming = [ast.unparse(s.targets[0]) if isinstance(s, ast.Assign) else f"line {s.lineno}"
+              for s in tree.body if _statuses_named(s)]
+    assert naming == ["_STATUS", "_SUMMARY_KEY"]

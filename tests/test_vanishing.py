@@ -240,7 +240,11 @@ def test_u_quotient_check():
     A3 = generated_subgroup(G, [3])
     assert u_quotient_check(S, A3, full_subgroup(G)) == []
     assert u_quotient_check(S, A3, A3) == []  # V(S|A3) = A3 <= A3 holds, still applicable
-    assert u_quotient_check(S, full_subgroup(G), A3) == []  # V(S|G) = G escapes A3: not applicable
+    assert u_quotient_check(S, full_subgroup(G), A3) == []  # hypothesis fails, conclusion holds
+    C6, S6 = theory_of("C6")
+    # V(S|{0,3}) = C6 escapes {0,2,4}: the hypothesis fails, and so does the conclusion
+    assert u_quotient_check(S6, generated_subgroup(C6, [3]), generated_subgroup(C6, [2])) == [
+        "deflated U = (0, 1, 2), projected U = [0]"]
 
 
 def test_u_kernel_check():

@@ -479,3 +479,32 @@ def test_any_checker_exception_becomes_a_fail_report(monkeypatch):
         ("L-vs", {"error": "'missing scope'", "exception": "KeyError"})
     ]
     assert {r["theorem_id"] for r in reports} == set(THEOREM_IDS)
+
+
+def test_the_suite_never_calls_a_conclusion_whose_hypothesis_fails(monkeypatch):
+    import superchar.verifier as verifier
+
+    def conclusion():
+        raise AssertionError("a conclusion called where its hypothesis fails")
+
+    def planted(S):
+        yield {"n": [0]}, False, conclusion
+        yield {"m": 1}, True, lambda: (True, None)
+
+    monkeypatch.setitem(verifier._CHECKERS, "L-vs", planted)
+    reports = suite(finest(character_table_of(catalog_group("S3"))))
+    assert [(r["scope"], r["status"]) for r in reports if r["theorem_id"] == "L-vs"] == [
+        ({"n": [0]}, "not-applicable"), ({"m": 1}, "pass")]
+
+
+def test_an_exception_raised_by_a_conclusion_becomes_a_fail_report(monkeypatch):
+    import superchar.verifier as verifier
+
+    def planted(S):
+        yield {"m": 1}, True, lambda: (True, None)
+        yield {"m": 2}, True, lambda: {}["missing scope"]
+
+    monkeypatch.setitem(verifier._CHECKERS, "L-vs", planted)
+    reports = suite(finest(character_table_of(catalog_group("S3"))))
+    assert [(r["scope"], r["status"]) for r in reports if r["theorem_id"] == "L-vs"] == [
+        ({"error": "'missing scope'", "exception": "KeyError"}, "fail")]
