@@ -98,6 +98,7 @@ def _write_out(path: str, write):
     A symlink to such a file is followed, and the file it names replaced.
     Anything else (a dangling link, a hard link, a device, a pipe) is
     written in place."""
+    given = path
     st = os.lstat(path) if os.path.lexists(path) else None
     if st is not None and stat.S_ISLNK(st.st_mode):
         # realpath of /dev/stdout on a pipe is a "pipe:[N]" name, no file
@@ -108,7 +109,10 @@ def _write_out(path: str, write):
         with open(path, "wb") as fh:
             return write(fh)
     tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "xb")
+    try:
+        fh = open(tmp, "xb")
+    except OSError as exc:  # name the path given, not the file beside it
+        raise OSError(exc.errno, exc.strerror, given) from None
     try:
         with fh:
             result = write(fh)
@@ -121,13 +125,20 @@ def _write_out(path: str, write):
     return result
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _stream(out_path: str | None, write, end: bytes = b"\n"):
+    """write(fh) to a binary stream: the --out file through _write_out, or
+    standard output followed by end.  Returns what write returns."""
     if out_path:
-        _write_out(out_path, lambda fh: fh.write(text.encode("utf-8")))
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        return _write_out(out_path, write)
+    sys.stdout.flush()
+    result = write(sys.stdout.buffer)
+    sys.stdout.buffer.write(end)
+    return result
+
+
+def _emit(text: str, out_path: str | None) -> None:
+    _stream(out_path, lambda fh: fh.write(text.encode("utf-8")),
+            b"" if text.endswith("\n") else b"\n")
 
 
 def _cmd_chartab(args) -> int:
@@ -151,18 +162,27 @@ def _cmd_enumerate(args) -> int:
     table = character_table_of(G)
     theories = enumerate_scts(table)
     if args.format == "json":
-        payload = {
-            "group": G.label,
-            "count": len(theories),
-            "theories": [S.to_json() for S in theories],
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
+        # the bytes of the indented, key-sorted dump of {"count", "group",
+        # "theories"}, one theory at a time: an encoded theory has newlines
+        # only between tokens, so indenting it two levels deeper is exact
+        def write(fh):
+            fh.write(f'{{\n  "count": {len(theories)},\n  "group": {json.dumps(G.label)},\n'
+                     f'  "theories": ['.encode("ascii"))
+            sep = "\n    "
+            for S in theories:
+                text = json.dumps(S.to_json(), indent=2, sort_keys=True)
+                fh.write((sep + text.replace("\n", "\n    ")).encode("ascii"))
+                sep = ",\n    "
+            fh.write(b"\n  ]\n}")
+
+        _stream(args.out, write)
     else:
-        lines = [f"{len(theories)} supercharacter theories of {G.label}", ""]
-        for i, S in enumerate(theories):
-            lines.append(f"theory index:{i}")
-            lines.append(S.to_text())
-        _emit("\n".join(lines), args.out)
+        def write(fh):
+            fh.write(f"{len(theories)} supercharacter theories of {G.label}\n".encode("utf-8"))
+            for i, S in enumerate(theories):
+                fh.write(f"\ntheory index:{i}\n{S.to_text()}".encode("utf-8"))
+
+        _stream(args.out, write, b"")  # a theory's text ends with a newline
     return 0
 
 
@@ -260,12 +280,7 @@ def _cmd_verify(args) -> int:
     options = {"all_scts": args.all_scts, "jobs": args.jobs, "max_order": args.max_order}
     if args.format == "json":
         # streamed: each theory is written as soon as it is verified
-        if args.out:
-            fails = _write_out(args.out, lambda fh: run_corpus(specs, out=fh, **options))
-        else:
-            sys.stdout.flush()
-            fails = run_corpus(specs, out=sys.stdout.buffer, **options)
-            sys.stdout.buffer.write(b"\n")
+        fails = _stream(args.out, lambda fh: run_corpus(specs, out=fh, **options))
         return 1 if fails else 0
     skipped = []
     groups = list(verify_groups(specs, **options, skipped=skipped))

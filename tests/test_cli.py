@@ -164,6 +164,15 @@ def test_an_out_path_that_is_a_directory_leaves_no_file(capsys, tmp_path):
     assert os.listdir(tmp_path) == ["d"] and os.listdir(tmp_path / "d") == []
 
 
+@pytest.mark.parametrize("command", ["enumerate", "verify"])
+def test_an_out_path_in_a_missing_directory_is_named_as_given(command, capsys, tmp_path):
+    out_path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, command, "--group", "S3", "--format", "json", "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err == f"error: [Errno 2] No such file or directory: {str(out_path)!r}\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_a_successful_command_replaces_the_out_file(capsys, tmp_path):
     out_path = tmp_path / "p"
     out_path.write_bytes(b"earlier bytes\n")
