@@ -17,7 +17,7 @@ class OrderBoundError(GroupConstructionError):
         self.order = order
 
     def __reduce__(self):
-        # a worker process sends it to the parent by pickle
+        # a pool worker pickles the exception that stopped its group for the parent
         return type(self), (str(self), self.order)
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 import gc
 import io
 import json
+import marshal
+import os
 from contextlib import closing
 from functools import reduce
 from operator import and_
@@ -645,50 +647,85 @@ def _serial(args):
         yield tally, _freed_after(_group_entry(*a, tally))
 
 
-def _serve(conn, args):
-    """A pool worker: for each group index received until None, send the
-    pieces in blocks of at least 16 KiB as they are made, then an empty
-    block, then the tally or the exception raised."""
-    while (i := conn.recv()) is not None:
-        tally, block = {}, bytearray()
-        try:
-            for piece in _freed_after(_group_entry(*args[i], tally)):
-                block += piece
-                if len(block) >= 1 << 14:
-                    conn.send_bytes(block)
-                    block.clear()
-        except Exception as exc:
-            tally = exc
-        if block:
-            conn.send_bytes(block)
-        conn.send_bytes(b"")
-        conn.send(tally)
+def _send(fd, kind: bytes, data=b""):
+    """Write a frame to fd: the kind byte, the data's length in 8 bytes, the data."""
+    frame = memoryview(kind + len(data).to_bytes(8, "little") + data)
+    while frame:
+        frame = frame[os.write(fd, frame):]
+
+
+def _recv(fd):
+    """(kind, data) of the next frame on fd; kind is empty if fd ends first.
+    A length not yet whole reads low, so no read passes the frame's end."""
+    frame = b""
+    while (short := 9 + int.from_bytes(frame[1:9], "little") - len(frame)) > 0:
+        if not (chunk := os.read(fd, short)):
+            return b"", b""
+        frame += chunk
+    return frame[:1], frame[9:]
+
+
+def _serve(down, up, args, inherited):
+    """A forked pool worker: it closes the parent-side fds it inherited; for
+    each group index from down (g frames, until s) it sends up the pieces in
+    blocks (b) of at least 16 KiB as they are made, then the tally (t, by
+    marshal) or the exception (e, by pickle).  It leaves only by `os._exit`."""
+    try:
+        for fd in inherited:
+            os.close(fd)
+        while (frame := _recv(down))[0] == b"g":
+            tally, block = {}, bytearray()
+            try:
+                for piece in _freed_after(_group_entry(*args[int(frame[1])], tally)):
+                    block += piece
+                    if len(block) >= 1 << 14:
+                        _send(up, b"b", block)
+                        block.clear()
+                end = b"t", marshal.dumps(tally)
+            except Exception as exc:
+                import pickle  # only a group that raises pays for it
+                end = b"e", pickle.dumps(exc)
+            if block:
+                _send(up, b"b", block)
+            _send(up, *end)
+        os._exit(0)
+    finally:  # whatever was raised, SystemExit included: never into the caller's stack, nor flushing its stdio
+        os._exit(1)
 
 
 def _pooled(args, n):
-    """(tally, blocks) of each group of args in input order, from n `_serve`
-    workers with a pipe each; a worker that ends a group is sent the next.
-    In its turn a group's blocks are yielded as they come, then its tally
-    filled or its exception raised; only later groups' early blocks are held."""
-    import multiprocessing.connection  # imported here: a serial run does not pay for it at start-up
+    """(tally, blocks) of each group of args in input order, from n forked
+    `_serve` workers with a pipe each way; a worker that ends a group is sent
+    the next.  In its turn a group's blocks are yielded as they come, then its
+    tally filled or its exception raised; only later groups' early blocks are held."""
+    import select  # imported here: a serial run does not pay for them at start-up
+    import signal
 
-    todo, workers, busy, held, ends = iter(range(n, len(args))), {}, {}, {}, {}
+    todo, fds, pids, to, busy, held, ends = iter(range(n, len(args))), [], {}, {}, {}, {}, {}
+    ready = select.poll()  # no FD_SETSIZE bound, unlike select.select
+
+    def assign(fd, i):
+        busy[fd] = i
+        if i is None:  # stopped: its coming EOF is no death, so it is no longer watched
+            ready.unregister(fd)
+        _send(to[fd], b"s") if i is None else _send(to[fd], b"g", b"%d" % i)
 
     def arrivals(k, tally):
         yield from held.pop(k, ())
         while k not in ends:
-            for conn in multiprocessing.connection.wait([c for c, i in busy.items() if i is not None]):
-                i = busy[conn]
-                try:
-                    if block := conn.recv_bytes():
-                        held.setdefault(i, []).append(block)
-                    else:
-                        ends[i], busy[conn] = conn.recv(), next(todo, None)
-                        conn.send(busy[conn])
-                except EOFError:
-                    busy[conn] = None
-                    workers[conn].join()
-                    ends[i] = ChildProcessError(f"the worker verifying {args[i][0]} exited with code {workers[conn].exitcode}")
+            for fd, _ in ready.poll():
+                i, (kind, data) = busy[fd], _recv(fd)
+                if kind == b"b":
+                    held.setdefault(i, []).append(data)
+                elif kind:
+                    if kind == b"e":
+                        import pickle
+                    ends[i] = pickle.loads(data) if kind == b"e" else marshal.loads(data)
+                    assign(fd, next(todo, None))
+                else:  # the worker died
+                    ready.unregister(fd)
+                    code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(fd), 0)[1])
+                    ends[i] = ChildProcessError(f"the worker verifying {args[i][0]} exited with code {code}")
             yield from held.pop(k, ())
         if isinstance(ends[k], BaseException):
             raise ends[k]
@@ -696,21 +733,24 @@ def _pooled(args, n):
 
     try:
         for i in range(n):
-            conn, child = multiprocessing.Pipe()
-            worker = multiprocessing.Process(target=_serve, args=(child, args))
-            worker.start()
-            child.close()
-            workers[conn], busy[conn] = worker, i
-            conn.send(i)
+            (down, to_worker), (from_worker, up) = os.pipe(), os.pipe()
+            fds += to_worker, from_worker
+            with open(down, "rb", 0), open(up, "wb", 0):  # the worker's ends: the parent closes them
+                if not (pid := os.fork()):
+                    _serve(down, up, args, fds)
+            pids[from_worker], to[from_worker] = pid, to_worker
+            ready.register(from_worker, select.POLLIN)
+            assign(from_worker, i)
         for k in range(len(args)):
             tally = {}
             yield tally, arrivals(k, tally)
-    finally:
-        for conn, worker in workers.items():
-            conn.close()
-            if busy[conn] is not None:
-                worker.kill()
-            worker.join()
+    finally:  # every pipe closed and every worker reaped, a busy one killed first
+        for fd in fds:
+            os.close(fd)
+        for fd, pid in pids.items():
+            if busy.get(fd) is not None:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def verify_groups(specs, all_scts: bool = True, jobs: int = 1, max_order: int | None = None, out=None,
@@ -734,7 +774,7 @@ def verify_groups(specs, all_scts: bool = True, jobs: int = 1, max_order: int | 
         for spec in specs[1:]:  # a refusal after the first group would leave a prefix
             _build(spec, max_order)
         args = [(spec, all_scts, max_order) for spec in specs]
-        if jobs > 1 and len(args) > 1:
+        if jobs > 1 and len(args) > 1 and hasattr(os, "fork"):  # else serially, with the same bytes
             with closing(_pooled(args, min(jobs, len(args)))) as entries:
                 yield from _collect(specs, entries, out, skipped)
         else:

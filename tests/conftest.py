@@ -1,3 +1,4 @@
+import os
 import sys
 
 import pytest
@@ -25,3 +26,15 @@ def body_runs():
         return runs
 
     return count
+
+
+@pytest.fixture
+def no_child_left():
+    """no_child_left() fails if this process has a child it has not reaped,
+    such as a pool worker that outlived its run: with none, waitpid raises."""
+
+    def check():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    return check

@@ -380,11 +380,9 @@ def test_malformed_input_files_exit_2(argv, data, capsys, tmp_path, monkeypatch)
     assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
 
 
-def test_a_dead_worker_exits_2_with_one_line(capsys, monkeypatch, tmp_path):
+def test_a_dead_worker_exits_2_with_one_line(capsys, monkeypatch, tmp_path, no_child_left):
     # a checker that ends its worker process on S3, as a crash or the OOM
     # killer would; in the parent it would end the test run instead
-    import multiprocessing
-
     from superchar import cli, verifier
 
     parent = os.getpid()
@@ -403,12 +401,31 @@ def test_a_dead_worker_exits_2_with_one_line(capsys, monkeypatch, tmp_path):
         assert code == 2 and stdout == ""
         assert err == "error: the worker verifying S3 exited with code 3\n"
         assert list(tmp_path.iterdir()) == []
-        assert not multiprocessing.active_children()
+        no_child_left()
+
+
+def test_without_fork_jobs_verifies_serially(capsys, monkeypatch, tmp_path, no_child_left):
+    # a platform without os.fork runs `verify --jobs N` on the serial path,
+    # with its bytes, and never enters the pool
+    from superchar import cli, verifier
+
+    def pool(args, n):
+        raise AssertionError("a pool without os.fork")
+
+    monkeypatch.setattr(cli, "DEFAULT_CATALOG", ("C2", "C3", "S3", "C4"))
+    serial, forkless = tmp_path / "serial.json", tmp_path / "forkless.json"
+    assert run_cli(capsys, "verify", "--format", "json", "--out", str(serial))[0] == 0
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(verifier, "_pooled", pool)
+    assert run_cli(capsys, "verify", "--jobs", "2", "--format", "json", "--out", str(forkless))[0] == 0
+    assert forkless.read_bytes() == serial.read_bytes()
+    no_child_left()
 
 
 def test_cold_import_loads_no_pool_and_no_dataclasses():
-    # every command starts by importing the CLI; the process pool is imported
-    # only by `verify --jobs N` with N > 1, and no record is a dataclass
+    # every command starts by importing the CLI; what the process pool uses
+    # (select; pickle, for an error) is imported only by `verify --jobs N`
+    # with N > 1, no multiprocessing at all, and no record is a dataclass
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
@@ -419,4 +436,5 @@ def test_cold_import_loads_no_pool_and_no_dataclasses():
 
     added = modules("import superchar.cli") - modules("pass")
     assert "superchar.cli" in added
-    assert {m for m in added if m.split(".")[0] in ("concurrent", "multiprocessing", "dataclasses")} == set()
+    unwanted = ("concurrent", "multiprocessing", "select", "pickle", "dataclasses")
+    assert {m for m in added if m.split(".")[0] in unwanted} == set()

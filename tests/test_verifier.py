@@ -2,10 +2,10 @@ import gc
 import io
 import itertools
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -271,55 +271,53 @@ def test_a_run_leaves_what_the_caller_froze_frozen():
         gc.unfreeze()
 
 
-def test_pool_is_capped_at_the_number_of_groups(monkeypatch):
-    # a recording stand-in for the worker process: it runs the worker loop
-    # in a thread over its own copy of the real pipe end, as a fork would,
-    # and its third construction raises, so a broken cap fails before a
-    # single process is started
-    import threading
-    from multiprocessing.connection import Connection
-
+def test_pool_is_capped_at_the_number_of_groups(monkeypatch, no_child_left):
+    # a recording stand-in for os.fork: it forks for real, and its third
+    # call raises before anything is forked, so a broken cap fails before a
+    # third worker is started
     from superchar import verifier
 
-    # a process class bound when the module loads would bypass the stand-in
-    # and start a million real workers
-    assert "multiprocessing" not in vars(verifier) and "Process" not in vars(verifier)
-    made = []
+    # a fork bound when the module loads would bypass the stand-in and start
+    # a million real workers
+    assert "fork" not in vars(verifier)
+    calls, fork, kill, waitpid, kills, codes = [], os.fork, os.kill, os.waitpid, [], []
 
-    class ThreadWorker:
-        def __init__(self, target, args):
-            made.append(self)
-            if len(made) > 2:
-                raise AssertionError("a third worker for two groups")
-            conn, *rest = args
-            self.thread = threading.Thread(target=target, args=(Connection(os.dup(conn.fileno())), *rest), daemon=True)
-            self.killed = False
+    def recording_fork():
+        calls.append(None)
+        if len(calls) > 2:
+            raise AssertionError("a third worker for two groups")
+        return fork()
 
-        def start(self):
-            self.thread.start()
+    def recording_kill(pid, sig):
+        kills.append(pid)
+        kill(pid, sig)
 
-        def kill(self):  # a thread cannot be killed: it ends on its closed pipe
-            self.killed = True
+    def recording_waitpid(pid, options):
+        pid, status = waitpid(pid, options)
+        codes.append(os.waitstatus_to_exitcode(status))
+        return pid, status
 
-        def join(self):
-            if not self.killed:
-                self.thread.join()
-
-    monkeypatch.setattr(multiprocessing, "Process", ThreadWorker)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "kill", recording_kill)
+    monkeypatch.setattr(os, "waitpid", recording_waitpid)
     pooled = streamed(["C2", "C3"], jobs=10**6)
-    assert len(made) == 2 and not any(w.killed or w.thread.is_alive() for w in made)
+    assert len(calls) == 2
+    # a clean run stops every worker by its stop frame: none is killed, and
+    # the pool reaps each one with exit code 0
+    assert kills == [] and codes == [0, 0]
+    no_child_left()
     assert pooled == streamed(["C2", "C3"])
 
 
-def test_the_slowest_group_first_keeps_the_catalog_order():
+def test_the_slowest_group_first_keeps_the_catalog_order(no_child_left):
     # C2xC2xC2 takes longer than the three after it together, so they end
     # first and wait in the parent for its turn
     specs = ["C2xC2xC2", "C2", "C3", "S3"]
     assert streamed(specs, jobs=2) == streamed(specs)
-    assert not multiprocessing.active_children()
+    no_child_left()
 
 
-def test_an_error_in_a_later_group_leaves_the_serial_prefix(monkeypatch):
+def test_an_error_in_a_later_group_leaves_the_serial_prefix(monkeypatch, no_child_left):
     # the third group raises while its worker builds its theories; the
     # groups before it are written, at any worker count, and nothing after
     from superchar import verifier
@@ -339,12 +337,12 @@ def test_an_error_in_a_later_group_leaves_the_serial_prefix(monkeypatch):
         buf = io.BytesIO()
         with pytest.raises(ConsistencyError, match="planted in S3"):
             run_corpus(specs, jobs=jobs, out=buf)
-        assert not multiprocessing.active_children()
+        no_child_left()
         prefixes.append(buf.getvalue())
     assert prefixes[0] == prefixes[1] == streamed(specs[:2]).rsplit(b"]", 1)[0]
 
 
-def test_no_worker_outlives_a_failed_write_or_a_closed_run():
+def test_no_worker_outlives_a_failed_write_or_a_closed_run(no_child_left):
     specs = ["C2", "C3", "S3", "C4", "Q8"]
 
     class FullDisk(io.BytesIO):
@@ -355,11 +353,81 @@ def test_no_worker_outlives_a_failed_write_or_a_closed_run():
 
     with pytest.raises(OSError, match="no space left"):
         run_corpus(specs, jobs=2, out=FullDisk())
-    assert not multiprocessing.active_children()
+    no_child_left()
     tallies = verify_groups(specs, jobs=2)
     assert next(tallies)["label"] == "C2"
     tallies.close()
-    assert not multiprocessing.active_children()
+    no_child_left()
+
+
+def test_the_pool_watches_pipes_past_fd_setsize(no_child_left):
+    # select.select refuses an fd of 1024 (FD_SETSIZE) or more; with the
+    # low fds taken, two workers' pipes lie past it, as in a run of some 500
+    import resource
+
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if soft != resource.RLIM_INFINITY and soft < 1200:
+        if hard != resource.RLIM_INFINITY and hard < 1200:
+            pytest.skip("the fd limit is below 1200")
+        resource.setrlimit(resource.RLIMIT_NOFILE, (1200, hard))
+    filler = []
+    try:
+        while not filler or filler[-1] < 1024:
+            filler.append(os.open(os.devnull, os.O_RDONLY))
+        pooled = streamed(["C2", "C3", "S3"], jobs=2)
+    finally:
+        for fd in filler:
+            os.close(fd)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+    no_child_left()
+    assert pooled == streamed(["C2", "C3", "S3"])
+
+
+def test_a_worker_never_returns_into_the_caller(monkeypatch, no_child_left):
+    # SystemExit passes the suite's `except Exception`: raised in a worker on
+    # S3, it ends that worker, which must not unwind into the stack it was
+    # forked from and go on running the tests
+    from superchar import verifier
+
+    parent = os.getpid()
+    check = verifier._CHECKERS["L-vs"]
+
+    def exiting(S):
+        if os.getpid() != parent and S.group.label == "S3":
+            raise SystemExit(5)
+        return check(S)
+
+    monkeypatch.setitem(verifier._CHECKERS, "L-vs", exiting)
+    try:
+        with pytest.raises(ChildProcessError, match="^the worker verifying S3 exited with code 1$"):
+            run_corpus(["C2", "C3", "S3", "C4"], jobs=2)
+    finally:
+        if os.getpid() != parent:  # a worker came back here: end it with a code the parent's match refuses
+            os._exit(99)
+    assert os.getpid() == parent
+    no_child_left()
+
+
+def test_closing_a_run_kills_its_busy_workers(monkeypatch, no_child_left):
+    # a worker stuck in a group the caller no longer wants is killed, not
+    # waited for
+    from superchar import verifier
+
+    parent = os.getpid()
+    check = verifier._CHECKERS["L-vs"]
+
+    def stuck(S):
+        if os.getpid() != parent and S.group.label == "S3":
+            time.sleep(60)
+        return check(S)
+
+    monkeypatch.setitem(verifier._CHECKERS, "L-vs", stuck)
+    tallies = verify_groups(["C2", "S3", "C3"], jobs=2)
+    assert next(tallies)["label"] == "C2"
+    start = time.monotonic()
+    tallies.close()
+    assert time.monotonic() - start < 30
+    no_child_left()
 
 
 _POOL_MEMORY = """
@@ -375,7 +443,7 @@ from superchar.verifier import DEFAULT_CATALOG, run_corpus
 with open(os.devnull, "wb") as out:
     run_corpus(DEFAULT_CATALOG, jobs=2, out=out)
 workers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-print(imported, peak_kib(), workers, any(m.split(".")[0] == "concurrent" for m in sys.modules))
+print(imported, peak_kib(), workers, *sorted({m.split(".")[0] for m in sys.modules} & {"concurrent", "multiprocessing", "pickle"}))
 """
 
 
@@ -383,21 +451,23 @@ print(imported, peak_kib(), workers, any(m.split(".")[0] == "concurrent" for m i
 def test_the_pool_parent_holds_no_results_and_imports_no_executor():
     # the parent of `--jobs 2` verifies nothing: over its peak after the CLI
     # import it grew by 6.5 MB when it unpickled whole groups' blocks and
-    # imported concurrent.futures, and by 2.4-2.7 MB streaming them (1.6 MB
-    # of it multiprocessing); each worker, forked before anything else was
-    # added to the parent, peaks below the parent's post-import peak
+    # imported concurrent.futures, by 2.4-2.7 MB streaming them through
+    # multiprocessing (1.6 MB of it the import), and by 0.1-0.9 MB over
+    # forked workers and plain pipes; pickle is imported only for an error.
+    # Each worker, forked before anything else was added to the parent,
+    # peaks at or below the parent's post-import peak
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     run = subprocess.run([sys.executable, "-c", _POOL_MEMORY], env=env, capture_output=True, text=True, check=True)
-    imported, parent, workers, executor = run.stdout.split()
-    assert executor == "False"
-    assert int(parent) - int(imported) <= 3.5 * 1024
-    assert int(workers) <= int(imported) + 2 * 1024
+    imported, parent, workers, *pool_modules = run.stdout.split()
+    assert pool_modules == []
+    assert int(parent) - int(imported) <= 1.5 * 1024
+    assert int(workers) <= int(imported)
 
 
 def test_a_group_refused_in_a_worker_reaches_the_caller():
     # above the Dixon limit and not above max_order: the worker's error is
-    # sent back by pickle, with its order
+    # sent back by pickle, with its order (`OrderBoundError.__reduce__`)
     from superchar.errors import OrderBoundError
 
     with pytest.raises(OrderBoundError, match="order 1000 exceeds the bound 64") as caught:
