@@ -79,13 +79,10 @@ from .vanishing import (
     nonvanishing_mask,
     scd_check,
     u_chain,
-    u_kernel_check,
-    u_quotient_check,
     u_rel,
     u_theory,
     v_rel,
     v_series,
-    v_series_checks,
     v_theory,
     vanish_off,
 )

@@ -26,10 +26,9 @@ from .structure import (
     s_normal_subgroups,
     upper_series,
 )
-from .supertheory import SuperTheory, coarsest, enumerate_scts, finest
+from .supertheory import SuperTheory, coarsest, enumerate_scts, finest, is_delta_product
 from .vanishing import (
-    is_camina_pair,
-    is_s_gcp,
+    gcp_holds,
     is_vz,
     scd_check,
     u_chain,
@@ -192,17 +191,15 @@ def _analysis(G: GroupTable, S: SuperTheory) -> dict:
     subs = s_normal_subgroups(S)
     per_n = []
     for N in subs:
-        pair = is_camina_pair(S, N)
-        gcp = is_s_gcp(S, N)
         per_n.append(
             {
                 "n": list(N.sorted_members()),
                 "v_rel": list(v_rel(S, N).sorted_members()),
                 "u_rel": list(u_rel(S, N).sorted_members()),
                 "u_chain": u_chain(S, N).to_json()["terms"],
-                "camina_pair": pair.holds,
-                "gcp": gcp.holds,
-                "gcp_vacuous": gcp.vacuous,
+                "camina_pair": is_delta_product(S, N, N),
+                "gcp": gcp_holds(S, N),
+                "gcp_vacuous": len(N) == G.order,
             }
         )
     vz = is_vz(S)

@@ -6,6 +6,9 @@ characterization is evaluated independently and packaged into a
 CaminaVerdict; nothing is derived from another condition, so a verdict
 with disagreeing conditions is a genuine counterexample to the theorem it
 encodes, never a shortcut artifact.
+
+The builders of V(S|N), U(S|N) and their series compute values only:
+each theorem about them is evaluated by its checker in `verifier`.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from .groups import (
     full_subgroup,
     normal_closure,
     quotient_group,
-    quotient_image,
-    subgroup_product,
 )
 from .reports import CheckReport
 from .structure import (
@@ -31,12 +32,9 @@ from .structure import (
     commutator_series,
     irr_over,
     is_s_abelian,
-    lower_series,
     s_center,
     s_commutator_full,
-    s_nilpotence_class,
     s_normal_subgroups,
-    super_kernel,
 )
 from .supertheory import (
     SuperCharacter,
@@ -118,14 +116,13 @@ def vanish_off(sigma: SuperCharacter) -> SubgroupSet:
 @cached
 def _v_table(S: SuperTheory) -> dict[int, SubgroupSet]:
     """V(S|H) for every S-normal H, keyed by the mask of H: the closure of
-    the elements where some member of Irr(S|H) is nonzero, checked S-normal
-    and containing H."""
+    the elements where some member of Irr(S|H) is nonzero, checked to
+    contain H: no theorem states it, and it keeps U(S|N) inside N, so
+    `u_chain` descends.  That it is S-normal is P-prop42's conclusion."""
     table = {}
     for H in s_normal_subgroups(S):
         gens = reduce(or_, map(nonvanishing_mask, irr_over(S, H)), 0)
         V = table[H.mask] = normal_closure(S.group, gens)
-        if not S.is_s_normal(V):
-            raise ConsistencyError("V(S|N) is not S-normal")
         if H.mask & ~V.mask:
             raise ConsistencyError("V(S|N) does not contain N")
     return table
@@ -339,19 +336,12 @@ def u_rel(S: SuperTheory, N: SubgroupSet) -> SubgroupSet:
     join in the lattice, read off the theory's table of V(S|H).
 
     By the definition this includes H = G when N = G, so U(S|G) = G; the
-    containment U(S|N) <= N n [G,S] for non-S-abelian theories therefore
-    holds (and is verified) only for proper N.
+    containment U(S|N) <= N n [G,S] for non-S-abelian theories (L-ucap)
+    therefore claims only proper N.  That U(S|N) is S-normal is L-unormal.
     """
     require_s_normal(S, N)
     below = (h for h, V in _v_table(S).items() if not V.mask & ~N.mask)
-    total = normal_closure(S.group, reduce(or_, below, 0))
-    if not S.is_s_normal(total):
-        raise ConsistencyError("U(S|N) is not S-normal")
-    if not is_s_abelian(S) and len(N) < S.group.order:
-        cap = N.members & s_commutator_full(S).members
-        if not total.members <= cap:
-            raise ConsistencyError("U(S|N) escapes N n [G,S]")
-    return total
+    return normal_closure(S.group, reduce(or_, below, 0))
 
 
 def u_chain(S: SuperTheory, N: SubgroupSet) -> SeriesResult:
@@ -367,53 +357,10 @@ def u_chain(S: SuperTheory, N: SubgroupSet) -> SeriesResult:
 
 
 def u_theory(S: SuperTheory) -> SubgroupSet:
-    """U(S) = U(S|Z(S)); the whole group when the theory is S-abelian.
-    For non-S-abelian theories the chain
-    U(S) <= [G,S] n Z(S) <= [G,S]Z(S) <= V(S) is verified."""
-    if is_s_abelian(S):
-        return full_subgroup(S.group)
-    center = s_center(S)
-    U = u_rel(S, center)
-    com = s_commutator_full(S)
-    meet = com.members & center.members
-    join = subgroup_product(S.group, com, center)
-    V = v_theory(S)
-    if not (U.members <= meet and join.members <= V.members):
-        raise ConsistencyError("U(S) <= [G,S] n Z(S) <= [G,S]Z(S) <= V(S) fails")
-    return U
-
-
-def u_quotient_check(S: SuperTheory, N: SubgroupSet, H: SubgroupSet) -> list[str]:
-    """The failing details of U(S^{G/N} | HN/N) = U(S|H)N/N: empty when it
-    holds."""
-    require_s_normal(S, N)
-    require_s_normal(S, H)
-    defl = deflation(S, N)
-    image_h = quotient_image(S.group, N, H)
-    if not defl.is_s_normal(image_h):
-        raise ConsistencyError("projected subgroup is not S-normal in the deflation")
-    lhs = u_rel(defl, image_h)
-    rhs = quotient_image(S.group, N, u_rel(S, H))
-    if lhs is rhs:
-        return []
-    return [f"deflated U = {lhs.sorted_members()}, projected U = {sorted(rhs.members)}"]
-
-
-def u_kernel_check(S: SuperTheory, N: SubgroupSet) -> tuple[list[str], list[str]]:
-    """(failing details, notes) of U(S|N) as the intersection of the
-    kernels of the supercharacters whose vanishing-off subgroup escapes N;
-    an empty family means the intersection is all of G, and says so in a
-    note."""
-    require_s_normal(S, N)
-    family = [
-        sigma for sigma in S.supercharacters() if not vanish_off(sigma).members <= N.members
-    ]
-    notes = [] if family else ["the character family is empty; the intersection defaults to G"]
-    intersection = frozenset(range(S.group.order)).intersection(*(super_kernel(s).members for s in family))
-    U = u_rel(S, N)
-    if intersection == U.members:
-        return [], notes
-    return [f"intersection {sorted(intersection)}, U(S|N) {U.sorted_members()}"], notes
+    """U(S) = U(S|Z(S)); the whole group when the theory is S-abelian.  For
+    non-S-abelian theories U(S) <= [G,S] n Z(S) is L-ucap at N = Z(S), and
+    [G,S]Z(S) <= V(S) is L-vs."""
+    return full_subgroup(S.group) if is_s_abelian(S) else u_rel(S, s_center(S))
 
 
 # ---------------------------------------------------------------------------
@@ -489,34 +436,3 @@ def scd_check(S: SuperTheory) -> CheckReport:
         f"scd(S) = {sorted(degree_set)}, expected {sorted(expected)}",
     )
     return rep
-
-
-def v_series_checks(S: SuperTheory) -> list[str]:
-    """The names of the failing checks of the V-series against the lower
-    central series: interleaving, strictness propagation, and the
-    deflated-series identity with its nilpotence-class claim."""
-    vs = v_series(S)
-    low = lower_series(S)
-    top = max(len(vs.terms), len(low.terms)) + 1
-    fails = [
-        f"interleaving-{i}"
-        for i in range(1, top + 1)
-        if not low.term(i + 1).members <= vs.term(i).members <= low.term(i).members
-    ]
-    strict = [i for i in range(1, top + 1) if len(vs.term(i)) < len(low.term(i))]
-    if strict and not all(len(vs.term(i)) < len(low.term(i)) for i in range(1, max(strict) + 1)):
-        fails.append("strictness-propagation")
-    for n in range(1, top + 1):
-        vn = vs.term(n)
-        if not len(vn) < len(low.term(n)):
-            continue
-        defl = deflation(S, vn)
-        if s_nilpotence_class(defl) != n:
-            fails.append(f"deflated-class-{n}")
-        dvs = v_series(defl)
-        fails += [
-            f"deflated-v-{n}-{i}"
-            for i in range(1, n + 1)
-            if dvs.term(i) is not quotient_image(S.group, vn, vs.term(i))
-        ]
-    return fails

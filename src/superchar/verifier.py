@@ -5,7 +5,10 @@ result is an implication, so a checker yields one (scope, hypothesis,
 conclusion) row per scope (subgroup, subgroup pair, or element): the
 hypothesis True, False or `VACUOUS`, the conclusion a callable that
 evaluates both sides of every claimed equivalence independently and gives
-(holds, witness).  `_encode_rows` alone turns rows into statuses.  Failures
+(holds, witness).  A checker is the one place its theorem's conclusion is
+evaluated: the builders in `vanishing` compute values and check none of
+them, so a false conclusion fails its own rows, not every checker that
+builds the value.  `_encode_rows` alone turns rows into statuses.  Failures
 are data, not exceptions; a corpus run over the default catalog is
 expected to produce zero fail-status reports, and any fail is either an
 implementation bug or a genuine counterexample worth looking at.
@@ -28,6 +31,7 @@ from .groups import SubgroupSet, build_group, quotient_image, release, subgroup_
 from .structure import (
     irr_over,
     is_s_abelian,
+    lower_series,
     s_center,
     s_commutator_full,
     s_nilpotence_class,
@@ -57,13 +61,10 @@ from .vanishing import (
     nonvanishing_mask,
     scd_check,
     u_chain,
-    u_kernel_check,
-    u_quotient_check,
     u_rel,
     u_theory,
     v_rel,
     v_series,
-    v_series_checks,
     v_theory,
     vanish_off,
 )
@@ -255,7 +256,35 @@ def _check_vsn(S: SuperTheory):
 
 @theorem("T-vseries", "the V-series interleaves the lower central series")
 def _check_vseries(S: SuperTheory):
-    yield {}, True, lambda: _failing(v_series_checks(S))
+    def conclusion():
+        # interleaving, strictness propagation, and the deflated-series identity with its nilpotence class
+        vs = v_series(S)
+        low = lower_series(S)
+        top = max(len(vs.terms), len(low.terms)) + 1
+        fails = [
+            f"interleaving-{i}"
+            for i in range(1, top + 1)
+            if not low.term(i + 1).members <= vs.term(i).members <= low.term(i).members
+        ]
+        strict = [i for i in range(1, top + 1) if len(vs.term(i)) < len(low.term(i))]
+        if strict and not all(len(vs.term(i)) < len(low.term(i)) for i in range(1, max(strict) + 1)):
+            fails.append("strictness-propagation")
+        for n in range(1, top + 1):
+            vn = vs.term(n)
+            if not len(vn) < len(low.term(n)):
+                continue
+            defl = deflation(S, vn)
+            if s_nilpotence_class(defl) != n:
+                fails.append(f"deflated-class-{n}")
+            dvs = v_series(defl)
+            fails += [
+                f"deflated-v-{n}-{i}"
+                for i in range(1, n + 1)
+                if dvs.term(i) is not quotient_image(S.group, vn, vs.term(i))
+            ]
+        return _failing(fails)
+
+    yield {}, True, conclusion
 
 
 @theorem("C-vterm", "S-nilpotency is equivalent to the V-series reaching 1")
@@ -431,17 +460,31 @@ def _check_uchain(S: SuperTheory):
 @theorem("L-uquot", "U commutes with deflation above V(S|N)")
 def _check_uquot(S: SuperTheory):
     subs = s_normal_subgroups(S)
+
+    def conclusion(N, H):
+        # U(S^{G/N} | HN/N) = U(S|H)N/N
+        lhs = u_rel(deflation(S, N), quotient_image(S.group, N, H))
+        rhs = quotient_image(S.group, N, u_rel(S, H))
+        return _failing([] if lhs is rhs else [f"deflated U = {lhs.sorted_members()}, projected U = {sorted(rhs.members)}"])
+
     for N in subs:
         for H in subs:
-            yield {"n": N, "h": H}, v_rel(S, N).members <= H.members, lambda: _failing(u_quotient_check(S, N, H))
+            yield {"n": N, "h": H}, v_rel(S, N).members <= H.members, lambda: conclusion(N, H)
 
 
 @theorem("L-ukernel", "U(S|N) as a kernel intersection")
 def _check_ukernel(S: SuperTheory):
+    def conclusion(N):
+        # the kernels of the supercharacters whose vanishing-off subgroup escapes N
+        family = [sigma for sigma in S.supercharacters() if not vanish_off(sigma).members <= N.members]
+        intersection = frozenset(range(S.group.order)).intersection(*(super_kernel(s).members for s in family))
+        U = u_rel(S, N)
+        if intersection != U.members:
+            return False, {"failing": [f"intersection {sorted(intersection)}, U(S|N) {U.sorted_members()}"]}
+        return True, None if family else {"notes": ["the character family is empty; the intersection defaults to G"]}
+
     for N in s_normal_subgroups(S):
-        fails, notes = u_kernel_check(S, N)
-        witness = {"failing": fails} if fails else {"notes": notes} if notes else None
-        yield {"n": N}, True, lambda: (not fails, witness)
+        yield {"n": N}, True, lambda: conclusion(N)
 
 
 @theorem("T-final", "VZ, Z(S) = V(S), and U(S) = [G,S] are equivalent")

@@ -131,3 +131,13 @@ def test_statuses_are_named_only_by_the_status_rule_and_the_summary_keys():
     naming = [ast.unparse(s.targets[0]) if isinstance(s, ast.Assign) else f"line {s.lineno}"
               for s in tree.body if _statuses_named(s)]
     assert naming == ["_STATUS", "_SUMMARY_KEY"]
+
+
+def test_vanishing_evaluates_no_theorem_beside_its_builders():
+    # each theorem's conclusion is evaluated by its checker in verifier, not
+    # by a `*_check` helper beside the builders; `scd_check` stays because
+    # analyze shows its report
+    tree = ast.parse((PACKAGE / "vanishing.py").read_text(encoding="utf-8"))
+    checks = [node.name for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name.endswith(("_check", "_checks"))]
+    assert checks == ["scd_check"]

@@ -29,23 +29,30 @@ from superchar.vanishing import (
     nonvanishing_mask,
     scd_check,
     u_chain,
-    u_kernel_check,
-    u_quotient_check,
     u_rel,
     u_theory,
     v_rel,
     v_series,
-    v_series_checks,
     v_theory,
     vanish_off,
 )
-from superchar.verifier import DEFAULT_CATALOG
+from superchar import vanishing
+from superchar.verifier import _CHECKERS, DEFAULT_CATALOG, run_suite
 
 
 def theory_of(name, kind="finest"):
     G = catalog_group(name)
     T = character_table_of(G)
     return G, (finest(T) if kind == "finest" else coarsest(T))
+
+
+def concluded_at(tid, S, scope):
+    """(holds, witness) of theorem tid's row at scope on S, its conclusion
+    called whether its hypothesis holds or not, before the checker resumes."""
+    for row_scope, _, conclusion in _CHECKERS[tid](S):
+        if row_scope == scope:
+            return conclusion()
+    raise KeyError(scope)
 
 
 def test_vanish_off_principal_is_whole_group():
@@ -182,7 +189,7 @@ def test_v_series_checks_pass():
     for name in ("S3", "Q8", "D4", "A4", "C6"):
         G = catalog_group(name)
         for S in enumerate_scts(character_table_of(G)):
-            assert v_series_checks(S) == []
+            assert concluded_at("T-vseries", S, {}) == (True, None)
 
 
 def test_u_rel_examples():
@@ -238,26 +245,50 @@ def test_u_chain():
 def test_u_quotient_check():
     G, S = theory_of("S3")
     A3 = generated_subgroup(G, [3])
-    assert u_quotient_check(S, A3, full_subgroup(G)) == []
-    assert u_quotient_check(S, A3, A3) == []  # V(S|A3) = A3 <= A3 holds, still applicable
-    assert u_quotient_check(S, full_subgroup(G), A3) == []  # hypothesis fails, conclusion holds
+    assert concluded_at("L-uquot", S, {"n": A3, "h": full_subgroup(G)}) == (True, None)
+    assert concluded_at("L-uquot", S, {"n": A3, "h": A3}) == (True, None)  # V(S|A3) = A3 <= A3 holds, still applicable
+    # hypothesis fails, conclusion holds
+    assert concluded_at("L-uquot", S, {"n": full_subgroup(G), "h": A3}) == (True, None)
     C6, S6 = theory_of("C6")
     # V(S|{0,3}) = C6 escapes {0,2,4}: the hypothesis fails, and so does the conclusion
-    assert u_quotient_check(S6, generated_subgroup(C6, [3]), generated_subgroup(C6, [2])) == [
-        "deflated U = (0, 1, 2), projected U = [0]"]
+    assert concluded_at("L-uquot", S6, {"n": generated_subgroup(C6, [3]), "h": generated_subgroup(C6, [2])}) == (
+        False, {"failing": ["deflated U = (0, 1, 2), projected U = [0]"]})
 
 
 def test_u_kernel_check():
     G, S = theory_of("S3")
     A3 = generated_subgroup(G, [3])
-    assert u_kernel_check(S, A3) == ([], [])
-    fails, notes = u_kernel_check(S, full_subgroup(G))
-    assert not fails and notes  # empty family, defaults to G
+    assert concluded_at("L-ukernel", S, {"n": A3}) == (True, None)
+    holds, witness = concluded_at("L-ukernel", S, {"n": full_subgroup(G)})
+    assert holds and witness["notes"]  # empty family, defaults to G
     for name in ("Q8", "D4", "C6"):
         G2 = catalog_group(name)
         for S2 in enumerate_scts(character_table_of(G2)):
             for N in s_normal_subgroups(S2):
-                assert u_kernel_check(S2, N)[0] == []
+                assert concluded_at("L-ukernel", S2, {"n": N})[0]
+
+
+U_CHECKERS = ("L-unormal", "L-uorder", "L-ugroup", "C-ucorr", "C-ucor", "T-ugroupp", "L-ucap", "T-udelta",
+              "L-uchain", "L-uquot", "L-ukernel", "T-final")
+
+
+def test_a_false_u_conclusion_fails_at_its_own_scopes(monkeypatch):
+    # V(S|G) planted as 1 puts G inside every U(S|N) of S3's finest theory,
+    # so U(S|N) escapes N n [G,S] at N = 1 and N = A3.  No builder raises
+    # for it: L-ucap fails at those two scopes, and every U-checker still
+    # yields its scoped rows, none an exception row
+    G, S = theory_of("S3")
+    table = vanishing._v_table
+    planted = lambda T: {**table(T), full_subgroup(G).mask: trivial_subgroup(G)} if T is S else table(T)
+    monkeypatch.setattr(vanishing, "_v_table", planted)
+    counts, fails = {"pass": 0, "fail": 0, "vacuous": 0, "na": 0}, []
+    reports = {}
+    for report in json.loads(b"[" + b"".join(run_suite(S, counts, fails)) + b"]"):
+        reports.setdefault(report["theorem_id"], []).append(report)
+    assert [(r["scope"], r["status"]) for r in reports["L-ucap"]] == [
+        ({"n": [0]}, "fail"), ({"n": [0, 3, 4]}, "fail"), ({"n": list(range(6))}, "not-applicable")]
+    for tid in U_CHECKERS:
+        assert reports[tid] and not any("exception" in r["scope"] for r in reports[tid]), tid
 
 
 def test_vz_examples():
