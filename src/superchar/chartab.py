@@ -8,6 +8,21 @@ e-th roots of unity mod p.  Every Dixon table and every ingested table is
 validated in full, against both orthogonality relations decided exactly
 on packed ints, before it is returned.
 
+The two loops of the method run on packed ints too.  A vector x over F_p,
+entries in [0, p), is the int sum_t x_t 2^(w t), and a sum sum_i c_i x_i
+of such vectors, each c_i in [0, p), is one int sum whose base-2^w digit t
+is sum_i c_i x_it, read back mod p.  If each digit is a sum of at most n
+products of two numbers in [0, p), it is at most n (p - 1)^2 < 2^w for
+w = bit_length(n (p - 1)^2), so no digit carries into the next.  The
+eigenspace split (`_split_width`) packs the columns of a class matrix and
+the basis vectors of an eigenspace at n = r, the class count: M v sums its
+r columns, and an eigenvector sum_i c_i basis_i sums at most r basis
+vectors.  The lift (`_lift_width`) packs one int per class c, whose digit
+j e + l is the sum, over t < e with rep_j^t in c, of zeta^(-l t) mod p, at
+n = e, the exponent: digit j e + l of sum_c chi(c) / e packed[c] has one
+term chi(c) / e * zeta^(-l t) (both mod p) for each t < e, as rep_j^t lies
+in exactly one class.
+
 The table of a quotient G/N is not recomputed: its irreducible characters
 are exactly the rows of the table of G whose kernel contains N, read on
 cosets (Isaacs, Character Theory of Finite Groups, Lemma 2.22).
@@ -21,9 +36,9 @@ from __future__ import annotations
 import re
 from itertools import chain
 from math import isqrt, lcm
-from operator import mul
+from operator import floordiv, lshift, mod, mul
 
-from .cyclotomic import Cyclotomic, Packing
+from .cyclotomic import Cyclotomic, Packing, _reduce, _value
 from .errors import CharacterTableError, ConsistencyError
 from .groups import GroupTable, SubgroupSet, cached, conjugacy_classes, element_mask, normal_subgroup, quotient_group
 from .reports import CheckReport
@@ -47,26 +62,21 @@ def class_mult_coefficients(G: GroupTable):
     r = len(classes)
     block_of = classes.block_of
     counts = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for x in range(G.order):
-        bx = block_of[x]
-        row = G.mul[x]
-        cx = counts[bx]
+    for x, row in enumerate(G.mul):
+        cx = counts[block_of[x]]
         for y in range(G.order):
             cx[block_of[y]][block_of[row[y]]] += 1
     sizes = [len(b) for b in classes.blocks]
     out = []
     for i in range(r):
         plane = []
-        for j in range(r):
-            line = []
-            for k in range(r):
-                q, rem = divmod(counts[i][j][k], sizes[k])
-                if rem:
-                    raise ConsistencyError("class products are not constant on classes")
-                line.append(q)
-            if sum(line[k] * sizes[k] for k in range(r)) != sizes[i] * sizes[j]:
+        for j, line in enumerate(counts[i]):
+            if any(map(mod, line, sizes)):
+                raise ConsistencyError("class products are not constant on classes")
+            line = tuple(map(floordiv, line, sizes))
+            if sum(map(mul, line, sizes)) != sizes[i] * sizes[j]:
                 raise ConsistencyError("class multiplication counting identity fails")
-            plane.append(tuple(line))
+            plane.append(line)
         out.append(tuple(plane))
     return tuple(out)
 
@@ -259,27 +269,45 @@ def _poly_roots_mod(poly: list[int], p: int) -> list[int]:
     return roots
 
 
-def _mat_vec(M: list[list[int]], v: list[int], p: int) -> list[int]:
-    return [sum(row[k] * v[k] for k in range(len(v)) if v[k]) % p for row in M]
+def _lift_width(e: int, p: int) -> int:
+    return (e * (p - 1) ** 2).bit_length()
 
 
-def _simultaneous_eigenvectors(mats, p: int) -> list[list[int]]:
-    """Common one-dimensional eigenvectors of a commuting family over F_p."""
-    r = len(mats[0])
-    unit = lambda i: [1 if j == i else 0 for j in range(r)]
-    blocks: list[list[list[int]]] = [[unit(i) for i in range(r)]]
-    for M in mats:
+def _split_width(r: int, p: int) -> int:
+    return (r * (p - 1) ** 2).bit_length()
+
+
+def _combine(coeffs, packed, w: int, count: int, p: int) -> list[int]:
+    # sum_i coeffs[i] packed[i], read as its first count base-2^w digits mod p
+    total, mask = sum(map(mul, coeffs, packed)), (1 << w) - 1
+    return [(total >> s & mask) % p for s in range(0, w * count, w)]
+
+
+def _simultaneous_eigenvectors(coeffs, p: int) -> list[list[int]]:
+    """Common one-dimensional eigenvectors over F_p of the commuting class
+    matrices M_i[j][k] = coeffs[i][j][k], with M v and each eigenvector
+    sum_i c_i basis_i made as one sum of ints packed at `_split_width`."""
+    r = len(coeffs)
+    w = _split_width(r, p)
+    shifts = range(0, w * r, w)
+    pack = lambda v: sum(map(lshift, v, shifts))
+    blocks: list[list[list[int]]] = [[[1 if j == i else 0 for j in range(r)] for i in range(r)]]
+    for plane in coeffs:
         if all(len(b) == 1 for b in blocks):
             break
+        cols = [pack(map(p.__rmod__, col)) for col in zip(*plane)]
         new_blocks = []
         for basis in blocks:
             k = len(basis)
             if k == 1:
                 new_blocks.append(basis)
                 continue
-            images = [_mat_vec(M, v, p) for v in basis]
-            A = _coords_in_span(basis, images, p)
+            images = [_combine(v, cols, w, r, p) for v in basis]
+            # a block of all r dimensions is the unit basis (the start, or the
+            # kernel of a zero matrix), in which M v is its own coordinates
+            A = _coords_in_span(basis, images, p) if k < r else [list(t) for t in zip(*images)]
             eigenvalues = _poly_roots_mod(_charpoly_mod(A, p), p)
+            packed = list(map(pack, basis))
             covered = 0
             for lam in eigenvalues:
                 shifted = [
@@ -289,11 +317,7 @@ def _simultaneous_eigenvectors(mats, p: int) -> list[list[int]]:
                 kernel = _nullspace(shifted, p)
                 if not kernel:
                     raise ConsistencyError("eigenvalue without eigenvector")
-                sub = [
-                    [sum(c[i] * basis[i][t] for i in range(k)) % p for t in range(r)]
-                    for c in kernel
-                ]
-                new_blocks.append(sub)
+                new_blocks.append([_combine(c, packed, w, r, p) for c in kernel])
                 covered += len(kernel)
             if covered != k:
                 raise ConsistencyError("class matrix is not diagonalizable mod p")
@@ -436,8 +460,9 @@ def orthogonality(order: int, values, sizes, divisors, norms) -> tuple[list[tupl
 
 
 def _canonical_row_key(row):
-    # rows by degree, then by descending power-basis coordinates
-    return (row[0].num[0], tuple(tuple(-c for c in v.num) for v in row))
+    # rows by degree, the principal row first, then by descending
+    # power-basis coordinates
+    return (row[0].num[0], any(v.num != row[0].num for v in row), tuple(tuple(-c for c in v.num) for v in row))
 
 
 def dixon_character_table(G: GroupTable) -> CharacterTable:
@@ -452,54 +477,41 @@ def dixon_character_table(G: GroupTable) -> CharacterTable:
     sizes = [len(b) for b in classes.blocks]
     e = G.exponent()
     p = _dixon_prime(G.order, e)
-    coeffs = class_mult_coefficients(G)
-    mats = [[[coeffs[i][j][k] % p for k in range(r)] for j in range(r)] for i in range(r)]
-    omegas = _simultaneous_eigenvectors(mats, p)
+    omegas = _simultaneous_eigenvectors(class_mult_coefficients(G), p)
 
     pinv = lambda x: pow(x, p - 2, p)
     inv_class = [classes.block_of[G.inv[rep]] for rep in reps]
     size_inv = [pinv(s % p) for s in sizes]
 
-    z = pow(_primitive_root(p), (p - 1) // e, p)
-    zinv_pow = [1]
-    zinv = pinv(z)
-    for _ in range(e - 1):
-        zinv_pow.append(zinv_pow[-1] * zinv % p)
-    e_inv = pinv(e % p)
-
-    # lift[j]: each class c that a power of rep_j falls in, with the sums
-    # W[l] = sum over t < e with rep_j^t in c of zeta^(-l t) / e (mod p),
-    # made once per table; the multiplicity of zeta^l as an eigenvalue of
-    # rep_j under chi is sum over c of chi(c) W[l]
-    lift = []
-    for rep in reps:
-        sums = {}
+    # packed[c]: base-2^w digit j e + l is the sum, over t < e with rep_j^t
+    # in class c, of zeta^(-l t) mod p; so digit j e + l of sum_c chi(c) / e
+    # packed[c] is, mod p, the multiplicity of zeta^l as an eigenvalue of
+    # rep_j under chi
+    zinv = pinv(pow(_primitive_root(p), (p - 1) // e, p))
+    w = _lift_width(e, p)
+    z = [sum(pow(zinv, l * t, p) << w * l for l in range(e)) for t in range(e)]
+    packed = [0] * r
+    for j, rep in enumerate(reps):
         x = 0
         for t in range(e):
-            w = sums.setdefault(classes.block_of[x], [0] * e)
-            for l in range(e):
-                w[l] += zinv_pow[l * t % e]
+            packed[classes.block_of[x]] += z[t] << w * e * j
             x = G.mul[x][rep]
-        lift.append([(c, [a * e_inv % p for a in w]) for c, w in sums.items()])
+    e_inv = pinv(e % p)
 
     rows = []
     for v in omegas:
         s = sum(v[k] * v[inv_class[k]] % p * size_inv[k] for k in range(r)) % p
         d2 = G.order % p * pinv(s) % p
         d = _sqrt_mod(d2, p)
-        chi_mod = [d * v[k] % p * size_inv[k] % p for k in range(r)]
+        chi_mod = [d * v[k] % p * size_inv[k] % p * e_inv % p for k in range(r)]
+        mults = _combine(chi_mod, packed, w, r * e, p)
         row = []
-        for terms in lift:
-            acc = [0] * e
-            for c, w in terms:
-                chi = chi_mod[c]
-                acc = [a + chi * b for a, b in zip(acc, w)]
-            mults = [a % p for a in acc]
-            if sum(mults) != d:
+        for j in range(0, r * e, e):
+            if sum(mults[j:j + e]) != d:
                 raise ConsistencyError(
                     "eigenvalue multiplicities do not sum to the character degree"
                 )
-            row.append(Cyclotomic(e, mults))
+            row.append(_value(e, _reduce(mults[j:j + e], e)))
         rows.append(tuple(row))
 
     rows.sort(key=_canonical_row_key)

@@ -11,10 +11,9 @@ from __future__ import annotations
 import re
 from functools import wraps
 from math import factorial, lcm, prod
+from operator import itemgetter
 
 from .errors import ConsistencyError, GroupConstructionError, OrderBoundError
-
-_FULL_ASSOCIATIVITY_BOUND = 512
 
 
 def cached(fn):
@@ -71,15 +70,20 @@ class GroupTable:
     """A finite group given by its full multiplication table.
 
     The table is validated at construction: Latin square, two-sided
-    identity at 0, two-sided inverses, and associativity (exhaustively up
-    to order 512, sampled above that).  `quotient_of` is (G, N) when
-    `quotient_group` built the group as G/N, and None otherwise.
+    identity at 0, two-sided inverses, and associativity by Light's test,
+    exact at every order.  `gens` are chosen greedily: each element that no
+    left-bracketed product of the earlier ones reaches from 0 becomes one,
+    so they generate the group, at most log2(order) of them.  (ab)c =
+    a(bc) is checked for every a and c and each b in gens only: the b that
+    pass are closed under products and include 0, so every b passes.
+    `quotient_of` is (G, N) when `quotient_group` built the group as G/N,
+    and None otherwise.
     """
 
-    __slots__ = ("order", "mul", "inv", "label", "quotient_of", "_memo")
+    __slots__ = ("order", "mul", "inv", "gens", "label", "quotient_of", "_memo")
 
     def __init__(self, mul, label: str = "G"):
-        rows = tuple(tuple(int(x) for x in row) for row in mul)
+        rows = tuple(tuple(map(int, row)) for row in mul)
         n = len(rows)
         if n == 0:
             raise GroupConstructionError("empty multiplication table")
@@ -89,30 +93,38 @@ class GroupTable:
                 raise GroupConstructionError(f"row {g} has length {len(row)}, expected {n}")
             if frozenset(row) != full:
                 raise GroupConstructionError(f"row {g} is not a permutation of 0..{n - 1}")
-        for c in range(n):
-            if frozenset(rows[g][c] for g in range(n)) != full:
+        for c, col in enumerate(zip(*rows)):
+            if frozenset(col) != full:
                 raise GroupConstructionError(f"column {c} is not a permutation of 0..{n - 1}")
-        for g in range(n):
-            if rows[0][g] != g or rows[g][0] != g:
-                raise GroupConstructionError("element 0 is not a two-sided identity")
+        if rows[0] != tuple(range(n)) or tuple(row[0] for row in rows) != rows[0]:
+            raise GroupConstructionError("element 0 is not a two-sided identity")
         inv = [-1] * n
         for g in range(n):
             h = rows[g].index(0)
             if rows[h][g] != 0:
                 raise GroupConstructionError(f"element {g} has no two-sided inverse")
             inv[g] = h
-        # every triple, or spot checks on a fixed deterministic sample
-        sample = range(n) if n <= _FULL_ASSOCIATIVITY_BOUND else range(0, n, max(1, n // 7))
-        for a in sample:
-            ra = rows[a]
-            for b in sample:
-                rb, rab = rows[b], rows[ra[b]]
-                for c in sample:
-                    if rab[c] != ra[rb[c]]:
-                        raise GroupConstructionError(f"associativity fails at ({a},{b},{c})")
+        gens, reached = [], {0}
+        for x in range(n):
+            if x not in reached:
+                gens.append(x)
+                frontier = list(reached)
+                while frontier:
+                    row = rows[frontier.pop()]
+                    for y in map(row.__getitem__, gens):
+                        if y not in reached:
+                            reached.add(y)
+                            frontier.append(y)
+        for b in gens:
+            rb, times_b = rows[b], itemgetter(*rows[b])
+            for a, ra in enumerate(rows):
+                if rows[ra[b]] != times_b(ra):
+                    c = next(c for c in range(n) if rows[ra[b]][c] != ra[rb[c]])
+                    raise GroupConstructionError(f"associativity fails at ({a},{b},{c})")
         self.order = n
         self.mul = rows
         self.inv = tuple(inv)
+        self.gens = tuple(gens)
         self.label = label
         self.quotient_of = None
         self._memo = {}
@@ -386,7 +398,9 @@ def quotient_group(G: GroupTable, N: SubgroupSet) -> tuple[GroupTable, tuple[int
     preimage of N (third isomorphism theorem): the same object as that
     first-level quotient, with the composite projection.  Numbering by least
     member makes the two tables equal.  Any other projection is verified to
-    be a surjective homomorphism.
+    be a surjective homomorphism: proj(ab) = proj(a) proj(b) for every a and
+    each b in G.gens, which as G and Q are associative holds for every b
+    that is a product of such b, so for all of G.
     """
     if N.parent is not G:
         raise GroupConstructionError("subgroup belongs to a different group")
@@ -413,9 +427,10 @@ def quotient_group(G: GroupTable, N: SubgroupSet) -> tuple[GroupTable, tuple[int
         proj = tuple(coset_of)
         Q = GroupTable([[proj[G.mul[a][b]] for b in reps] for a in reps], label=f"{G.label}/H{len(N)}")
         Q.quotient_of = (G, N)
-    for a in range(G.order):
-        for b in range(G.order):
-            if proj[G.mul[a][b]] != Q.mul[proj[a]][proj[b]]:
+    for b in G.gens:
+        qb = proj[b]
+        for a, row in enumerate(G.mul):
+            if proj[row[b]] != Q.mul[proj[a]][qb]:
                 raise GroupConstructionError("projection is not a homomorphism")
     return Q, proj
 

@@ -217,6 +217,18 @@ def test_dixon_matches_direct_abelian_characters(name):
     assert computed == reference
 
 
+@pytest.mark.parametrize("name", ["C30", "C42", "C2xC30"])
+def test_the_principal_row_comes_first_whatever_the_coordinates(name):
+    # in Q(zeta_30) zeta^23 = 1 + z - z^3 - z^4 - z^5 + z^7 starts with the
+    # coordinates (1, 1) of 1 = (1, 0, ...), so descending coordinates alone
+    # put a linear character before the principal one and validation failed
+    G = catalog_group(name)
+    T = dixon_character_table(G)
+    assert T.validation.ok
+    assert all(v == 1 for v in T.values[0])
+    assert sorted(tuple(key(v.lifted(T.exponent)) for v in row) for row in _abelian_reference_rows(name)) == rows_as_multiset(T)
+
+
 @pytest.mark.parametrize(
     "name", CATALOG + ["C2xC2xC2xC2", "S3xQ8", "D24", "Q32", "C17", "C4xC5"]
 )
