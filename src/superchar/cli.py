@@ -16,6 +16,7 @@ import sys
 from .chartab import DEFAULT_MAX_ORDER, character_table_of, ingest_table
 from .errors import CharacterTableError, GroupConstructionError, SuperTheoryError
 from .groups import GroupTable, build_group, read_text
+from .reports import CheckReport
 from .structure import (
     hypercenter,
     is_s_abelian,
@@ -204,6 +205,11 @@ def _analysis(G: GroupTable, S: SuperTheory) -> dict:
         )
     vz = is_vz(S)
     cls = s_nilpotence_class(S)
+    if is_s_abelian(S) or not vz.holds:  # L-scd's hypothesis fails: no degree checks
+        scd = CheckReport(f"supercharacter degrees for a theory of {G.label}")
+        scd.note("not a non-S-abelian VZ theory; not applicable")
+    else:
+        scd = scd_check(S)
     return {
         "group": {"label": G.label, "order": G.order},
         "xparts": S.xparts_json(),
@@ -221,7 +227,7 @@ def _analysis(G: GroupTable, S: SuperTheory) -> dict:
         "hypercenter": list(hypercenter(S).sorted_members()),
         "nilpotence_class": cls,
         "vz": vz.to_json(),
-        "scd": scd_check(S).to_json(),
+        "scd": scd.to_json(),
     }
 
 

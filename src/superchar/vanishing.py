@@ -402,14 +402,12 @@ def is_vz(S: SuperTheory) -> CaminaVerdict:
 
 
 def scd_check(S: SuperTheory) -> CheckReport:
-    """Supercharacter degrees of a non-S-abelian VZ theory: every part over
-    [G,S] satisfies sigma(1)^2 = ||X||^2 |G : Z(S)| (exact integers), its
-    values on Z(S) have |sigma(z)| = sigma(1), and the degree set is
-    {1} u {|G : Z(S)|}."""
+    """Supercharacter degrees, the conclusion of L-scd for a non-S-abelian
+    VZ theory: every part over [G,S] satisfies sigma(1)^2 = ||X||^2
+    |G : Z(S)| (exact integers), its values on Z(S) have |sigma(z)| =
+    sigma(1), and the degree set is {1} u {|G : Z(S)|}.  Its checks are
+    made on any theory; the hypothesis is the caller's."""
     rep = CheckReport(f"supercharacter degrees for a theory of {S.group.label}")
-    if is_s_abelian(S) or not is_vz(S).holds:
-        rep.note("not a non-S-abelian VZ theory; not applicable")
-        return rep
     center = s_center(S)
     com = s_commutator_full(S)
     index = S.group.order // len(center)

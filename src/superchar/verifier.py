@@ -6,12 +6,13 @@ conclusion) row per scope (subgroup, subgroup pair, or element): the
 hypothesis True, False or `VACUOUS`, the conclusion a callable that
 evaluates both sides of every claimed equivalence independently and gives
 (holds, witness).  A checker is the one place its theorem's conclusion is
-evaluated: the builders in `vanishing` compute values and check none of
-them, so a false conclusion fails its own rows, not every checker that
-builds the value.  `_encode_rows` alone turns rows into statuses.  Failures
-are data, not exceptions; a corpus run over the default catalog is
-expected to produce zero fail-status reports, and any fail is either an
-implementation bug or a genuine counterexample worth looking at.
+evaluated: the builders in `structure` and `vanishing` compute values and
+check none of them, so a false conclusion fails its own rows, not every
+checker that builds the value.  `_encode_rows` alone turns rows into
+statuses.  Failures are data, not exceptions; a corpus run over the
+default catalog is expected to produce zero fail-status reports, and any
+fail is either an implementation bug or a genuine counterexample worth
+looking at.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .structure import (
     super_kernel,
     upper_series,
 )
+from . import supertheory
 from .supertheory import (
-    MAX_CLASSES,
     SuperTheory,
     coarsest,
     deflation,
@@ -328,8 +329,7 @@ def _check_vznilp(S: SuperTheory):
 
 @theorem("L-scd", "supercharacter degrees of VZ theories")
 def _check_scd(S: SuperTheory):
-    rep = scd_check(S)
-    yield {}, bool(rep.checks), lambda: _failing([c.name for c in rep.failures])
+    yield {}, not is_s_abelian(S) and is_vz(S).holds, lambda: _failing([c.name for c in scd_check(S).failures])
 
 
 @theorem("L-unormal", "U(S|N) is S-normal")
@@ -465,7 +465,7 @@ def _check_uquot(S: SuperTheory):
         # U(S^{G/N} | HN/N) = U(S|H)N/N
         lhs = u_rel(deflation(S, N), quotient_image(S.group, N, H))
         rhs = quotient_image(S.group, N, u_rel(S, H))
-        return _failing([] if lhs is rhs else [f"deflated U = {lhs.sorted_members()}, projected U = {sorted(rhs.members)}"])
+        return _failing([] if lhs is rhs else [f"deflated U = {_sub(lhs)}, projected U = {sorted(rhs.members)}"])
 
     for N in subs:
         for H in subs:
@@ -480,7 +480,7 @@ def _check_ukernel(S: SuperTheory):
         intersection = frozenset(range(S.group.order)).intersection(*(super_kernel(s).members for s in family))
         U = u_rel(S, N)
         if intersection != U.members:
-            return False, {"failing": [f"intersection {sorted(intersection)}, U(S|N) {U.sorted_members()}"]}
+            return False, {"failing": [f"intersection {sorted(intersection)}, U(S|N) {_sub(U)}"]}
         return True, None if family else {"notes": ["the character family is empty; the intersection defaults to G"]}
 
     for N in s_normal_subgroups(S):
@@ -536,6 +536,41 @@ def _check_prop42(S: SuperTheory):
         if witness is None and not raw_subgroups:
             witness = {"note": "some nonvanishing sets needed closure to become subgroups"}
         yield {"n": N}, True, lambda: (not fails, witness)
+
+
+@theorem("L-comker", "[G,S] is the intersection of the supercharacter kernels containing it")
+def _check_comker(S: SuperTheory):
+    def conclusion():
+        com = s_commutator_full(S)
+        kernels = (super_kernel(sigma).members for sigma in S.supercharacters())
+        meet = frozenset(range(S.group.order)).intersection(*(ker for ker in kernels if com.members <= ker))
+        ok = meet == com.members
+        return ok, None if ok else {"commutator": _sub(com), "intersection": sorted(meet)}
+
+    yield {}, True, conclusion
+
+
+@theorem("L-superker", "ker(sigma_X) is the intersection of the kernels of the characters in X")
+def _check_superker(S: SuperTheory):
+    def conclusion(sigma):
+        ker = super_kernel(sigma)
+        classical = frozenset(range(S.group.order)).intersection(*(S.table.char_kernel(t).members for t in sigma.part))
+        ok = ker.members == classical
+        return ok, None if ok else {"kernel": _sub(ker), "classical": sorted(classical)}
+
+    for sigma in S.supercharacters():
+        yield {"sigma": sigma.index}, True, lambda: conclusion(sigma)
+
+
+@theorem("L-nilclass", "the upper and lower central series give the same nilpotence class")
+def _check_nilclass(S: SuperTheory):
+    def conclusion():
+        upper, low = s_nilpotence_class(S), lower_series(S)
+        # the class c is the first with gamma_(c+1) = 1
+        lower = next((c for c, H in enumerate(low.terms, low.start_index - 1) if len(H) == 1), None)
+        return upper == lower, None if upper == lower else {"upper": upper, "lower": lower}
+
+    yield {}, True, conclusion
 
 
 THEOREM_IDS = tuple(_CHECKERS)
@@ -622,7 +657,7 @@ def run_suite(S: SuperTheory, counts: dict, fails: list):
 
 
 def _theories_for(table, all_scts: bool):
-    if all_scts and table.n_classes <= MAX_CLASSES:
+    if all_scts and table.n_classes <= supertheory.MAX_CLASSES:
         return enumerate_scts(table), True
     theories = [finest(table)]
     if table.group.order >= 2:

@@ -7,7 +7,7 @@ import io
 
 from superchar.verifier import DEFAULT_CATALOG, run_corpus
 
-DEFAULT_CORPUS_SHA256 = "9399c09d17685f589c83d99a8d1e8dd2fa9705184a66f9c8360e9d9ae87dc563"
+DEFAULT_CORPUS_SHA256 = "0c41f4473f938f048a1f394755f702b3f99377745b32220db2b5c00cc9156eb2"
 
 
 def test_default_corpus_digest():

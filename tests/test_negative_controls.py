@@ -10,10 +10,11 @@ so none of this reaches the canonical bytes.
 
 Ids without a row whose hypothesis fails have no control here: L-cp's
 hypothesis picks its scopes (a row for each would add rows), and C-class
-has no conclusion where the class is undefined.  L-scd's and T-ugroupp's
-controls never fail: `scd_check` makes no check outside its own
-hypothesis, and on the S-abelian theories of the corpus U(S|N) is still
-the largest subgroup with the vanishing property.
+has no conclusion where the class is undefined.  T-ugroupp's control
+never fails: on the S-abelian theories of the corpus U(S|N) is still the
+largest subgroup with the vanishing property.  L-scd's hypothesis, a
+non-S-abelian VZ theory, is its checker's, so `scd_check` makes its
+degree checks on any theory and most of them fail off VZ.
 """
 
 from superchar.chartab import character_table_of
@@ -27,11 +28,11 @@ CONTROLS = {
     "C-hyper": (118, 116, ("C2", 0, {}, None)),
     "L-vsn": (673, 308, ("C2", 0, {"n": [0, 1]}, {"v": [0], "deflated-v": [0]})),
     "T-vznilp": (224, 224, ("C2", 0, {}, {"class": 1})),
-    "L-scd": (224, 0, None),
+    "L-scd": (224, 214, ("C3", 1, {}, {"failing": ["degree-sigma-1", "degree-set"]})),
     "T-ugroupp": (10, 0, None),
     "L-ucap": (327, 224, ("C2", 0, {"n": [0, 1]}, None)),
     "L-uquot": (3330, 840, ("C6", 0, {"n": [0, 3], "h": [0, 2, 4]},
-                            {"failing": ["deflated U = (0, 1, 2), projected U = [0]"]})),
+                            {"failing": ["deflated U = [0, 1, 2], projected U = [0]"]})),
     "T-final": (10, 10, ("C2", 0, {}, {"vz": True, "z=v": False, "u=[G,S]": False})),
 }
 

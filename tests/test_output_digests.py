@@ -18,12 +18,12 @@ OUTPUT_SHA256 = {
     ("enumerate", "D12"): "b96e0c5c15e2de3857531604b3a6167cd4d75cef6a86bbc0f8342c5ad373ca4d",
     ("enumerate", "C10"): "4493c1082e100a16e37b3d87503efc41b169ef6ef784b91e0ece67a2547ac1a4",
     ("enumerate", "D4xC2"): "d0b6a5d35b57d2dc4021aa8db868084194870b2990c673df7a235960a8d21775",
-    ("verify --extremes-only", "C2xC2xC2xC2"): "473dacc3d265b71f9f70c203f631b04cb72f0aa05b702feaac9fa20bd3c79d03",
-    ("verify --extremes-only", "S3xQ8"): "62d2dfb3c792cf1011131d4e494a769bb4e5fd965a20d052a92bcd60c8e65f29",
-    ("verify --extremes-only", "D24"): "3c38e6c4e00f744a0ffb3201d511cc47bc38533e108d04cd33c2f18926444ea8",
-    ("verify --extremes-only", "Q32"): "f67d3956f019b45f194afd4207d1dada260ae55a9e82ad53572177ff1f452cb6",
-    ("verify --extremes-only", "C17"): "2f5fc5c26fb35955820d6f0a782aaa70dff6891190285469164722f039c772d9",
-    ("verify --extremes-only", "C4xC5"): "38785f8fc27469e26cac07aa2fcc38b78dcd88471c1c2f47545dab42a0da3db4",
+    ("verify --extremes-only", "C2xC2xC2xC2"): "b1702e2755ec474e68dc8ad551100cc00f46cf47d138f63ba11e218c5c1d869c",
+    ("verify --extremes-only", "S3xQ8"): "29b6427e3af1bf382340bdbd0577e6ad98b15c83d8bcb7d1a8d4bf1ecb01558c",
+    ("verify --extremes-only", "D24"): "8916b1f125a908aeb9dd7bb7350024f2e6a25bb378e03531da0ef29bda0eee70",
+    ("verify --extremes-only", "Q32"): "39907090b7c77f2e899513d628db729f9e685702814fb0fb5bcd2f87dd0419f6",
+    ("verify --extremes-only", "C17"): "80d5d375d2704de02626951454a024c23051460e2297e520c81833642f710036",
+    ("verify --extremes-only", "C4xC5"): "86fe43d6f966b788e40ce6f700c164a03f2f7dbdf59b395040bc95fc3e73dae2",
     ("analyze --sct finest", "S3"): "568bca401c69a0bf42c22ce90fd2950a3426c7297c2a3f1b9fe0d1ac84e7c2e7",
     ("analyze --sct finest", "A4"): "4822eec66b5058faa440e3acc3f0ae970178350f8c209c19e05038267318fa35",
     ("analyze --sct finest", "S4"): "1e992b40b153d22bed6ee12e3c32f318de106bd7d6df0d1d92873fdf4713764b",

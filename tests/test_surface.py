@@ -122,8 +122,23 @@ def test_no_checker_names_a_status():
     tree = ast.parse((PACKAGE / "verifier.py").read_text(encoding="utf-8"))
     checkers = [node for node in tree.body if isinstance(node, ast.FunctionDef) and any(
         isinstance(d, ast.Call) and getattr(d.func, "id", None) == "theorem" for d in node.decorator_list)]
-    assert len(checkers) == 31
+    assert len(checkers) == 34
     assert {node.name: _statuses_named(node) for node in checkers} == {node.name: [] for node in checkers}
+
+
+def test_structure_raises_only_where_a_value_would_not_exist():
+    # its identities are theorems that the checkers evaluate; a raise is left
+    # only where the value asked for does not exist
+    tree = ast.parse((PACKAGE / "structure.py").read_text(encoding="utf-8"))
+    raised = sorted((node.lineno, ast.unparse(node.exc.args[0])) for node in ast.walk(tree)
+                    if isinstance(node, ast.Raise) and getattr(node.exc, "func", None)
+                    and getattr(node.exc.func, "id", None) == "ConsistencyError")
+    assert [text for _, text in raised] == [
+        "'Z(S) is not a subgroup; the theory is invalid'",
+        "'supercharacter kernel is not a subgroup'",
+        "f'{kind} series failed to descend'",
+        "'upper series term is not S-normal'",
+    ]
 
 
 def test_statuses_are_named_only_by_the_status_rule_and_the_summary_keys():

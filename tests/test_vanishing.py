@@ -252,7 +252,7 @@ def test_u_quotient_check():
     C6, S6 = theory_of("C6")
     # V(S|{0,3}) = C6 escapes {0,2,4}: the hypothesis fails, and so does the conclusion
     assert concluded_at("L-uquot", S6, {"n": generated_subgroup(C6, [3]), "h": generated_subgroup(C6, [2])}) == (
-        False, {"failing": ["deflated U = (0, 1, 2), projected U = [0]"]})
+        False, {"failing": ["deflated U = [0, 1, 2], projected U = [0]"]})
 
 
 def test_u_kernel_check():
@@ -327,9 +327,10 @@ def test_scd_check_catches_a_central_value_of_the_wrong_modulus():
 
 
 def test_scd_not_applicable_off_vz():
+    # S3 is not VZ: L-scd does not apply, and its conclusion, called anyway, is false
     s3, Ss = theory_of("S3")
-    rep = scd_check(Ss)
-    assert not rep.checks and rep.notes
+    assert [hypothesis for _, hypothesis, _ in _CHECKERS["L-scd"](Ss)] == [False]
+    assert concluded_at("L-scd", Ss, {}) == (False, {"failing": ["degree-sigma-2", "degree-set"]})
 
 
 def test_u_rel_requires_s_normal():

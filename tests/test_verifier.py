@@ -11,12 +11,14 @@ import pytest
 
 from superchar.chartab import CharacterTable, character_table_of
 from superchar.errors import OrderBoundError
-from superchar.groups import GroupTable, catalog_group
-from superchar.supertheory import enumerate_scts, finest
+from superchar.groups import GroupTable, catalog_group, full_subgroup, release
+from superchar.structure import SeriesResult
+from superchar.supertheory import coarsest, enumerate_scts, finest
 from superchar.verifier import (
     DEFAULT_CATALOG,
     THEOREM_DESCRIPTIONS,
     THEOREM_IDS,
+    _theories_for,
     failing_reports,
     run_corpus,
     run_suite,
@@ -76,6 +78,9 @@ def test_theorem_registry_is_complete():
         "P-roworth",
         "P-colorth",
         "P-prop42",
+        "L-comker",
+        "L-superker",
+        "L-nilclass",
     )
     assert list(THEOREM_DESCRIPTIONS) == list(THEOREM_IDS)
     assert all(THEOREM_DESCRIPTIONS.values())
@@ -534,6 +539,62 @@ def test_guard_fallback_to_extreme_theories():
     assert entry["theory_count"] == 2
     assert entry["enumerated"] is False
     assert corpus["summary"]["fail"] == 0
+
+
+def test_one_assignment_moves_the_enumeration_guard(monkeypatch):
+    # verify reads the guard enumerate_scts keeps: D4's 5 classes now exceed it
+    import superchar.supertheory as supertheory
+
+    monkeypatch.setattr(supertheory, "MAX_CLASSES", 4)
+    table = character_table_of(catalog_group("D4"))
+    assert _theories_for(table, True) == ([finest(table), coarsest(table)], False)
+
+
+def changed_rows(clean, planted):
+    """(theorem id, scope, status, witness) of each report of planted that
+    differs from the one at its place in clean."""
+    assert len(planted) == len(clean)
+    return [(r["theorem_id"], r["scope"], r["status"], r.get("witness"))
+            for r, c in zip(planted, clean) if r != c]
+
+
+def test_a_longer_lower_series_fails_only_the_theorems_that_state_it(monkeypatch):
+    # gamma_1 repeated on Q8's finest theory, wherever the lower series is read:
+    # its class reads 3 against the upper series' 2
+    import superchar.structure as structure
+    import superchar.verifier as verifier
+
+    S = finest(character_table_of(catalog_group("Q8")))
+    clean = suite(S)
+    real = structure.lower_series
+
+    def planted(T):
+        low = real(T)
+        return SeriesResult("lower", low.terms[:1] + low.terms, low.start_index) if T is S else low
+
+    for module in (structure, verifier):
+        monkeypatch.setattr(module, "lower_series", planted)
+    assert changed_rows(clean, suite(S)) == [
+        ("T-vseries", {}, "fail", {"failing": ["interleaving-1", "interleaving-2", "deflated-class-3"]}),
+        ("L-nilclass", {}, "fail", {"upper": 2, "lower": 3}),
+    ]
+
+
+def test_a_wrong_classical_kernel_fails_only_its_supercharacter(monkeypatch):
+    # chi_2's kernel planted as G on S3's finest theory; the quotient tables,
+    # whose inflation reads char_kernel, are cached on the table by a clean run
+    S = finest(character_table_of(catalog_group("S3")))
+    clean = suite(S)
+    release(S)
+    real = CharacterTable.char_kernel
+
+    def planted(table, t):
+        return full_subgroup(table.group) if table is S.table and t == 2 else real(table, t)
+
+    monkeypatch.setattr(CharacterTable, "char_kernel", planted)
+    assert changed_rows(clean, suite(S)) == [
+        ("L-superker", {"sigma": 2}, "fail", {"kernel": [0], "classical": [0, 1, 2, 3, 4, 5]}),
+    ]
 
 
 def test_any_checker_exception_becomes_a_fail_report(monkeypatch):
