@@ -262,9 +262,6 @@ class ElementPartition:
     def __hash__(self):
         return hash((self.n, self.blocks))
 
-    def block_containing(self, x: int) -> frozenset[int]:
-        return self.blocks[self.block_of[x]]
-
     def to_json(self):
         return [sorted(b) for b in self.blocks]
 

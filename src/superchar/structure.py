@@ -8,8 +8,7 @@ identities relating these values are theorems (L-comker, L-superker,
 L-nilclass), evaluated by their checkers in `verifier`.  ConsistencyError
 is raised only where a value would not exist: Z(S) or a supercharacter
 kernel that is not a subgroup, a commutator series that fails to descend
-(it would never stop), or an upper series term that is not S-normal (the
-next deflation is over it).
+(it would never stop), or an upper series term that is not a subgroup.
 """
 
 from __future__ import annotations
@@ -23,10 +22,9 @@ from .groups import (
     normal_closure,
     normal_subgroup,
     normal_subgroups,
-    preimage,
     trivial_subgroup,
 )
-from .supertheory import SuperCharacter, SuperTheory, deflation, require_s_normal
+from .supertheory import SuperCharacter, SuperTheory, require_s_normal
 
 
 @cached
@@ -81,6 +79,15 @@ def super_kernel(sigma: SuperCharacter) -> SubgroupSet:
         return normal_subgroup(S.group, mask)
     except GroupConstructionError as exc:
         raise ConsistencyError("supercharacter kernel is not a subgroup") from exc
+
+
+@cached
+def _differences(S: SuperTheory) -> tuple[int, ...]:
+    """The mask of g^-1 Cl_S(g) for each element g: the differences a
+    transversal test needs, and gN is a singleton superclass of S^{G/N}
+    exactly when N holds those of g."""
+    G = S.group
+    return tuple(element_mask(G.mul[G.inv[g]][y] for y in S.superclass(g)) for g in range(G.order))
 
 
 @cached
@@ -143,15 +150,19 @@ def lower_series(S: SuperTheory) -> SeriesResult:
 
 @cached
 def upper_series(S: SuperTheory) -> SeriesResult:
-    """zeta_0 = 1 and zeta_i / zeta_{i-1} = Z(S^{G/zeta_{i-1}}), pulled back
-    through the projection, until stabilization."""
+    """zeta_0 = 1 and zeta_i / zeta_{i-1} = Z(S^{G/zeta_{i-1}}), until
+    stabilization.  gN is a singleton superclass of S^{G/N} exactly when
+    Cl_S(g) lies in gN, so zeta_i = {g : g^-1 Cl_S(g) <= zeta_{i-1}},
+    read off G with no quotient built."""
     G = S.group
     terms = [trivial_subgroup(G)]
     while True:
         prev = terms[-1]
-        nxt = preimage(G, prev, s_center(deflation(S, prev)))
-        if not S.is_s_normal(nxt):
-            raise ConsistencyError("upper series term is not S-normal")
+        mask = element_mask(g for g, d in enumerate(_differences(S)) if not d & ~prev.mask)
+        try:
+            nxt = normal_subgroup(G, mask)
+        except GroupConstructionError as exc:
+            raise ConsistencyError("upper series term is not a subgroup") from exc
         if nxt == prev:
             break
         terms.append(nxt)

@@ -5,7 +5,9 @@ pairs, VZ) each admit several equivalent characterizations.  Every
 characterization is evaluated independently and packaged into a
 CaminaVerdict; nothing is derived from another condition, so a verdict
 with disagreeing conditions is a genuine counterexample to the theorem it
-encodes, never a shortcut artifact.
+encodes, never a shortcut artifact.  A verdict holds the conditions of
+one theorem and no others: a reading no theorem asserts is not computed,
+and an identity another theorem states is left to that theorem's checker.
 
 The builders of V(S|N), U(S|N) and their series compute values only:
 each theorem about them is evaluated by its checker in `verifier`.
@@ -29,6 +31,7 @@ from .groups import (
 from .reports import CheckReport
 from .structure import (
     SeriesResult,
+    _differences,
     commutator_series,
     irr_over,
     is_s_abelian,
@@ -50,28 +53,28 @@ from .supertheory import (
 class CaminaVerdict:
     """Outcome of a multi-characterization predicate.
 
-    `checks` lists each independently evaluated equivalent condition once,
-    as (name, holds, witness); `conditions` maps the names to their truth
-    values and `agreement` is True when they all coincide.  One rule gives
-    the `witnesses`: those of exactly the false conditions, where a
-    condition has one (None where it has not).  `extras` carries evaluated
-    but non-asserted readings.  The subject and each witness are
-    zero-argument callables that give the text, and do any work only the
-    text needs; `to_json` alone calls them, so a verdict that is never
-    shown formats nothing.
+    `checks` lists, as (name, holds, witness), the conditions that one
+    theorem asserts equivalent, each evaluated once and independently, the
+    defining one first: `holds` is its value.  `conditions` maps the names
+    to their truth values and `agreement` is True when they all coincide.
+    One rule gives the `witnesses`: those of exactly the false conditions,
+    where a condition has one (None where it has not).  The subject and
+    each witness are zero-argument callables that give the text, and do
+    any work only the text needs; `to_json` alone calls them, so a verdict
+    that is never shown formats nothing.
     """
 
-    __slots__ = ("subject", "holds", "conditions", "agreement", "vacuous", "witnesses", "extras")
+    __slots__ = ("subject", "holds", "conditions", "agreement", "vacuous", "witnesses")
 
-    def __init__(self, subject, holds: bool, checks, vacuous: bool = False, extras: dict | None = None):
-        self.subject, self.holds, self.vacuous = subject, holds, vacuous
+    def __init__(self, subject, checks, vacuous: bool = False):
+        self.subject, self.vacuous = subject, vacuous
         self.conditions, self.witnesses = {}, {}
         for name, ok, witness in checks:
             self.conditions[name] = ok
             if not ok and witness is not None:
                 self.witnesses[name] = witness
+        self.holds = checks[0][1]
         self.agreement = len(set(self.conditions.values())) == 1
-        self.extras = {} if extras is None else extras
 
     def to_json(self):
         out = {
@@ -84,8 +87,6 @@ class CaminaVerdict:
             out["vacuous"] = True
         if self.witnesses:
             out["witnesses"] = {k: text() for k, text in self.witnesses.items()}
-        if self.extras:
-            out["extras"] = {k: str(v) for k, v in self.extras.items()}
         return out
 
 
@@ -154,14 +155,6 @@ def _first_miss(S: SuperTheory, N: SubgroupSet, holds: int) -> int | None:
 
 
 @cached
-def _differences(S: SuperTheory) -> tuple[int, ...]:
-    """The mask of g^-1 Cl_S(g) for each element g, the differences a
-    transversal test needs."""
-    G = S.group
-    return tuple(element_mask(G.mul[G.inv[g]][y] for y in S.superclass(g)) for g in range(G.order))
-
-
-@cached
 def camina_masks(S: SuperTheory) -> tuple[int, int, int, int]:
     """The elements g at which each characterization of an S-Camina element
     holds, as masks (vanishing, class-coset, class-size, transversal): every
@@ -198,7 +191,7 @@ def is_camina_element(S: SuperTheory, g: int) -> CaminaVerdict:
     def coset_text():
         return f"Cl_S({g}) = {sorted(cls)}, g[G,S] = {sorted(S.group.mul[g][z] for z in com.members)}"
 
-    return CaminaVerdict(lambda: f"element {g}", vanishing, [
+    return CaminaVerdict(lambda: f"element {g}", [
         ("vanishing", vanishing, nonzero),
         ("class-coset", coset, coset_text),
         ("class-size", size, lambda: f"|Cl_S({g})| = {len(cls)}, |[G,S]| = {len(com)}"),
@@ -217,12 +210,12 @@ def gcp_holds(S: SuperTheory, N: SubgroupSet) -> bool:
 def is_s_gcp(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
     """Generalized S-Camina pair (G, N): every element outside N is an
     S-Camina element, with the equivalent vanishing, class-size and
-    transversal forms evaluated independently.
+    transversal forms evaluated independently (T-corgcp).
 
     The coset-product form is asserted in the reading "every superclass
     outside N is a union of [G,S]-cosets", available when [G,S] <= N; the
-    literal "over N and [G,S]" reading is recorded in `extras` and only
-    asserted when N = [G,S], where the two coincide.
+    literal "over N and [G,S]" reading is asserted, and evaluated, only at
+    N = [G,S], where the two coincide.
     """
     holds = gcp_holds(S, N)
     com = s_commutator_full(S)
@@ -240,12 +233,9 @@ def is_s_gcp(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
     if com.members <= N.members:
         checks.append(("coset-product", is_delta_product(S, com, N),
                        lambda: "some superclass outside N is not a union of [G,S]-cosets"))
-    extras: dict[str, object] = {}
-    if N.members <= com.members:
-        extras["coset-product-literal"] = is_delta_product(S, N, com)
-        if N is com:
-            checks.append(("coset-product-literal", extras["coset-product-literal"], None))
-    return CaminaVerdict(lambda: f"pair (G, {sorted(N.members)})", holds, checks, len(N) == S.group.order, extras)
+    if N is com:
+        checks.append(("coset-product-literal", is_delta_product(S, N, com), None))
+    return CaminaVerdict(lambda: f"pair (G, {sorted(N.members)})", checks, len(N) == S.group.order)
 
 
 @cached
@@ -282,7 +272,7 @@ def is_camina_triple(S: SuperTheory, N: SubgroupSet, M: SubgroupSet) -> CaminaVe
             f"{len(deflation(S, M).superclass(proj[wrong_size])) * len(M)}"
         )
 
-    return CaminaVerdict(lambda: f"triple (G, {sorted(N.members)}, {sorted(M.members)})", bad is None, [
+    return CaminaVerdict(lambda: f"triple (G, {sorted(N.members)}, {sorted(M.members)})", [
         ("coset-union", bad is None, lambda: f"superclass {sorted(bad)} is not a union of M-cosets"),
         ("class-size-product", wrong_size is None, deflated_size),
         ("transversal", short is None, lambda: f"element {short} misses an M-difference"),
@@ -299,25 +289,20 @@ def is_camina_pair(S: SuperTheory, N: SubgroupSet) -> CaminaVerdict:
     clauses read off where some member of Irr(S|N) is nonzero.
 
     The two-clause condition degenerates at N = 1 (no character lies over
-    the trivial subgroup), so there it is recorded but not asserted.
+    the trivial subgroup), so there it is neither asserted nor evaluated.
     """
     require_s_normal(S, N)
     bad = non_coset_union(S, N, N)
-    nonzero = reduce(or_, map(nonvanishing_mask, irr_over(S, N)), 0)
-    clause_a, clause_b = not nonzero & ~N.mask, not N.mask & ~nonzero
     checks = [
         ("coset-union", bad is None, lambda: f"superclass {sorted(bad)} is not a union of N-cosets"),
         ("construction", star_construct(S, N) is S, lambda: "the star construction over N differs from S"),
         ("vanishing-off", v_rel(S, N) is N, lambda: f"V(S|N) = {sorted(v_rel(S, N).members)}"),
     ]
-    extras: dict[str, object] = {}
     if len(N) > 1:
+        nonzero = reduce(or_, map(nonvanishing_mask, irr_over(S, N)), 0)
+        clause_a, clause_b = not nonzero & ~N.mask, not N.mask & ~nonzero
         checks.append(("two-clause", clause_a and clause_b, lambda: f"clause a: {clause_a}, clause b: {clause_b}"))
-    else:
-        extras["two-clause-at-trivial-n"] = clause_a and clause_b
-    return CaminaVerdict(
-        lambda: f"pair (G, {sorted(N.members)})", bad is None, checks, len(N) == S.group.order, extras
-    )
+    return CaminaVerdict(lambda: f"pair (G, {sorted(N.members)})", checks, len(N) == S.group.order)
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +356,10 @@ def u_theory(S: SuperTheory) -> SubgroupSet:
 def is_vz(S: SuperTheory) -> CaminaVerdict:
     """VZ: every supercharacter over [G,S] vanishes off Z(S).
 
-    For non-S-abelian theories this is asserted equivalent to
-    V(S) <= Z(S), Z(S) = V(S), and U(S) = [G,S]; when additionally
-    [G,S] <= Z(S), the coset-product, class-size and transversal forms of
-    the Camina triple (G, Z(S), [G,S]) join the asserted set.
+    L-vzs asserts this equivalent to V(S) <= Z(S) and, when
+    [G,S] <= Z(S), to the coset-product, class-size and transversal forms
+    of the Camina triple (G, Z(S), [G,S]).  That it is equivalent to
+    Z(S) = V(S) and to U(S) = [G,S] is T-final's, evaluated there.
     """
     center = s_center(S)
     com = s_commutator_full(S)
@@ -385,12 +370,6 @@ def is_vz(S: SuperTheory) -> CaminaVerdict:
         ("v-inside-center", V.members <= center.members,
          lambda: f"V(S) = {sorted(V.members)}, Z(S) = {sorted(center.members)}"),
     ]
-    if not is_s_abelian(S):
-        U = u_theory(S)
-        checks += [
-            ("center-equals-v", center is V, None),
-            ("u-equals-commutator", U is com, lambda: f"U(S) = {sorted(U.members)}, [G,S] = {sorted(com.members)}"),
-        ]
     if com.members <= center.members:
         triple = is_camina_triple(S, center, com).conditions
         checks += [
@@ -398,7 +377,7 @@ def is_vz(S: SuperTheory) -> CaminaVerdict:
             ("class-size-product", triple["class-size-product"], None),
             ("transversal", triple["transversal"], None),
         ]
-    return CaminaVerdict(lambda: "VZ", escaping is None, checks, len(center) == S.group.order)
+    return CaminaVerdict(lambda: "VZ", checks, len(center) == S.group.order)
 
 
 def scd_check(S: SuperTheory) -> CheckReport:

@@ -7,8 +7,9 @@ This is the oracle of `superchar.vanishing`: `is_camina_element`,
 verdicts whose `to_json()`, `holds`, `agreement` and `vacuous` equal
 those of the package's, and `check_ugroupp` must yield the scopes and
 hypotheses of the package's T-ugroupp checker, with conclusions that give
-the same (holds, witness) whether or not the hypothesis holds; it makes
-the membership check per element.
+the same (holds, witness) whether or not the hypothesis holds.
+`u_by_membership` is U(S|N) read element by element, the kernel
+intersection that L-ukernel states.
 `CaminaVerdict` is the verdict class as it stood, with eager text.
 """
 
@@ -30,20 +31,18 @@ class CaminaVerdict:
     """Outcome of a multi-characterization predicate.
 
     `conditions` holds the independently evaluated equivalent conditions;
-    `agreement` is True when they all coincide.  `extras` carries evaluated
-    but non-asserted readings, `witnesses` counterexample payloads for the
-    false conditions.
+    `agreement` is True when they all coincide.  `witnesses` carries
+    counterexample payloads for the false conditions.
     """
 
-    __slots__ = ("subject", "holds", "conditions", "agreement", "vacuous", "witnesses", "extras")
+    __slots__ = ("subject", "holds", "conditions", "agreement", "vacuous", "witnesses")
 
     def __init__(self, subject: str, holds: bool, conditions: dict[str, bool],
-                 vacuous: bool = False, witnesses: dict | None = None, extras: dict | None = None):
+                 vacuous: bool = False, witnesses: dict | None = None):
         self.subject, self.holds, self.conditions = subject, holds, conditions
         self.agreement = len(set(conditions.values())) == 1
         self.vacuous = vacuous
         self.witnesses = {} if witnesses is None else witnesses
-        self.extras = {} if extras is None else extras
 
     def to_json(self):
         out = {
@@ -56,8 +55,6 @@ class CaminaVerdict:
             out["vacuous"] = True
         if self.witnesses:
             out["witnesses"] = {k: str(v) for k, v in self.witnesses.items()}
-        if self.extras:
-            out["extras"] = {k: str(v) for k, v in self.extras.items()}
         return out
 
 
@@ -120,8 +117,8 @@ def is_s_gcp(S: SuperTheory, N) -> CaminaVerdict:
 
     The coset-product form is asserted in the reading "every superclass
     outside N is a union of [G,S]-cosets", available when [G,S] <= N; the
-    literal "over N and [G,S]" reading is recorded in `extras` and only
-    asserted when N = [G,S], where the two coincide.
+    literal "over N and [G,S]" reading only when N = [G,S], where the two
+    coincide.
     """
     require_s_normal(S, N)
     com = s_commutator_full(S)
@@ -146,23 +143,18 @@ def is_s_gcp(S: SuperTheory, N) -> CaminaVerdict:
         "transversal": short is None,
         "vanishing": escaping is None,
     }
-    extras: dict[str, object] = {}
     if com.members <= N.members:
         conditions["coset-product"] = is_delta_product(S, com, N)
         if not conditions["coset-product"]:
             witnesses["coset-product"] = "some superclass outside N is not a union of [G,S]-cosets"
-    if N.members <= com.members:
-        literal = is_delta_product(S, N, com)
-        extras["coset-product-literal"] = literal
-        if N.members == com.members:
-            conditions["coset-product-literal"] = literal
+    if N.members == com.members:
+        conditions["coset-product-literal"] = is_delta_product(S, N, com)
     return CaminaVerdict(
         f"pair (G, {sorted(N.members)})",
         holds=non_camina is None,
         conditions=conditions,
         vacuous=len(N) == S.group.order,
         witnesses=witnesses,
-        extras=extras,
     )
 
 
@@ -220,7 +212,7 @@ def is_camina_pair(S: SuperTheory, N) -> CaminaVerdict:
     S, V(S|N) = N, and the two-clause character condition.
 
     The two-clause condition degenerates at N = 1 (no character lies over
-    the trivial subgroup), so there it is recorded but not asserted.
+    the trivial subgroup), so there it is not asserted.
     """
     require_s_normal(S, N)
     witnesses: dict[str, object] = {}
@@ -235,39 +227,32 @@ def is_camina_pair(S: SuperTheory, N) -> CaminaVerdict:
     vsub = v_rel(S, N).members == N.members
     if not vsub:
         witnesses["vanishing-off"] = f"V(S|N) = {sorted(v_rel(S, N).members)}"
-    over = irr_over(S, N)
-    clause_a = _first_outside(S, N, lambda g: any(not sigma.value_on(g).is_zero() for sigma in over)) is None
-    clause_b = all(
-        any(not sigma.value_on(n).is_zero() for sigma in over) for n in sorted(N.members)
-    )
-    two_clause = clause_a and clause_b
-
     conditions = {
         "coset-union": coset,
         "construction": construction,
         "vanishing-off": vsub,
     }
-    extras: dict[str, object] = {}
     if len(N) > 1:
-        conditions["two-clause"] = two_clause
-        if not two_clause:
+        over = irr_over(S, N)
+        clause_a = _first_outside(S, N, lambda g: any(not sigma.value_on(g).is_zero() for sigma in over)) is None
+        clause_b = all(
+            any(not sigma.value_on(n).is_zero() for sigma in over) for n in sorted(N.members)
+        )
+        conditions["two-clause"] = clause_a and clause_b
+        if not conditions["two-clause"]:
             witnesses["two-clause"] = f"clause a: {clause_a}, clause b: {clause_b}"
-    else:
-        extras["two-clause-at-trivial-n"] = two_clause
     return CaminaVerdict(
         f"pair (G, {sorted(N.members)})",
         holds=coset,
         conditions=conditions,
         vacuous=len(N) == S.group.order,
         witnesses=witnesses,
-        extras=extras,
     )
 
 
 def check_ugroupp(S: SuperTheory):
-    """The rows of T-ugroupp, its membership check made per element."""
+    """The rows of T-ugroupp, each subgroup W tested on its own."""
     subs = s_normal_subgroups(S)
-    kernels = [(sigma, super_kernel(sigma).members) for sigma in S.supercharacters()]
 
     def failures(N):
         # the vanishing property of W: every member of Irr(S|W) vanishes off N
@@ -278,10 +263,6 @@ def check_ugroupp(S: SuperTheory):
         for W in subs:
             if not escaping_character(irr_over(S, W), N) and not W.members <= U.members:
                 fails.append(f"maximality-{_sub(W)}")
-        for g in range(S.group.order):
-            rhs = not escaping_character((sigma for sigma, ker in kernels if g not in ker), N)
-            if rhs != (g in U.members):
-                fails.append(f"membership-{g}")
         return fails
 
     if is_s_abelian(S):
@@ -289,3 +270,11 @@ def check_ugroupp(S: SuperTheory):
         return
     for N in subs:
         yield {"n": N}, True, lambda: _failing(failures(N))
+
+
+def u_by_membership(S: SuperTheory, N) -> frozenset[int]:
+    """U(S|N) element by element: g lies in it exactly when every
+    supercharacter whose kernel misses g vanishes off N."""
+    kernels = [(sigma, super_kernel(sigma).members) for sigma in S.supercharacters()]
+    return frozenset(g for g in range(S.group.order)
+                     if not escaping_character((sigma for sigma, ker in kernels if g not in ker), N))

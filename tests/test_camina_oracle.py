@@ -1,7 +1,8 @@
 """The Camina verdicts read off one mask per condition and theory against
 the per-element scans of `camina_oracle.py`: the same `to_json()`,
 `holds`, `agreement` and `vacuous` for every verdict, `gcp_holds` equal to
-the oracle's `holds`, and the same T-ugroupp rows."""
+the oracle's `holds`, the same T-ugroupp rows, and L-ukernel failing where
+a planted U(S|N) differs from the oracle's element-by-element U(S|N)."""
 
 import io
 
@@ -70,18 +71,24 @@ def test_every_verdict_of_the_large_extremes_matches_the_oracle():
 
 @pytest.mark.parametrize("wrong_u", [trivial_subgroup, full_subgroup])
 def test_failing_ugroupp_rows_match_the_oracle(wrong_u, monkeypatch):
-    # with U(S|N) replaced, membership fails at the elements where the
-    # kernel intersection and the planted U differ, named in element order
+    # with U(S|N) replaced, T-ugroupp's rows are still the oracle's, and test
+    # only the vanishing property and maximality.  U(S|N) as a kernel
+    # intersection is L-ukernel's: it fails at exactly the N where the planted
+    # U differs from the intersection, read element by element
     planted = lambda S, N: wrong_u(S.group)
     monkeypatch.setattr("superchar.verifier.u_rel", planted)
     monkeypatch.setattr(camina_oracle, "u_rel", planted)
-    memberships = 0
+    differing = 0
     for name in ("S3", "D4", "Q8", "A4", "S4"):
         for S in enumerate_scts(character_table_of(catalog_group(name))):
             rows = concluded(_CHECKERS["T-ugroupp"](S))
             assert rows == concluded(camina_oracle.check_ugroupp(S))
-            memberships += sum(f.startswith("membership-") for _, _, (_, w) in rows if w for f in w["failing"])
-    assert memberships
+            assert not [f for _, _, (_, w) in rows if w for f in w["failing"] if "membership-" in f]
+            for scope, _, (holds, _) in concluded(_CHECKERS["L-ukernel"](S)):
+                differs = camina_oracle.u_by_membership(S, scope["n"]) != wrong_u(S.group).members
+                assert holds != differs
+                differing += differs
+    assert differing
 
 
 def test_the_corpus_formats_no_cyclotomic(monkeypatch):

@@ -3,7 +3,8 @@
 `verify --extremes-only` on the groups beyond the default corpus and
 `analyze`, the one command that prints a verdict's witnesses, must
 print exactly these bytes, as `tests/test_corpus_digest.py` pins the
-corpus."""
+corpus.  The text of `analyze`, which shows no verdict's conditions, is
+pinned apart from its JSON."""
 
 import hashlib
 
@@ -24,11 +25,11 @@ OUTPUT_SHA256 = {
     ("verify --extremes-only", "Q32"): "39907090b7c77f2e899513d628db729f9e685702814fb0fb5bcd2f87dd0419f6",
     ("verify --extremes-only", "C17"): "80d5d375d2704de02626951454a024c23051460e2297e520c81833642f710036",
     ("verify --extremes-only", "C4xC5"): "86fe43d6f966b788e40ce6f700c164a03f2f7dbdf59b395040bc95fc3e73dae2",
-    ("analyze --sct finest", "S3"): "568bca401c69a0bf42c22ce90fd2950a3426c7297c2a3f1b9fe0d1ac84e7c2e7",
-    ("analyze --sct finest", "A4"): "4822eec66b5058faa440e3acc3f0ae970178350f8c209c19e05038267318fa35",
-    ("analyze --sct finest", "S4"): "1e992b40b153d22bed6ee12e3c32f318de106bd7d6df0d1d92873fdf4713764b",
-    ("analyze --sct coarsest", "D4"): "cd0f19c520fd0ca3cc64c1dacec7ec4c4d4175c364fd945fb8e4b1d99d396587",
-    ("analyze --sct coarsest", "Q8"): "3197bc6640313de1bb4aa5f5abb4c44f011ae5535f1526ba18fac4adcd39860c",
+    ("analyze --sct finest", "S3"): "0cdd358e1e77ce9432d7178e967010315a52297e64aecc45977effb84895be49",
+    ("analyze --sct finest", "A4"): "eb733d544bcf4645ead33c0636692c3cc895c62f3ec37d8eab03ab0e9e793760",
+    ("analyze --sct finest", "S4"): "1eaf3a38f8aff496eeaa649d371040f0f2ffb63f384587a9bce9d327dccfb1fa",
+    ("analyze --sct coarsest", "D4"): "be68f6460ccb6a2885cc496cfb577788a88fe95b8a18d106f94d3859c9620c9d",
+    ("analyze --sct coarsest", "Q8"): "be355382b061880143d588fc81cd876d03b133c69439bd5c4a8120d9337151ba",
 }
 
 
@@ -37,3 +38,19 @@ def test_json_output_digest(command, group, capsys):
     assert main([*command.split(), "--group", group, "--format", "json"]) == 0
     data = capsys.readouterr().out.encode("ascii")
     assert hashlib.sha256(data).hexdigest() == OUTPUT_SHA256[command, group]
+
+
+ANALYZE_TEXT_SHA256 = {
+    ("finest", "S3"): "c90f426c045e584ae6fbff1a2f52c0b414ad7cb3e033161eeb1424dfc9900c0b",
+    ("finest", "A4"): "cbc0bea87fc7724fc4dd76fcfc5f14f0410225f3a8542ac51afba83996038700",
+    ("finest", "S4"): "d7fac57b6c113c5ca218e7b912cfaf471ff5663e3b4454c7345f9a7900f59aee",
+    ("coarsest", "D4"): "ca10df343cbe0d6e9775f36eb8a017c19487bd91b0dd7867d5c76ba8a29a4e4f",
+    ("coarsest", "Q8"): "205481f5511189ac77af2bdb7df70ef41e822bd3bc2ba199866e3b288f4dbfc7",
+}
+
+
+@pytest.mark.parametrize("sct, group", sorted(ANALYZE_TEXT_SHA256))
+def test_analyze_text_digest(sct, group, capsys):
+    assert main(["analyze", "--sct", sct, "--group", group]) == 0
+    data = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == ANALYZE_TEXT_SHA256[sct, group]

@@ -413,7 +413,7 @@ def test_star_product_predicate_and_construction():
             for N in s_normal_subgroups(S2):
                 built = star_construct(S2, N)
                 for b in S2.yparts.blocks:
-                    assert b <= built.yparts.block_containing(min(b))
+                    assert b <= built.superclass(min(b))
                 assert is_delta_product(S2, N, N) == (built == S2)
 
 

@@ -116,14 +116,31 @@ def _statuses_named(node: ast.AST) -> list[str]:
     return [c.value for c in ast.walk(node) if isinstance(c, ast.Constant) and c.value in STATUSES]
 
 
-def test_no_checker_names_a_status():
-    # a checker yields (scope, hypothesis, conclusion); `_STATUS` alone
-    # turns these into a status
+def _checkers() -> list[ast.FunctionDef]:
+    """The definitions in verifier.py registered with `@theorem`."""
     tree = ast.parse((PACKAGE / "verifier.py").read_text(encoding="utf-8"))
     checkers = [node for node in tree.body if isinstance(node, ast.FunctionDef) and any(
         isinstance(d, ast.Call) and getattr(d.func, "id", None) == "theorem" for d in node.decorator_list)]
     assert len(checkers) == 34
+    return checkers
+
+
+def test_no_checker_names_a_status():
+    # a checker yields (scope, hypothesis, conclusion); `_STATUS` alone
+    # turns these into a status
+    checkers = _checkers()
     assert {node.name: _statuses_named(node) for node in checkers} == {node.name: [] for node in checkers}
+
+
+def test_no_checker_reads_a_condition_of_a_verdict():
+    # a verdict holds the conditions of one theorem, so a checker reads its
+    # agreement or holds, never a condition by name: an identity another
+    # theorem states is evaluated by that theorem's checker
+    checkers = _checkers()
+    reads = {node.name: [f"{ast.unparse(a)} at line {a.lineno}" for a in ast.walk(node)
+                         if isinstance(a, ast.Attribute) and a.attr in ("conditions", "extras")]
+             for node in checkers}
+    assert reads == {node.name: [] for node in checkers}
 
 
 def test_structure_raises_only_where_a_value_would_not_exist():
@@ -137,7 +154,7 @@ def test_structure_raises_only_where_a_value_would_not_exist():
         "'Z(S) is not a subgroup; the theory is invalid'",
         "'supercharacter kernel is not a subgroup'",
         "f'{kind} series failed to descend'",
-        "'upper series term is not S-normal'",
+        "'upper series term is not a subgroup'",
     ]
 
 

@@ -125,15 +125,24 @@ def test_gcp_examples():
     assert verdict.holds and verdict.agreement
 
 
-def test_gcp_literal_reading_recorded_but_not_asserted():
-    # at N = 1 <= [G,S] the literal coset-product reading is trivially true
-    # while the pair is not a GCP; it must be recorded without breaking
-    # the agreement of the asserted conditions
+def test_gcp_literal_reading_is_a_condition_exactly_at_the_commutator(monkeypatch):
+    # the literal "over N and [G,S]" coset-product reading is asserted only at
+    # N = [G,S], where it is the [G,S]-coset reading, and evaluated nowhere
+    # else: every coset-product test the verdict makes is over [G,S]-cosets.
+    # At N = 1 <= [G,S] it would be trivially true while S3's pair is no GCP
+    real, calls = vanishing.is_delta_product, []
+    monkeypatch.setattr(vanishing, "is_delta_product", lambda S, M, N: calls.append(M) or real(S, M, N))
+    for name in ("S3", "Q8", "D4", "A4"):
+        for S in enumerate_scts(character_table_of(catalog_group(name))):
+            com = s_commutator_full(S)
+            for N in s_normal_subgroups(S):
+                calls.clear()
+                verdict = is_s_gcp(S, N)
+                assert ("coset-product-literal" in verdict.conditions) == (N is com)
+                assert all(M is com for M in calls)
     G, S = theory_of("S3")
     verdict = is_s_gcp(S, trivial_subgroup(G))
-    assert verdict.extras.get("coset-product-literal") is True
-    assert not verdict.holds
-    assert verdict.agreement
+    assert not verdict.holds and verdict.agreement
 
 
 def test_camina_pair_examples():
@@ -144,7 +153,7 @@ def test_camina_pair_examples():
     assert is_camina_pair(S, full_subgroup(G)).holds
     triv = is_camina_pair(S, trivial_subgroup(G))
     assert triv.holds  # 1-cosets are singletons
-    assert "two-clause-at-trivial-n" in triv.extras
+    assert "two-clause" not in triv.conditions  # no character lies over N = 1
 
 
 def test_false_verdicts_carry_witnesses():
@@ -342,12 +351,12 @@ def test_u_rel_requires_s_normal():
 
 
 # sha256 over json.dumps(v.to_json(), sort_keys=True) of every verdict, in order
-CAMINA_VERDICTS = (8465, "869380e47bab1631601c76dd4bc986cbaf57c92f3395fec8d3e7da53ee1b1c3e")
+CAMINA_VERDICTS = (8465, "885726da5a013d8a94166b995eac98c2002e5a2b2f52416f6ca58c772193449a")
 
 
 def test_every_camina_verdict_of_the_default_catalog_is_pinned():
     # the corpus shows a verdict's witnesses only when a check fails; this
-    # pins every verdict, witnesses and extras included: per theory, each
+    # pins every verdict, witnesses included: per theory, each
     # element, gcp(N) and pair(N) per S-normal N, triple(N, M) per M <= N, VZ
     digest, count = hashlib.sha256(), 0
     for name in DEFAULT_CATALOG:

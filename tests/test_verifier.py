@@ -14,6 +14,7 @@ from superchar.errors import OrderBoundError
 from superchar.groups import GroupTable, catalog_group, full_subgroup, release
 from superchar.structure import SeriesResult
 from superchar.supertheory import coarsest, enumerate_scts, finest
+from superchar.vanishing import is_vz
 from superchar.verifier import (
     DEFAULT_CATALOG,
     THEOREM_DESCRIPTIONS,
@@ -578,6 +579,30 @@ def test_a_longer_lower_series_fails_only_the_theorems_that_state_it(monkeypatch
         ("T-vseries", {}, "fail", {"failing": ["interleaving-1", "interleaving-2", "deflated-class-3"]}),
         ("L-nilclass", {}, "fail", {"upper": 2, "lower": 3}),
     ]
+
+
+def test_a_wrong_u_of_s_fails_only_t_final(monkeypatch):
+    # U(S) planted as G on Q8's finest theory, a non-S-abelian VZ theory:
+    # U(S) = [G,S] is T-final's conclusion alone, so the VZ verdict and L-vzs,
+    # which read no U, are untouched
+    import superchar.vanishing as vanishing
+    import superchar.verifier as verifier
+
+    S = finest(character_table_of(catalog_group("Q8")))
+    clean = suite(S)
+    release(S)
+    real = vanishing.u_theory
+
+    def planted(T):
+        return full_subgroup(T.group) if T is S else real(T)
+
+    for module in (vanishing, verifier):
+        monkeypatch.setattr(module, "u_theory", planted)
+    assert changed_rows(clean, suite(S)) == [
+        ("T-final", {}, "fail", {"vz": True, "z=v": True, "u=[G,S]": False}),
+    ]
+    assert is_vz(S).holds and is_vz(S).agreement
+    release(S)
 
 
 def test_a_wrong_classical_kernel_fails_only_its_supercharacter(monkeypatch):
