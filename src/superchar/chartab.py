@@ -25,7 +25,8 @@ in exactly one class.
 
 The table of a quotient G/N is not recomputed: its irreducible characters
 are exactly the rows of the table of G whose kernel contains N, read on
-cosets (Isaacs, Character Theory of Finite Groups, Lemma 2.22).
+cosets (Isaacs, Character Theory of Finite Groups, Lemma 2.22), in the
+parent's field; a quotient of a quotient is inflated in two steps.
 Inflation preserves inner products and the parent table was validated in
 full, so the quotient table is proven by count alone: as many rows as
 classes of G/N, squared degrees summing to |G/N|, principal row first.
@@ -340,7 +341,9 @@ def _simultaneous_eigenvectors(coeffs, p: int) -> list[list[int]]:
 
 class CharacterTable:
     """Exact irreducible character values of a finite group, one row per
-    character and one column per conjugacy class (canonical class order).
+    character and one column per conjugacy class (canonical class order),
+    in Q(zeta_e), e = `exponent`: the group's exponent, or for a table
+    inflated onto G/N its parent table's, which exp(G/N) divides.
 
     `validation` holds the `validate_table` report made when the table was
     computed, inflated or ingested (None for a table built directly).  The
@@ -529,21 +532,22 @@ def dixon_character_table(G: GroupTable) -> CharacterTable:
 def quotient_character_table(T: CharacterTable, N: SubgroupSet) -> CharacterTable:
     """The table of G/N inflated from the table T of G, once per (T, N).
 
-    The rows of T whose kernel contains N are read at one preimage of each
-    class representative of G/N, lowered to the exponent of G/N and put in
-    Dixon's canonical order.  Inflation preserves inner products, so with T
-    valid the table is proven by its row count, its degree sum and its
-    principal row, which make up its `validation` report.  The table of
-    G/{1} = G is T.
+    The rows of T whose kernel contains N are read at one element of each
+    coset that is a class representative of G/N, with their values as
+    they are, in T's field Q(zeta_e), e = T.exponent, and put in Dixon's
+    canonical order.
+    Inflation preserves inner products, so with T valid the table is
+    proven by its row count, its degree sum and its principal row, which
+    make up its `validation` report.  The table of G/{1} = G is T.
     """
     if len(N) == 1:
         return T
     G = T.group
     Q, proj = quotient_group(G, N)
     reps = [proj.index(min(b)) for b in conjugacy_classes(Q).blocks]
-    e = Q.exponent()
+    e = T.exponent
     rows = [
-        tuple(T.value_at_element(t, g).lowered(e) for g in reps)
+        tuple(T.value_at_element(t, g) for g in reps)
         for t in range(len(T.values))
         if not N.mask & ~T.char_kernel(t).mask
     ]

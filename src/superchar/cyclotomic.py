@@ -9,7 +9,8 @@ are algebraic integers and have den == 1, so products and conjugates of
 them run on ints alone; `Fraction` appears only at the edges: rational
 construction, comparison and extraction and the text form.  No floating
 arithmetic enters any logic path.  Values of different orders are lifted
-to the lcm order before they are multiplied or compared.
+to the lcm order before they are multiplied or compared; no value is ever
+moved down to a subfield, so an inflated table keeps its parent's order.
 
 Exact sums run only on `Packing`: a value becomes one int whose base-2^w
 digits are its coordinates (Kronecker substitution).  A weighted sum of
@@ -102,26 +103,6 @@ def _value(order: int, num: tuple[int, ...], den: int = 1) -> "Cyclotomic":
     return v
 
 
-def _lower(e: int, num: tuple[int, ...], p: int) -> tuple[int, ...] | None:
-    # The coordinates in Q(zeta_(e/p)) of num in Q(zeta_e), or None when the
-    # value does not lie in that subfield; p is a prime factor of e.
-    m = e // p
-    if m % p == 0:
-        # Phi_e(x) = Phi_m(x^p): the subfield holds exactly the powers zeta_e^(pk)
-        return None if any(num[k] for k in range(len(num)) if k % p) else num[::p]
-    # zeta_e^k = zeta_p^u zeta_m^v by the Chinese remainder theorem, so the
-    # value is sum_u zeta_p^u c_u with c_u in Q(zeta_m); since the zeta_p^u,
-    # u >= 1, are a basis over Q(zeta_m) and sum to -1, it lies in Q(zeta_m)
-    # exactly when every c_u - c_0 (u >= 1) is equal, and then it is c_0 - c_1
-    up, vp = pow(m, -1, p), pow(p, -1, m)
-    dense = [[0] * m for _ in range(p)]
-    for k, c in enumerate(num):
-        dense[k * up % p][k * vp % m] += c
-    c0, *rest = (_reduce(d, m) for d in dense)
-    diffs = {tuple(a - b for a, b in zip(cu, c0)) for cu in rest}
-    return tuple(-x for x in diffs.pop()) if len(diffs) == 1 else None
-
-
 # an unsigned term: a coefficient, a power of z, or both joined by `*`
 _TERM_RE = re.compile(r"^(?:(?P<coef>\d+(?:/\d*[1-9]\d*)?)(?:\*(?=z))?)?(?P<z>z(?:\^(?P<exp>\d+))?)?$")
 
@@ -165,25 +146,6 @@ class Cyclotomic:
         for k, c in enumerate(self.num):
             dense[k * step] = c
         return _value(new_order, _reduce(dense, new_order), self.den)
-
-    def lowered(self, new_order: int) -> "Cyclotomic":
-        """The same value viewed in Q(zeta_new_order), the inverse of `lifted`;
-        requires new_order | order and the value to lie in that subfield."""
-        if new_order == self.order:
-            return self
-        if self.order % new_order:
-            raise ValueError(f"cannot lower order {self.order} into order {new_order}")
-        e, num = self.order, self.num
-        p = 2
-        while e != new_order:
-            if (e // new_order) % p:
-                p += 1
-                continue
-            num = _lower(e, num, p)
-            if num is None:
-                raise ValueError(f"{self} does not lie in Q(zeta_{new_order})")
-            e //= p
-        return _value(e, num, self.den)
 
     def _pair(self, other: "Cyclotomic"):
         if other.order == self.order:

@@ -185,10 +185,6 @@ class SubgroupSet:
             self.json = b"[%s]" % b",".join(b"%d" % g for g in sorted(self.members))
         return self.json
 
-    def is_normal(self) -> bool:
-        G = self.parent
-        return all(G.conjugate(g, h) in self.members for g in self.members for h in range(G.order))
-
     def __repr__(self) -> str:
         return f"SubgroupSet({self.parent.label}, {sorted(self.members)})"
 
@@ -387,56 +383,37 @@ def quotient_image(G: GroupTable, N: SubgroupSet, H: SubgroupSet) -> SubgroupSet
 
 @cached
 def quotient_group(G: GroupTable, N: SubgroupSet) -> tuple[GroupTable, tuple[int, ...]]:
-    """The quotient G/N with its projection map; N must be normal.
-
-    Cosets are numbered by ascending minimal member, which puts the
-    identity coset at 0 and makes G/{1} G itself, with the identity
-    projection.  A quotient of a quotient R/M is the quotient of R by the
-    preimage of N (third isomorphism theorem): the same object as that
-    first-level quotient, with the composite projection.  Numbering by least
-    member makes the two tables equal.  Any other projection is verified to
-    be a surjective homomorphism: proj(ab) = proj(a) proj(b) for every a and
-    each b in G.gens, which as G and Q are associative holds for every b
-    that is a product of such b, so for all of G.
+    """G/N built from its own cosets, with its projection map; N must be a
+    member of the lattice `normal_subgroups(G)`.  Cosets are numbered by
+    least member, which puts the identity coset at 0, and G/N.quotient_of
+    is (G, N), whatever G is.  G/{1} is G itself, with the identity
+    projection.  The projection is verified to be a homomorphism:
+    proj(ab) = proj(a) proj(b) for every a and each b in G.gens, which as
+    G and Q are associative holds for every b that is a product of such b,
+    so for all of G.
     """
     if N.parent is not G:
         raise GroupConstructionError("subgroup belongs to a different group")
     if len(N) == 1:
         return G, tuple(range(G.order))
-    if not N.is_normal():
+    if N not in normal_subgroups(G):
         raise GroupConstructionError("cannot form a quotient by a non-normal subgroup")
-    if G.quotient_of is not None:
-        R, M = G.quotient_of
-        Q, to_q = quotient_group(R, preimage(R, M, N))
-        _, to_g = quotient_group(R, M)
-        composite = [0] * G.order
-        for r in range(R.order):
-            composite[to_g[r]] = to_q[r]
-        proj = tuple(composite)
-    else:
-        coset_of = [-1] * G.order
-        reps = []  # an element first met is the smallest of its coset
-        for g in range(G.order):
-            if coset_of[g] == -1:
-                for n in N.members:
-                    coset_of[G.mul[g][n]] = len(reps)
-                reps.append(g)
-        proj = tuple(coset_of)
-        Q = GroupTable([[proj[G.mul[a][b]] for b in reps] for a in reps], label=f"{G.label}/H{len(N)}")
-        Q.quotient_of = (G, N)
+    coset_of = [-1] * G.order
+    reps = []  # an element first met is the smallest of its coset
+    for g in range(G.order):
+        if coset_of[g] == -1:
+            for n in N.members:
+                coset_of[G.mul[g][n]] = len(reps)
+            reps.append(g)
+    proj = tuple(coset_of)
+    Q = GroupTable([[proj[G.mul[a][b]] for b in reps] for a in reps], label=f"{G.label}/H{len(N)}")
+    Q.quotient_of = (G, N)
     for b in G.gens:
         qb = proj[b]
         for a, row in enumerate(G.mul):
             if proj[row[b]] != Q.mul[proj[a]][qb]:
                 raise GroupConstructionError("projection is not a homomorphism")
     return Q, proj
-
-
-def preimage(G: GroupTable, N: SubgroupSet, H: SubgroupSet) -> SubgroupSet:
-    """The normal subgroup of G that maps onto the normal subgroup H of
-    G/N, looked up in the lattice of G."""
-    _, proj = quotient_group(G, N)
-    return normal_subgroup(G, element_mask(g for g in range(G.order) if H.mask >> proj[g] & 1))
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +561,10 @@ def catalog_group(name: str, max_order: int | None = None) -> GroupTable:
       p*q acts as "apply q, then p".
     * AxB: a*|B| + b, factors combined left to right.
     """
-    factors = [_catalog_factor(f.strip()) for f in name.split("x")]
+    parts = [f.strip() for f in name.split("x")]
+    if not all(parts):
+        raise GroupConstructionError(f"unrecognized catalog name {name!r}")
+    factors = [_catalog_factor(f) for f in parts]
     _check_order(prod(order for order, _ in factors), max_order)
     tables = [build() for _, build in factors]
     out = tables[0]
@@ -654,8 +634,8 @@ def permutation_group(lines, label: str = "perm", max_order: int | None = None) 
 
 
 def group_from_table_text(text: str, label: str = "file", max_order: int | None = None) -> GroupTable:
-    """Parse the text format: `order n` then n rows of n integers; an n
-    above max_order is refused before the rows are read."""
+    """Parse the text format: `order n`, n >= 1, then n rows of n integers;
+    an n above max_order is refused before the rows are read."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("order"):
@@ -664,6 +644,8 @@ def group_from_table_text(text: str, label: str = "file", max_order: int | None 
         n = int(lines[0].split()[1])
     except (IndexError, ValueError) as exc:
         raise GroupConstructionError("malformed 'order n' header") from exc
+    if n < 1:
+        raise GroupConstructionError(f"malformed 'order n' header: order {n} is not positive")
     _check_order(n, max_order)
     if len(lines) != n + 1:
         raise GroupConstructionError(f"expected {n} table rows, found {len(lines) - 1}")

@@ -386,11 +386,13 @@ def deflation(S: SuperTheory, N: SubgroupSet) -> SuperTheory:
 
     For S-normal N the images of the superclasses of S alone fix a theory
     of G/N (Hendrickson, Comm. Algebra 2012), derived and validated in full
-    on `character_table_of(G/N)`.  A quotient of a quotient is one group
-    with one table, so equal deflations, of deflations too, are one object.
-    S^{G/{1}} is S.  A theory on another table of G (ingested, or a Dixon
-    table made directly) deflates onto that same table of G/N; nothing in
-    the package deflates one.
+    on `character_table_of(G/N)`, the table of G inflated and kept in its
+    field.  Equal deflations of theories of one table are one object; a
+    deflation of a deflation lives on its own quotient of a quotient.
+    S^{G/{1}} is S.
+    A theory on another table of G (ingested, or a Dixon table made
+    directly) deflates onto that same table of G/N; nothing in the package
+    deflates one.
     """
     require_s_normal(S, N)
     if len(N) == 1:
@@ -437,9 +439,9 @@ def is_delta_product(S: SuperTheory, M: SubgroupSet, N: SubgroupSet) -> bool:
 
 def star_construct(S: SuperTheory, N: SubgroupSet) -> SuperTheory:
     """The coarsening whose superclasses are the S-classes inside N together
-    with the full preimages of the nonidentity deflated classes; coarser
-    than S by construction, since an S-class outside N lies in the
-    preimage of its own image."""
+    with the full inverse images of the nonidentity deflated classes;
+    coarser than S by construction, since an S-class outside N lies in the
+    inverse image of its own image."""
     require_s_normal(S, N)
     defl = deflation(S, N)
     _, proj = quotient_group(S.group, N)

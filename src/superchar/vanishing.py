@@ -371,11 +371,11 @@ def is_vz(S: SuperTheory) -> CaminaVerdict:
          lambda: f"V(S) = {sorted(V.members)}, Z(S) = {sorted(center.members)}"),
     ]
     if com.members <= center.members:
-        triple = is_camina_triple(S, center, com).conditions
+        size, transversal = _triple_masks(S, com)
         checks += [
-            ("coset-product", triple["coset-union"], None),
-            ("class-size-product", triple["class-size-product"], None),
-            ("transversal", triple["transversal"], None),
+            ("coset-product", non_coset_union(S, com, center) is None, None),
+            ("class-size-product", _first_miss(S, center, size) is None, None),
+            ("transversal", _first_miss(S, center, transversal) is None, None),
         ]
     return CaminaVerdict(lambda: "VZ", checks, len(center) == S.group.order)
 

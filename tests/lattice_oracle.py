@@ -1,16 +1,15 @@
 """Test-only oracles: subgroup work one element set at a time.
 
-The package reads V(S|N), U(S|N) and products of normal subgroups off the
-normal-subgroup lattice of the group, and takes a quotient of a quotient
-to be the first-level quotient.  These are the bodies it ran before, kept
-here as slow references: subgroups are generated or multiplied element by
-element, every quotient is built from its cosets, and the classical center
+The package reads V(S|N), U(S|N), products of normal subgroups and
+normality itself off the normal-subgroup lattice of the group.  These are
+the bodies it ran before, kept here as slow references: subgroups are
+generated or multiplied element by element, normality is a conjugation
+scan, every quotient is built from its cosets, and the classical center
 and commutator subgroup are found from the multiplication table.  A
 deflation is derived on the table inflated from the theory's own table,
-so for a deflation of a deflation the table of G/L is inflated in two
-steps, where the package inflates it from the table of G in one; and on
-the Dixon table of G/N built afresh from its cosets, which shares nothing
-with the package's quotient group or inflated table.
+uncached and validated in full; and on the Dixon table of G/N built
+afresh from its cosets, which shares nothing with the package's quotient
+group or inflated table.
 """
 
 from superchar.chartab import dixon_character_table, quotient_character_table
@@ -18,6 +17,17 @@ from superchar.errors import ConsistencyError, GroupConstructionError
 from superchar.groups import ElementPartition, GroupTable, SubgroupSet, cached, generated_subgroup, quotient_group
 from superchar.structure import irr_over, s_normal_subgroups
 from superchar.supertheory import sct_from_class_partition
+
+
+def is_normal(G, H) -> bool:
+    """True when every conjugate of every member of H lies in H."""
+    return all(G.conjugate(g, h) in H.members for g in H.members for h in range(G.order))
+
+
+def preimage(G, N, H) -> SubgroupSet:
+    """The subgroup of G that maps onto the subgroup H of G/N."""
+    _, proj = quotient_group(G, N)
+    return SubgroupSet(G, (g for g in range(G.order) if proj[g] in H.members))
 
 
 def element_product(G, A, B) -> SubgroupSet:

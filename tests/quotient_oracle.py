@@ -4,10 +4,11 @@ became G itself, and the deflation built rather than derived, as the
 package built every S^{G/N} before it derived each on the table of G/N.
 
 `quotient_group`, `quotient_character_table` and `deflation` are the
-package's constructions as they stood, cut to a first-level quotient of
-a group that is not itself a quotient and to a theory that is not itself
-a deflation, and without their caches: each call builds a fresh group,
-inflated table or theory.  At N = {1} each must equal what the package
+package's constructions, cut to a first-level quotient of a group that is
+not itself a quotient and to a theory that is not itself a deflation, and
+without their caches: each call builds a fresh group, inflated table or
+theory.  Normality is decided by a conjugation scan of the oracle's own,
+not by the lattice, and values stay in the parent table's field.  At N = {1} each must equal what the package
 now returns without building anything: (G, identity), T and S.  At every
 other S-normal N the built deflation must equal the derived one.
 """
@@ -22,10 +23,11 @@ from superchar.supertheory import SuperTheory, require_s_normal
 
 def quotient_group(G, N):
     """G/N by its cosets, numbered by ascending minimal member, with the
-    projection; verified to be a homomorphism."""
+    projection; N is checked normal by conjugating each of its members by
+    every element, and the projection verified to be a homomorphism."""
     if N.parent is not G:
         raise GroupConstructionError("subgroup belongs to a different group")
-    if not N.is_normal():
+    if any(G.conjugate(g, h) not in N.members for g in N.members for h in range(G.order)):
         raise GroupConstructionError("cannot form a quotient by a non-normal subgroup")
     coset_of = [-1] * G.order
     reps = []  # an element first met is the smallest of its coset
@@ -46,13 +48,14 @@ def quotient_group(G, N):
 
 def quotient_character_table(T, N, quotient):
     """The table of quotient = `quotient_group(T.group, N)` inflated from T,
-    with the row of T each of its rows inflates: (table, inflates)."""
+    with the row of T each of its rows inflates: (table, inflates).  The
+    values stay in T's field."""
     G = T.group
     Q, proj = quotient
     reps = [proj.index(min(b)) for b in conjugacy_classes(Q).blocks]
-    e = Q.exponent()
+    e = T.exponent
     rows = {
-        t: tuple(T.value_at_element(t, g).lowered(e) for g in reps)
+        t: tuple(T.value_at_element(t, g) for g in reps)
         for t in range(len(T.values))
         if not N.mask & ~T.char_kernel(t).mask
     }
@@ -80,8 +83,8 @@ def deflation(S, N, quotient, inflated):
     """S^{G/N} on quotient = `quotient_group(S.group, N)` and its inflated
     table, inflated = (table, inflates) from `quotient_character_table`:
     the parts of S inside Irr(G/N) renumbered by the rows they inflate to,
-    the images of its superclasses, and its values at preimages lowered to
-    exp(G/N), with only the counts checked."""
+    the images of its superclasses, and its values at preimages, in the
+    field of S, with only the counts checked."""
     require_s_normal(S, N)
     Q, proj = quotient
     table, inflates = inflated
@@ -103,5 +106,5 @@ def deflation(S, N, quotient, inflated):
         tuple(frozenset(row_of[t] for t in S.xparts[xi]) for xi in inside),
         yparts,
         tuple(tuple(sorted({block_of[x] for x in b})) for b in yparts.blocks),
-        tuple(tuple(S.sigma[xi][images[b]].lowered(table.exponent) for b in yparts.blocks) for xi in inside),
+        tuple(tuple(S.sigma[xi][images[b]] for b in yparts.blocks) for xi in inside),
     )

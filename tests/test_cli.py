@@ -63,6 +63,14 @@ def test_chartab_missing_file_exits_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("spec", ["x", "C2xx", "xC2", "C2x"])
+def test_a_catalog_name_with_an_empty_factor_is_named_as_given(spec, capsys):
+    for command in ("chartab", "enumerate", "verify"):
+        code, out, err = run_cli(capsys, command, "--group", spec)
+        assert code == 2 and out == ""
+        assert err == f"error: unrecognized catalog name {spec!r}\n"
+
+
 def test_enumerate_counts(capsys):
     for name, count in (("S3", 2), ("C4", 3), ("C2", 1)):
         code, out, _ = run_cli(capsys, "enumerate", "--group", name)

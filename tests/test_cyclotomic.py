@@ -154,7 +154,6 @@ def test_integer_normal_form_against_fraction_reference():
             Cyclotomic(v.order, r.coeffs),
             v.conjugate().conjugate(),
             v * Cyclotomic.one(),
-            v.lifted(2 * v.order).lowered(v.order),
         )
         for again in paths:
             assert again == v and key(again) == key(v)
@@ -196,33 +195,6 @@ def test_only_values_multiply():
         with pytest.raises(TypeError):
             scalar * v
     assert v == 2 and v * Cyclotomic.from_rational(Fraction(1, 2)) == 1
-
-
-def test_lowered_inverts_lifted():
-    rng = random.Random(13)
-    orders = (1, 2, 3, 4, 6, 8, 12, 24, 30)
-    for d in orders:
-        for _ in range(25):
-            v = Cyclotomic(d, [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)])
-            for e in orders:
-                if e % d == 0:
-                    low = v.lifted(e).lowered(d)
-                    assert key(low) == key(v)
-                    # any order between d and e holds the value too
-                    for m in orders:
-                        if e % m == 0 and m % d == 0:
-                            assert key(v.lifted(e).lowered(m)) == key(v.lifted(m))
-
-
-def test_lowered_rejects_values_outside_the_subfield():
-    with pytest.raises(ValueError, match="does not lie"):
-        zeta(4).lowered(2)
-    with pytest.raises(ValueError, match="does not lie"):
-        zeta(12, 1).lowered(6)
-    with pytest.raises(ValueError, match="cannot lower"):
-        zeta(12).lowered(5)
-    assert key(zeta(12, 4).lowered(3)) == key(zeta(3))
-    assert key(zeta(12, 6).lowered(1)) == key(Cyclotomic.from_rational(-1))
 
 
 # ---------------------------------------------------------------------------

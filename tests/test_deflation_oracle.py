@@ -1,7 +1,7 @@
 """Each deflation S^{G/N}, N != {1}, derived on the table of G/N equals
 the one the package built before (`quotient_oracle.deflation`): the parts
 of S inside Irr(G/N) renumbered by the rows they inflate to, the images of
-its superclasses, and its values lowered from S."""
+its superclasses, and its values read from S in its field."""
 
 import pytest
 

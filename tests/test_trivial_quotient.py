@@ -11,7 +11,7 @@ from quotient_oracle import deflation as oracle_deflation
 from quotient_oracle import quotient_character_table as oracle_table
 from quotient_oracle import quotient_group as oracle_quotient
 from superchar.chartab import character_table_of, quotient_character_table
-from superchar.groups import GroupTable, catalog_group, preimage, quotient_group, quotient_image, trivial_subgroup
+from superchar.groups import GroupTable, catalog_group, quotient_group, quotient_image, trivial_subgroup
 from superchar.structure import s_normal_subgroups
 from superchar.supertheory import SuperTheory, coarsest, deflation, finest
 from superchar.verifier import DEFAULT_CATALOG, _theories_for, run_corpus
@@ -43,7 +43,7 @@ def assert_trivial_quotients_match_the_oracle(table, theories):
         assert (D.xparts, D.yparts, D.ypart_classes) == (S.xparts, S.yparts, S.ypart_classes)
         assert _values(D.sigma) == _values(S.sigma)
         for H in s_normal_subgroups(S):
-            assert quotient_image(G, one, H) is H and preimage(G, one, H) is H
+            assert quotient_image(G, one, H) is H
 
 
 @pytest.mark.parametrize("name", DEFAULT_CATALOG)
