@@ -588,7 +588,8 @@ _CLASS_RE = re.compile(r"^class\s+(\d+)\s+size=(\d+)\s+rep=(\d+)\s*$")
 
 
 def ingest_table(text: str, G: GroupTable) -> CharacterTable:
-    """Parse and validate an externally supplied character table."""
+    """Parse and validate an externally supplied character table, in the
+    field Q(zeta_e) of its header, e a multiple of exp(G) (as for G/N)."""
     lines = [ln for ln in (l.strip() for l in text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise CharacterTableError("empty character table text")
@@ -602,9 +603,9 @@ def ingest_table(text: str, G: GroupTable) -> CharacterTable:
         raise CharacterTableError(
             f"class mismatch: file declares {k} classes, group has {len(classes)}"
         )
-    if e != G.exponent():
+    if e < 1 or e % G.exponent():
         raise CharacterTableError(
-            f"exponent mismatch: file declares {e}, group exponent is {G.exponent()}"
+            f"exponent mismatch: file declares {e}, not a multiple of the group exponent {G.exponent()}"
         )
     if len(lines) != 1 + k + k:
         raise CharacterTableError(

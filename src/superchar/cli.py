@@ -27,7 +27,7 @@ from .structure import (
     s_normal_subgroups,
     upper_series,
 )
-from .supertheory import SuperTheory, coarsest, enumerate_scts, finest, is_delta_product
+from .supertheory import SuperTheory, coarsest, enumerate_scts, finest, is_delta_product, sct_from_class_partition
 from .vanishing import (
     gcp_holds,
     is_vz,
@@ -173,6 +173,7 @@ def _cmd_enumerate(args) -> int:
                 text = json.dumps(S.to_json(), indent=2, sort_keys=True)
                 fh.write((sep + text.replace("\n", "\n    ")).encode("ascii"))
                 sep = ",\n    "
+                sct_from_class_partition.evict(table, S.yparts)
             fh.write(b"\n  ]\n}")
 
         _stream(args.out, write)
@@ -181,6 +182,7 @@ def _cmd_enumerate(args) -> int:
             fh.write(f"{len(theories)} supercharacter theories of {G.label}\n".encode("utf-8"))
             for i, S in enumerate(theories):
                 fh.write(f"\ntheory index:{i}\n{S.to_text()}".encode("utf-8"))
+                sct_from_class_partition.evict(table, S.yparts)
 
         _stream(args.out, write, b"")  # a theory's text ends with a newline
     return 0

@@ -25,7 +25,8 @@ def cached(fn):
     object per member set, is keyed by identity.  A call that raises stores
     nothing, so the checks inside `fn` run on every miss and a hit only ever
     repeats a call that passed them.  The wrapper is chosen once by arity, so
-    a hit packs no argument tuple it does not need.
+    a hit packs no argument tuple it does not need.  `fn.evict(owner, *args)`
+    drops the entry of `fn(owner, *args)`; a later call recomputes it.
     """
     arity = fn.__code__.co_argcount
     if arity == 1:
@@ -56,6 +57,9 @@ def cached(fn):
             value = memo[key] = fn(owner, *args)
             return value
 
+    def evict(owner, *args):
+        owner._memo.pop((fn, *args) if arity > 1 else fn, None)
+    lookup.evict = evict
     return wraps(fn)(lookup)
 
 

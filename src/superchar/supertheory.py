@@ -11,6 +11,7 @@ full.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import chain
 from math import lcm
 
@@ -39,10 +40,10 @@ class SuperTheory:
 
     Instances are immutable.  Each is the cached value of
     `sct_from_class_partition(table, yparts)`, made only by `_theory`, so
-    equal theories of one table are one object and compare by identity.
-    The `_memo` dict holds what the `groups.cached` functions derive from
-    the theory (S-normal subgroups, deflations, vanishing subgroups, ...);
-    failed calls are never stored.
+    equal theories of one table are one object while the table caches it
+    (an evicted one is derived anew) and compare by identity.  `_memo` holds
+    what the `groups.cached` functions derive from the theory (S-normal
+    subgroups, deflations, ...); failed calls are never stored.
     """
 
     __slots__ = ("table", "group", "xparts", "yparts", "ypart_classes", "sigma", "_memo")
@@ -173,9 +174,9 @@ class SuperCharacter:
 
 
 @cached
-def _packed_values(table: CharacterTable) -> tuple[Packing, list[list[int]], list[list[int]]]:
+def _packed_values(table: CharacterTable) -> tuple[Packing, list[list[int]], list[tuple[int, ...]]]:
     """The table's values packed once for the linear sums of derivation, and
-    each chi(c) weighted by |c| L / chi(1), L = lcm(degrees), for the keys.
+    each chi(c) weighted by |c| L / chi(1), L = lcm(degrees), per class for the keys.
     Such sums need no reduction and, inside the bound, read back exactly, so
     each is an int canonical for its value.  sigma_X weighs chi(1), at most
     sum(degrees) in all; a key over a block weighs |c| L / chi(1) <= |c| L,
@@ -184,7 +185,7 @@ def _packed_values(table: CharacterTable) -> tuple[Packing, list[list[int]], lis
     pk = Packing(table.exponent, chain(*table.values), max(sum(map(abs, table.degrees)), scale * table.group.order))
     packed = [list(map(pk.pack, row)) for row in table.values]
     keyed = [[scale // d * size * v for size, v in zip(table.sizes, row)] for row, d in zip(packed, table.degrees)]
-    return pk, packed, keyed
+    return pk, packed, list(zip(*keyed))
 
 
 @cached
@@ -209,7 +210,16 @@ def _theory(table, xparts, yparts, block_classes) -> SuperTheory | None:
 def _central_character_keys(table: CharacterTable, block_classes) -> list[tuple[int, ...]]:
     """Per character chi, L sum_{c in B} |c| chi(c) / chi(1) over the blocks B
     as packed ints (see `_packed_values`): equal keys are equal values."""
-    return [tuple(sum(row[c] for c in classes) for classes in block_classes) for row in _packed_values(table)[2]]
+    cols = _packed_values(table)[2]
+    return list(zip(*(map(sum, zip(*map(cols.__getitem__, classes))) for classes in block_classes)))
+
+
+def _character_fibers(table: CharacterTable, block_classes) -> list[list[int]]:
+    """The characters grouped by their keys, ascending and by least member."""
+    fibers: dict[tuple, list[int]] = {}
+    for t, key in enumerate(_central_character_keys(table, block_classes)):
+        fibers.setdefault(key, []).append(t)
+    return list(fibers.values())
 
 
 @cached
@@ -231,21 +241,23 @@ def sct_from_class_partition(table: CharacterTable, yparts: ElementPartition) ->
         if any(not table.classes.blocks[c] <= b for c in classes):
             raise SuperTheoryError("blocks must be unions of conjugacy classes")
         block_classes.append(tuple(sorted(classes)))
-    fibers: dict[tuple, list[int]] = {}
-    for t, key in enumerate(_central_character_keys(table, block_classes)):
-        fibers.setdefault(key, []).append(t)
+    fibers = _character_fibers(table, block_classes)
     if len(fibers) != len(yparts.blocks):
         return None
-    xparts = tuple(sorted((frozenset(ts) for ts in fibers.values()), key=min))
-    return _theory(table, xparts, yparts, block_classes)
+    return _theory(table, tuple(map(frozenset, fibers)), yparts, block_classes)
+
+
+def _derived(table: CharacterTable, yparts: ElementPartition, failure: str) -> SuperTheory:
+    """The theory of a partition that must derive one, or ConsistencyError(failure)."""
+    theory = sct_from_class_partition(table, yparts)
+    if theory is None:
+        raise ConsistencyError(failure)
+    return theory
 
 
 def finest(table: CharacterTable) -> SuperTheory:
     """m(G): singleton character parts, conjugacy classes as superclasses."""
-    theory = sct_from_class_partition(table, table.classes)
-    if theory is None:
-        raise ConsistencyError("the finest partition must always be a theory")
-    return theory
+    return _derived(table, table.classes, "the finest partition must always be a theory")
 
 
 def coarsest(table: CharacterTable) -> SuperTheory:
@@ -254,10 +266,8 @@ def coarsest(table: CharacterTable) -> SuperTheory:
     order = table.group.order
     if order < 2:
         raise SuperTheoryError("the coarsest theory needs a nontrivial group")
-    theory = sct_from_class_partition(table, ElementPartition(order, [{0}, set(range(1, order))]))
-    if theory is None:
-        raise ConsistencyError("the coarsest partition must always be a theory")
-    return theory
+    return _derived(table, ElementPartition(order, [{0}, set(range(1, order))]),
+                    "the coarsest partition must always be a theory")
 
 
 def _central_schur_rings(table: CharacterTable):
@@ -330,30 +340,46 @@ def _central_schur_rings(table: CharacterTable):
     yield from search([(0,)], [], list(range(1, m)))
 
 
-def enumerate_scts(table: CharacterTable) -> list[SuperTheory]:
-    """All supercharacter theories of the group, found from the class side.
+class Theories(Sequence):
+    """The theories of a table, each held as bytes (see `enumerate_scts`):
+    item k is derived from ring k, and validated in full, when it is read."""
+
+    def __init__(self, table: CharacterTable, rings: list[bytes]):
+        self.table, self.rings = table, rings
+
+    def __len__(self) -> int:
+        return len(self.rings)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        ring, blocks = self.rings[k], self.table.classes.blocks
+        parts = [set().union(*(blocks[c - 1] for c in b)) for b in ring[1:].split(b"\0")[255 - ring[0]:-1]]
+        return _derived(self.table, ElementPartition(self.table.group.order, parts),
+                        "a central Schur ring failed to derive a theory")
+
+
+def enumerate_scts(table: CharacterTable) -> Theories:
+    """All supercharacter theories of G, by (-n_parts, xparts), from the class side.
 
     They correspond one to one with central Schur rings (Hendrickson, Comm.
     Algebra 2012), which `_central_schur_rings` lists from the integer class
-    constants; each is derived and validated in full by
-    `sct_from_class_partition`.  The number of conjugacy classes, which
-    equals |Irr(G)|, is at most MAX_CLASSES.
+    constants.  Each ring is kept in bytes with its character fibers, whose
+    count must be its block count; each theory is derived when read.  The
+    number of conjugacy classes, |Irr(G)|, is at most MAX_CLASSES.
     """
     m = table.n_classes
     if m > MAX_CLASSES:
         raise SuperTheoryError(f"{m} irreducible characters exceed the enumeration guard {MAX_CLASSES}")
-    found = []
+    rings = []
     for blocks in _central_schur_rings(table):
-        yparts = ElementPartition(
-            table.group.order,
-            [set().union(*(table.classes.blocks[c] for c in b)) for b in blocks],
-        )
-        theory = sct_from_class_partition(table, yparts)
-        if theory is None:
+        fibers = _character_fibers(table, blocks)
+        if len(fibers) != len(blocks):
             raise ConsistencyError("a central Schur ring failed to derive a theory")
-        found.append(theory)
-    found.sort(key=lambda s: (-s.n_parts, tuple(tuple(sorted(p)) for p in s.xparts)))
-    return found
+        # sorts as (-n_parts, xparts): 255 - n_parts, then each fiber and block as its indices + 1, and 0
+        rings.append(bytes([255 - len(fibers), *chain.from_iterable([*(i + 1 for i in p), 0] for p in fibers + blocks)]))
+    rings.sort()
+    return Theories(table, rings)
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +428,8 @@ def deflation(S: SuperTheory, N: SubgroupSet) -> SuperTheory:
         yparts = ElementPartition(Q.order, {frozenset(proj[g] for g in b) for b in S.yparts.blocks})
     except GroupConstructionError as exc:
         raise ConsistencyError("projected superclasses do not form a partition") from exc
-    theory = sct_from_class_partition(character_table_of(Q), yparts)
-    if theory is None:
-        raise ConsistencyError("the projected superclasses do not derive a theory of the quotient")
-    return theory
+    return _derived(character_table_of(Q), yparts,
+                    "the projected superclasses do not derive a theory of the quotient")
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +474,4 @@ def star_construct(S: SuperTheory, N: SubgroupSet) -> SuperTheory:
         if 0 in bq:
             continue
         blocks.append(frozenset(g for g in range(S.group.order) if proj[g] in bq))
-    theory = sct_from_class_partition(S.table, ElementPartition(S.group.order, blocks))
-    if theory is None:
-        raise ConsistencyError("the coset-product construction must validate")
-    return theory
+    return _derived(S.table, ElementPartition(S.group.order, blocks), "the coset-product construction must validate")

@@ -671,9 +671,10 @@ def _group_entry(spec: str, all_scts: bool, max_order: int | None, tally: dict):
     """Yield the canonical JSON of the group entry of spec in pieces: its
     head, then each theory's head, its reports in the chunks `run_suite`
     yields and its tail, then the group's tail; nothing when the group is
-    skipped.  After its suite, a theory's own cache entries are released;
-    what the group and its tables cache, the theories of its quotients
-    included, stays for the later theories.
+    skipped.  After its suite, a theory's own cache entries are released
+    and it is evicted from its table's cache (not before: `is_camina_pair`
+    reads `star_construct(S, N) is S`); what the group and its tables cache
+    otherwise, the theories of its quotients included, stays.
 
     tally receives the entry without its reports: label, order and
     theory_count, the status `counts`, and under "theories" the index and
@@ -695,6 +696,7 @@ def _group_entry(spec: str, all_scts: bool, max_order: int | None, tally: dict):
             tally["theories"].append({"index": idx, "reports": fails})
         yield b'],"xparts":%s,"yparts":%s}' % (enc(S.xparts_json()), enc(S.yparts.to_json()))
         release(S)
+        supertheory.sct_from_class_partition.evict(S.table, S.yparts)
     yield b'],"theory_count":%s}' % enc(len(theories))
 
 

@@ -158,6 +158,28 @@ def test_text_round_trip():
     assert rows_as_multiset(T) == rows_as_multiset(again)
 
 
+def test_an_inflated_table_round_trips_in_its_parent_field():
+    # C4/C2 and D4/Z(D4) have exponent 2; their tables keep C4's and D4's
+    # field, exponent 4, and their text says so
+    for name in ("C4", "D4"):
+        G = catalog_group(name)
+        N = next(N for N in normal_subgroups(G) if len(N) == 2)
+        Q, _ = quotient_group(G, N)
+        T = character_table_of(Q)
+        assert T.exponent == 4 and Q.exponent() == 2
+        again = ingest_table(T.to_text(), Q)
+        assert again.exponent == 4 and again.values == T.values and again.to_text() == T.to_text()
+
+
+def test_ingest_rejects_an_exponent_that_is_not_a_multiple():
+    G = catalog_group("C4")
+    text = (DATA / "c4.tbl").read_text()
+    for e in (0, 2, 6):
+        with pytest.raises(CharacterTableError, match=f"file declares {e}, not a multiple"):
+            ingest_table(text.replace("exponent=4", f"exponent={e}"), G)
+    assert ingest_table(text.replace("exponent=4", "exponent=8"), G).exponent == 8
+
+
 def test_values_are_algebraic_integers_of_the_exponent_field():
     for name in ("S3", "Q8", "A4", "D5"):
         T = character_table_of(catalog_group(name))

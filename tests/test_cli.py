@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -119,6 +120,32 @@ def test_analyze_index_selector_and_json(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "analyze", "--group", "C4", "--sct", "bogus")
     assert code == 2
+
+
+@pytest.mark.parametrize("k, fmt, digest", [
+    (0, "json", "ba9295ddc39feabd37ef0a18c64369f00a1d479df414c9071a8e835fe7dbef0b"),
+    (0, "text", "85990c91403027050f557f5b48745ced81a6b2d28a3f8da983aabbe4f9160952"),
+    (214, "json", "91cf89b9b978365d5fb4ff5e26089b667a6b74cd1658f785388b418e0b8dc04c"),
+    (214, "text", "caf12d1c2a41a0415c01375d7a09919cc489043500ab0d3fb89825a32aacbd5b"),
+])
+def test_analyze_index_derives_only_its_theory(k, fmt, digest, capsysbinary, body_runs):
+    # D4xC2 has 215 theories: the first and the last keep the bytes they had
+    # when the search derived every theory, and selecting one derives only it
+    from superchar.chartab import character_table_of
+    from superchar.cli import _select_theory
+    from superchar.groups import catalog_group
+    from superchar.supertheory import sct_from_class_partition
+
+    assert main(["analyze", "--group", "D4xC2", "--sct", f"index:{k}", "--format", fmt]) == 0
+    assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == digest
+    table = character_table_of(catalog_group("D4xC2"))
+    assert body_runs(sct_from_class_partition, lambda: _select_theory(table, f"index:{k}")) == 1
+
+
+def test_analyze_index_past_the_last_theory_exits_2(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--group", "D4xC2", "--sct", "index:215")
+    assert code == 2 and out == ""
+    assert err == "error: theory index 215 out of range; the group has 215 theories\n"
 
 
 def test_verify_single_group(capsys):
@@ -378,6 +405,9 @@ INGEST = ("chartab", "--group", "S3", "--ingest", "bad")
         pytest.param(("chartab", "--group", "C2", "--ingest", "bad"),
                      b"chartab C2 classes=2 exponent=2\nclass 0 size=1 rep=0\nclass 1 size=1 rep=1\n1, 1-+1\n1, -1\n",
                      id="bare-sign"),
+        pytest.param(("chartab", "--group", "C4", "--ingest", "bad"),
+                     (DATA / "c4.tbl").read_bytes().replace(b"exponent=4", b"exponent=6"),
+                     id="exponent-not-a-multiple"),
     ],
 )
 def test_malformed_input_files_exit_2(argv, data, capsys, tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ the same bytes, failing reports, summary and decoded dict, for a fraction
 of the oracle's memory."""
 
 import gc
+import hashlib
 import io
 import json
 import os
@@ -257,3 +258,37 @@ def test_c2_to_the_fifth_extremes_stay_under_150_mb():
                          check=True, timeout=150)
     peak_kib = int(run.stdout)
     assert peak_kib <= 150 * 1024, peak_kib
+
+
+@pytest.mark.slow
+def test_c2_to_the_fourth_enumerates_and_verifies_past_the_guard(tmp_path):
+    # 16 classes, 12,537 theories: the guard is raised in the child only.
+    # The search holds the rings in bytes and each theory lives from its
+    # read to its eviction: enumerate peaked at 96.8 MB and verify at
+    # 106.8 MB when the search returned every derived theory
+    # The peak is the child's VmHWM, which exec resets: its ru_maxrss would
+    # count the peak of this process, which started it
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys\n"
+        "from superchar import cli, supertheory\n"
+        "supertheory.MAX_CLASSES = 16\n"
+        "assert cli.main(sys.argv[1:]) in (0, 1)\n"
+        "with open('/proc/self/status', encoding='ascii') as fh:\n"
+        "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def peak_mb(*argv):
+        run = subprocess.run([sys.executable, "-c", script, *argv, "--group", "C2xC2xC2xC2", "--format", "json"],
+                             env=env, capture_output=True, text=True, check=True, timeout=600)
+        return int(run.stdout) / 1024
+
+    out = tmp_path / "enumerate.json"
+    assert peak_mb("enumerate", "--out", str(out)) <= 30
+    digest = hashlib.sha256()
+    with open(out, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    assert digest.hexdigest() == "d6f5d1f989c4a523e973ef5382fb7e65838757740206359206b2c551bdeb10b7"
+    assert peak_mb("verify", "--out", os.devnull) <= 55

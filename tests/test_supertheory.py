@@ -1,3 +1,4 @@
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,8 @@ import pytest
 from superchar.chartab import character_table_of, dixon_character_table, quotient_character_table
 from superchar.cli import main
 from superchar.cyclotomic import Cyclotomic
-from superchar.errors import SuperTheoryError
+from superchar import supertheory
+from superchar.errors import ConsistencyError, SuperTheoryError
 from superchar.groups import (
     ElementPartition,
     SubgroupSet,
@@ -114,6 +116,27 @@ def test_enumeration_is_sorted_and_deterministic():
     sizes = [s.n_parts for s in theories]
     assert sizes == sorted(sizes, reverse=True)
     assert [s.xparts for s in theories] == [s.xparts for s in enumerate_scts(T)]
+
+
+def test_enumeration_is_a_sequence_derived_when_read(body_runs, monkeypatch):
+    _, T = theory_of("D4")
+    theories = enumerate_scts(T)
+    assert isinstance(theories, Sequence) and len(theories) == 9
+    # one derivation per theory read, however often and by whatever index
+    assert body_runs(sct_from_class_partition, lambda: list(theories)) == 9
+    assert body_runs(sct_from_class_partition, lambda: (list(theories), theories[::-1], theories[-1])) == 0
+    assert theories[-1] is theories[8] and theories[2:4] == [theories[2], theories[3]]
+    with pytest.raises(IndexError):
+        theories[9]
+    # an evicted theory is derived anew, a new object equal to the old
+    S = theories[3]
+    sct_from_class_partition.evict(T, S.yparts)
+    assert theories[3] is not S and _pairs([theories[3]]) == _pairs([S])
+    # a ring with fewer character fibers than blocks raises before any read
+    fibers = supertheory._character_fibers
+    monkeypatch.setattr(supertheory, "_character_fibers", lambda table, blocks: fibers(table, blocks)[1:])
+    with pytest.raises(ConsistencyError, match="central Schur ring"):
+        enumerate_scts(T)
 
 
 def test_principal_singleton_prune_is_equivalent():
@@ -383,7 +406,8 @@ def test_each_deflation_is_built_once(monkeypatch):
     # derived once: every theory built is one that is returned
     init = SuperTheory.__init__
     for name in ("D4", "Q8", "C2xC2xC2", "S4"):
-        theories = enumerate_scts(character_table_of(catalog_group(name)))
+        # derived before the count starts: enumerate_scts derives each when read
+        theories = list(enumerate_scts(character_table_of(catalog_group(name))))
         built = []
         monkeypatch.setattr(SuperTheory, "__init__", lambda self, *args: built.append(self) or init(self, *args))
         pairs = [(S, N) for S in theories for N in s_normal_subgroups(S)]
