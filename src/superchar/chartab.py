@@ -304,6 +304,13 @@ def _simultaneous_eigenvectors(coeffs, p: int) -> list[list[int]]:
                 new_blocks.append(basis)
                 continue
             images = [_combine(v, cols, w, r, p) for v in basis]
+            # M v = lambda v on the whole basis: M splits nothing, and the full
+            # step would return this basis (the kernel of a zero matrix)
+            j = next(i for i, x in enumerate(basis[0]) if x)
+            lam = images[0][j] * pow(basis[0][j], p - 2, p) % p
+            if all(image == [lam * x % p for x in v] for v, image in zip(basis, images)):
+                new_blocks.append(basis)
+                continue
             # a block of all r dimensions is the unit basis (the start, or the
             # kernel of a zero matrix), in which M v is its own coordinates
             A = _coords_in_span(basis, images, p) if k < r else [list(t) for t in zip(*images)]

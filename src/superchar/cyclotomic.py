@@ -6,27 +6,37 @@ polynomial, as an integer numerator vector `num` over one positive common
 denominator `den`, with gcd(den, *num) == 1.  That pair is a normal form,
 so equality and zero tests are exact tuple comparisons.  Character values
 are algebraic integers and have den == 1, so products and conjugates of
-them run on ints alone; `Fraction` appears only at the edges: rational
-construction, comparison and extraction and the text form.  No floating
+them run on ints alone; `Fraction` appears only at the edges: a non-int
+coefficient or rational, `rational_value`, the text form of a value with
+den > 1 and `parse`.  `_fraction` imports `fractions` (and so `decimal`)
+when one of them first needs it, so a run on character values never
+loads either; comparison with a rational needs no `Fraction`.  No floating
 arithmetic enters any logic path.  Values of different orders are lifted
 to the lcm order before they are multiplied or compared; no value is ever
 moved down to a subfield, so an inflated table keeps its parent's order.
 
 Exact sums run only on `Packing`: a value becomes one int whose base-2^w
 digits are its coordinates (Kronecker substitution).  A weighted sum of
-values is read back from its digits; a weighted sum of products a conj(b)
-is decided against an int with no value built, by one product with
-Psi_e(2^w) modulo 2^(we) - 1.  A proven bound on every digit sets w, and
-no float enters.
+values is read back from its digits, one object for each equal sum (the
+packing's memo, freed with the packing); a weighted sum of products
+a conj(b) is decided against an int with no value built, by one product
+with Psi_e(2^w) modulo 2^(we) - 1.  A proven bound on every digit sets w,
+and no float enters.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from numbers import Rational
 from operator import lshift
+
+
+def _fraction(*args) -> Rational:
+    from fractions import Fraction  # imported here: a run on character values never needs it
+
+    return Fraction(*args)
 
 
 @lru_cache(maxsize=None)
@@ -116,7 +126,7 @@ class Cyclotomic:
         """sum_k coeffs[k] * zeta_order^k, for int or rational coefficients."""
         if order < 1:
             raise ValueError("order must be a positive integer")
-        coeffs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
+        coeffs = [c if isinstance(c, int) else _fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in coeffs))
         dense = [0] * order
         for k, c in enumerate(coeffs):
@@ -128,7 +138,7 @@ class Cyclotomic:
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> "Cyclotomic":
-        q = Fraction(value)
+        q = value if isinstance(value, int) else _fraction(value)
         return _value(order, (q.numerator,) + (0,) * (euler_phi(order) - 1), q.denominator)
 
     @classmethod
@@ -189,22 +199,23 @@ class Cyclotomic:
         """True when every power-basis coordinate is an integer."""
         return self.den == 1
 
-    def rational_value(self) -> Fraction:
+    def rational_value(self) -> Rational:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return Fraction(self.num[0], self.den)
+        return _fraction(self.num[0], self.den)
 
     def integer_value(self) -> int:
-        q = self.rational_value()
-        if q.denominator != 1:
+        if not self.is_rational():
+            raise ValueError(f"{self} is not rational")
+        if self.den != 1:
             raise ValueError(f"{self} is not an integer")
-        return q.numerator
+        return self.num[0]
 
     def __eq__(self, other):
-        if isinstance(other, Cyclotomic):  # first: Fraction's isinstance check is slower
+        if isinstance(other, Cyclotomic):  # first: the Rational ABC's isinstance check is slower
             a, b = self._pair(other)
             return a.num == b.num and a.den == b.den
-        if isinstance(other, (int, Fraction)):  # against num[0] / den, with no value built
+        if isinstance(other, (int, Rational)):  # against num[0] / den, with no value built
             return self.num[0] * other.denominator == other.numerator * self.den and not any(self.num[1:])
         return NotImplemented
 
@@ -217,7 +228,7 @@ class Cyclotomic:
         # the power-basis coordinates as ints (den == 1) or Fractions
         if self.den == 1:
             return list(self.num)
-        return [Fraction(n, self.den) for n in self.num]
+        return [_fraction(n, self.den) for n in self.num]
 
     def __str__(self) -> str:
         parts = []
@@ -253,14 +264,14 @@ class Cyclotomic:
         s = s.replace("-", "+-")
         if s.startswith("+"):
             s = s[1:]
-        dense = [Fraction(0)] * order
+        dense = [0] * order
         for token in s.split("+"):
             sign, term = (-1, token[1:]) if token.startswith("-") else (1, token)
             m = _TERM_RE.match(term)
             if not term or not m:
                 raise ValueError(f"malformed term {token!r} in {text!r}")
             coef = m.group("coef")
-            c = Fraction(coef) if coef is not None else Fraction(1)
+            c = _fraction(coef) if coef is not None else 1
             k = int(m.group("exp") or 1) if m.group("z") else 0
             dense[k % order] += sign * c
         return cls(order, dense)
@@ -296,7 +307,7 @@ class Packing:
     """
 
     __slots__ = ("order", "width", "_den", "_digits", "_conjugate_digits", "_offset", "_half", "_mask",
-                 "_modulus", "_psi")
+                 "_modulus", "_psi", "_read")
 
     def __init__(self, order: int, values, weight: int, target: int | None = None):
         values = [v.lifted(order) for v in values]
@@ -313,16 +324,25 @@ class Packing:
         self._offset = sum(self._half << s for s in self._digits)
         self._modulus = (1 << w * order) - 1
         self._psi = sum(c << w * j for j, c in enumerate(psi)) % self._modulus
+        self._read: dict[tuple[int, int], Cyclotomic] = {}
 
     def pack(self, v: Cyclotomic, conjugate: bool = False) -> int:
         v = v.lifted(self.order)
         return self._den // v.den * sum(map(lshift, v.num, self._conjugate_digits if conjugate else self._digits))
 
     def unpack(self, total: int, divisor: int = 1) -> Cyclotomic:
-        total += self._offset
-        mask, half = self._mask, self._half
-        dense = [(total >> s & mask) - half for s in self._digits]
-        return _value(self.order, _reduce(dense, self.order), self._den * divisor)
+        """The value total / divisor (see the class docstring).  An equal
+        (total, divisor) gets the object already built for it: values are
+        immutable, and the memo is the packing's, freed with it, so a table's
+        packing holds each number its sums reach once."""
+        key = total, divisor
+        v = self._read.get(key)
+        if v is None:
+            total += self._offset
+            mask, half = self._mask, self._half
+            dense = [(total >> s & mask) - half for s in self._digits]
+            v = self._read[key] = _value(self.order, _reduce(dense, self.order), self._den * divisor)
+        return v
 
     def holds(self, total: int, t: int = 0) -> bool:
         return (total - t * self._den ** 2) * self._psi % self._modulus == 0

@@ -1,6 +1,10 @@
 import cmath
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +120,40 @@ def test_rational_extraction():
         v.integer_value()
     with pytest.raises(ValueError):
         zeta(8).rational_value()
+    # the paths that build or take a Fraction, beside the int paths that do not
+    half_plus_z = Cyclotomic.parse("1/2 + z", 4)
+    assert (half_plus_z.num, half_plus_z.den) == ((1, 2), 2) and str(half_plus_z) == "1/2 + z"
+    assert half_plus_z == Cyclotomic(4, [Fraction(1, 2), 1]) == Cyclotomic(4, ["1/2", 1])
+    seven_halves = Cyclotomic.from_rational(Fraction(7, 2))
+    assert (seven_halves.order, seven_halves.num, seven_halves.den) == (1, (7,), 2)
+    assert seven_halves.rational_value() == Fraction(7, 2) and type(seven_halves.rational_value()) is Fraction
+    three = Cyclotomic.from_rational(3, 4)
+    assert (three.num, three.den) == ((3, 0), 1) and three == Fraction(3, 1) == three
+    assert three.integer_value() == 3 and type(three.integer_value()) is int
+    assert three.__eq__(1.5) is NotImplemented and Cyclotomic.from_rational(Fraction(3, 2)).__eq__(1.5) is NotImplemented
+    with pytest.raises(ValueError, match="is not an integer"):
+        Cyclotomic.from_rational(Fraction(3, 2), 4).integer_value()
+    with pytest.raises(ValueError, match="is not rational"):
+        zeta(4).integer_value()
+
+
+def test_commands_on_character_values_never_import_fractions():
+    # `fractions` (and `decimal`, which it imports) is loaded only at the
+    # rational edges; a fresh interpreter runs the commands, as this one has
+    # imported it
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import os, sys\n"
+        "from superchar import cli\n"
+        "for argv in (['chartab', '--group', 'D32'], ['enumerate', '--group', 'D4xC2'],\n"
+        "             ['verify', '--extremes-only', '--group', 'C2xC2xC2xC2']):\n"
+        "    assert cli.main(argv + ['--format', 'json', '--out', os.devnull]) == 0\n"
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert run.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +271,22 @@ def test_packed_sums_match_object_arithmetic():
                 assert pk.holds(total, t) == (products == Ref(order, [t]))
             total -= pk.pack(rest) * pk.pack(Cyclotomic.one(order), True)
             assert pk.holds(total, q) and not pk.holds(total, q + 1) and not pk.holds(total, q - 1)
+
+
+def test_equal_packed_sums_read_back_as_one_object():
+    # unpack returns the object it built for an equal (total, divisor); a
+    # sum of other terms with that total is the same value, the same object
+    one, z = Cyclotomic.one(4), zeta(4)
+    pk = Packing(4, [one, z], 4)
+    first = pk.unpack(pk.pack(one) + 2 * pk.pack(z))
+    assert pk.unpack(2 * pk.pack(z) + pk.pack(one)) is first
+    assert pk.unpack(3 * pk.pack(z) + pk.pack(one) - pk.pack(z)) is first
+    assert pk.unpack(pk.pack(one) + 2 * pk.pack(z), 2) is not first
+    assert key(pk.unpack(pk.pack(one) + 2 * pk.pack(z), 2)) == key(Cyclotomic(4, [Fraction(1, 2), 1]))
+    # the memo is the packing's own: another packing builds its own object
+    other = Packing(4, [one, z], 4)
+    again = other.unpack(other.pack(one) + 2 * other.pack(z))
+    assert again is not first and key(again) == key(first)
 
 
 def test_packed_sums_at_the_proven_bound():

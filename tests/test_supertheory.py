@@ -550,3 +550,22 @@ def test_enumeration_against_brute_force_definition(name):
         for S in enumerate_scts(T)
     }
     assert fast == _brute_force_theories(T)
+
+
+def test_equal_sigma_values_on_one_table_are_one_object():
+    # sigma values are read back through the table's one Packing, which
+    # returns the object it built for an equal packed sum: theories that
+    # share a part share its values, and every number is one object per table
+    for name in ("S3", "D4", "C2xC2xC2", "S4"):
+        T = character_table_of(catalog_group(name))
+        theories = list(enumerate_scts(T))
+        values = [v for S in theories for row in S.sigma for v in row]
+        assert len({id(v) for v in values}) == len({key(v) for v in values}), name
+        shared = [(S, U, x) for S in theories for U in theories if S is not U for x in S.xparts if x in U.xparts]
+        assert shared, name
+        for S, U, x in shared:
+            sigma_s, sigma_u = S.sigma[S.xparts.index(x)], U.sigma[U.xparts.index(x)]
+            for s_block, s_value in zip(S.ypart_classes, sigma_s):
+                for u_block, u_value in zip(U.ypart_classes, sigma_u):
+                    if s_block[0] in u_block:  # sigma_x on one class, read by both theories
+                        assert s_value is u_value
